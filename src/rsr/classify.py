@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,30 @@ _BLOCK_BYTES = 1 << 26
 
 
 class InconsistentReferenceSets(ValueError):
-    """A sample matched both a lower and an upper reference in strict mode."""
+    """phi is not coherent, or a reference lies on the wrong side of its threshold."""
+
+    @classmethod
+    def on_sample(
+        cls, index: int, x: np.ndarray, lower: ReferenceSet | None, upper: ReferenceSet | None, phi: int | None = None
+    ) -> InconsistentReferenceSets:
+        """Name sample ``index``, its vector ``x``, the first member of each given set that matches it, and phi."""
+        claims = []
+        if lower is not None:
+            claims.append(f"lower reference {_first_match(x, lower)} says S <= {lower.threshold}")
+        if upper is not None:
+            claims.append(f"upper reference {_first_match(x, upper)} says S >= {upper.threshold + 1}")
+        if phi is not None:
+            claims.append(f"phi says S = {phi}")
+        return cls(
+            f"sample {index} {tuple(int(v) for v in x)}: {', '.join(claims)}; "
+            "phi is not coherent or a reference is on the wrong side of its threshold"
+        )
+
+
+def _first_match(x: np.ndarray, refs: ReferenceSet) -> tuple[int, ...]:
+    members = refs.as_array()
+    inside = x <= members if refs.side == Side.LOWER else x >= members
+    return refs.members[int(np.flatnonzero(inside.all(axis=1))[0])]
 
 
 def _violation_block_packed(sample_packed: np.ndarray, rbar_packed: np.ndarray) -> np.ndarray:
@@ -96,26 +119,16 @@ def violation_counts(
     return out
 
 
-def _chunk_hits(
-    sample_packed: np.ndarray,
-    rbar_packed: np.ndarray,
-    want_first: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Zero-violation hit mask (and optionally first matching ref index) for one chunk."""
+def _chunk_hits(sample_packed: np.ndarray, rbar_packed: np.ndarray) -> np.ndarray:
+    """Zero-violation hit mask for one chunk."""
     n_chunk = sample_packed.shape[0]
     hit = np.zeros(n_chunk, dtype=bool)
-    first = np.full(n_chunk, -1, dtype=np.int64) if want_first else None
     n_refs = rbar_packed.shape[0]
     block = _ref_block_size(n_refs, n_chunk, sample_packed.shape[1])
     for r0 in range(0, n_refs, block):
         v = _violation_block_packed(sample_packed, rbar_packed[r0 : r0 + block])
-        zeros = v == 0
-        block_hit = zeros.any(axis=1)
-        if want_first:
-            fresh = block_hit & ~hit
-            first[fresh] = zeros[fresh].argmax(axis=1) + r0
-        hit |= block_hit
-    return hit, first
+        hit |= (v == 0).any(axis=1)
+    return hit
 
 
 def _hits_for(
@@ -124,28 +137,24 @@ def _hits_for(
     kind: str,
     chunk_size: int,
     n_workers: int,
-    want_first: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     h = len(samples_enc)
     if ref_states.shape[0] == 0:
-        return np.zeros(h, dtype=bool), (np.full(h, -1) if want_first else None)
+        return np.zeros(h, dtype=bool)
     refs_enc = encode_batch(ref_states, samples_enc.n_states, kind)
     rbar = refs_enc.packed_complement
     chunks = [(s, min(s + chunk_size, h)) for s in range(0, h, chunk_size)]
 
-    def work(bounds: tuple[int, int]):
+    def work(bounds: tuple[int, int]) -> np.ndarray:
         s, e = bounds
-        return _chunk_hits(samples_enc.packed[s:e], rbar, want_first)
+        return _chunk_hits(samples_enc.packed[s:e], rbar)
 
     if n_workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(work, chunks))
     else:
         results = [work(c) for c in chunks]
-
-    hit = np.concatenate([r[0] for r in results])
-    first = np.concatenate([r[1] for r in results]) if want_first else None
-    return hit, first
+    return np.concatenate(results)
 
 
 @dataclass(frozen=True)
@@ -160,8 +169,6 @@ class ClassificationResult:
     upper_indices: np.ndarray
     unclassified_indices: np.ndarray
     n_samples: int
-    first_match_lower: np.ndarray | None = field(default=None, compare=False)
-    first_match_upper: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def p_lower(self) -> float:
@@ -191,18 +198,19 @@ def classify(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     n_workers: int = 1,
     strict: bool = False,
-    explain: bool = False,
-    n_states: int | None = None,
+    *,
+    n_states: int,
 ) -> ClassificationResult:
     """Partition a sample batch against lower and upper reference sets.
 
     A sample is lower-classified if any lower reference gives zero
     violations; otherwise upper-classified if any upper reference does;
-    otherwise unclassified. Lower takes precedence over upper, which with
-    consistent reference sets cannot matter; ``strict=True`` raises on
-    such an overlap instead. ``explain=True`` records the first matching
-    reference index per sample (-1 where none), which is diagnostic only
-    and never affects the partition.
+    otherwise unclassified. ``n_states`` is the component state count M
+    used to encode samples and references. Lower takes precedence over
+    upper, which with a coherent phi and side-consistent reference sets
+    cannot matter; ``strict=True`` instead raises
+    ``InconsistentReferenceSets`` on such an overlap, naming the first
+    overlapping sample and the first lower and upper reference it matches.
     """
     if lower_set is not None and upper_set is not None:
         if lower_set.threshold != upper_set.threshold:
@@ -216,26 +224,19 @@ def classify(
         raise ValueError("upper_set must have side 'upper'")
 
     h = batch.n_samples
-    if n_states is None:
-        n_states = _infer_n_states(batch, lower_set, upper_set)
     samples_enc = encode_batch(batch.states, n_states, "sample")
 
     lower_vecs = lower_set.as_array() if lower_set is not None and len(lower_set) else np.zeros((0, batch.n_components), dtype=np.int64)
     upper_vecs = upper_set.as_array() if upper_set is not None and len(upper_set) else np.zeros((0, batch.n_components), dtype=np.int64)
 
-    want_first = explain or strict
-    lower_hit, lower_first = _hits_for(
-        samples_enc, lower_vecs, "lower_ref", chunk_size, n_workers, want_first
-    )
-    upper_hit, upper_first = _hits_for(
-        samples_enc, upper_vecs, "upper_ref", chunk_size, n_workers, want_first
-    )
+    lower_hit = _hits_for(samples_enc, lower_vecs, "lower_ref", chunk_size, n_workers)
+    upper_hit = _hits_for(samples_enc, upper_vecs, "upper_ref", chunk_size, n_workers)
 
-    if strict and bool(np.any(lower_hit & upper_hit)):
-        idx = int(np.flatnonzero(lower_hit & upper_hit)[0])
-        raise InconsistentReferenceSets(
-            f"sample {idx} matches both a lower and an upper reference"
-        )
+    if strict:
+        both = np.flatnonzero(lower_hit & upper_hit)
+        if both.size:
+            idx = int(both[0])
+            raise InconsistentReferenceSets.on_sample(idx, batch.states[idx], lower_set, upper_set)
 
     upper_only = upper_hit & ~lower_hit
     unclassified = ~(lower_hit | upper_hit)
@@ -244,22 +245,7 @@ def classify(
         upper_indices=np.flatnonzero(upper_only),
         unclassified_indices=np.flatnonzero(unclassified),
         n_samples=h,
-        first_match_lower=lower_first if explain else None,
-        first_match_upper=upper_first if explain else None,
     )
-
-
-def _infer_n_states(
-    batch: SampleBatch,
-    lower_set: ReferenceSet | None,
-    upper_set: ReferenceSet | None,
-) -> int:
-    # the state count must cover every state appearing in samples or refs
-    top = int(batch.states.max(initial=0))
-    for s in (lower_set, upper_set):
-        if s is not None and len(s):
-            top = max(top, int(s.as_array().max()))
-    return top + 1
 
 
 def cov(p_hat: float, n_samples: int) -> float | None:

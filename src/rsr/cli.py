@@ -42,7 +42,7 @@ TRACE_COLUMNS = (
     "p_lower",
     "p_upper",
     "p_unclassified",
-    "rss_bytes",
+    "peak_rss_bytes",
 )
 
 
@@ -135,7 +135,7 @@ def _write_trace(path: Path, result: Stage1Result) -> None:
                     repr(rec.p_lower),
                     repr(rec.p_upper),
                     repr(rec.p_unclassified),
-                    rec.resident_memory_bytes if rec.resident_memory_bytes is not None else "",
+                    rec.peak_rss_bytes if rec.peak_rss_bytes is not None else "",
                 ]
             )
 
@@ -244,8 +244,6 @@ def cmd_pmf(args: argparse.Namespace) -> int:
             "format": files.FORMAT,
             "pmf": report.pmf.tolist(),
             "cumulative_lower": report.cumulative_lower.tolist(),
-            "max_chain_discrepancy": report.max_chain_discrepancy,
-            "renormalization_adjustment": report.renormalization_adjustment,
             "thresholds": [
                 {
                     "m_prime": r.threshold,

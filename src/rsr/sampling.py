@@ -83,8 +83,8 @@ def sample_batch(
     n, m = dist.n_components, dist.n_states
     u = uniform_field(seed, generation_index, start, n_samples, n)
     cum = np.cumsum(dist.probs, axis=1)
-    states = np.empty((n_samples, n), dtype=np.int64)
-    for comp in range(n):
-        states[:, comp] = np.searchsorted(cum[comp], u[:, comp], side="right")
-    np.clip(states, 0, m - 1, out=states)
+    # state = #{k < M-1 : cum[k] <= u}; leaving out cum[M-1] caps it at M-1
+    states = np.zeros((n_samples, n), dtype=np.int64)
+    for k in range(m - 1):
+        states += u >= cum[:, k]
     return SampleBatch(states=states, seed=seed, generation_index=generation_index)

@@ -6,20 +6,22 @@ probability estimate falls below ``eps_u`` or the reference count reaches
 ``r_max``. Note that ``eps_u`` is checked on each iteration's fresh
 sample batch: it is a sample-estimate threshold, not a certified bound.
 
-Stage 2 classifies one batch against the discovered sets and resolves the
-remaining unclassified samples by direct performance-function calls, so
-every sample ends up on one side of the threshold.
+Stage 2 classifies one batch against the sets of every requested
+threshold, bracketing each sample's system state S: a lower match at m'
+gives S <= m', an upper match S >= m'+1. One performance-function call
+settles each sample the bracket leaves open. A crossed bracket, or phi
+outside one, means phi is not coherent and raises.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import ReferenceSet, ReferenceState, Side, boundary_search
-from .classify import ClassificationResult, classify, cov
+from .classify import InconsistentReferenceSets, classify, cov
 from .model import ComponentDistribution, SystemModel
 from .sampling import sample_batch
 
@@ -40,14 +42,13 @@ __all__ = [
 _STAGE2_GENERATION = 0
 
 
-def _rss_bytes() -> int | None:
+def _peak_rss_bytes() -> int | None:
     try:
         import resource
-
-        # ru_maxrss is kilobytes on Linux
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    except Exception:
+    except ImportError:  # not available on Windows
         return None
+    # ru_maxrss is the peak, in kilobytes on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class TraceRecord:
     p_lower: float
     p_upper: float
     p_unclassified: float
-    resident_memory_bytes: int | None = None
+    peak_rss_bytes: int | None = None
 
 
 @dataclass
@@ -150,6 +151,7 @@ def stage1_find_references(
             upper,
             chunk_size=config.chunk_size,
             n_workers=config.n_workers,
+            strict=True,
             n_states=model.n_component_states,
         )
         trace.append(
@@ -160,7 +162,7 @@ def stage1_find_references(
                 p_lower=result.p_lower,
                 p_upper=result.p_upper,
                 p_unclassified=result.p_unclassified,
-                resident_memory_bytes=_rss_bytes(),
+                peak_rss_bytes=_peak_rss_bytes(),
             )
         )
         if result.p_unclassified <= config.eps_u:
@@ -195,6 +197,76 @@ def stage1_find_references(
     )
 
 
+def _stage2(
+    model: SystemModel,
+    dist: ComponentDistribution,
+    config: RunConfig,
+    sets: list[tuple[int, ReferenceSet | None, ReferenceSet | None]],
+) -> list[Stage2Report]:
+    """Stage 2 on one shared batch; one report per (threshold, lower, upper), thresholds distinct."""
+    for threshold, lower, upper in sets:
+        _check_threshold(model, threshold)
+        for ref_set in (lower, upper):
+            if ref_set is not None and ref_set.threshold != threshold:
+                raise ValueError(f"reference set threshold {ref_set.threshold} != requested m'={threshold}")
+    h = config.stage2_samples or config.n_samples
+    batch = sample_batch(dist, h, config.seed, generation_index=_STAGE2_GENERATION)
+    # each sample's system state lies in [lo, hi]
+    lo = np.zeros(h, dtype=np.int64)
+    hi = np.full(h, model.n_system_states - 1, dtype=np.int64)
+    unclassified = []
+    for threshold, lower, upper in sets:
+        result = classify(
+            batch,
+            lower,
+            upper,
+            chunk_size=config.chunk_size,
+            n_workers=config.n_workers,
+            strict=True,
+            n_states=model.n_component_states,
+        )
+        hi[result.lower_indices] = np.minimum(hi[result.lower_indices], threshold)
+        lo[result.upper_indices] = np.maximum(lo[result.upper_indices], threshold + 1)
+        unclassified.append(result.unclassified_indices.size)
+
+    def conflict(i: int, phi: int | None = None) -> InconsistentReferenceSets:
+        # the bracket was set by a lower match at hi and an upper match at lo-1
+        lower = next((low for t, low, _ in sets if t == hi[i]), None)
+        upper = next((up for t, _, up in sets if t == lo[i] - 1), None)
+        return InconsistentReferenceSets.on_sample(i, batch.states[i], lower, upper, phi)
+
+    crossed = np.flatnonzero(lo > hi)
+    if crossed.size:
+        raise conflict(int(crossed[0]))
+    undecided = np.zeros(h, dtype=bool)
+    for threshold, _, _ in sets:
+        undecided |= (lo <= threshold) & (threshold < hi)
+    for i in np.flatnonzero(undecided):
+        state = model.evaluate(batch.states[i])
+        if not lo[i] <= state <= hi[i]:
+            raise conflict(int(i), state)
+        hi[i] = state
+
+    # for every requested m', hi <= m' now holds exactly when S <= m'
+    reports = []
+    for (threshold, _, _), n_unclassified in zip(sets, unclassified):
+        n_low = np.count_nonzero(hi <= threshold)
+        p_low, p_up = n_low / h, (h - n_low) / h
+        reports.append(
+            Stage2Report(
+                p_lower=p_low,
+                p_upper=p_up,
+                cov_lower=cov(p_low, h),
+                cov_upper=cov(p_up, h),
+                n_samples=h,
+                unclassified_resolved=n_unclassified,
+                threshold=threshold,
+                seed=config.seed,
+            )
+        )
+    return reports
+
+
 def stage2_evaluate(
     model: SystemModel,
     dist: ComponentDistribution,
@@ -207,42 +279,10 @@ def stage2_evaluate(
 
     Unclassified samples are resolved by evaluating the performance
     function directly, so the two probabilities partition the batch.
+    Raises ``InconsistentReferenceSets`` if a sample matches both sets.
     """
-    _check_threshold(model, threshold)
-    for s in (lower, upper):
-        if s is not None and s.threshold != threshold:
-            raise ValueError(
-                f"reference set threshold {s.threshold} != requested m'={threshold}"
-            )
-    h = config.stage2_samples or config.n_samples
-    batch = sample_batch(dist, h, config.seed, generation_index=_STAGE2_GENERATION)
-    result = classify(
-        batch,
-        lower,
-        upper,
-        chunk_size=config.chunk_size,
-        n_workers=config.n_workers,
-        n_states=model.n_component_states,
-    )
-    n_low = result.lower_indices.size
-    n_up = result.upper_indices.size
-    for idx in result.unclassified_indices:
-        if model.evaluate(batch.states[int(idx)]) <= threshold:
-            n_low += 1
-        else:
-            n_up += 1
-    p_low = n_low / h
-    p_up = n_up / h
-    return Stage2Report(
-        p_lower=p_low,
-        p_upper=p_up,
-        cov_lower=cov(p_low, h),
-        cov_upper=cov(p_up, h),
-        n_samples=h,
-        unclassified_resolved=result.unclassified_indices.size,
-        threshold=threshold,
-        seed=config.seed,
-    )
+    (report,) = _stage2(model, dist, config, [(threshold, lower, upper)])
+    return report
 
 
 @dataclass(frozen=True)
@@ -251,8 +291,6 @@ class PmfReport:
     cumulative_lower: np.ndarray  # P(S <= m') for m' = 0..M_S-2
     stage2_reports: tuple[Stage2Report, ...]
     stage1_results: tuple[Stage1Result, ...]
-    max_chain_discrepancy: float
-    renormalization_adjustment: float
 
 
 def assemble_pmf(cumulative: np.ndarray | list[float]) -> tuple[np.ndarray, float]:
@@ -276,46 +314,22 @@ def multistate_pmf(
     dist: ComponentDistribution,
     config: RunConfig,
 ) -> PmfReport:
-    """Run both stages for every threshold and compose the system-state PMF.
+    """Run Stage 1 for every threshold, then one Stage 2 for all, and compose the PMF.
 
-    The PMF is assembled from the lower-bound chain P(S <= m'); the chain
-    of upper probabilities is assembled as a cross-check and the maximum
-    discrepancy reported. Non-monotone cumulative estimates beyond four
-    combined standard errors raise, signalling insufficient sample size.
+    Stage 2 resolves each sample's system state once, on one batch, so the
+    chain P(S <= m') is monotone exactly and the PMF needs no clamping.
     """
-    m_s = model.n_system_states
-    stage1_results = []
-    reports = []
-    for threshold in range(m_s - 1):
-        s1 = stage1_find_references(model, dist, config, threshold)
-        s2 = stage2_evaluate(model, dist, s1.lower, s1.upper, config, threshold)
-        stage1_results.append(s1)
-        reports.append(s2)
-
-    cum = np.array([r.p_lower for r in reports])
-    sigmas = np.array(
-        [np.sqrt(r.p_lower * (1.0 - r.p_lower) / r.n_samples) for r in reports]
+    stage1_results = tuple(
+        stage1_find_references(model, dist, config, threshold)
+        for threshold in range(model.n_system_states - 1)
     )
-    for i in range(1, len(cum)):
-        tol = 4.0 * (sigmas[i] + sigmas[i - 1])
-        if cum[i] < cum[i - 1] - tol:
-            raise ValueError(
-                f"cumulative estimates non-monotone beyond tolerance at m'={i} "
-                f"({cum[i]:.3e} < {cum[i - 1]:.3e} - {tol:.1e}); increase n_samples"
-            )
-
-    pmf, adjustment = assemble_pmf(cum)
-    # cross-check: the same PMF assembled from the upper-side chain
-    surv = np.concatenate([[1.0], [r.p_upper for r in reports], [0.0]])
-    pmf_upper = -np.diff(surv)
-    pmf_upper_n, _ = assemble_pmf(np.cumsum(pmf_upper)[:-1])
-    discrepancy = float(np.max(np.abs(pmf - pmf_upper_n)))
-
+    sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in stage1_results]
+    reports = _stage2(model, dist, config, sets)
+    cum = np.array([r.p_lower for r in reports])
+    pmf, _ = assemble_pmf(cum)
     return PmfReport(
         pmf=pmf,
         cumulative_lower=cum,
         stage2_reports=tuple(reports),
-        stage1_results=tuple(stage1_results),
-        max_chain_discrepancy=discrepancy,
-        renormalization_adjustment=adjustment,
+        stage1_results=stage1_results,
     )

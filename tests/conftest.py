@@ -45,6 +45,14 @@ def parallel3() -> tuple[SystemModel, ComponentDistribution]:
     return model, dist
 
 
+@pytest.fixture
+def noncoherent() -> tuple[SystemModel, ComponentDistribution]:
+    """phi(x) = [x0 == 1]: raising x0 from 1 to 2 lowers the system state."""
+    model = SystemModel(2, 3, 2, lambda x: int(x[0] == 1))
+    dist = ComponentDistribution.iid(2, [1 / 3, 1 / 3, 1 / 3])
+    return model, dist
+
+
 def random_upper_cones(rng: np.random.Generator, n: int, m: int, count: int) -> list[tuple[int, ...]]:
     """Random vectors kept as-is; redundancy is fine for building test systems."""
     return [tuple(int(v) for v in rng.integers(0, m, size=n)) for v in range(count)]

@@ -248,7 +248,7 @@ def test_criterion_09_throughput_and_linear_scaling(capsys):
         for r in (49, 98, 196):
             refs = rng.integers(0, 2, size=(r, n))
             t0 = time.perf_counter()
-            _hits_for(enc, refs, "lower_ref", DEFAULT_CHUNK_SIZE, 1, False)
+            _hits_for(enc, refs, "lower_ref", DEFAULT_CHUNK_SIZE, 1)
             times[r] = time.perf_counter() - t0
         for r in (49, 98):
             ratio = times[2 * r] / times[r]

@@ -152,20 +152,12 @@ def test_lower_precedence_and_strict_mode():
     res = classify(batch, lower, upper, n_states=2)
     assert res.lower_indices.size == 1  # lower wins
     assert res.upper_indices.size == 0
-    with pytest.raises(InconsistentReferenceSets):
+    with pytest.raises(InconsistentReferenceSets) as exc:
         classify(batch, lower, upper, strict=True, n_states=2)
-
-
-def test_explain_records_first_match():
-    states = np.array([[0, 0], [4, 4], [2, 2]])
-    batch = SampleBatch(states=states, seed=0, generation_index=0)
-    lower = ReferenceSet(Side.LOWER, 0, [(1, 2)])
-    upper = ReferenceSet(Side.UPPER, 0, [(1, 4), (4, 0)])
-    res = classify(batch, lower, upper, explain=True, n_states=5)
-    assert res.first_match_lower[0] == 0
-    assert res.first_match_upper[1] >= 0
-    assert res.first_match_lower[2] == -1
-    assert res.first_match_upper[2] == -1
+    message = str(exc.value)
+    assert "sample 0 (1, 1)" in message
+    assert "lower reference (1, 1)" in message
+    assert "upper reference (1, 1)" in message
 
 
 @given(st.integers(0, 2**31))

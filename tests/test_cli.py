@@ -1,8 +1,11 @@
 import csv
 import json
+import re
 
 import pytest
 
+from rsr import files
+from rsr.boundary import ReferenceSet, Side
 from rsr.cli import TRACE_COLUMNS, main
 from rsr.files import FORMAT, write_json
 
@@ -201,3 +204,25 @@ def test_seed_env_default(tmp_path, model_file, monkeypatch):
         ["oracle", "--model", model_file, "--mode", "mc", "--samples", 500, "--out", out]
     ) == 0
     assert json.loads(out.read_text())["seed"] == 77
+
+
+def test_noncoherent_phi_is_input_error_naming_refs(tmp_path, model_file, noncoherent, monkeypatch, capsys):
+    # model files only name coherent functions, so the loaded model is swapped
+    model, dist = noncoherent
+    monkeypatch.setattr(files, "load_model", lambda path: (model, dist, "h"))
+    refs = tmp_path / "refs.json"
+    files.save_reference_sets(
+        refs, ReferenceSet(Side.LOWER, 0, [(2, 2)]), ReferenceSet(Side.UPPER, 0, [(1, 0)]), "h"
+    )
+    commands = (
+        ["evaluate", "--refs", refs, "--out-report", tmp_path / "rep.json"],
+        ["pmf", "--out", tmp_path / "pmf.json", "--parallel", 4],
+    )
+    for command in commands:
+        code = run([*command, "--model", model_file, "--samples", 1000, "--seed", 7])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert re.search(r"sample \d+ \(\d, \d\)", captured.err)
+        assert "lower reference (2, 2)" in captured.err
+        assert "upper reference (1, 0)" in captured.err
+        assert "P(S" not in captured.out and "PMF" not in captured.out

@@ -74,3 +74,32 @@ def test_known_stream_frozen():
     assert np.array_equal(u, again)
     assert u.shape == (2, 3)
     assert np.all((u >= 0) & (u < 1))
+
+
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 5), m=st.integers(2, 6), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_inverse_cdf_matches_searchsorted(seed, n, m, data):
+    h = 40
+    u = uniform_field(seed, 0, 0, h, n)
+    rows = []
+    for comp in range(n):
+        # CDF cut points taken from the draws themselves, so draws land
+        # exactly on a boundary; draws are multiples of 2**-53, so the
+        # cumsum of the row gives the cuts back exactly. Repeated cuts, 0
+        # and 1 give zero-probability states.
+        column = [float(v) for v in u[:, comp]]
+        cut = st.one_of(st.sampled_from((0.0, 1.0)), st.sampled_from(column))
+        cuts = [data.draw(st.sampled_from(column))] + data.draw(
+            st.lists(cut, min_size=m - 2, max_size=m - 2)
+        )
+        rows.append(np.diff([0.0, *sorted(cuts), 1.0]))
+    dist = ComponentDistribution(np.array(rows))
+    cum = np.cumsum(dist.probs, axis=1)
+    assert all(np.isin(cum[comp], u[:, comp]).any() for comp in range(n))
+
+    # reference: the per-component searchsorted this sampler replaced
+    expected = np.empty((h, n), dtype=np.int64)
+    for comp in range(n):
+        expected[:, comp] = np.searchsorted(cum[comp], u[:, comp], side="right")
+    np.clip(expected, 0, m - 1, out=expected)
+    assert np.array_equal(sample_batch(dist, h, seed).states, expected)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from rsr.boundary import ReferenceSet, Side
+from rsr.boundary import ReferenceSet, Side, boundary_search
+from rsr.classify import InconsistentReferenceSets
 from rsr.model import ComponentDistribution, SystemModel
 from rsr.oracle import crude_monte_carlo, exact_probabilities
+from rsr.sampling import sample_batch
 from rsr.sysfn import k_out_of_n
 from rsr.workflow import (
     RunConfig,
+    _stage2,
     assemble_pmf,
     multistate_pmf,
     stage1_find_references,
@@ -125,13 +128,58 @@ def test_multistate_pmf_matches_enumeration():
     dist = ComponentDistribution.iid(3, [0.2, 0.3, 0.5])
     cfg = RunConfig(n_samples=40_000, eps_u=1e-3, r_max=200, seed=11)
     report = multistate_pmf(model, dist, cfg)
+    stage1_phi = sum(s1.trace[-1].phi_evaluations for s1 in report.stage1_results)
+    stage2_phi = model.evaluation_count - stage1_phi
+    assert stage2_phi <= sum(r.unclassified_resolved for r in report.stage2_reports)
     exact = exact_probabilities(model, dist)
     exact_pmf = np.diff(np.concatenate([[0.0], exact.cumulative]))
     assert report.pmf.shape == (3,)
     assert report.pmf.sum() == pytest.approx(1.0)
     assert np.all(np.abs(report.pmf - exact_pmf) < 0.01)
-    assert report.max_chain_discrepancy < 0.01
     assert len(report.stage2_reports) == 2
+    # every Stage-2 sample is resolved exactly: the chain is phi's frequency
+    batch = sample_batch(dist, cfg.n_samples, cfg.seed, generation_index=0)
+    system = np.array([model.evaluate(x) for x in batch.states])
+    for m_prime in range(2):
+        assert report.cumulative_lower[m_prime] == np.count_nonzero(system <= m_prime) / cfg.n_samples
+
+
+def test_noncoherent_phi_raises_naming_sample_and_refs(noncoherent):
+    model, dist = noncoherent
+    # the boundary searches from (2, 0) and (1, 0) give refs that overlap
+    # wherever x0 >= 1; without the check p_lower came out 1.0, not 2/3
+    lower = ReferenceSet(Side.LOWER, 0, [boundary_search(model, (2, 0), 0).vector])
+    upper = ReferenceSet(Side.UPPER, 0, [boundary_search(model, (1, 0), 0).vector])
+    assert (lower.members, upper.members) == ([(2, 2)], [(1, 0)])
+    cfg = small_config()
+    states = sample_batch(dist, cfg.n_samples, cfg.seed).states
+    first = int(np.flatnonzero(states[:, 0] >= 1)[0])
+    with pytest.raises(InconsistentReferenceSets) as exc:
+        stage2_evaluate(model, dist, lower, upper, cfg, threshold=0)
+    message = str(exc.value)
+    assert f"sample {first} {tuple(int(v) for v in states[first])}" in message
+    assert "lower reference (2, 2)" in message
+    assert "upper reference (1, 0)" in message
+
+    # four searches per iteration find both refs at once
+    with pytest.raises(InconsistentReferenceSets, match=r"sample \d+ \(\d, \d\)") as exc:
+        multistate_pmf(model, dist, small_config(parallel_searches=4))
+    assert "lower reference (2, 2)" in str(exc.value)
+    assert "upper reference (1, 0)" in str(exc.value)
+
+
+def test_stage2_rejects_sets_that_contradict_across_thresholds():
+    model = SystemModel(2, 3, 3, lambda x: int(max(x)))
+    dist = ComponentDistribution.iid(2, [0.2, 0.3, 0.5])
+    cfg = small_config(n_samples=200)
+    everything_low = ReferenceSet(Side.LOWER, 0, [(2, 2)])
+    everything_high = ReferenceSet(Side.UPPER, 1, [(0, 0)])
+    # S <= 0 and S >= 2 on every sample: the brackets cross
+    with pytest.raises(InconsistentReferenceSets, match=r"sample 0 .*\(2, 2\) says S <= 0.*\(0, 0\) says S >= 2"):
+        _stage2(model, dist, cfg, [(0, everything_low, None), (1, None, everything_high)])
+    # S <= 1 everywhere, but m'=0 leaves samples open and phi gives 2 on some
+    with pytest.raises(InconsistentReferenceSets, match=r"\(2, 2\) says S <= 1, phi says S = 2"):
+        _stage2(model, dist, cfg, [(0, None, None), (1, ReferenceSet(Side.LOWER, 1, [(2, 2)]), None)])
 
 
 def test_boundary_search_disabled_inserts_raw_samples(series3):
