@@ -1,9 +1,10 @@
 """Componentwise boundary search and non-dominated reference-set maintenance.
 
-A lower reference state is a vector known to give system state <= m'; an
-upper reference state gives state >= m'+1. Sets keep only non-dominated
-members: a lower member componentwise <= another is redundant, as is an
-upper member componentwise >= another.
+A lower reference state r gives system state <= m', so it covers every
+x <= r componentwise; an upper one gives state >= m'+1 and covers every
+x >= r. A set stores its non-dominated members as one R x N int64 matrix
+in insertion order; one coverage rule, ``_covers``, finds a redundant
+candidate (covered by a member) and the members an insert evicts.
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ class ReferenceState:
         return cls(tuple(vector), side, threshold)
 
 
-def _redundant_under(side: str, a: Sequence[int], b: Sequence[int]) -> bool:
-    """True if ``a`` is made redundant by ``b`` in the side's order."""
-    if side == Side.LOWER:
-        return all(x <= y for x, y in zip(a, b))
-    return all(x >= y for x, y in zip(a, b))
+def _covers(side: str, x: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Whether ``x`` <= r (lower) or ``x`` >= r (upper), broadcast over all but the last axis."""
+    inside = x <= refs if side == Side.LOWER else x >= refs
+    return inside.all(axis=-1)
 
 
 class ReferenceSet:
@@ -67,29 +67,33 @@ class ReferenceSet:
             raise ValueError(f"side must be '{Side.LOWER}' or '{Side.UPPER}'")
         self.side = side
         self.threshold = int(threshold)
-        self._members: list[tuple[int, ...]] = []
+        self._matrix = np.empty((0, 0), dtype=np.int64)  # the first insert sets N
+        self._matrix.flags.writeable = False
         for m in members:
             self.insert(ReferenceState(tuple(m), side, threshold))
 
     @property
     def members(self) -> list[tuple[int, ...]]:
-        return list(self._members)
+        return [tuple(row) for row in self._matrix.tolist()]
 
     def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, vector: Sequence[int]) -> bool:
-        return tuple(int(v) for v in vector) in self._members
+        return self._matrix.shape[0]
 
     def as_array(self) -> np.ndarray:
-        return np.array(self._members, dtype=np.int64).reshape(len(self._members), -1)
+        """The read-only R x N member matrix, rows in insertion order."""
+        return self._matrix
+
+    def first_match(self, x: np.ndarray) -> tuple[int, ...]:
+        """The earliest-inserted member whose region contains ``x``."""
+        row = np.flatnonzero(_covers(self.side, x, self._matrix))[0]
+        return tuple(self._matrix[row].tolist())
 
     def insert(self, candidate: ReferenceState) -> str:
         """Insert keeping non-dominance; returns 'inserted' or 'redundant'.
 
         A redundant candidate leaves the set unchanged; an inserted one
-        drops every member it makes redundant. The final set is
-        independent of insertion order (up to set equality).
+        drops every member it makes redundant and goes last. The final set
+        is independent of insertion order (up to set equality).
         """
         if candidate.side != self.side:
             raise ValueError(f"candidate side {candidate.side!r} != set side {self.side!r}")
@@ -97,20 +101,17 @@ class ReferenceSet:
             raise ValueError(
                 f"candidate threshold {candidate.threshold} != set threshold {self.threshold}"
             )
-        vec = candidate.vector
-        for member in self._members:
-            if _redundant_under(self.side, vec, member):
-                return "redundant"
-        self._members = [
-            m for m in self._members if not _redundant_under(self.side, m, vec)
-        ]
-        self._members.append(vec)
+        vec = np.array(candidate.vector, dtype=np.int64)
+        if len(self) and self._matrix.shape[1] != vec.size:
+            raise ValueError(
+                f"candidate has {vec.size} components, set members have {self._matrix.shape[1]}"
+            )
+        members = self._matrix.reshape(len(self), vec.size)
+        if _covers(self.side, vec, members).any():
+            return "redundant"
+        self._matrix = np.concatenate([members[~_covers(self.side, members, vec)], vec[None, :]])
+        self._matrix.flags.writeable = False
         return "inserted"
-
-    def copy(self) -> "ReferenceSet":
-        new = ReferenceSet(self.side, self.threshold)
-        new._members = list(self._members)
-        return new
 
 
 def boundary_search(

@@ -45,21 +45,15 @@ class InconsistentReferenceSets(ValueError):
         """Name sample ``index``, its vector ``x``, the first member of each given set that matches it, and phi."""
         claims = []
         if lower is not None:
-            claims.append(f"lower reference {_first_match(x, lower)} says S <= {lower.threshold}")
+            claims.append(f"lower reference {lower.first_match(x)} says S <= {lower.threshold}")
         if upper is not None:
-            claims.append(f"upper reference {_first_match(x, upper)} says S >= {upper.threshold + 1}")
+            claims.append(f"upper reference {upper.first_match(x)} says S >= {upper.threshold + 1}")
         if phi is not None:
             claims.append(f"phi says S = {phi}")
         return cls(
             f"sample {index} {tuple(int(v) for v in x)}: {', '.join(claims)}; "
             "phi is not coherent or a reference is on the wrong side of its threshold"
         )
-
-
-def _first_match(x: np.ndarray, refs: ReferenceSet) -> tuple[int, ...]:
-    members = refs.as_array()
-    inside = x <= members if refs.side == Side.LOWER else x >= members
-    return refs.members[int(np.flatnonzero(inside.all(axis=1))[0])]
 
 
 def _violation_block_packed(sample_packed: np.ndarray, rbar_packed: np.ndarray) -> np.ndarray:
@@ -133,13 +127,13 @@ def _chunk_hits(sample_packed: np.ndarray, rbar_packed: np.ndarray) -> np.ndarra
 
 def _hits_for(
     samples_enc: EncodedBatch,
-    ref_states: np.ndarray,
+    ref_states: np.ndarray | None,
     kind: str,
     chunk_size: int,
     n_workers: int,
 ) -> np.ndarray:
     h = len(samples_enc)
-    if ref_states.shape[0] == 0:
+    if ref_states is None or ref_states.shape[0] == 0:
         return np.zeros(h, dtype=bool)
     refs_enc = encode_batch(ref_states, samples_enc.n_states, kind)
     rbar = refs_enc.packed_complement
@@ -211,6 +205,7 @@ def classify(
     cannot matter; ``strict=True`` instead raises
     ``InconsistentReferenceSets`` on such an overlap, naming the first
     overlapping sample and the first lower and upper reference it matches.
+    A non-empty set whose vectors do not have N components raises ValueError.
     """
     if lower_set is not None and upper_set is not None:
         if lower_set.threshold != upper_set.threshold:
@@ -218,19 +213,20 @@ def classify(
                 f"threshold mismatch: lower m'={lower_set.threshold}, "
                 f"upper m'={upper_set.threshold}"
             )
-    if lower_set is not None and lower_set.side != Side.LOWER:
-        raise ValueError("lower_set must have side 'lower'")
-    if upper_set is not None and upper_set.side != Side.UPPER:
-        raise ValueError("upper_set must have side 'upper'")
+    vecs = [None if refs is None else refs.as_array() for refs in (lower_set, upper_set)]
+    for side, refs, vec in zip((Side.LOWER, Side.UPPER), (lower_set, upper_set), vecs):
+        if refs is not None and refs.side != side:
+            raise ValueError(f"{side}_set must have side '{side}'")
+        if refs is not None and len(refs) and vec.shape[1] != batch.n_components:
+            raise ValueError(
+                f"{side} references have {vec.shape[1]} components, "
+                f"samples have {batch.n_components}"
+            )
 
     h = batch.n_samples
     samples_enc = encode_batch(batch.states, n_states, "sample")
-
-    lower_vecs = lower_set.as_array() if lower_set is not None and len(lower_set) else np.zeros((0, batch.n_components), dtype=np.int64)
-    upper_vecs = upper_set.as_array() if upper_set is not None and len(upper_set) else np.zeros((0, batch.n_components), dtype=np.int64)
-
-    lower_hit = _hits_for(samples_enc, lower_vecs, "lower_ref", chunk_size, n_workers)
-    upper_hit = _hits_for(samples_enc, upper_vecs, "upper_ref", chunk_size, n_workers)
+    lower_hit = _hits_for(samples_enc, vecs[0], "lower_ref", chunk_size, n_workers)
+    upper_hit = _hits_for(samples_enc, vecs[1], "upper_ref", chunk_size, n_workers)
 
     if strict:
         both = np.flatnonzero(lower_hit & upper_hit)

@@ -1,16 +1,19 @@
 """Binary N x M encodings of component-state vectors and flattened batch forms.
 
-Three encodings share one layout (row n = component n, column m = state m):
+Three encodings share one layout (row n = component n, column m = state m)
+and one rule table, ``_RULES``, that sets entry (n, m) by comparing state m
+with the vector's value x_n:
 
-* sample: one-hot, entry (n, m) = 1 iff m equals the sampled state;
-* lower reference: prefix of ones, 1 iff m <= the reference state;
-* upper reference: suffix of ones, 1 iff m >= the reference state.
+* sample: one-hot, 1 iff m == x_n;
+* lower reference: prefix of ones, 1 iff m <= x_n;
+* upper reference: suffix of ones, 1 iff m >= x_n.
 
-A batch flattens each N x M matrix row-major into a length-NM row. The
-flattened rows are additionally bit-packed into bytes so the violation
-product reduces to popcount-of-AND; the unpacked rows are kept as the
-differential-testing path. Encodings are derived data and never
-serialized; reference-set files persist raw vectors instead.
+``encode_batch`` is the one encoder; the per-item encoders are its
+one-row calls. A batch flattens each N x M matrix row-major into a
+length-NM row. The flattened rows are additionally bit-packed into bytes
+so the violation product reduces to popcount-of-AND; the unpacked rows
+are kept as the differential-testing path. Encodings are derived data and
+never serialized; reference-set files persist raw vectors instead.
 """
 
 from __future__ import annotations
@@ -29,7 +32,13 @@ __all__ = [
     "encode_batch",
 ]
 
-KINDS = ("sample", "lower_ref", "upper_ref")
+# entry (n, m) of each kind's encoding is _RULES[kind](m, x_n)
+_RULES = {
+    "sample": np.equal,
+    "lower_ref": np.less_equal,
+    "upper_ref": np.greater_equal,
+}
+KINDS = tuple(_RULES)
 
 
 def _check_states(states: np.ndarray, n_states: int) -> np.ndarray:
@@ -39,22 +48,24 @@ def _check_states(states: np.ndarray, n_states: int) -> np.ndarray:
     return arr
 
 
+def _encode_one(x: Sequence[int] | np.ndarray, n_states: int, kind: str) -> np.ndarray:
+    row = np.asarray(x)
+    return encode_batch(row[None], n_states, kind).data.reshape(row.size, n_states)
+
+
 def encode_sample(x: Sequence[int] | np.ndarray, n_states: int) -> np.ndarray:
     """One-hot N x M matrix of a sampled vector."""
-    arr = _check_states(np.asarray(x), n_states)
-    return (np.arange(n_states) == arr[:, None]).astype(np.uint8)
+    return _encode_one(x, n_states, "sample")
 
 
 def encode_lower_ref(x: Sequence[int] | np.ndarray, n_states: int) -> np.ndarray:
     """Prefix-of-ones N x M matrix of a lower reference state."""
-    arr = _check_states(np.asarray(x), n_states)
-    return (np.arange(n_states) <= arr[:, None]).astype(np.uint8)
+    return _encode_one(x, n_states, "lower_ref")
 
 
 def encode_upper_ref(x: Sequence[int] | np.ndarray, n_states: int) -> np.ndarray:
     """Suffix-of-ones N x M matrix of an upper reference state."""
-    arr = _check_states(np.asarray(x), n_states)
-    return (np.arange(n_states) >= arr[:, None]).astype(np.uint8)
+    return _encode_one(x, n_states, "upper_ref")
 
 
 @dataclass(frozen=True)
@@ -136,18 +147,14 @@ def flatten(
 
 
 def encode_batch(states: np.ndarray, n_states: int, kind: str) -> EncodedBatch:
-    """Vectorized encoding of a K x N state matrix straight to flattened form."""
+    """Encode a K x N state matrix straight to flattened form, one state column at a time."""
     arr = _check_states(np.asarray(states), n_states)
     if arr.ndim != 2:
         raise ValueError("states must be a K x N matrix")
-    k, n = arr.shape
-    grid = np.arange(n_states)
-    if kind == "sample":
-        cube = grid == arr[:, :, None]
-    elif kind == "lower_ref":
-        cube = grid <= arr[:, :, None]
-    elif kind == "upper_ref":
-        cube = grid >= arr[:, :, None]
-    else:
+    if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    return EncodedBatch(cube.reshape(k, n * n_states).astype(np.uint8), kind, n, n_states)
+    k, n = arr.shape
+    cube = np.empty((k, n, n_states), dtype=np.uint8)
+    for m in range(n_states):
+        _RULES[kind](m, arr, out=cube[:, :, m])
+    return EncodedBatch(cube.reshape(k, n * n_states), kind, n, n_states)

@@ -62,7 +62,10 @@ def uniform_field(
     bg = _philox(seed, generation_index)
     bg.advance(aligned_blocks)
     raw = bg.random_raw(lead + total)[lead:]
-    u = (raw >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    # in place, so only the raw draws and their float64 cast coexist
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u *= _INV_2_53
     return u.reshape(count, n_components)
 
 

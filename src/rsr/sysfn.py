@@ -13,8 +13,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import SystemModel
-
 __all__ = [
     "Graph",
     "single_od_connectivity",
@@ -23,7 +21,6 @@ __all__ = [
     "k_out_of_n",
     "random_geometric_graph",
     "pick_od_pair",
-    "build_graph_model",
 ]
 
 _RGG_MAX_RETRIES = 100
@@ -268,17 +265,3 @@ def pick_od_pair(graph: Graph) -> tuple[int, int]:
     destination = min(v for v in range(graph.n_nodes) if dist[v] == reachable_max)
     return origin, destination
 
-
-def build_graph_model(
-    graph: Graph,
-    performance: Callable,
-    n_component_states: int = 2,
-    n_system_states: int = 2,
-) -> SystemModel:
-    """Wrap a graph performance function as a component-per-edge SystemModel."""
-    return SystemModel(
-        n_components=graph.n_edges,
-        n_component_states=n_component_states,
-        n_system_states=n_system_states,
-        performance=performance,
-    )

@@ -62,7 +62,6 @@ class RunConfig:
     seed: int = 0
     parallel_searches: int = 1
     n_workers: int = 1
-    stage2_samples: int | None = None  # defaults to n_samples
     boundary_search_enabled: bool = True  # False inserts raw samples (diagnostic)
 
     def __post_init__(self) -> None:
@@ -209,7 +208,7 @@ def _stage2(
         for ref_set in (lower, upper):
             if ref_set is not None and ref_set.threshold != threshold:
                 raise ValueError(f"reference set threshold {ref_set.threshold} != requested m'={threshold}")
-    h = config.stage2_samples or config.n_samples
+    h = config.n_samples
     batch = sample_batch(dist, h, config.seed, generation_index=_STAGE2_GENERATION)
     # each sample's system state lies in [lo, hi]
     lo = np.zeros(h, dtype=np.int64)

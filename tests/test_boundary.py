@@ -100,6 +100,17 @@ def test_insert_rejects_mismatches():
         s.insert(ReferenceState((0, 0), Side.UPPER, 0))
     with pytest.raises(ValueError):
         s.insert(ReferenceState((0, 0), Side.LOWER, 1))
+    with pytest.raises(ValueError, match="3 components, set members have 2"):
+        ReferenceSet(Side.LOWER, 0, [(0, 1), (1, 0, 0)])
+
+
+def test_as_array_is_read_only_matrix():
+    refs = ReferenceSet(Side.UPPER, 0).as_array()
+    assert refs.shape[0] == 0
+    assert refs.dtype == np.int64
+    refs = ReferenceSet(Side.UPPER, 0, [(1, 2), (2, 0)]).as_array()
+    assert refs.tolist() == [[1, 2], [2, 0]]
+    assert not refs.flags.writeable
 
 
 def test_checked_reference_state():
@@ -148,3 +159,6 @@ def test_nondominance_matches_quadratic_oracle(seed, n, m):
             fast.insert(ReferenceState(vec, side, 0))
             slow.insert(vec)
         assert sorted(fast.members) == slow.members()
+        # survivors keep their first-insertion order
+        kept = set(slow.members())
+        assert fast.members == [v for v in dict.fromkeys(slow.history) if v in kept]

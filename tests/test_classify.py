@@ -143,6 +143,14 @@ def test_threshold_mismatch_rejected():
         classify(batch, lower, upper, n_states=2)
 
 
+def test_reference_width_must_match_samples():
+    # 115 x 2 and 113 x 2 bits both pack into 29 bytes, so nothing else catches it
+    batch = SampleBatch(states=np.ones((4, 115), dtype=np.int64), seed=0, generation_index=0)
+    lower = ReferenceSet(Side.LOWER, 0, [(1,) * 113])
+    with pytest.raises(ValueError, match="113 components, samples have 115"):
+        classify(batch, lower, None, n_states=2)
+
+
 def test_lower_precedence_and_strict_mode():
     # deliberately inconsistent sets so one sample matches both sides
     states = np.array([[1, 1]])

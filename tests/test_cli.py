@@ -151,6 +151,27 @@ def test_evaluate_empty_refs_matches_mc_oracle(tmp_path, model_file):
     assert rep["cov_lower"] == mc["cov"]
 
 
+def test_evaluate_rejects_refs_of_wrong_length(tmp_path, capsys):
+    model = write_series_model(tmp_path / "wide.json", n=115)
+    refs = tmp_path / "refs.json"
+    assert run(
+        ["find-refs", "--model", model, "--out-refs", refs, "--samples", 200,
+         "--r-max", 2, "--seed", 3]
+    ) == 0
+    doc = json.loads(refs.read_text())
+    for side in ("lower", "upper"):
+        doc[side]["vectors"] = [v[:113] for v in doc[side]["vectors"]]
+    write_json(refs, doc)
+    capsys.readouterr()
+    code = run(
+        ["evaluate", "--model", model, "--refs", refs, "--out-report", tmp_path / "rep.json",
+         "--samples", 1000, "--seed", 1]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "113" in err and "115" in err
+
+
 def test_oracle_exact(tmp_path, model_file):
     out = tmp_path / "exact.json"
     assert run(["oracle", "--model", model_file, "--mode", "exact", "--out", out]) == 0
