@@ -10,7 +10,6 @@ from .encoding import (
     encode_lower_ref,
     encode_sample,
     encode_upper_ref,
-    flatten,
 )
 from .model import ComponentDistribution, SystemModel, check_coherency
 from .sampling import SampleBatch, sample_batch
@@ -52,7 +51,6 @@ __all__ = [
     "encode_lower_ref",
     "encode_upper_ref",
     "encode_batch",
-    "flatten",
     "ClassificationResult",
     "classify",
     "violation_counts",

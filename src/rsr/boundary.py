@@ -126,11 +126,9 @@ def boundary_search(
     each rejected move permanent, so the result is componentwise maximal
     (lower) or minimal (upper). Costs at most N*(M-1)+1 evaluations.
     """
-    if not 0 <= threshold <= model.n_system_states - 2:
-        raise ValueError(
-            f"threshold must lie in [0, {model.n_system_states - 2}]"
-        )
-    x = validate_vector(x0, model.n_components, model.n_component_states).copy()
+    model.check_threshold(threshold)
+    # an int64 copy, so stepping never wraps a narrow input dtype
+    x = validate_vector(x0, model.n_components, model.n_component_states).astype(np.int64)
     s0 = model.evaluate(x)
     if s0 <= threshold:
         side, step, limit = Side.LOWER, 1, model.n_component_states - 1

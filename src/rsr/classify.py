@@ -7,6 +7,10 @@ flattened one-hot sample row with the complement of the flattened
 reference row, computed here either as popcount-of-AND on bit-packed rows
 (the default fast path) or as a plain integer matrix product (the
 differential-testing path).
+
+With a coherent phi and side-consistent reference sets no sample lies in
+both a lower and an upper region; ``classify`` raises
+``InconsistentReferenceSets`` on any sample that does.
 """
 
 from __future__ import annotations
@@ -176,14 +180,6 @@ class ClassificationResult:
     def p_unclassified(self) -> float:
         return self.unclassified_indices.size / self.n_samples
 
-    @property
-    def cov_lower(self) -> float | None:
-        return cov(self.p_lower, self.n_samples)
-
-    @property
-    def cov_upper(self) -> float | None:
-        return cov(self.p_upper, self.n_samples)
-
 
 def classify(
     batch: SampleBatch,
@@ -191,21 +187,18 @@ def classify(
     upper_set: ReferenceSet | None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     n_workers: int = 1,
-    strict: bool = False,
     *,
     n_states: int,
 ) -> ClassificationResult:
     """Partition a sample batch against lower and upper reference sets.
 
     A sample is lower-classified if any lower reference gives zero
-    violations; otherwise upper-classified if any upper reference does;
-    otherwise unclassified. ``n_states`` is the component state count M
-    used to encode samples and references. Lower takes precedence over
-    upper, which with a coherent phi and side-consistent reference sets
-    cannot matter; ``strict=True`` instead raises
-    ``InconsistentReferenceSets`` on such an overlap, naming the first
-    overlapping sample and the first lower and upper reference it matches.
-    A non-empty set whose vectors do not have N components raises ValueError.
+    violations, upper-classified if any upper reference does, and
+    unclassified otherwise. ``n_states`` is the component state count M
+    used to encode samples and references. A sample matched by both sides
+    raises ``InconsistentReferenceSets``, naming the first such sample and
+    the first lower and upper reference it matches. A non-empty set whose
+    vectors do not have N components raises ValueError.
     """
     if lower_set is not None and upper_set is not None:
         if lower_set.threshold != upper_set.threshold:
@@ -223,24 +216,20 @@ def classify(
                 f"samples have {batch.n_components}"
             )
 
-    h = batch.n_samples
     samples_enc = encode_batch(batch.states, n_states, "sample")
     lower_hit = _hits_for(samples_enc, vecs[0], "lower_ref", chunk_size, n_workers)
     upper_hit = _hits_for(samples_enc, vecs[1], "upper_ref", chunk_size, n_workers)
 
-    if strict:
-        both = np.flatnonzero(lower_hit & upper_hit)
-        if both.size:
-            idx = int(both[0])
-            raise InconsistentReferenceSets.on_sample(idx, batch.states[idx], lower_set, upper_set)
+    both = np.flatnonzero(lower_hit & upper_hit)
+    if both.size:
+        idx = int(both[0])
+        raise InconsistentReferenceSets.on_sample(idx, batch.states[idx], lower_set, upper_set)
 
-    upper_only = upper_hit & ~lower_hit
-    unclassified = ~(lower_hit | upper_hit)
     return ClassificationResult(
         lower_indices=np.flatnonzero(lower_hit),
-        upper_indices=np.flatnonzero(upper_only),
-        unclassified_indices=np.flatnonzero(unclassified),
-        n_samples=h,
+        upper_indices=np.flatnonzero(upper_hit),
+        unclassified_indices=np.flatnonzero(~(lower_hit | upper_hit)),
+        n_samples=batch.n_samples,
     )
 
 

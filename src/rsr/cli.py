@@ -59,14 +59,26 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", "-H", dest="samples", type=int, default=1_000_000)
-    parser.add_argument("--eps-u", type=float, default=1e-5)
-    parser.add_argument("--r-max", type=int, default=10_000)
-    parser.add_argument("--chunk", type=int, default=65536)
-    parser.add_argument("--parallel", type=int, default=1, help="boundary searches per iteration")
-    parser.add_argument("--workers", type=int, default=1, help="classification worker threads")
+def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of every subcommand that classifies a sample batch."""
+    parser.add_argument("--samples", "-H", dest="samples", type=int, default=RunConfig.n_samples)
+    parser.add_argument(
+        "--workers", type=int, default=RunConfig.n_workers, help="classification worker threads"
+    )
     _add_seed(parser)
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of the subcommands that run Stage 1."""
+    parser.add_argument("--eps-u", type=float, default=RunConfig.eps_u)
+    parser.add_argument("--r-max", type=int, default=RunConfig.r_max)
+    parser.add_argument(
+        "--parallel",
+        type=int,
+        default=RunConfig.parallel_searches,
+        help="boundary searches per iteration",
+    )
+    _add_batch_flags(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,10 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", type=Path, required=True)
     p.add_argument("--out-report", type=Path, required=True)
     p.add_argument("--force", action="store_true", help="ignore model hash mismatch")
-    p.add_argument("--samples", "-H", dest="samples", type=int, default=1_000_000)
-    p.add_argument("--chunk", type=int, default=65536)
-    p.add_argument("--workers", type=int, default=1)
-    _add_seed(p)
+    _add_batch_flags(p)
 
     p = sub.add_parser("pmf", help="multi-state PMF via both stages per threshold")
     p.add_argument("--model", type=Path, required=True)
@@ -145,7 +154,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         n_samples=args.samples,
         eps_u=args.eps_u,
         r_max=args.r_max,
-        chunk_size=args.chunk,
         seed=args.seed,
         parallel_searches=args.parallel,
         n_workers=args.workers,
@@ -194,12 +202,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.refs.exists():
         raise FileNotFoundError(f"reference file not found: {args.refs}")
     lower, upper = files.load_reference_sets(args.refs, digest, force=args.force)
-    config = RunConfig(
-        n_samples=args.samples,
-        chunk_size=args.chunk,
-        seed=args.seed,
-        n_workers=args.workers,
-    )
+    config = RunConfig(n_samples=args.samples, seed=args.seed, n_workers=args.workers)
     report = stage2_evaluate(model, dist, lower, upper, config, lower.threshold)
     manifest = files.build_manifest(
         "evaluate",

@@ -19,16 +19,18 @@ never serialized; reference-set files persist raw vectors instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+
+from .model import check_states
 
 __all__ = [
     "EncodedBatch",
     "encode_sample",
     "encode_lower_ref",
     "encode_upper_ref",
-    "flatten",
     "encode_batch",
 ]
 
@@ -39,13 +41,6 @@ _RULES = {
     "upper_ref": np.greater_equal,
 }
 KINDS = tuple(_RULES)
-
-
-def _check_states(states: np.ndarray, n_states: int) -> np.ndarray:
-    arr = np.asarray(states, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= n_states):
-        raise ValueError(f"states must lie in [0, {n_states - 1}]")
-    return arr
 
 
 def _encode_one(x: Sequence[int] | np.ndarray, n_states: int, kind: str) -> np.ndarray:
@@ -90,65 +85,20 @@ class EncodedBatch:
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    @property
+    @cached_property
     def packed(self) -> np.ndarray:
         """Rows packed 8 bits per byte (big-endian within bytes, zero padded)."""
-        cached = getattr(self, "_packed", None)
-        if cached is None:
-            cached = np.packbits(self.data, axis=1)
-            object.__setattr__(self, "_packed", cached)
-        return cached
+        return np.packbits(self.data, axis=1)
 
-    @property
+    @cached_property
     def packed_complement(self) -> np.ndarray:
         """Bit-packed elementwise complement; pad bits stay zero."""
-        cached = getattr(self, "_packed_complement", None)
-        if cached is None:
-            cached = np.packbits(1 - self.data, axis=1)
-            object.__setattr__(self, "_packed_complement", cached)
-        return cached
-
-    def decode_states(self) -> np.ndarray:
-        """Recover the K x N state matrix (argmax per component row for samples)."""
-        cube = self.data.reshape(len(self), self.n_components, self.n_states)
-        if self.kind == "sample":
-            return cube.argmax(axis=2)
-        if self.kind == "lower_ref":
-            return cube.sum(axis=2) - 1
-        return self.n_states - cube.sum(axis=2)
-
-
-def flatten(
-    matrices: Sequence[np.ndarray] | np.ndarray,
-    kind: str,
-    n_components: int | None = None,
-    n_states: int | None = None,
-) -> EncodedBatch:
-    """Stack per-item N x M matrices into an EncodedBatch.
-
-    An empty batch requires explicit ``n_components`` and ``n_states``.
-    """
-    items = list(matrices)
-    if not items:
-        if n_components is None or n_states is None:
-            raise ValueError("empty batch needs explicit n_components and n_states")
-        data = np.zeros((0, n_components * n_states), dtype=np.uint8)
-        return EncodedBatch(data, kind, n_components, n_states)
-    shape = items[0].shape
-    if any(m.shape != shape for m in items):
-        raise ValueError("heterogeneous matrix shapes in batch")
-    n, m = shape
-    if n_components is not None and n_components != n:
-        raise ValueError(f"matrices are {n} x {m}, expected n_components={n_components}")
-    if n_states is not None and n_states != m:
-        raise ValueError(f"matrices are {n} x {m}, expected n_states={n_states}")
-    data = np.stack(items).reshape(len(items), n * m).astype(np.uint8)
-    return EncodedBatch(data, kind, n, m)
+        return np.packbits(1 - self.data, axis=1)
 
 
 def encode_batch(states: np.ndarray, n_states: int, kind: str) -> EncodedBatch:
     """Encode a K x N state matrix straight to flattened form, one state column at a time."""
-    arr = _check_states(np.asarray(states), n_states)
+    arr = check_states(states, n_states)
     if arr.ndim != 2:
         raise ValueError("states must be a K x N matrix")
     if kind not in KINDS:

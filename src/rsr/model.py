@@ -20,6 +20,7 @@ __all__ = [
     "ComponentDistribution",
     "SystemModel",
     "check_coherency",
+    "check_states",
     "validate_vector",
 ]
 
@@ -48,15 +49,27 @@ class _EvalCounter:
             self._count = 0
 
 
+def check_states(states: Sequence[int] | np.ndarray, n_states: int) -> np.ndarray:
+    """Return ``states`` as an integer array whose entries all lie in [0, n_states - 1].
+
+    An integer array is returned as given, without a copy; non-integer
+    input raises ValueError.
+    """
+    arr = np.asarray(states)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"component states must be integers, got dtype {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() >= n_states):
+        raise ValueError(f"component states must lie in [0, {n_states - 1}]")
+    return arr
+
+
 def validate_vector(x: Sequence[int] | np.ndarray, n_components: int, n_states: int) -> np.ndarray:
-    """Coerce ``x`` to an int array and check length and state ranges."""
-    arr = np.asarray(x, dtype=np.int64)
+    """Check that ``x`` is one length-N vector of states in [0, n_states - 1]."""
+    arr = check_states(x, n_states)
     if arr.ndim != 1 or arr.shape[0] != n_components:
         raise ValueError(
             f"component-state vector has length {arr.shape}, expected ({n_components},)"
         )
-    if arr.size and (arr.min() < 0 or arr.max() >= n_states):
-        raise ValueError(f"component states must lie in [0, {n_states - 1}]")
     return arr
 
 
@@ -95,6 +108,13 @@ class SystemModel:
                 f"performance returned {s}, outside [0, {self.n_system_states - 1}]"
             )
         return s
+
+    def check_threshold(self, threshold: int) -> None:
+        """Raise ValueError unless m' lies in [0, n_system_states - 2]."""
+        if not 0 <= threshold <= self.n_system_states - 2:
+            raise ValueError(
+                f"threshold must lie in [0, {self.n_system_states - 2}]"
+            )
 
     @property
     def evaluation_count(self) -> int:

@@ -53,12 +53,16 @@ def _peak_rss_bytes() -> int | None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs for both stages; defaults follow the method's suggested values."""
+    """Settings of both stages; defaults follow the method's suggested values.
+
+    The CLI takes its defaults from these fields. The classification
+    chunk size is not a setting: results do not depend on it, so both
+    stages use ``classify``'s default.
+    """
 
     n_samples: int = 1_000_000
     eps_u: float = 1e-5
     r_max: int = 10_000
-    chunk_size: int = 65536
     seed: int = 0
     parallel_searches: int = 1
     n_workers: int = 1
@@ -112,13 +116,6 @@ class Stage2Report:
     seed: int
 
 
-def _check_threshold(model: SystemModel, threshold: int) -> None:
-    if not 0 <= threshold <= model.n_system_states - 2:
-        raise ValueError(
-            f"threshold must lie in [0, {model.n_system_states - 2}]"
-        )
-
-
 def stage1_find_references(
     model: SystemModel,
     dist: ComponentDistribution,
@@ -132,7 +129,7 @@ def stage1_find_references(
     up to ``parallel_searches`` randomly selected unclassified samples.
     Redundant (dominated) search results do not count toward ``r_max``.
     """
-    _check_threshold(model, threshold)
+    model.check_threshold(threshold)
     lower = ReferenceSet(Side.LOWER, threshold)
     upper = ReferenceSet(Side.UPPER, threshold)
     trace: list[TraceRecord] = []
@@ -148,9 +145,7 @@ def stage1_find_references(
             batch,
             lower,
             upper,
-            chunk_size=config.chunk_size,
             n_workers=config.n_workers,
-            strict=True,
             n_states=model.n_component_states,
         )
         trace.append(
@@ -204,7 +199,7 @@ def _stage2(
 ) -> list[Stage2Report]:
     """Stage 2 on one shared batch; one report per (threshold, lower, upper), thresholds distinct."""
     for threshold, lower, upper in sets:
-        _check_threshold(model, threshold)
+        model.check_threshold(threshold)
         for ref_set in (lower, upper):
             if ref_set is not None and ref_set.threshold != threshold:
                 raise ValueError(f"reference set threshold {ref_set.threshold} != requested m'={threshold}")
@@ -219,9 +214,7 @@ def _stage2(
             batch,
             lower,
             upper,
-            chunk_size=config.chunk_size,
             n_workers=config.n_workers,
-            strict=True,
             n_states=model.n_component_states,
         )
         hi[result.lower_indices] = np.minimum(hi[result.lower_indices], threshold)

@@ -152,16 +152,14 @@ def test_reference_width_must_match_samples():
 
 
 def test_lower_precedence_and_strict_mode():
-    # deliberately inconsistent sets so one sample matches both sides
+    # deliberately inconsistent sets so one sample matches both sides:
+    # no side takes precedence, the overlap always raises
     states = np.array([[1, 1]])
     batch = SampleBatch(states=states, seed=0, generation_index=0)
     lower = ReferenceSet(Side.LOWER, 0, [(1, 1)])
     upper = ReferenceSet(Side.UPPER, 0, [(1, 1)])
-    res = classify(batch, lower, upper, n_states=2)
-    assert res.lower_indices.size == 1  # lower wins
-    assert res.upper_indices.size == 0
     with pytest.raises(InconsistentReferenceSets) as exc:
-        classify(batch, lower, upper, strict=True, n_states=2)
+        classify(batch, lower, upper, n_states=2)
     message = str(exc.value)
     assert "sample 0 (1, 1)" in message
     assert "lower reference (1, 1)" in message
@@ -177,6 +175,9 @@ def test_partition_of_unity_and_monotone_coverage(seed):
     batch = sample_batch(dist, 64, seed=seed & 0xFFFF)
     lower = ReferenceSet(Side.LOWER, 0)
     upper = ReferenceSet(Side.UPPER, 0)
+    # a reference is upper iff its state sum is at least s0: a sample under
+    # lower l and over upper u would give s0 <= sum(u) <= sum(l) < s0
+    s0 = int(rng.integers(0, n * (m - 1) + 2))
     covered_before = 0
     for _ in range(4):
         res = classify(batch, lower, upper, n_states=m)
@@ -197,7 +198,7 @@ def test_partition_of_unity_and_monotone_coverage(seed):
         from rsr.boundary import ReferenceState
 
         vec = tuple(int(v) for v in rng.integers(0, m, size=n))
-        side = Side.LOWER if rng.random() < 0.5 else Side.UPPER
+        side = Side.UPPER if sum(vec) >= s0 else Side.LOWER
         target = lower if side == Side.LOWER else upper
         target.insert(ReferenceState(vec, side, 0))
 
