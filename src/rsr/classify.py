@@ -1,11 +1,12 @@
 """Batched reference-state sample classification and probability estimation.
 
-Each entry (h, r) of the violation matrix counts the component positions
-at which sample h falls outside reference r's dominated region; a zero
-entry classifies the sample. The count is the dot product of the
-flattened one-hot sample row with the complement of the flattened
-reference row, computed here either as popcount-of-AND on bit-packed rows
-(the default fast path) or as a plain integer matrix product (the
+Sample h lies in reference r's dominated region exactly when the AND of
+its flattened one-hot row with the complement of r's flattened row is
+zero. ``classify`` tests that on rows packed into 64-bit words: a sample
+is hit when, for some reference, every word of the AND is zero.
+``violation_counts`` keeps the full H x R matrix of how many component
+positions violate each region, as popcount-of-AND on the same packed
+words (the default) or as a plain integer matrix product (the
 differential-testing path).
 
 With a coherent phi and side-consistent reference sets no sample lies in
@@ -35,8 +36,9 @@ __all__ = [
 
 DEFAULT_CHUNK_SIZE = 65536
 
-# bound on chunk * ref_block * bytes_per_row working memory
-_BLOCK_BYTES = 1 << 26
+# bound on one worker's chunk x ref-block temporaries; small enough that
+# the hit kernel's AND and OR passes stay in a core's cache
+_BLOCK_BYTES = 1 << 20
 
 
 class InconsistentReferenceSets(ValueError):
@@ -70,8 +72,8 @@ def _violation_block_unpacked(sample_rows: np.ndarray, ref_rows: np.ndarray) -> 
     return sample_rows.astype(np.int32) @ rbar.T
 
 
-def _ref_block_size(n_refs: int, chunk: int, bytes_per_row: int) -> int:
-    block = max(1, _BLOCK_BYTES // max(1, chunk * bytes_per_row))
+def _ref_block_size(n_refs: int, chunk: int, bytes_per_pair: int) -> int:
+    block = max(1, _BLOCK_BYTES // max(1, chunk * bytes_per_pair))
     return min(n_refs, block)
 
 
@@ -106,7 +108,7 @@ def violation_counts(
         if method == "packed":
             sp = samples.packed[start:stop]
             rbp = refs.packed_complement
-            block = _ref_block_size(len(refs), stop - start, sp.shape[1])
+            block = _ref_block_size(len(refs), stop - start, sp.shape[1] * sp.itemsize)
             for r0 in range(0, len(refs), block):
                 r1 = min(r0 + block, len(refs))
                 out[start:stop, r0:r1] = _violation_block_packed(sp, rbp[r0:r1])
@@ -117,15 +119,24 @@ def violation_counts(
     return out
 
 
-def _chunk_hits(sample_packed: np.ndarray, rbar_packed: np.ndarray) -> np.ndarray:
-    """Zero-violation hit mask for one chunk."""
-    n_chunk = sample_packed.shape[0]
+def _chunk_hits(sample_words: np.ndarray, rbar_words: np.ndarray) -> np.ndarray:
+    """Hit mask for one chunk: some reference leaves every word of the AND zero."""
+    n_chunk, n_words = sample_words.shape
+    columns = np.ascontiguousarray(sample_words.T)  # word w of every sample
+    n_refs = rbar_words.shape[0]
+    # the OR accumulator and the AND temporary, 8 bytes per pair each
+    block = _ref_block_size(n_refs, n_chunk, 16)
+    acc = np.empty((block, n_chunk), dtype=np.uint64)
+    tmp = np.empty_like(acc)
     hit = np.zeros(n_chunk, dtype=bool)
-    n_refs = rbar_packed.shape[0]
-    block = _ref_block_size(n_refs, n_chunk, sample_packed.shape[1])
     for r0 in range(0, n_refs, block):
-        v = _violation_block_packed(sample_packed, rbar_packed[r0 : r0 + block])
-        hit |= (v == 0).any(axis=1)
+        rbar = rbar_words[r0 : r0 + block]
+        a, t = acc[: len(rbar)], tmp[: len(rbar)]
+        np.bitwise_and(rbar[:, :1], columns[0], out=a)
+        for w in range(1, n_words):
+            np.bitwise_and(rbar[:, w : w + 1], columns[w], out=t)
+            a |= t
+        hit |= a.min(axis=0) == 0
     return hit
 
 

@@ -10,10 +10,11 @@ with the vector's value x_n:
 
 ``encode_batch`` is the one encoder; the per-item encoders are its
 one-row calls. A batch flattens each N x M matrix row-major into a
-length-NM row. The flattened rows are additionally bit-packed into bytes
-so the violation product reduces to popcount-of-AND; the unpacked rows
-are kept as the differential-testing path. Encodings are derived data and
-never serialized; reference-set files persist raw vectors instead.
+length-NM row. The flattened rows are also bit-packed into
+ceil(NM / 64) zero-padded 64-bit words, the layout the classification
+kernel ANDs word by word; the unpacked rows are kept as the
+differential-testing path. Encodings are derived data and never
+serialized; reference-set files persist raw vectors instead.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ _RULES = {
 KINDS = tuple(_RULES)
 
 
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Pack K x W 0/1 rows into K x ceil(W / 64) uint64 words, pad bits zero."""
+    k, width = bits.shape
+    out = np.zeros((k, -(-width // 64) * 8), dtype=np.uint8)
+    out[:, : -(-width // 8)] = np.packbits(bits, axis=1)
+    return out.view(np.uint64)
+
+
 def _encode_one(x: Sequence[int] | np.ndarray, n_states: int, kind: str) -> np.ndarray:
     row = np.asarray(x)
     return encode_batch(row[None], n_states, kind).data.reshape(row.size, n_states)
@@ -68,7 +77,9 @@ class EncodedBatch:
     """Flattened binary matrices for a batch of samples or reference states.
 
     ``data`` has one row per item, each the row-major flattening of the
-    item's N x M matrix. The bit-packed form is built lazily and cached.
+    item's N x M matrix. The word-packed forms are built lazily and cached;
+    samples and references share one layout, so its byte order never
+    matters to a bitwise comparison of the two.
     """
 
     data: np.ndarray  # K x (N*M) uint8
@@ -87,13 +98,13 @@ class EncodedBatch:
 
     @cached_property
     def packed(self) -> np.ndarray:
-        """Rows packed 8 bits per byte (big-endian within bytes, zero padded)."""
-        return np.packbits(self.data, axis=1)
+        """Rows packed into 64-bit words, zero padded."""
+        return _pack_words(self.data)
 
     @cached_property
     def packed_complement(self) -> np.ndarray:
-        """Bit-packed elementwise complement; pad bits stay zero."""
-        return np.packbits(1 - self.data, axis=1)
+        """Word-packed elementwise complement; pad bits stay zero."""
+        return _pack_words(1 - self.data)
 
 
 def encode_batch(states: np.ndarray, n_states: int, kind: str) -> EncodedBatch:

@@ -1,20 +1,20 @@
 """Independent ground-truth engines: enumeration, scalar dominance, crude Monte Carlo.
 
 Everything here is deliberately written with plain scalar loops and shares
-no code with the encoding or classification fast paths, so the two routes
+no code with the encoding or classification kernels, so the two routes
 can be tested against each other. Single-threaded by design.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .classify import cov
 from .model import ComponentDistribution, SystemModel
 from .sampling import sample_batch
 
@@ -84,17 +84,17 @@ def crude_monte_carlo(
 
     Uses the same counter-based stream discipline as the sampling module
     (generation index 0), so it is seed-matched with the evaluation stage
-    run under empty reference sets.
+    run under empty reference sets. A threshold outside [0, M_S - 2]
+    raises ValueError.
     """
+    model.check_threshold(threshold)
     batch = sample_batch(dist, n_samples, seed, generation_index=0)
     hits = 0
     for row in batch.states:
         if model.evaluate(row) <= threshold:
             hits += 1
     p_hat = hits / n_samples
-    if p_hat == 0.0:
-        return 0.0, None
-    return p_hat, math.sqrt((1.0 - p_hat) / (n_samples * p_hat))
+    return p_hat, cov(p_hat, n_samples)
 
 
 def exact_reference_probability(

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,10 @@ from hypothesis import strategies as st
 
 from rsr.boundary import ReferenceSet, Side
 from rsr.classify import (
+    _BLOCK_BYTES,
+    DEFAULT_CHUNK_SIZE,
     InconsistentReferenceSets,
+    _hits_for,
     classify,
     cov,
     violation_counts,
@@ -73,6 +77,45 @@ def test_packed_unpacked_equivalence(seed):
         violation_counts(s, r, method="packed"),
         violation_counts(s, r, method="unpacked"),
     )
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (21, 3), (32, 2), (13, 5), (64, 2), (43, 3)])
+def test_word_hits_match_unpacked_counts(n, m):
+    # N*M = 1, 63, 64, 65, 128, 129 bits: padding at every position around
+    # a 64-bit word edge
+    rng = np.random.default_rng(n * m)
+    h = 60
+    states = rng.integers(0, m, size=(h, n))
+    # refs near samples, a few components moved by one, so hits and misses mix
+    refs = states[rng.integers(0, h, size=12)] + rng.integers(-1, 2, size=(12, n)) * (
+        rng.random((12, n)) < 0.1
+    )
+    refs = np.clip(refs, 0, m - 1)
+    samples = encode_batch(states, m, "sample")
+    for kind in ("lower_ref", "upper_ref"):
+        counts = violation_counts(samples, encode_batch(refs, m, kind), method="unpacked")
+        expected = (counts == 0).any(axis=1)
+        for chunk in (1, 7, h):
+            for workers in (1, 4):
+                assert np.array_equal(_hits_for(samples, refs, kind, chunk, workers), expected)
+
+
+@pytest.mark.parametrize("n_refs", [49, 196])
+def test_hit_kernel_memory_bounded_in_ref_count(n_refs):
+    # the kernel's temporaries stay under _BLOCK_BYTES whatever the ref
+    # count; the rest is per chunk: one word-major copy of the chunk's rows
+    # plus per-sample masks
+    rng = np.random.default_rng(3)
+    samples = encode_batch(rng.integers(0, 2, size=(65536, 262), dtype=np.int8), 2, "sample")
+    row_bytes = samples.packed.shape[1] * samples.packed.itemsize
+    refs = rng.integers(0, 2, size=(n_refs, 262))
+    tracemalloc.start()
+    try:
+        _hits_for(samples, refs, "lower_ref", DEFAULT_CHUNK_SIZE, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _BLOCK_BYTES + DEFAULT_CHUNK_SIZE * (row_bytes + 16)
 
 
 def test_chunk_invariance():

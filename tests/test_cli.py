@@ -180,6 +180,17 @@ def test_oracle_exact(tmp_path, model_file):
     assert doc["state_count"] == [7, 1]
 
 
+def test_oracle_mc_rejects_threshold_out_of_range(tmp_path, model_file, capsys):
+    out = tmp_path / "mc.json"
+    code = run(
+        ["oracle", "--model", model_file, "--mode", "mc", "--m-prime", 5,
+         "--samples", 100, "--out", out]
+    )
+    assert code == 3
+    assert "threshold must lie in [0, 0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pmf_subcommand(tmp_path):
     model = tmp_path / "m.json"
     write_json(

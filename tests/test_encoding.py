@@ -99,11 +99,22 @@ def test_complement_identity(n, m, seed):
 
 
 def test_packed_complement_pad_bits_zero():
-    states = np.array([[1, 0, 2]])
-    batch = encode_batch(states, 3, "lower_ref")  # 9 bits, 7 pad bits
-    packed = batch.packed_complement
-    total_bits = int(np.bitwise_count(packed).sum())
-    assert total_bits == int((1 - batch.data).sum())
+    # N*M = 9, 63, 64, 65, 129 bits: padding at every position around a word
+    # edge; a set pad bit in a sample row would turn a true hit into a miss
+    for n, m in [(3, 3), (21, 3), (32, 2), (13, 5), (43, 3)]:
+        states = np.random.default_rng(n * m).integers(0, m, size=(5, n))
+        n_words = -(-n * m // 64)
+        for kind in ("sample", "lower_ref", "upper_ref"):
+            batch = encode_batch(states, m, kind)
+            for words, bits in (
+                (batch.packed, batch.data),
+                (batch.packed_complement, 1 - batch.data),
+            ):
+                assert words.dtype == np.uint64
+                assert words.shape == (5, n_words)
+                unpacked = np.unpackbits(words.view(np.uint8), axis=1)
+                assert np.array_equal(unpacked[:, : n * m], bits)
+                assert not unpacked[:, n * m :].any()
 
 
 def test_int8_states_encode_without_widening():

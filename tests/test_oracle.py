@@ -81,3 +81,10 @@ def test_crude_mc_zero_hits():
     p_hat, c = crude_monte_carlo(model, dist, 100, seed=1, threshold=0)
     assert p_hat == 0.0
     assert c is None
+
+
+@pytest.mark.parametrize("threshold", [5, -1])
+def test_crude_mc_rejects_threshold_out_of_range(series3, threshold):
+    model, dist = series3
+    with pytest.raises(ValueError, match="threshold must lie in"):
+        crude_monte_carlo(model, dist, 100, seed=1, threshold=threshold)
