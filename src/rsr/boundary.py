@@ -117,30 +117,85 @@ class ReferenceSet:
 def boundary_search(
     model: SystemModel, x0: Sequence[int], threshold: int
 ) -> ReferenceState:
-    """Walk a vector to the system-state boundary, one component at a time.
+    """Walk a vector to the system-state boundary, galloping over runs of accepted moves.
 
-    Starting from x0, components are visited in index order. On the lower
-    side (initial system state <= m') each component is raised one state
-    at a time until the raise pushes the system past m', then the raise is
-    reverted; the upper side descends symmetrically. Monotonicity makes
-    each rejected move permanent, so the result is componentwise maximal
-    (lower) or minimal (upper). Costs at most N*(M-1)+1 evaluations.
+    The walk's moves are unit steps of one component state, ordered by
+    component index and, within a component, towards its limit: up to
+    M-1 on the lower side (initial system state <= m'), down to 0 on the
+    upper side. A move is rejected when it pushes the system state across
+    m'; the walk keeps the state before it and skips the rest of that
+    component. Monotonicity makes each rejection permanent, so the result
+    is componentwise maximal (lower) or minimal (upper).
+
+    One evaluation probes the next L moves at once. An accepted probe
+    takes them all; a rejected one is bisected for its first rejected
+    move, which by monotonicity is the move a walk of single steps would
+    reject, so the reference is the same. L stays 1 until two components
+    in a row reach their limit without a rejection, then doubles on each
+    accepted probe, and falls back to 1 after a rejection.
+
+    Costs at most N*(M-1)+1 evaluations. ``spare`` counts the calls left
+    in that budget beyond one per remaining move: an accepted L-move
+    probe adds L-1, and since bisecting a rejected one costs ceil(log2 L)
+    further calls, an L-move probe runs only while spare >= ceil(log2 L).
     """
     model.check_threshold(threshold)
     # an int64 copy, so stepping never wraps a narrow input dtype
     x = validate_vector(x0, model.n_components, model.n_component_states).astype(np.int64)
-    s0 = model.evaluate(x)
-    if s0 <= threshold:
-        side, step, limit = Side.LOWER, 1, model.n_component_states - 1
+    if model.evaluate(x) <= threshold:
+        side, step, room = Side.LOWER, 1, model.n_component_states - 1 - x
     else:
-        side, step, limit = Side.UPPER, -1, 0
+        side, step, room = Side.UPPER, -1, x
+    lower = side == Side.LOWER
 
-    for n in range(model.n_components):
-        while x[n] != limit:
-            x[n] += step
-            s = model.evaluate(x)
-            crossed = s > threshold if side == Side.LOWER else s <= threshold
-            if crossed:
-                x[n] -= step
-                break
+    def accepted() -> bool:
+        return (model.evaluate(x) <= threshold) == lower
+
+    # the component of each move, read before any move changes x
+    moves = np.arange(model.n_components).repeat(room).tolist()
+    end = len(moves)
+    spare = model.n_components * (model.n_component_states - 1) - end
+
+    def shift(a: int, b: int) -> None:
+        """Turn the state after moves[:a] into the state after moves[:b]."""
+        sign = step if a < b else -step
+        for n in moves[min(a, b) : max(a, b)]:
+            x[n] += sign
+
+    p, width, run = 0, 1, 0  # moves[:p] are settled: taken, or skipped after a rejection
+    while p < end:
+        if width == 1:
+            x[moves[p]] += step
+        else:
+            width = min(width, end - p)
+            if (width - 1).bit_length() > spare:  # ceil(log2 width) > spare
+                width = 1 << spare
+            for n in moves[p : p + width]:
+                x[n] += step
+        q = p + width
+        if accepted():
+            if q == end or moves[q] != moves[q - 1]:  # a component reached its limit
+                run += 1
+            if run >= 2:
+                width *= 2
+        else:
+            # bisect: moves[:lo] are accepted, moves[:hi] cross m', x is after moves[:q]
+            lo, hi = p, q
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                shift(q, mid)
+                q = mid
+                spare -= 1
+                if accepted():
+                    lo = mid
+                else:
+                    hi = mid
+            shift(q, lo)
+            # moves[lo] is rejected: skip the rest of its component
+            q = lo + 1
+            while q < end and moves[q] == moves[lo]:
+                q += 1
+            width, run = 1, 0
+        spare += q - p - 1  # q - p moves settled for one probe call
+        p = q
     return ReferenceState(tuple(int(v) for v in x), side, threshold)

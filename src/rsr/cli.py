@@ -39,6 +39,7 @@ TRACE_COLUMNS = (
     "ref_count",
     "elapsed_s",
     "phi_evals",
+    "searches",
     "p_lower",
     "p_upper",
     "p_unclassified",
@@ -141,6 +142,7 @@ def _write_trace(path: Path, result: Stage1Result) -> None:
                     rec.reference_count,
                     f"{rec.elapsed_seconds:.6f}",
                     rec.phi_evaluations,
+                    rec.searches,
                     repr(rec.p_lower),
                     repr(rec.p_upper),
                     repr(rec.p_unclassified),

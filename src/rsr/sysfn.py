@@ -87,10 +87,26 @@ def single_od_connectivity(graph: Graph, origin: int, destination: int) -> Calla
         raise ValueError("origin/destination out of range")
     if origin == destination:
         raise ValueError("origin and destination must differ")
+    # (neighbour, edge index) pairs of every node, built once per model
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n_nodes)]
+    for i, (u, v) in enumerate(graph.edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
 
     def phi(x: np.ndarray) -> int:
-        uf = _surviving_components(graph, x)
-        return 1 if uf.find(origin) == uf.find(destination) else 0
+        # depth-first search from the origin over up edges, stopping at the destination
+        up = x.tolist()
+        seen = [False] * graph.n_nodes
+        seen[origin] = True
+        stack = [origin]
+        while stack:
+            for v, i in adj[stack.pop()]:
+                if up[i] >= 1 and not seen[v]:
+                    if v == destination:
+                        return 1
+                    seen[v] = True
+                    stack.append(v)
+        return 0
 
     return phi
 

@@ -86,6 +86,7 @@ class TraceRecord:
     reference_count: int
     elapsed_seconds: float
     phi_evaluations: int
+    searches: int  # searches made so far; phi_evaluations / searches is phi calls per search
     p_lower: float
     p_upper: float
     p_unclassified: float
@@ -134,6 +135,7 @@ def stage1_find_references(
     upper = ReferenceSet(Side.UPPER, threshold)
     trace: list[TraceRecord] = []
     redundant = 0
+    searches = 0
     phi_start = model.evaluation_count
     t_start = time.perf_counter()
     terminated_by = "r_max"
@@ -153,6 +155,7 @@ def stage1_find_references(
                 reference_count=len(lower) + len(upper),
                 elapsed_seconds=time.perf_counter() - t_start,
                 phi_evaluations=model.evaluation_count - phi_start,
+                searches=searches,
                 p_lower=result.p_lower,
                 p_upper=result.p_upper,
                 p_unclassified=result.p_unclassified,
@@ -168,6 +171,7 @@ def stage1_find_references(
         rng = np.random.default_rng([config.seed, iteration])
         n_pick = min(config.parallel_searches, result.unclassified_indices.size)
         picks = rng.choice(result.unclassified_indices, size=n_pick, replace=False)
+        searches += n_pick
         for idx in picks:
             x0 = batch.states[int(idx)]
             if config.boundary_search_enabled:

@@ -241,15 +241,18 @@ def test_criterion_09_throughput_and_linear_scaling(capsys):
         assert elapsed <= 120.0, f"classification took {elapsed:.1f}s"
 
         # scaling in R measured on the classification kernel alone, with
-        # the one-time sample encoding hoisted out of the timed region
+        # the one-time sample encoding hoisted out of the timed region; each
+        # ref count's time is the best of 3 calls, made in 3 rounds over the
+        # ref counts, so a slow spell of the host cannot decide the ratio
         enc = encode_batch(states, 2, "sample")
         enc.packed
-        times = {}
-        for r in (49, 98, 196):
-            refs = rng.integers(0, 2, size=(r, n))
-            t0 = time.perf_counter()
-            _hits_for(enc, refs, "lower_ref", DEFAULT_CHUNK_SIZE, 1)
-            times[r] = time.perf_counter() - t0
+        refs = {r: rng.integers(0, 2, size=(r, n)) for r in (49, 98, 196)}
+        times = dict.fromkeys(refs, float("inf"))
+        for _ in range(3):
+            for r, ref_rows in refs.items():
+                t0 = time.perf_counter()
+                _hits_for(enc, ref_rows, "lower_ref", DEFAULT_CHUNK_SIZE, 1)
+                times[r] = min(times[r], time.perf_counter() - t0)
         for r in (49, 98):
             ratio = times[2 * r] / times[r]
             assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3, (

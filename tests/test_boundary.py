@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from rsr.boundary import ReferenceSet, ReferenceState, Side, boundary_search
 from rsr.model import SystemModel
 from rsr.oracle import dominates
-from rsr.sysfn import k_out_of_n
+from rsr.sysfn import k_out_of_n, pick_od_pair, random_geometric_graph, single_od_connectivity
 
 
 def test_worked_lower_trajectory(fig_space_model):
@@ -67,6 +67,57 @@ def test_boundary_maximality_and_budget(seed, n, m):
                 probe[i] -= 1
                 assert model.evaluate(probe) <= 0
         assert dominates(x, x0)  # search only descends
+
+
+def _linear_search(model, x0, threshold):
+    """Reference walk: one move per evaluation, components in index order."""
+    x = np.array(x0, dtype=np.int64)
+    if model.evaluate(x) <= threshold:
+        side, step, limit = Side.LOWER, 1, model.n_component_states - 1
+    else:
+        side, step, limit = Side.UPPER, -1, 0
+    for n in range(model.n_components):
+        while x[n] != limit:
+            x[n] += step
+            s = model.evaluate(x)
+            if (s > threshold) if side == Side.LOWER else (s <= threshold):
+                x[n] -= step
+                break
+    return ReferenceState(tuple(int(v) for v in x), side, threshold)
+
+
+@given(st.integers(0, 2**31), st.integers(1, 8), st.integers(2, 5), st.integers(2, 4))
+@settings(max_examples=150, deadline=None)
+def test_search_matches_linear_walk(seed, n, m, m_s):
+    from conftest import random_monotone_model
+
+    rng = np.random.default_rng(seed)
+    model = random_monotone_model(rng, n, m, m_s)
+    threshold = int(rng.integers(0, m_s - 1))
+    starts = [rng.integers(0, m, size=n), np.zeros(n, dtype=np.int64), np.full(n, m - 1)]
+    for x0 in starts:
+        expected = _linear_search(model, x0, threshold)
+        model.reset_evaluation_count()
+        assert boundary_search(model, x0, threshold) == expected
+        assert model.evaluation_count <= n * (m - 1) + 1
+        # a reference is a fixed point of the walk
+        assert boundary_search(model, expected.vector, threshold) == expected
+
+
+def test_search_gallops_on_graph_connectivity():
+    g = random_geometric_graph(30, 0.35, 0)
+    model = SystemModel(g.n_edges, 2, 2, single_od_connectivity(g, *pick_od_pair(g)))
+    rng = np.random.default_rng(0)
+    linear_calls = calls = 0
+    for _ in range(20):
+        x0 = (rng.random(g.n_edges) >= 0.05).astype(np.int64)
+        model.reset_evaluation_count()
+        expected = _linear_search(model, x0, 0)
+        linear_calls += model.evaluation_count
+        model.reset_evaluation_count()
+        assert boundary_search(model, x0, 0) == expected
+        calls += model.evaluation_count
+    assert calls < linear_calls / 2, f"{calls} phi calls against {linear_calls} one move at a time"
 
 
 def test_search_determinism(fig_space_model):

@@ -91,8 +91,11 @@ def test_find_refs_then_evaluate(tmp_path, model_file):
     with open(trace) as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == TRACE_COLUMNS
+    assert "searches" in TRACE_COLUMNS
     assert len(rows) >= 2
     assert int(rows[1][0]) == 0  # no references before the first search
+    searches = [int(r[TRACE_COLUMNS.index("searches")]) for r in rows[1:]]
+    assert searches[0] == 0 and searches == sorted(searches)
 
     report = tmp_path / "report.json"
     code = run(

@@ -105,10 +105,11 @@ def test_single_od_agrees_with_bfs_oracle():
     o, d = pick_od_pair(g)
     phi = single_od_connectivity(g, o, d)
     rng = np.random.default_rng(0)
-    for _ in range(300):
-        x = rng.integers(0, 2, size=g.n_edges)
-        alive = [e for i, e in enumerate(g.edges) if x[i] >= 1]
-        assert phi(x) == int(bfs_connected(g.n_nodes, alive, o, d))
+    for m in (2, 3):
+        for _ in range(300):
+            x = rng.integers(0, m, size=g.n_edges)
+            alive = [e for i, e in enumerate(g.edges) if x[i] >= 1]
+            assert phi(x) == int(bfs_connected(g.n_nodes, alive, o, d))
 
 
 def test_rgg_deterministic():

@@ -48,6 +48,8 @@ def test_stage1_trace_monotone_refs(series3):
     counts = [t.reference_count for t in res.trace]
     assert counts == sorted(counts)
     assert all(t.phi_evaluations >= 0 for t in res.trace)
+    # one search per iteration, counted before the next record
+    assert [t.searches for t in res.trace] == list(range(len(res.trace)))
 
 
 def test_stage1_r_max_termination(series3):
