@@ -9,6 +9,10 @@ positions violate each region, as popcount-of-AND on the same packed
 words (the default) or as a plain integer matrix product (the
 differential-testing path).
 
+``classify`` is the whole-batch entry point. Streamed callers use the
+packed-words one: ``pack_references`` once per set, then per chunk of
+samples ``pack_samples`` once and ``word_hits`` once per set.
+
 With a coherent phi and side-consistent reference sets no sample lies in
 both a lower and an upper region; ``classify`` raises
 ``InconsistentReferenceSets`` on any sample that does.
@@ -17,8 +21,10 @@ both a lower and an upper region; ``classify`` raises
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -31,6 +37,9 @@ __all__ = [
     "InconsistentReferenceSets",
     "violation_counts",
     "classify",
+    "pack_samples",
+    "pack_references",
+    "word_hits",
     "cov",
 ]
 
@@ -119,25 +128,89 @@ def violation_counts(
     return out
 
 
-def _chunk_hits(sample_words: np.ndarray, rbar_words: np.ndarray) -> np.ndarray:
-    """Hit mask for one chunk: some reference leaves every word of the AND zero."""
-    n_chunk, n_words = sample_words.shape
-    columns = np.ascontiguousarray(sample_words.T)  # word w of every sample
+def pack_samples(states: np.ndarray, n_states: int) -> np.ndarray:
+    """One-hot rows of a K x N state matrix packed into 64-bit words, word-major.
+
+    Entry (w, k) is word w of sample k, the layout ``word_hits`` takes.
+    """
+    return np.ascontiguousarray(encode_batch(states, n_states, "sample").packed.T)
+
+
+def pack_references(
+    refs: ReferenceSet | None, side: str, n_components: int, n_states: int
+) -> np.ndarray | None:
+    """Word-packed complement rows of a set's references; None for an absent or empty set.
+
+    A set on the wrong side, or a non-empty set whose vectors do not have
+    ``n_components`` components, raises ValueError.
+    """
+    if refs is None:
+        return None
+    if refs.side != side:
+        raise ValueError(f"{side}_set must have side '{side}'")
+    if len(refs) == 0:
+        return None
+    vectors = refs.as_array()
+    if vectors.shape[1] != n_components:
+        raise ValueError(
+            f"{side} references have {vectors.shape[1]} components, "
+            f"samples have {n_components}"
+        )
+    return encode_batch(vectors, n_states, f"{side}_ref").packed_complement
+
+
+def word_hits(sample_words: np.ndarray, rbar_words: np.ndarray | None) -> np.ndarray:
+    """Hit mask of word-major samples: some reference leaves every word of the AND zero."""
+    n_words, n_chunk = sample_words.shape
+    hit = np.zeros(n_chunk, dtype=bool)
+    if rbar_words is None:
+        return hit
     n_refs = rbar_words.shape[0]
     # the OR accumulator and the AND temporary, 8 bytes per pair each
     block = _ref_block_size(n_refs, n_chunk, 16)
     acc = np.empty((block, n_chunk), dtype=np.uint64)
     tmp = np.empty_like(acc)
-    hit = np.zeros(n_chunk, dtype=bool)
     for r0 in range(0, n_refs, block):
         rbar = rbar_words[r0 : r0 + block]
         a, t = acc[: len(rbar)], tmp[: len(rbar)]
-        np.bitwise_and(rbar[:, :1], columns[0], out=a)
+        np.bitwise_and(rbar[:, :1], sample_words[0], out=a)
         for w in range(1, n_words):
-            np.bitwise_and(rbar[:, w : w + 1], columns[w], out=t)
+            np.bitwise_and(rbar[:, w : w + 1], sample_words[w], out=t)
             a |= t
         hit |= a.min(axis=0) == 0
     return hit
+
+
+def ordered_map(fn: Callable[[Any], Any], items: Iterable, n_workers: int) -> Iterator:
+    """``fn`` over ``items``, results in item order.
+
+    With ``n_workers > 1`` the calls run on that many threads, and at most
+    ``n_workers + 1`` calls are running or waiting to be read at a time,
+    so memory stays bounded by the worker count.
+    """
+    if n_workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        pending: deque[Future] = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > n_workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _chunked_hits(
+    packed: np.ndarray, rbar_words: np.ndarray | None, chunk_size: int, n_workers: int
+) -> np.ndarray:
+    """Hit mask of row-major packed samples, tested ``chunk_size`` rows at a time."""
+    h = packed.shape[0]
+
+    def work(start: int) -> np.ndarray:
+        return word_hits(np.ascontiguousarray(packed[start : start + chunk_size].T), rbar_words)
+
+    return np.concatenate(list(ordered_map(work, range(0, h, chunk_size), n_workers)))
 
 
 def _hits_for(
@@ -147,23 +220,10 @@ def _hits_for(
     chunk_size: int,
     n_workers: int,
 ) -> np.ndarray:
-    h = len(samples_enc)
-    if ref_states is None or ref_states.shape[0] == 0:
-        return np.zeros(h, dtype=bool)
-    refs_enc = encode_batch(ref_states, samples_enc.n_states, kind)
-    rbar = refs_enc.packed_complement
-    chunks = [(s, min(s + chunk_size, h)) for s in range(0, h, chunk_size)]
-
-    def work(bounds: tuple[int, int]) -> np.ndarray:
-        s, e = bounds
-        return _chunk_hits(samples_enc.packed[s:e], rbar)
-
-    if n_workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(c) for c in chunks]
-    return np.concatenate(results)
+    rbar = None
+    if ref_states is not None and ref_states.shape[0]:
+        rbar = encode_batch(ref_states, samples_enc.n_states, kind).packed_complement
+    return _chunked_hits(samples_enc.packed, rbar, chunk_size, n_workers)
 
 
 @dataclass(frozen=True)
@@ -217,19 +277,12 @@ def classify(
                 f"threshold mismatch: lower m'={lower_set.threshold}, "
                 f"upper m'={upper_set.threshold}"
             )
-    vecs = [None if refs is None else refs.as_array() for refs in (lower_set, upper_set)]
-    for side, refs, vec in zip((Side.LOWER, Side.UPPER), (lower_set, upper_set), vecs):
-        if refs is not None and refs.side != side:
-            raise ValueError(f"{side}_set must have side '{side}'")
-        if refs is not None and len(refs) and vec.shape[1] != batch.n_components:
-            raise ValueError(
-                f"{side} references have {vec.shape[1]} components, "
-                f"samples have {batch.n_components}"
-            )
-
-    samples_enc = encode_batch(batch.states, n_states, "sample")
-    lower_hit = _hits_for(samples_enc, vecs[0], "lower_ref", chunk_size, n_workers)
-    upper_hit = _hits_for(samples_enc, vecs[1], "upper_ref", chunk_size, n_workers)
+    rbars = [
+        pack_references(refs, side, batch.n_components, n_states)
+        for side, refs in ((Side.LOWER, lower_set), (Side.UPPER, upper_set))
+    ]
+    packed = encode_batch(batch.states, n_states, "sample").packed
+    lower_hit, upper_hit = (_chunked_hits(packed, rbar, chunk_size, n_workers) for rbar in rbars)
 
     both = np.flatnonzero(lower_hit & upper_hit)
     if both.size:

@@ -11,19 +11,33 @@ threshold, bracketing each sample's system state S: a lower match at m'
 gives S <= m', an upper match S >= m'+1. One performance-function call
 settles each sample the bracket leaves open. A crossed bracket, or phi
 outside one, means phi is not coherent and raises.
+
+Both stages stream their batch: ``_stream`` draws a chunk of rows from
+the counter-based sampler, packs it into 64-bit words once and tests it
+against every set, and the whole batch is never held. Memory is about
+one chunk's temporaries per worker plus a few bytes per sample: Stage 1
+keeps the unclassified indices and regenerates the rows it searches
+from by index; Stage 2 keeps per-threshold counts and the open rows,
+whose phi calls it makes anyway. The crude Monte Carlo oracle
+(``oracle.crude_monte_carlo``) stays whole-batch on purpose, as an
+independent check of this path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .boundary import ReferenceSet, ReferenceState, Side, boundary_search
-from .classify import InconsistentReferenceSets, classify, cov
+# classify is not called here; it stays importable as workflow.classify
+# because perfbench/spans.py wraps that name
+from .classify import InconsistentReferenceSets, classify, cov, ordered_map  # noqa: F401
+from .classify import pack_references, pack_samples, word_hits
 from .model import ComponentDistribution, SystemModel
-from .sampling import sample_batch
+from .sampling import sample_batch, sample_rows
 
 __all__ = [
     "RunConfig",
@@ -41,6 +55,13 @@ __all__ = [
 # sets, it is seed-matched bit-for-bit with the crude Monte Carlo oracle.
 _STAGE2_GENERATION = 0
 
+# bytes of int64 states in one streamed chunk; sampling, packing and the
+# chunk the caller still holds take about twice this per worker
+_CHUNK_BYTES = 8 << 20
+
+# a threshold m' with its lower and upper reference sets
+ThresholdSets = tuple[int, ReferenceSet | None, ReferenceSet | None]
+
 
 def _peak_rss_bytes() -> int | None:
     try:
@@ -55,9 +76,9 @@ def _peak_rss_bytes() -> int | None:
 class RunConfig:
     """Settings of both stages; defaults follow the method's suggested values.
 
-    The CLI takes its defaults from these fields. The classification
-    chunk size is not a setting: results do not depend on it, so both
-    stages use ``classify``'s default.
+    The CLI takes its defaults from these fields. The chunk size is not a
+    setting: results do not depend on it, so both stages size their
+    chunks from a fixed byte budget.
     """
 
     n_samples: int = 1_000_000
@@ -125,9 +146,10 @@ def stage1_find_references(
 ) -> Stage1Result:
     """Discover boundary reference sets for one threshold.
 
-    Each iteration draws a fresh batch (keyed by its iteration index),
-    classifies it, and, if not yet converged, runs boundary searches from
-    up to ``parallel_searches`` randomly selected unclassified samples.
+    Each iteration streams a fresh batch (keyed by its iteration index)
+    through classification and, if not yet converged, runs boundary
+    searches from up to ``parallel_searches`` randomly selected
+    unclassified samples, regenerated by index.
     Redundant (dominated) search results do not count toward ``r_max``.
     """
     model.check_threshold(threshold)
@@ -140,40 +162,40 @@ def stage1_find_references(
     t_start = time.perf_counter()
     terminated_by = "r_max"
 
+    h = config.n_samples
     iteration = 0
     while True:
-        batch = sample_batch(dist, config.n_samples, config.seed, generation_index=iteration)
-        result = classify(
-            batch,
-            lower,
-            upper,
-            n_workers=config.n_workers,
-            n_states=model.n_component_states,
-        )
+        n_lower = n_upper = 0
+        unclassified = []
+        for start, _, lo, hi, _ in _stream(model, dist, config, iteration, [(threshold, lower, upper)]):
+            n_lower += int(np.count_nonzero(hi <= threshold))
+            n_upper += int(np.count_nonzero(lo > threshold))
+            unclassified.append(start + np.flatnonzero((lo <= threshold) & (threshold < hi)))
+        open_indices = np.concatenate(unclassified)
         trace.append(
             TraceRecord(
                 reference_count=len(lower) + len(upper),
                 elapsed_seconds=time.perf_counter() - t_start,
                 phi_evaluations=model.evaluation_count - phi_start,
                 searches=searches,
-                p_lower=result.p_lower,
-                p_upper=result.p_upper,
-                p_unclassified=result.p_unclassified,
+                p_lower=n_lower / h,
+                p_upper=n_upper / h,
+                p_unclassified=open_indices.size / h,
                 peak_rss_bytes=_peak_rss_bytes(),
             )
         )
-        if result.p_unclassified <= config.eps_u:
+        if open_indices.size / h <= config.eps_u:
             terminated_by = "eps_u"
             break
         if len(lower) + len(upper) >= config.r_max:
             break
 
         rng = np.random.default_rng([config.seed, iteration])
-        n_pick = min(config.parallel_searches, result.unclassified_indices.size)
-        picks = rng.choice(result.unclassified_indices, size=n_pick, replace=False)
+        n_pick = min(config.parallel_searches, open_indices.size)
+        picks = rng.choice(open_indices, size=n_pick, replace=False)
         searches += n_pick
-        for idx in picks:
-            x0 = batch.states[int(idx)]
+        # the counter-based stream regenerates the picked rows alone
+        for x0 in sample_rows(dist, config.seed, iteration, picks):
             if config.boundary_search_enabled:
                 candidate = boundary_search(model, x0, threshold)
             else:
@@ -195,11 +217,69 @@ def stage1_find_references(
     )
 
 
+def _chunk_rows(n_components: int) -> int:
+    return max(1, _CHUNK_BYTES // (8 * n_components))
+
+
+def _conflict(
+    sets: list[ThresholdSets], index: int, x: np.ndarray, lo: int, hi: int, phi: int | None = None
+) -> InconsistentReferenceSets:
+    # a bracket is set by a lower match at hi and an upper match at lo-1
+    lower = next((low for t, low, _ in sets if t == hi), None)
+    upper = next((up for t, _, up in sets if t == lo - 1), None)
+    return InconsistentReferenceSets.on_sample(index, x, lower, upper, phi)
+
+
+def _stream(
+    model: SystemModel,
+    dist: ComponentDistribution,
+    config: RunConfig,
+    generation: int,
+    sets: list[ThresholdSets],
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, list[int]]]:
+    """Sample, encode and classify one batch chunk by chunk, yielding chunks in index order.
+
+    Each chunk's rows are drawn from the counter-based stream, packed into
+    64-bit words once and tested against every set's references, which are
+    packed once per call. Yields ``(start, states, lo, hi, unclassified)``:
+    the chunk's first sample index, its states, the bracket lo <= S <= hi
+    the sets put on each row's system state, and per set the number of
+    rows that neither of its references hits. The first crossed bracket
+    in index order raises ``InconsistentReferenceSets``.
+    """
+    n, m = dist.n_components, model.n_component_states
+    packed = [
+        (t, pack_references(lower, Side.LOWER, n, m), pack_references(upper, Side.UPPER, n, m))
+        for t, lower, upper in sets
+    ]
+    h, rows = config.n_samples, _chunk_rows(n)
+
+    def work(start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        states = sample_batch(dist, min(rows, h - start), config.seed, generation, start=start).states
+        words = pack_samples(states, m)
+        lo = np.zeros(len(states), dtype=np.int64)
+        hi = np.full(len(states), model.n_system_states - 1, dtype=np.int64)
+        unclassified = []
+        for t, lower, upper in packed:
+            low, up = word_hits(words, lower), word_hits(words, upper)
+            np.minimum(hi, t, out=hi, where=low)
+            np.maximum(lo, t + 1, out=lo, where=up)
+            unclassified.append(len(states) - int(np.count_nonzero(low | up)))
+        return start, states, lo, hi, unclassified
+
+    for start, states, lo, hi, unclassified in ordered_map(work, range(0, h, rows), config.n_workers):
+        crossed = np.flatnonzero(lo > hi)
+        if crossed.size:
+            i = int(crossed[0])
+            raise _conflict(sets, start + i, states[i], lo[i], hi[i])
+        yield start, states, lo, hi, unclassified
+
+
 def _stage2(
     model: SystemModel,
     dist: ComponentDistribution,
     config: RunConfig,
-    sets: list[tuple[int, ReferenceSet | None, ReferenceSet | None]],
+    sets: list[ThresholdSets],
 ) -> list[Stage2Report]:
     """Stage 2 on one shared batch; one report per (threshold, lower, upper), thresholds distinct."""
     for threshold, lower, upper in sets:
@@ -208,46 +288,32 @@ def _stage2(
             if ref_set is not None and ref_set.threshold != threshold:
                 raise ValueError(f"reference set threshold {ref_set.threshold} != requested m'={threshold}")
     h = config.n_samples
-    batch = sample_batch(dist, h, config.seed, generation_index=_STAGE2_GENERATION)
-    # each sample's system state lies in [lo, hi]
-    lo = np.zeros(h, dtype=np.int64)
-    hi = np.full(h, model.n_system_states - 1, dtype=np.int64)
-    unclassified = []
-    for threshold, lower, upper in sets:
-        result = classify(
-            batch,
-            lower,
-            upper,
-            n_workers=config.n_workers,
-            n_states=model.n_component_states,
-        )
-        hi[result.lower_indices] = np.minimum(hi[result.lower_indices], threshold)
-        lo[result.upper_indices] = np.maximum(lo[result.upper_indices], threshold + 1)
-        unclassified.append(result.unclassified_indices.size)
+    thresholds = np.array([t for t, _, _ in sets])
+    n_low = np.zeros(len(sets), dtype=np.int64)
+    unclassified = np.zeros(len(sets), dtype=np.int64)
+    # rows whose bracket leaves some threshold open, kept to the end so that
+    # every bracket is checked before the first phi call
+    open_rows = []
+    compact = np.min_scalar_type(model.n_component_states - 1)
+    for start, states, lo, hi, n_unclassified in _stream(model, dist, config, _STAGE2_GENERATION, sets):
+        unclassified += n_unclassified
+        undecided = ((lo[:, None] <= thresholds) & (thresholds < hi[:, None])).any(axis=1)
+        n_low += (hi[~undecided, None] <= thresholds).sum(axis=0)
+        rows = np.flatnonzero(undecided)
+        open_rows.append((start + rows, states[rows].astype(compact), lo[rows], hi[rows]))
+    indices, states, lo, hi = (np.concatenate(parts) for parts in zip(*open_rows))
+    for k in range(indices.size):
+        x = states[k].astype(np.int64)
+        state = model.evaluate(x)
+        if not lo[k] <= state <= hi[k]:
+            raise _conflict(sets, int(indices[k]), x, lo[k], hi[k], state)
+        hi[k] = state
+    # for every requested m', S <= m' now holds exactly where hi <= m'
+    n_low += (hi[:, None] <= thresholds).sum(axis=0)
 
-    def conflict(i: int, phi: int | None = None) -> InconsistentReferenceSets:
-        # the bracket was set by a lower match at hi and an upper match at lo-1
-        lower = next((low for t, low, _ in sets if t == hi[i]), None)
-        upper = next((up for t, _, up in sets if t == lo[i] - 1), None)
-        return InconsistentReferenceSets.on_sample(i, batch.states[i], lower, upper, phi)
-
-    crossed = np.flatnonzero(lo > hi)
-    if crossed.size:
-        raise conflict(int(crossed[0]))
-    undecided = np.zeros(h, dtype=bool)
-    for threshold, _, _ in sets:
-        undecided |= (lo <= threshold) & (threshold < hi)
-    for i in np.flatnonzero(undecided):
-        state = model.evaluate(batch.states[i])
-        if not lo[i] <= state <= hi[i]:
-            raise conflict(int(i), state)
-        hi[i] = state
-
-    # for every requested m', hi <= m' now holds exactly when S <= m'
     reports = []
-    for (threshold, _, _), n_unclassified in zip(sets, unclassified):
-        n_low = np.count_nonzero(hi <= threshold)
-        p_low, p_up = n_low / h, (h - n_low) / h
+    for threshold, low, n_unclassified in zip(thresholds.tolist(), n_low.tolist(), unclassified.tolist()):
+        p_low, p_up = low / h, (h - low) / h
         reports.append(
             Stage2Report(
                 p_lower=p_low,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsr.model import ComponentDistribution
-from rsr.sampling import sample_batch, uniform_field
+from rsr.sampling import sample_batch, sample_rows, uniform_field
 
 
 def test_degenerate_distribution_all_ones():
@@ -45,6 +45,15 @@ def test_chunked_generation_matches_full():
     full = sample_batch(dist, 100, seed=4, generation_index=1)
     part = sample_batch(dist, 40, seed=4, generation_index=1, start=37)
     assert np.array_equal(full.states[37:77], part.states)
+
+
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 9), m=st.integers(1, 5), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_sample_rows_match_full_batch(seed, n, m, data):
+    dist = ComponentDistribution.iid(n, np.full(m, 1.0 / m))
+    full = sample_batch(dist, 60, seed, generation_index=3).states
+    indices = data.draw(st.lists(st.integers(0, 59), max_size=8))
+    assert np.array_equal(sample_rows(dist, seed, 3, indices), full[indices].reshape(len(indices), n))
 
 
 @given(

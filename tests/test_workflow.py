@@ -1,20 +1,30 @@
+import importlib
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rsr import workflow
 from rsr.boundary import ReferenceSet, Side, boundary_search
-from rsr.classify import InconsistentReferenceSets
+from rsr.classify import InconsistentReferenceSets, classify
+from rsr.encoding import encode_batch
 from rsr.model import ComponentDistribution, SystemModel
 from rsr.oracle import crude_monte_carlo, exact_probabilities
 from rsr.sampling import sample_batch
-from rsr.sysfn import k_out_of_n
+from rsr.sysfn import k_out_of_n, pick_od_pair, random_geometric_graph, single_od_connectivity
 from rsr.workflow import (
     RunConfig,
+    _chunk_rows,
     _stage2,
     assemble_pmf,
     multistate_pmf,
     stage1_find_references,
     stage2_evaluate,
 )
+
+# rsr/__init__ rebinds the name ``rsr.classify`` to the function
+classify_module = importlib.import_module("rsr.classify")
 
 
 def small_config(**kw) -> RunConfig:
@@ -200,3 +210,152 @@ def test_reference_sets_are_side_consistent(series3):
     res = stage1_find_references(model, dist, small_config(), threshold=0)
     assert isinstance(res.lower, ReferenceSet) and res.lower.side == Side.LOWER
     assert isinstance(res.upper, ReferenceSet) and res.upper.side == Side.UPPER
+
+
+@pytest.fixture(scope="module")
+def rgg():
+    """Two-terminal connectivity on RGG(30, 0.35, seed 0): N = 115 edges, edge failure 0.05."""
+    graph = random_geometric_graph(30, 0.35, seed=0)
+    model = SystemModel(graph.n_edges, 2, 2, single_od_connectivity(graph, *pick_od_pair(graph)))
+    return model, ComponentDistribution.iid(graph.n_edges, [0.05, 0.95])
+
+
+@pytest.fixture(scope="module")
+def rgg_refs(rgg):
+    model, dist = rgg
+    cfg = RunConfig(n_samples=10_000, eps_u=3e-3, parallel_searches=32, seed=0)
+    s1 = stage1_find_references(model, dist, cfg, 0)
+    return s1.lower, s1.upper
+
+
+def whole_batch_stage1(model, dist, cfg, threshold):
+    """Stage 1 as one classify call on each whole batch: the reference for the streamed loop."""
+    lower, upper = ReferenceSet(Side.LOWER, threshold), ReferenceSet(Side.UPPER, threshold)
+    trace = []
+    for iteration in itertools.count():
+        batch = sample_batch(dist, cfg.n_samples, cfg.seed, generation_index=iteration)
+        res = classify(batch, lower, upper, n_states=model.n_component_states)
+        trace.append((res.p_lower, res.p_upper, res.p_unclassified))
+        if res.p_unclassified <= cfg.eps_u or len(lower) + len(upper) >= cfg.r_max:
+            return lower, upper, trace
+        rng = np.random.default_rng([cfg.seed, iteration])
+        n_pick = min(cfg.parallel_searches, res.unclassified_indices.size)
+        for idx in rng.choice(res.unclassified_indices, size=n_pick, replace=False):
+            candidate = boundary_search(model, batch.states[idx], threshold)
+            (lower if candidate.side == Side.LOWER else upper).insert(candidate)
+
+
+def whole_batch_stage2(model, dist, cfg, sets):
+    """(m', p_lower, p_upper, unclassified) per set from classify on the whole batch plus phi on its open rows."""
+    h = cfg.n_samples
+    batch = sample_batch(dist, h, cfg.seed, generation_index=0)
+    out = []
+    for threshold, lower, upper in sets:
+        res = classify(batch, lower, upper, n_states=model.n_component_states)
+        resolved = sum(model.evaluate(batch.states[i]) <= threshold for i in res.unclassified_indices)
+        n_low = res.lower_indices.size + int(resolved)
+        out.append((threshold, n_low / h, (h - n_low) / h, res.unclassified_indices.size))
+    return out
+
+
+def summary(reports):
+    return [(r.threshold, r.p_lower, r.p_upper, r.unclassified_resolved) for r in reports]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_streamed_stages_equal_whole_batch(rgg, workers):
+    # two full chunks and a ragged one
+    model, dist = rgg
+    h = 2 * _chunk_rows(model.n_components) + 13
+    cfg = RunConfig(n_samples=h, eps_u=1e-3, parallel_searches=16, seed=5, n_workers=workers)
+    s1 = stage1_find_references(model, dist, cfg, 0)
+    lower, upper, trace = whole_batch_stage1(model, dist, cfg, 0)
+    assert (s1.lower.members, s1.upper.members) == (lower.members, upper.members)
+    assert [(t.p_lower, t.p_upper, t.p_unclassified) for t in s1.trace] == trace
+    assert s1.iterations == len(trace) > 1
+    report = stage2_evaluate(model, dist, s1.lower, s1.upper, cfg, 0)
+    assert summary([report]) == whole_batch_stage2(model, dist, cfg, [(0, s1.lower, s1.upper)])
+    assert 0 < report.unclassified_resolved < h
+
+
+def test_streamed_pmf_equals_whole_batch(monkeypatch):
+    model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
+    dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
+    monkeypatch.setattr(workflow, "_CHUNK_BYTES", 8 * 3 * 64)
+    h = 2 * 64 + 13
+    cfg = RunConfig(n_samples=h, eps_u=1e-2, r_max=100, parallel_searches=2, seed=4)
+    report = multistate_pmf(model, dist, cfg)
+    for threshold, s1 in enumerate(report.stage1_results):
+        lower, upper, trace = whole_batch_stage1(model, dist, cfg, threshold)
+        assert (s1.lower.members, s1.upper.members) == (lower.members, upper.members)
+        assert [(t.p_lower, t.p_upper, t.p_unclassified) for t in s1.trace] == trace
+    sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in report.stage1_results]
+    assert summary(report.stage2_reports) == whole_batch_stage2(model, dist, cfg, sets)
+
+
+def test_stage2_encodes_each_chunk_once_for_all_thresholds(monkeypatch):
+    model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
+    dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
+    monkeypatch.setattr(workflow, "_CHUNK_BYTES", 8 * 3 * 64)  # 64 rows a chunk
+    cfg = RunConfig(n_samples=1000, eps_u=1e-2, r_max=100, parallel_searches=4, seed=3)
+    encoded = []
+    in_stage2 = False
+
+    def counting_encode(states, n_states, kind):
+        if in_stage2:
+            encoded.append((kind, len(states)))
+        return encode_batch(states, n_states, kind)
+
+    def counted_stage2(*args):
+        nonlocal in_stage2
+        in_stage2 = True
+        try:
+            return _stage2(*args)
+        finally:
+            in_stage2 = False
+
+    monkeypatch.setattr(classify_module, "encode_batch", counting_encode)
+    monkeypatch.setattr(workflow, "_stage2", counted_stage2)
+    report = multistate_pmf(model, dist, cfg)
+    assert len(report.stage2_reports) == 3
+    sample_rows = [rows for kind, rows in encoded if kind == "sample"]
+    assert len(sample_rows) == -(-cfg.n_samples // 64)
+    assert sum(sample_rows) == cfg.n_samples
+    # and each non-empty reference set once per stage call
+    n_sets = sum(len(s) > 0 for s1 in report.stage1_results for s in (s1.lower, s1.upper))
+    assert len(encoded) - len(sample_rows) == n_sets
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MiB = 1 << 20
+
+
+def test_stage2_memory_bounded_in_batch_size(rgg, rgg_refs):
+    # the whole 400k x 115 batch would be 351 MiB of int64 states alone
+    model, dist = rgg
+    lower, upper = rgg_refs
+    peaks = {
+        h: traced_peak(lambda: stage2_evaluate(model, dist, lower, upper, RunConfig(n_samples=h, seed=1), 0))
+        for h in (100_000, 400_000)
+    }
+    assert peaks[400_000] < 40 * MiB
+    assert peaks[400_000] - peaks[100_000] <= 24 * 300_000
+
+
+def test_stage1_iteration_memory_bounded_in_batch_size(rgg):
+    # eps_u = 1 stops after one iteration, whose samples are all unclassified
+    model, dist = rgg
+    peaks = {
+        h: traced_peak(lambda: stage1_find_references(model, dist, RunConfig(n_samples=h, eps_u=1.0, seed=1), 0))
+        for h in (100_000, 400_000)
+    }
+    assert peaks[400_000] < 40 * MiB
+    assert peaks[400_000] - peaks[100_000] <= 24 * 300_000
