@@ -33,7 +33,7 @@ class ReferenceState:
     def __post_init__(self) -> None:
         if self.side not in (Side.LOWER, Side.UPPER):
             raise ValueError(f"side must be '{Side.LOWER}' or '{Side.UPPER}'")
-        object.__setattr__(self, "vector", tuple(int(v) for v in self.vector))
+        object.__setattr__(self, "vector", tuple(map(int, self.vector)))
 
     @classmethod
     def checked(
@@ -138,18 +138,24 @@ def boundary_search(
     in that budget beyond one per remaining move: an accepted L-move
     probe adds L-1, and since bisecting a rejected one costs ceil(log2 L)
     further calls, an L-move probe runs only while spare >= ceil(log2 L).
+
+    ``x0`` is validated once. Every vector evaluated after that, the
+    first included, is x0 moved by unit steps within [0, M-1], so each
+    call goes to the model's counted, range-checked core ``_phi`` and
+    skips ``SystemModel.evaluate``'s validation; every call still counts.
     """
     model.check_threshold(threshold)
     # an int64 copy, so stepping never wraps a narrow input dtype
     x = validate_vector(x0, model.n_components, model.n_component_states).astype(np.int64)
-    if model.evaluate(x) <= threshold:
+    phi = model._phi
+    if phi(x) <= threshold:
         side, step, room = Side.LOWER, 1, model.n_component_states - 1 - x
     else:
         side, step, room = Side.UPPER, -1, x
     lower = side == Side.LOWER
 
     def accepted() -> bool:
-        return (model.evaluate(x) <= threshold) == lower
+        return (phi(x) <= threshold) == lower
 
     # the component of each move, read before any move changes x
     moves = np.arange(model.n_components).repeat(room).tolist()
@@ -198,4 +204,4 @@ def boundary_search(
             width, run = 1, 0
         spare += q - p - 1  # q - p moves settled for one probe call
         p = q
-    return ReferenceState(tuple(int(v) for v in x), side, threshold)
+    return ReferenceState(tuple(x.tolist()), side, threshold)

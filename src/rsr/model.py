@@ -28,6 +28,12 @@ PerformanceFn = Callable[[np.ndarray], int]
 
 _ROW_SUM_TOL = 1e-12
 
+# the unsigned dtype of the same width and byte order as each integer dtype
+_UNSIGNED = {
+    np.dtype(f"{order}{kind}{width}"): np.dtype(f"{order}u{width}")
+    for order in "<>" for kind in "iu" for width in (1, 2, 4, 8)
+}
+
 
 class _EvalCounter:
     """Thread-safe counter of performance-function calls."""
@@ -53,12 +59,15 @@ def check_states(states: Sequence[int] | np.ndarray, n_states: int) -> np.ndarra
     """Return ``states`` as an integer array whose entries all lie in [0, n_states - 1].
 
     An integer array is returned as given, without a copy; non-integer
-    input raises ValueError.
+    input raises ValueError. One ``max`` over an unsigned view of the same
+    width checks both ends: a negative entry wraps to 2**(bits-1) or more,
+    and every valid signed entry lies below 2**(bits-1).
     """
     arr = np.asarray(states)
     if arr.dtype.kind not in "iu":
         raise ValueError(f"component states must be integers, got dtype {arr.dtype}")
-    if arr.size and (arr.min() < 0 or arr.max() >= n_states):
+    limit = n_states if arr.dtype.kind == "u" else min(n_states, 1 << (8 * arr.itemsize - 1))
+    if arr.size and arr.view(_UNSIGNED[arr.dtype]).max() >= limit:
         raise ValueError(f"component states must lie in [0, {n_states - 1}]")
     return arr
 
@@ -99,10 +108,23 @@ class SystemModel:
             raise ValueError("n_system_states must be >= 2")
 
     def evaluate(self, x: Sequence[int] | np.ndarray) -> int:
-        """Evaluate the performance function on a validated vector."""
-        arr = validate_vector(x, self.n_components, self.n_component_states)
+        """Validate ``x`` as one length-N vector of states in [0, M-1], then evaluate phi on it.
+
+        Every call is counted and its result range-checked by ``_phi``,
+        the counted core that this entry shares with the two callers whose
+        vectors are in range by construction: the boundary walk and
+        Stage-2 resolution.
+        """
+        return self._phi(validate_vector(x, self.n_components, self.n_component_states))
+
+    def _phi(self, x: np.ndarray) -> int:
+        """Count one call, run phi on ``x`` and check its result lies in [0, M_S-1].
+
+        ``x`` is not checked: the caller guarantees a length-N integer
+        vector of states in [0, M-1], as ``evaluate`` does by validating it.
+        """
         self._evals.add()
-        s = int(self.performance(arr))
+        s = int(self.performance(x))
         if not 0 <= s < self.n_system_states:
             raise ValueError(
                 f"performance returned {s}, outside [0, {self.n_system_states - 1}]"

@@ -98,6 +98,8 @@ class RunConfig:
             raise ValueError("r_max must be >= 1")
         if self.parallel_searches < 1:
             raise ValueError("parallel_searches must be >= 1")
+        if self.n_workers < 1:
+            raise ValueError("n_workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -303,8 +305,9 @@ def _stage2(
         open_rows.append((start + rows, states[rows].astype(compact), lo[rows], hi[rows]))
     indices, states, lo, hi = (np.concatenate(parts) for parts in zip(*open_rows))
     for k in range(indices.size):
+        # sampled rows lie in [0, M-1] by construction: the counted core, unchecked
         x = states[k].astype(np.int64)
-        state = model.evaluate(x)
+        state = model._phi(x)
         if not lo[k] <= state <= hi[k]:
             raise _conflict(sets, int(indices[k]), x, lo[k], hi[k], state)
         hi[k] = state

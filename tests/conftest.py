@@ -86,3 +86,25 @@ def random_monotone_model(
 def random_distribution(rng: np.random.Generator, n: int, m: int) -> ComponentDistribution:
     raw = rng.random((n, m)) + 0.05
     return ComponentDistribution(raw / raw.sum(axis=1, keepdims=True))
+
+
+class PhiProbe:
+    """Wraps a model's performance function: counts its calls and keeps each input outside [0, M-1].
+
+    The probe checks inputs itself, with no help from ``rsr.model``, so it
+    sees every vector that reaches phi by any path.
+    """
+
+    def __init__(self, model: SystemModel) -> None:
+        self.calls = 0
+        self.bad: list[np.ndarray] = []
+        inner, n, m = model.performance, model.n_components, model.n_component_states
+
+        def phi(x) -> int:
+            self.calls += 1
+            arr = np.array(x)
+            if arr.dtype.kind not in "iu" or arr.shape != (n,) or arr.min() < 0 or arr.max() >= m:
+                self.bad.append(arr)
+            return inner(x)
+
+        model.performance = phi

@@ -104,6 +104,29 @@ def test_search_matches_linear_walk(seed, n, m, m_s):
         assert boundary_search(model, expected.vector, threshold) == expected
 
 
+@given(st.integers(0, 2**31), st.integers(1, 8), st.integers(2, 5), st.integers(2, 4))
+@settings(max_examples=100, deadline=None)
+def test_search_counts_every_phi_call_in_range(seed, n, m, m_s):
+    from conftest import PhiProbe, random_monotone_model
+
+    rng = np.random.default_rng(seed)
+    model = random_monotone_model(rng, n, m, m_s)
+    probe = PhiProbe(model)
+    threshold = int(rng.integers(0, m_s - 1))
+    dtype = (np.int8, np.uint8, np.int64)[int(rng.integers(3))]
+    for x0 in (rng.integers(0, m, size=n), np.zeros(n), np.full(n, m - 1)):
+        boundary_search(model, x0.astype(dtype), threshold)
+    assert probe.calls == model.evaluation_count > 0
+    assert probe.bad == []
+
+
+def test_search_rejects_a_bad_start_before_any_phi_call(fig_space_model):
+    for x0 in ((0, -1), (0, 5), (1, 2, 3), (0.0, 1.0)):
+        with pytest.raises(ValueError):
+            boundary_search(fig_space_model, x0, 0)
+    assert fig_space_model.evaluation_count == 0
+
+
 def test_search_gallops_on_graph_connectivity():
     g = random_geometric_graph(30, 0.35, 0)
     model = SystemModel(g.n_edges, 2, 2, single_od_connectivity(g, *pick_od_pair(g)))

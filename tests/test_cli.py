@@ -6,7 +6,7 @@ import pytest
 
 from rsr import files
 from rsr.boundary import ReferenceSet, Side
-from rsr.cli import TRACE_COLUMNS, main
+from rsr.cli import EXIT_INPUT, TRACE_COLUMNS, main
 from rsr.files import FORMAT, write_json
 
 
@@ -173,6 +173,22 @@ def test_evaluate_rejects_refs_of_wrong_length(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "113" in err and "115" in err
+
+
+def test_worker_count_below_one_is_input_error(tmp_path, model_file, capsys):
+    refs = tmp_path / "refs.json"
+    assert run(["find-refs", "--model", model_file, "--out-refs", refs, "--samples", 200, "--seed", 3]) == 0
+    for workers in (0, -3):
+        code = run(
+            ["evaluate", "--model", model_file, "--refs", refs, "--out-report", tmp_path / "rep.json",
+             "--samples", 200, "--workers", workers]
+        )
+        assert code == EXIT_INPUT
+        assert "n_workers" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+    assert run(
+        ["find-refs", "--model", model_file, "--out-refs", tmp_path / "r0.json", "--workers", 0]
+    ) == EXIT_INPUT
 
 
 def test_oracle_exact(tmp_path, model_file):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rsr.model import ComponentDistribution, SystemModel, check_coherency
+from rsr.model import ComponentDistribution, SystemModel, check_coherency, check_states
 from rsr.sysfn import Graph, global_connectivity, k_out_of_n
 
 
@@ -74,3 +74,29 @@ def test_distribution_iid_shape():
     assert dist.n_components == 4
     assert dist.n_states == 2
     assert np.allclose(dist.probs.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, ">i4"])
+def test_check_states_rejects_negative_states(dtype):
+    assert check_states(np.array([0, 4, 2], dtype=dtype), 5).dtype == np.dtype(dtype)
+    with pytest.raises(ValueError, match=r"\[0, 4\]"):
+        check_states(np.array([0, -1, 2], dtype=dtype), 5)
+    lowest = np.iinfo(np.dtype(dtype)).min
+    with pytest.raises(ValueError, match=r"\[0, 4\]"):
+        check_states(np.array([[3, lowest]], dtype=dtype), 5)
+
+
+def test_check_states_rejects_states_from_m_up():
+    assert check_states(np.array([0, 4], dtype=np.uint8), 5).dtype == np.uint8
+    for bad in (5, 255):
+        with pytest.raises(ValueError, match=r"\[0, 4\]"):
+            check_states(np.array([0, bad], dtype=np.uint8), 5)
+    with pytest.raises(ValueError):
+        check_states(np.array([2], dtype=np.int64), 2)
+
+
+def test_check_states_when_m_exceeds_the_signed_range():
+    # every non-negative int8 is a valid state out of 300, and -1 still is not
+    assert check_states(np.array([127, 0], dtype=np.int8), 300).dtype == np.int8
+    with pytest.raises(ValueError):
+        check_states(np.array([127, -1], dtype=np.int8), 300)

@@ -82,6 +82,20 @@ def test_k_out_of_n_multistate():
     assert phi_n(np.array([2, 1, 1])) == 1
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
+def test_k_out_of_n_is_the_sorted_order_statistic(dtype):
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 5, 12):
+        for m in range(2, 7):
+            xs = rng.integers(0, m, size=(40, n)).astype(dtype)
+            for k in range(1, n + 1):
+                phi = k_out_of_n(k, n)
+                for x in xs:
+                    s = phi(x)
+                    assert type(s) is int
+                    assert s == np.sort(x)[n - k]
+
+
 def test_k_out_of_n_rejects_bad_k():
     with pytest.raises(ValueError):
         k_out_of_n(0, 3)

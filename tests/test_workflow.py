@@ -42,6 +42,12 @@ def test_config_validation():
         RunConfig(r_max=0)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_config_rejects_worker_counts_below_one(workers):
+    with pytest.raises(ValueError, match="n_workers"):
+        RunConfig(n_workers=workers)
+
+
 def test_stage1_recovers_series_boundary(series3):
     model, dist = series3
     res = stage1_find_references(model, dist, small_config(), threshold=0)
@@ -359,3 +365,22 @@ def test_stage1_iteration_memory_bounded_in_batch_size(rgg):
     }
     assert peaks[400_000] < 40 * MiB
     assert peaks[400_000] - peaks[100_000] <= 24 * 300_000
+
+
+def test_stages_count_every_phi_call_in_range():
+    from conftest import PhiProbe, random_distribution, random_monotone_model
+
+    rng = np.random.default_rng(21)
+    model = random_monotone_model(rng, 6, 3, 3)
+    dist = random_distribution(rng, 6, 3)
+    probe = PhiProbe(model)
+    # a small r_max leaves Stage 2 open samples to resolve
+    cfg = RunConfig(n_samples=2000, eps_u=1e-3, r_max=3, parallel_searches=2, seed=2)
+    stage1_find_references(model, dist, cfg, 1)
+    assert probe.calls == model.evaluation_count > 0
+    before = model.evaluation_count
+    report = multistate_pmf(model, dist, cfg)
+    stage1_calls = sum(s1.trace[-1].phi_evaluations for s1 in report.stage1_results)
+    assert model.evaluation_count - before > stage1_calls  # Stage 2 resolved some rows
+    assert probe.calls == model.evaluation_count
+    assert probe.bad == []
