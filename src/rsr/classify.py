@@ -9,13 +9,12 @@ positions violate each region, as popcount-of-AND on the same packed
 words (the default) or as a plain integer matrix product (the
 differential-testing path).
 
-``classify`` is the whole-batch entry point. Streamed callers use the
-packed-words one: ``pack_references`` once per set, then per chunk of
-samples ``pack_samples`` once and ``word_hits`` once per set.
-
-With a coherent phi and side-consistent reference sets no sample lies in
-both a lower and an upper region; ``classify`` raises
-``InconsistentReferenceSets`` on any sample that does.
+``verdicts`` is the one classification route: it packs a chunk of rows
+at a time, tests it against every threshold's sets and brackets each
+row's system state S. Both workflow stages run it over the sampler's
+rows, and ``classify`` over slices of its batch at one threshold. With a
+coherent phi and side-consistent reference sets no bracket is crossed;
+``verdicts`` raises ``InconsistentReferenceSets`` on the first that is.
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ __all__ = [
     "InconsistentReferenceSets",
     "violation_counts",
     "classify",
-    "pack_samples",
-    "pack_references",
-    "word_hits",
+    "verdicts",
     "cov",
 ]
 
@@ -50,14 +47,21 @@ DEFAULT_CHUNK_SIZE = 65536
 _BLOCK_BYTES = 1 << 20
 
 
+# a threshold m' with its lower and upper reference sets
+ThresholdSets = tuple[int, ReferenceSet | None, ReferenceSet | None]
+
+
 class InconsistentReferenceSets(ValueError):
     """phi is not coherent, or a reference lies on the wrong side of its threshold."""
 
     @classmethod
-    def on_sample(
-        cls, index: int, x: np.ndarray, lower: ReferenceSet | None, upper: ReferenceSet | None, phi: int | None = None
+    def on_bracket(
+        cls, sets: list[ThresholdSets], index: int, x: np.ndarray, lo: int, hi: int, phi: int | None = None
     ) -> InconsistentReferenceSets:
-        """Name sample ``index``, its vector ``x``, the first member of each given set that matches it, and phi."""
+        """Name sample ``index``, its vector ``x``, the references that set its bracket lo <= S <= hi, and phi."""
+        # a lower match at t sets hi = t, an upper match lo = t + 1
+        lower = next((low for t, low, _ in sets if t == hi), None)
+        upper = next((up for t, _, up in sets if t == lo - 1), None)
         claims = []
         if lower is not None:
             claims.append(f"lower reference {lower.first_match(x)} says S <= {lower.threshold}")
@@ -86,16 +90,10 @@ def _ref_block_size(n_refs: int, chunk: int, bytes_per_pair: int) -> int:
     return min(n_refs, block)
 
 
-def violation_counts(
-    samples: EncodedBatch,
-    refs: EncodedBatch,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    method: str = "packed",
-) -> np.ndarray:
-    """Full H x R violation matrix, computed in sample chunks.
+def violation_counts(samples: EncodedBatch, refs: EncodedBatch, method: str = "packed") -> np.ndarray:
+    """Full H x R violation matrix, computed ``DEFAULT_CHUNK_SIZE`` samples at a time.
 
-    The result is independent of ``chunk_size``. Counts fit int32 since
-    the maximum violation per pair is N.
+    Counts fit int32 since the maximum violation per pair is N.
     """
     if samples.kind != "sample":
         raise ValueError("samples batch must have kind='sample'")
@@ -105,15 +103,13 @@ def violation_counts(
         raise ValueError("samples and refs must share N and M")
     if len(refs) == 0:
         raise ValueError("refs batch is empty")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     if method not in ("packed", "unpacked"):
         raise ValueError("method must be 'packed' or 'unpacked'")
 
     h = len(samples)
     out = np.empty((h, len(refs)), dtype=np.int32)
-    for start in range(0, h, chunk_size):
-        stop = min(start + chunk_size, h)
+    for start in range(0, h, DEFAULT_CHUNK_SIZE):
+        stop = min(start + DEFAULT_CHUNK_SIZE, h)
         if method == "packed":
             sp = samples.packed[start:stop]
             rbp = refs.packed_complement
@@ -128,15 +124,7 @@ def violation_counts(
     return out
 
 
-def pack_samples(states: np.ndarray, n_states: int) -> np.ndarray:
-    """One-hot rows of a K x N state matrix packed into 64-bit words, word-major.
-
-    Entry (w, k) is word w of sample k, the layout ``word_hits`` takes.
-    """
-    return np.ascontiguousarray(encode_batch(states, n_states, "sample").packed.T)
-
-
-def pack_references(
+def _pack_references(
     refs: ReferenceSet | None, side: str, n_components: int, n_states: int
 ) -> np.ndarray | None:
     """Word-packed complement rows of a set's references; None for an absent or empty set.
@@ -201,18 +189,6 @@ def ordered_map(fn: Callable[[Any], Any], items: Iterable, n_workers: int) -> It
             yield pending.popleft().result()
 
 
-def _chunked_hits(
-    packed: np.ndarray, rbar_words: np.ndarray | None, chunk_size: int, n_workers: int
-) -> np.ndarray:
-    """Hit mask of row-major packed samples, tested ``chunk_size`` rows at a time."""
-    h = packed.shape[0]
-
-    def work(start: int) -> np.ndarray:
-        return word_hits(np.ascontiguousarray(packed[start : start + chunk_size].T), rbar_words)
-
-    return np.concatenate(list(ordered_map(work, range(0, h, chunk_size), n_workers)))
-
-
 def _hits_for(
     samples_enc: EncodedBatch,
     ref_states: np.ndarray | None,
@@ -220,10 +196,59 @@ def _hits_for(
     chunk_size: int,
     n_workers: int,
 ) -> np.ndarray:
+    """Hit mask of encoded samples against raw reference rows, ``chunk_size`` rows at a time."""
     rbar = None
     if ref_states is not None and ref_states.shape[0]:
         rbar = encode_batch(ref_states, samples_enc.n_states, kind).packed_complement
-    return _chunked_hits(samples_enc.packed, rbar, chunk_size, n_workers)
+    packed = samples_enc.packed
+
+    def work(start: int) -> np.ndarray:
+        return word_hits(np.ascontiguousarray(packed[start : start + chunk_size].T), rbar)
+
+    return np.concatenate(list(ordered_map(work, range(0, len(samples_enc), chunk_size), n_workers)))
+
+
+def verdicts(
+    rows: Callable[[int, int], np.ndarray],
+    n_rows: int,
+    chunk_rows: int,
+    sets: list[ThresholdSets],
+    shape: tuple[int, int, int],
+    n_workers: int,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, list[int]]]:
+    """Classify rows ``0..n_rows-1`` of ``rows(start, stop)``, ``chunk_rows`` at a time.
+
+    ``shape`` is (N, M, M_S). Chunks run on ``n_workers`` threads and come
+    back in index order as ``(start, states, lo, hi, unclassified)``: the
+    bracket lo <= S <= hi the sets put on each row's system state, and per
+    set the count of rows neither side hits. Reading the chunk that holds
+    the first crossed bracket raises ``InconsistentReferenceSets``.
+    """
+    n, m, n_system_states = shape
+    packed = [
+        (t, _pack_references(low, Side.LOWER, n, m), _pack_references(up, Side.UPPER, n, m))
+        for t, low, up in sets
+    ]
+
+    def work(start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        states = rows(start, min(start + chunk_rows, n_rows))
+        # word-major: entry (w, k) is word w of row k, the layout word_hits takes
+        words = np.ascontiguousarray(encode_batch(states, m, "sample").packed.T)
+        lo = np.zeros(len(states), dtype=np.int64)
+        hi = np.full(len(states), n_system_states - 1, dtype=np.int64)
+        unclassified = []
+        for t, lower, upper in packed:
+            low, up = word_hits(words, lower), word_hits(words, upper)
+            np.minimum(hi, t, out=hi, where=low)
+            np.maximum(lo, t + 1, out=lo, where=up)
+            unclassified.append(len(states) - int(np.count_nonzero(low | up)))
+        crossed = np.flatnonzero(lo > hi)
+        if crossed.size:
+            i = int(crossed[0])
+            raise InconsistentReferenceSets.on_bracket(sets, start + i, states[i], lo[i], hi[i])
+        return start, states, lo, hi, unclassified
+
+    return ordered_map(work, range(0, n_rows, chunk_rows), n_workers)
 
 
 @dataclass(frozen=True)
@@ -277,22 +302,18 @@ def classify(
                 f"threshold mismatch: lower m'={lower_set.threshold}, "
                 f"upper m'={upper_set.threshold}"
             )
-    rbars = [
-        pack_references(refs, side, batch.n_components, n_states)
-        for side, refs in ((Side.LOWER, lower_set), (Side.UPPER, upper_set))
-    ]
-    packed = encode_batch(batch.states, n_states, "sample").packed
-    lower_hit, upper_hit = (_chunked_hits(packed, rbar, chunk_size, n_workers) for rbar in rbars)
-
-    both = np.flatnonzero(lower_hit & upper_hit)
-    if both.size:
-        idx = int(both[0])
-        raise InconsistentReferenceSets.on_sample(idx, batch.states[idx], lower_set, upper_set)
-
+    # run at m' = 0 with two system states, whatever the sets' own m':
+    # lo + hi is then 0 for a lower hit, 2 for an upper hit, 1 for neither
+    verdict = np.empty(batch.n_samples, dtype=np.int8)
+    for start, _, lo, hi, _ in verdicts(
+        lambda start, stop: batch.states[start:stop], batch.n_samples, chunk_size,
+        [(0, lower_set, upper_set)], (batch.n_components, n_states, 2), n_workers,
+    ):
+        verdict[start : start + lo.size] = lo + hi
     return ClassificationResult(
-        lower_indices=np.flatnonzero(lower_hit),
-        upper_indices=np.flatnonzero(upper_hit),
-        unclassified_indices=np.flatnonzero(~(lower_hit | upper_hit)),
+        lower_indices=np.flatnonzero(verdict == 0),
+        upper_indices=np.flatnonzero(verdict == 2),
+        unclassified_indices=np.flatnonzero(verdict == 1),
         n_samples=batch.n_samples,
     )
 

@@ -9,6 +9,7 @@ searched on.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict
@@ -56,6 +57,18 @@ def write_json(path: str | Path, payload: dict) -> None:
 def _require_format(doc: dict, path: str | Path) -> None:
     if doc.get("format") != FORMAT:
         raise ValueError(f"{path}: missing or unsupported format tag (expected {FORMAT!r})")
+
+
+def _input_errors(load: Callable) -> Callable:
+    # a field of the wrong JSON type (int(None), "text".get) is an input error in the file
+    @functools.wraps(load)
+    def checked(path: str | Path, *args: Any, **kwargs: Any) -> Any:
+        try:
+            return load(path, *args, **kwargs)
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"{path}: malformed document: {exc}") from exc
+
+    return checked
 
 
 def build_manifest(command: str, config: RunConfig | None = None, **extra: Any) -> dict:
@@ -174,6 +187,7 @@ def _build_performance(
     return fn, n_sys
 
 
+@_input_errors
 def load_model(path: str | Path) -> tuple[SystemModel, ComponentDistribution, str]:
     """Load a model definition file; returns (model, distribution, model hash)."""
     path = Path(path)
@@ -248,6 +262,7 @@ def save_reference_sets(
     write_json(path, doc)
 
 
+@_input_errors
 def load_reference_sets(
     path: str | Path,
     expected_model_hash: str | None = None,

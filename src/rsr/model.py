@@ -162,8 +162,8 @@ class ComponentDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 2:
             raise ValueError("probs must be an N x M table")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
+            raise ValueError("probabilities must be finite and lie in [0, 1]")
         row_sums = probs.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > _ROW_SUM_TOL):
             bad = int(np.argmax(np.abs(row_sums - 1.0)))

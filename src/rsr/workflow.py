@@ -12,15 +12,15 @@ gives S <= m', an upper match S >= m'+1. One performance-function call
 settles each sample the bracket leaves open. A crossed bracket, or phi
 outside one, means phi is not coherent and raises.
 
-Both stages stream their batch: ``_stream`` draws a chunk of rows from
-the counter-based sampler, packs it into 64-bit words once and tests it
-against every set, and the whole batch is never held. Memory is about
-one chunk's temporaries per worker plus a few bytes per sample: Stage 1
-keeps the unclassified indices and regenerates the rows it searches
-from by index; Stage 2 keeps per-threshold counts and the open rows,
-whose phi calls it makes anyway. The crude Monte Carlo oracle
-(``oracle.crude_monte_carlo``) stays whole-batch on purpose, as an
-independent check of this path.
+Both stages stream their batch through the one classification route,
+``classify.verdicts``, with ``_stream`` as its row source: each chunk is
+drawn from the counter-based sampler, so the whole batch is never held.
+Memory is about one chunk's temporaries per worker plus a few bytes per
+sample: Stage 1 keeps the unclassified indices and regenerates the rows
+it searches from by index; Stage 2 keeps per-threshold counts and the
+open rows, whose phi calls it makes anyway. The crude Monte Carlo
+oracle (``oracle.crude_monte_carlo``) stays whole-batch on purpose, as
+an independent check of this path.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import numpy as np
 from .boundary import ReferenceSet, ReferenceState, Side, boundary_search
 # classify is not called here; it stays importable as workflow.classify
 # because perfbench/spans.py wraps that name
-from .classify import InconsistentReferenceSets, classify, cov, ordered_map  # noqa: F401
-from .classify import pack_references, pack_samples, word_hits
+from .classify import InconsistentReferenceSets, ThresholdSets, classify, cov, verdicts  # noqa: F401
 from .model import ComponentDistribution, SystemModel
 from .sampling import sample_batch, sample_rows
 
@@ -58,9 +57,6 @@ _STAGE2_GENERATION = 0
 # bytes of int64 states in one streamed chunk; sampling, packing and the
 # chunk the caller still holds take about twice this per worker
 _CHUNK_BYTES = 8 << 20
-
-# a threshold m' with its lower and upper reference sets
-ThresholdSets = tuple[int, ReferenceSet | None, ReferenceSet | None]
 
 
 def _peak_rss_bytes() -> int | None:
@@ -223,15 +219,6 @@ def _chunk_rows(n_components: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * n_components))
 
 
-def _conflict(
-    sets: list[ThresholdSets], index: int, x: np.ndarray, lo: int, hi: int, phi: int | None = None
-) -> InconsistentReferenceSets:
-    # a bracket is set by a lower match at hi and an upper match at lo-1
-    lower = next((low for t, low, _ in sets if t == hi), None)
-    upper = next((up for t, _, up in sets if t == lo - 1), None)
-    return InconsistentReferenceSets.on_sample(index, x, lower, upper, phi)
-
-
 def _stream(
     model: SystemModel,
     dist: ComponentDistribution,
@@ -239,42 +226,13 @@ def _stream(
     generation: int,
     sets: list[ThresholdSets],
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, list[int]]]:
-    """Sample, encode and classify one batch chunk by chunk, yielding chunks in index order.
-
-    Each chunk's rows are drawn from the counter-based stream, packed into
-    64-bit words once and tested against every set's references, which are
-    packed once per call. Yields ``(start, states, lo, hi, unclassified)``:
-    the chunk's first sample index, its states, the bracket lo <= S <= hi
-    the sets put on each row's system state, and per set the number of
-    rows that neither of its references hits. The first crossed bracket
-    in index order raises ``InconsistentReferenceSets``.
-    """
-    n, m = dist.n_components, model.n_component_states
-    packed = [
-        (t, pack_references(lower, Side.LOWER, n, m), pack_references(upper, Side.UPPER, n, m))
-        for t, lower, upper in sets
-    ]
-    h, rows = config.n_samples, _chunk_rows(n)
-
-    def work(start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list[int]]:
-        states = sample_batch(dist, min(rows, h - start), config.seed, generation, start=start).states
-        words = pack_samples(states, m)
-        lo = np.zeros(len(states), dtype=np.int64)
-        hi = np.full(len(states), model.n_system_states - 1, dtype=np.int64)
-        unclassified = []
-        for t, lower, upper in packed:
-            low, up = word_hits(words, lower), word_hits(words, upper)
-            np.minimum(hi, t, out=hi, where=low)
-            np.maximum(lo, t + 1, out=lo, where=up)
-            unclassified.append(len(states) - int(np.count_nonzero(low | up)))
-        return start, states, lo, hi, unclassified
-
-    for start, states, lo, hi, unclassified in ordered_map(work, range(0, h, rows), config.n_workers):
-        crossed = np.flatnonzero(lo > hi)
-        if crossed.size:
-            i = int(crossed[0])
-            raise _conflict(sets, start + i, states[i], lo[i], hi[i])
-        yield start, states, lo, hi, unclassified
+    """``classify.verdicts`` over one batch that the counter-based sampler draws chunk by chunk."""
+    n = dist.n_components
+    return verdicts(
+        lambda start, stop: sample_batch(dist, stop - start, config.seed, generation, start=start).states,
+        config.n_samples, _chunk_rows(n), sets,
+        (n, model.n_component_states, model.n_system_states), config.n_workers,
+    )
 
 
 def _stage2(
@@ -309,7 +267,7 @@ def _stage2(
         x = states[k].astype(np.int64)
         state = model._phi(x)
         if not lo[k] <= state <= hi[k]:
-            raise _conflict(sets, int(indices[k]), x, lo[k], hi[k], state)
+            raise InconsistentReferenceSets.on_bracket(sets, int(indices[k]), x, lo[k], hi[k], state)
         hi[k] = state
     # for every requested m', S <= m' now holds exactly where hi <= m'
     n_low += (hi[:, None] <= thresholds).sum(axis=0)

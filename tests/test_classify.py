@@ -255,3 +255,75 @@ def test_cov_values():
         cov(1.5, 100)
     with pytest.raises(ValueError):
         cov(0.5, 0)
+
+
+def test_classify_memory_per_sample_bounded():
+    # classify() streams its batch a chunk at a time: what grows with H is
+    # a one-byte verdict per sample and the index arrays it returns, not an
+    # encoding of the whole batch
+    rng = np.random.default_rng(5)
+    states = rng.integers(0, 2, size=(400_000, 262), dtype=np.int8)
+    lower = ReferenceSet(Side.LOWER, 0, rng.integers(0, 2, size=(49, 262)).tolist())
+    assert len(lower) == 49
+    peaks = {}
+    for h in (100_000, 400_000):
+        batch = SampleBatch(states=states[:h], seed=0, generation_index=0)
+        tracemalloc.start()
+        try:
+            res = classify(batch, lower, None, n_states=2)
+            _, peaks[h] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.lower_indices.size + res.unclassified_indices.size == h
+    per_sample = (peaks[400_000] - peaks[100_000]) / 300_000
+    assert per_sample <= 24, f"{per_sample:.1f} bytes per extra sample"
+
+
+@pytest.mark.parametrize("m_prime", [-1, 0, 3])
+def test_classify_verdicts_do_not_depend_on_threshold(m_prime):
+    # the sets' m' only labels them; the index sets come from dominance alone
+    batch = SampleBatch(states=np.array([[0, 0], [1, 1], [0, 1]]), seed=0, generation_index=0)
+    res = classify(batch, ReferenceSet(Side.LOWER, m_prime, [(0, 0)]), None, n_states=2)
+    assert res.lower_indices.tolist() == [0]
+    assert res.upper_indices.tolist() == []
+    assert res.unclassified_indices.tolist() == [1, 2]
+
+    dist = ComponentDistribution.iid(6, [0.3, 0.3, 0.4])
+    batch = sample_batch(dist, 301, seed=4)
+    lower_refs, upper_refs = [(1, 0, 2, 0, 1, 0)], [(1, 1, 1, 1, 1, 1), (2, 0, 0, 2, 0, 0)]
+    base = classify(
+        batch, ReferenceSet(Side.LOWER, 0, lower_refs), ReferenceSet(Side.UPPER, 0, upper_refs), n_states=3
+    )
+    res = classify(
+        batch,
+        ReferenceSet(Side.LOWER, m_prime, lower_refs),
+        ReferenceSet(Side.UPPER, m_prime, upper_refs),
+        chunk_size=37,
+        n_states=3,
+    )
+    for got, want in zip(
+        (res.lower_indices, res.upper_indices, res.unclassified_indices),
+        (base.lower_indices, base.upper_indices, base.unclassified_indices),
+    ):
+        assert np.array_equal(got, want)
+    assert base.lower_indices.size and base.upper_indices.size and base.unclassified_indices.size
+
+    # an overlap is reported with the sets' own m'
+    one = SampleBatch(states=np.array([[0, 0], [1, 1]]), seed=0, generation_index=0)
+    with pytest.raises(InconsistentReferenceSets) as exc:
+        classify(
+            one,
+            ReferenceSet(Side.LOWER, m_prime, [(1, 1)]),
+            ReferenceSet(Side.UPPER, m_prime, [(1, 1)]),
+            n_states=2,
+        )
+    message = str(exc.value)
+    assert "sample 1 (1, 1)" in message
+    assert f"says S <= {m_prime}," in message
+    assert f"says S >= {m_prime + 1};" in message
+
+
+def test_classify_empty_batch():
+    batch = SampleBatch(states=np.zeros((0, 3), dtype=np.int64), seed=0, generation_index=0)
+    res = classify(batch, ReferenceSet(Side.LOWER, 0, [(1, 1, 1)]), None, n_states=2)
+    assert (res.lower_indices.size, res.upper_indices.size, res.unclassified_indices.size) == (0, 0, 0)

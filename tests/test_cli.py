@@ -277,3 +277,56 @@ def test_noncoherent_phi_is_input_error_naming_refs(tmp_path, model_file, noncoh
         assert "lower reference (2, 2)" in captured.err
         assert "upper reference (1, 0)" in captured.err
         assert "P(S" not in captured.out and "PMF" not in captured.out
+
+
+def test_non_finite_distribution_is_input_error(tmp_path, capsys):
+    # NaN fails every comparison, so a range check and a row-sum check
+    # written as "reject if out of bounds" both let a [NaN, 1] row through
+    for bad in (float("nan"), float("inf")):
+        model = write_series_model(tmp_path / "model.json")
+        doc = json.loads(model.read_text())
+        doc["distribution"][1] = [bad, 1.0]
+        write_json(model, doc)
+        out = tmp_path / "mc.json"
+        code = run(["oracle", "--model", model, "--mode", "mc", "--samples", 100, "--out", out])
+        assert code == EXIT_INPUT
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _assert_malformed_input(code, capsys, path):
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert str(path) in err
+    assert "runtime failure" not in err
+
+
+def test_model_with_null_component_count_is_input_error(tmp_path, model_file, capsys):
+    doc = json.loads(model_file.read_text())
+    doc["n_components"] = None
+    write_json(model_file, doc)
+    code = run(["oracle", "--model", model_file, "--mode", "exact"])
+    _assert_malformed_input(code, capsys, model_file)
+
+
+def test_model_with_string_system_function_is_input_error(tmp_path, model_file, capsys):
+    doc = json.loads(model_file.read_text())
+    doc["system_function"] = "k_out_of_n"
+    write_json(model_file, doc)
+    code = run(["oracle", "--model", model_file, "--mode", "exact"])
+    _assert_malformed_input(code, capsys, model_file)
+
+
+def test_refs_with_string_lower_set_is_input_error(tmp_path, model_file, capsys):
+    refs = tmp_path / "refs.json"
+    assert run(["find-refs", "--model", model_file, "--out-refs", refs, "--samples", 200, "--seed", 3]) == 0
+    doc = json.loads(refs.read_text())
+    doc["lower"] = "oops"
+    write_json(refs, doc)
+    capsys.readouterr()
+    code = run(
+        ["evaluate", "--model", model_file, "--refs", refs, "--out-report", tmp_path / "rep.json",
+         "--samples", 200]
+    )
+    _assert_malformed_input(code, capsys, refs)
+    assert not (tmp_path / "rep.json").exists()

@@ -67,6 +67,10 @@ def test_distribution_rows_must_sum_to_one():
         ComponentDistribution(np.array([[0.5, 0.4]]))
     with pytest.raises(ValueError):
         ComponentDistribution(np.array([[1.2, -0.2]]))
+    # NaN fails every comparison: the checks must accept only in-range values
+    for row in ([np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0], [np.inf, -np.inf], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            ComponentDistribution(np.array([row]))
 
 
 def test_distribution_iid_shape():
