@@ -91,7 +91,7 @@ def crude_monte_carlo(
     batch = sample_batch(dist, n_samples, seed, generation_index=0)
     hits = 0
     for row in batch.states:
-        if model.evaluate(row) <= threshold:
+        if model.evaluate(row.astype(np.int64)) <= threshold:
             hits += 1
     p_hat = hits / n_samples
     return p_hat, cov(p_hat, n_samples)

@@ -4,7 +4,8 @@ Sampling uses a counter-based (Philox) stream keyed by
 (seed, generation_index) and indexed by (sample, component), so sample i,
 component n is the same number regardless of evaluation order or how the
 batch is chunked. ``sample_batch`` draws a contiguous slice of a batch and
-``sample_rows`` any scattered rows of it. There is no global RNG state.
+``sample_rows`` any scattered rows of it, as uint8 states (N bytes a row;
+uint16 for M > 256). There is no global RNG state.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ _INV_2_53 = float(2.0**-53)
 class SampleBatch:
     """H component-state vectors plus the keys that regenerate them."""
 
-    states: np.ndarray  # H x N int8/int64 matrix
+    states: np.ndarray  # H x N uint8 matrix, uint16 for M > 256
     seed: int
     generation_index: int
 
@@ -53,7 +54,7 @@ def _draws(bg: np.random.Philox, first: int, total: int) -> np.ndarray:
 
 
 def _states(dist: ComponentDistribution, raw: np.ndarray) -> np.ndarray:
-    """Inverse CDF of K x N raw draws; the int64 states reuse the draws' buffer.
+    """Inverse CDF of K x N raw draws as uint8 states, N bytes a row (uint16 for M > 256).
 
     The state is #{k < M-1 : cum[k] <= u} with u = (raw >> 11) * 2**-53;
     leaving out cum[M-1] caps it at M-1. With j = raw >> 11 an integer,
@@ -63,13 +64,13 @@ def _states(dist: ComponentDistribution, raw: np.ndarray) -> np.ndarray:
     """
     raw >>= np.uint64(11)
     cuts = np.ascontiguousarray(np.ceil(np.cumsum(dist.probs, axis=1) * 2.0**53).astype(np.uint64).T)
-    # counted in the narrowest dtype that holds M-1, then widened in place
     counts = np.zeros(raw.shape, dtype=np.min_scalar_type(dist.n_states - 1))
-    for k in range(dist.n_states - 1):
-        counts += raw >= cuts[k]
-    states = raw.view(np.int64)
-    states[...] = counts
-    return states
+    if dist.n_states > 1:
+        # the first cut's compare writes the counts: no bool temporary, no add pass
+        np.greater_equal(raw, cuts[0], out=counts, casting="unsafe")
+    for cut in cuts[1 : dist.n_states - 1]:
+        counts += raw >= cut
+    return counts
 
 
 def uniform_field(

@@ -14,13 +14,13 @@ outside one, means phi is not coherent and raises.
 
 Both stages stream their batch through the one classification route,
 ``classify.verdicts``, with ``_stream`` as its row source: each chunk is
-drawn from the counter-based sampler, so the whole batch is never held.
-Memory is about one chunk's temporaries per worker plus a few bytes per
-sample: Stage 1 keeps the unclassified indices and regenerates the rows
-it searches from by index; Stage 2 keeps per-threshold counts and the
-open rows, whose phi calls it makes anyway. The crude Monte Carlo
-oracle (``oracle.crude_monte_carlo``) stays whole-batch on purpose, as
-an independent check of this path.
+drawn from the counter-based sampler, so the whole batch is never held,
+and its states stay N bytes a row (M <= 256). Memory is about one chunk's
+temporaries per worker plus a few bytes per sample: Stage 1 keeps the
+unclassified indices and regenerates the rows it searches from by index;
+Stage 2 keeps per-threshold counts and the open rows, whose phi calls it
+makes anyway. The crude Monte Carlo oracle (``oracle.crude_monte_carlo``)
+stays whole-batch on purpose, as an independent check of this path.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ __all__ = [
 # sets, it is seed-matched bit-for-bit with the crude Monte Carlo oracle.
 _STAGE2_GENERATION = 0
 
-# bytes of int64 states in one streamed chunk; sampling, packing and the
-# chunk the caller still holds take about twice this per worker
+# bytes of raw 64-bit draws in one streamed chunk; its uint8 states take an eighth
 _CHUNK_BYTES = 8 << 20
 
 
@@ -197,7 +196,7 @@ def stage1_find_references(
             if config.boundary_search_enabled:
                 candidate = boundary_search(model, x0, threshold)
             else:
-                s = model.evaluate(x0)
+                s = model.evaluate(x0.astype(np.int64))
                 side = Side.LOWER if s <= threshold else Side.UPPER
                 candidate = ReferenceState(tuple(int(v) for v in x0), side, threshold)
             target = lower if candidate.side == Side.LOWER else upper
@@ -254,13 +253,12 @@ def _stage2(
     # rows whose bracket leaves some threshold open, kept to the end so that
     # every bracket is checked before the first phi call
     open_rows = []
-    compact = np.min_scalar_type(model.n_component_states - 1)
     for start, states, lo, hi, n_unclassified in _stream(model, dist, config, _STAGE2_GENERATION, sets):
         unclassified += n_unclassified
         undecided = ((lo[:, None] <= thresholds) & (thresholds < hi[:, None])).any(axis=1)
         n_low += (hi[~undecided, None] <= thresholds).sum(axis=0)
         rows = np.flatnonzero(undecided)
-        open_rows.append((start + rows, states[rows].astype(compact), lo[rows], hi[rows]))
+        open_rows.append((start + rows, states[rows], lo[rows], hi[rows]))
     indices, states, lo, hi = (np.concatenate(parts) for parts in zip(*open_rows))
     for k in range(indices.size):
         # sampled rows lie in [0, M-1] by construction: the counted core, unchecked

@@ -89,7 +89,7 @@ def random_distribution(rng: np.random.Generator, n: int, m: int) -> ComponentDi
 
 
 class PhiProbe:
-    """Wraps a model's performance function: counts its calls and keeps each input outside [0, M-1].
+    """Wraps a model's performance function: counts calls, records input dtypes, keeps inputs outside [0, M-1].
 
     The probe checks inputs itself, with no help from ``rsr.model``, so it
     sees every vector that reaches phi by any path.
@@ -98,11 +98,13 @@ class PhiProbe:
     def __init__(self, model: SystemModel) -> None:
         self.calls = 0
         self.bad: list[np.ndarray] = []
+        self.dtypes: set[np.dtype] = set()
         inner, n, m = model.performance, model.n_components, model.n_component_states
 
         def phi(x) -> int:
             self.calls += 1
             arr = np.array(x)
+            self.dtypes.add(arr.dtype)
             if arr.dtype.kind not in "iu" or arr.shape != (n,) or arr.min() < 0 or arr.max() >= m:
                 self.bad.append(arr)
             return inner(x)

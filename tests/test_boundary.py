@@ -117,6 +117,7 @@ def test_search_counts_every_phi_call_in_range(seed, n, m, m_s):
     for x0 in (rng.integers(0, m, size=n), np.zeros(n), np.full(n, m - 1)):
         boundary_search(model, x0.astype(dtype), threshold)
     assert probe.calls == model.evaluation_count > 0
+    assert probe.dtypes == {np.dtype(np.int64)}
     assert probe.bad == []
 
 

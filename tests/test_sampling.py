@@ -47,13 +47,27 @@ def test_chunked_generation_matches_full():
     assert np.array_equal(full.states[37:77], part.states)
 
 
+@pytest.mark.parametrize("m", [2, 6, 256, 257])
+def test_states_are_the_narrowest_dtype_that_holds_m_minus_1(m):
+    dist = ComponentDistribution.iid(3, np.full(m, 1.0 / m))
+    states = sample_batch(dist, 2000, seed=5).states
+    assert states.dtype == np.min_scalar_type(m - 1) == (np.uint8 if m <= 256 else np.uint16)
+    assert sample_rows(dist, 5, 0, [3, 1999]).dtype == states.dtype
+    # the top state is drawn, so at M = 257 a value above 255 is too
+    assert states.max() == m - 1
+    expected = np.searchsorted(np.cumsum(dist.probs[0]), uniform_field(5, 0, 0, 2000, 3), side="right")
+    assert np.array_equal(states, np.minimum(expected, m - 1))
+
+
 @given(seed=st.integers(0, 2**32), n=st.integers(1, 9), m=st.integers(1, 5), data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_sample_rows_match_full_batch(seed, n, m, data):
     dist = ComponentDistribution.iid(n, np.full(m, 1.0 / m))
     full = sample_batch(dist, 60, seed, generation_index=3).states
     indices = data.draw(st.lists(st.integers(0, 59), max_size=8))
-    assert np.array_equal(sample_rows(dist, seed, 3, indices), full[indices].reshape(len(indices), n))
+    rows = sample_rows(dist, seed, 3, indices)
+    assert rows.dtype == full.dtype == np.min_scalar_type(m - 1)
+    assert np.array_equal(rows, full[indices].reshape(len(indices), n))
 
 
 @given(
@@ -111,4 +125,6 @@ def test_inverse_cdf_matches_searchsorted(seed, n, m, data):
     for comp in range(n):
         expected[:, comp] = np.searchsorted(cum[comp], u[:, comp], side="right")
     np.clip(expected, 0, m - 1, out=expected)
-    assert np.array_equal(sample_batch(dist, h, seed).states, expected)
+    states = sample_batch(dist, h, seed).states
+    assert states.dtype == np.min_scalar_type(m - 1)
+    assert np.array_equal(states, expected)

@@ -345,14 +345,15 @@ MiB = 1 << 20
 
 
 def test_stage2_memory_bounded_in_batch_size(rgg, rgg_refs):
-    # the whole 400k x 115 batch would be 351 MiB of int64 states alone
+    # the whole 400k x 115 batch would be 44 MiB of uint8 states alone, and a
+    # chunk widened to int64 would push the peak to about 19 MiB
     model, dist = rgg
     lower, upper = rgg_refs
     peaks = {
         h: traced_peak(lambda: stage2_evaluate(model, dist, lower, upper, RunConfig(n_samples=h, seed=1), 0))
         for h in (100_000, 400_000)
     }
-    assert peaks[400_000] < 40 * MiB
+    assert peaks[400_000] < 16 * MiB
     assert peaks[400_000] - peaks[100_000] <= 24 * 300_000
 
 
@@ -378,9 +379,20 @@ def test_stages_count_every_phi_call_in_range():
     cfg = RunConfig(n_samples=2000, eps_u=1e-3, r_max=3, parallel_searches=2, seed=2)
     stage1_find_references(model, dist, cfg, 1)
     assert probe.calls == model.evaluation_count > 0
+    # sampled states are narrow; every path that hands them to phi widens them
+    int64 = {np.dtype(np.int64)}
+    assert probe.dtypes == int64  # the boundary walk
     before = model.evaluation_count
     report = multistate_pmf(model, dist, cfg)
     stage1_calls = sum(s1.trace[-1].phi_evaluations for s1 in report.stage1_results)
     assert model.evaluation_count - before > stage1_calls  # Stage 2 resolved some rows
+    assert probe.calls == model.evaluation_count
+    assert probe.dtypes == int64  # the walk and Stage-2 resolution
+    probe.dtypes.clear()
+    crude_monte_carlo(model, dist, 200, 2, 1)
+    assert probe.dtypes == int64
+    probe.dtypes.clear()
+    stage1_find_references(model, dist, RunConfig(n_samples=2000, r_max=3, seed=2, boundary_search_enabled=False), 1)
+    assert probe.dtypes == int64  # the diagnostic insert of raw samples
     assert probe.calls == model.evaluation_count
     assert probe.bad == []
