@@ -215,14 +215,15 @@ def verdicts(
     sets: list[ThresholdSets],
     shape: tuple[int, int, int],
     n_workers: int,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, list[int]]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
     """Classify rows ``0..n_rows-1`` of ``rows(start, stop)``, ``chunk_rows`` at a time.
 
     ``shape`` is (N, M, M_S). Chunks run on ``n_workers`` threads and come
-    back in index order as ``(start, states, lo, hi, unclassified)``: the
-    bracket lo <= S <= hi the sets put on each row's system state, and per
-    set the count of rows neither side hits. Reading the chunk that holds
-    the first crossed bracket raises ``InconsistentReferenceSets``.
+    back in index order as ``(start, states, lo, hi, hits)``: the bracket
+    lo <= S <= hi the sets put on each row's system state, and per set the
+    rows its lower and its upper references hit, as two boolean masks.
+    Reading the chunk that holds the first crossed bracket raises
+    ``InconsistentReferenceSets``, so no row is hit by both sides of a set.
     """
     n, m, n_system_states = shape
     packed = [
@@ -230,23 +231,23 @@ def verdicts(
         for t, low, up in sets
     ]
 
-    def work(start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    def work(start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         states = rows(start, min(start + chunk_rows, n_rows))
         # word-major: entry (w, k) is word w of row k, the layout word_hits takes
         words = np.ascontiguousarray(encode_batch(states, m, "sample").packed.T)
         lo = np.zeros(len(states), dtype=np.int64)
         hi = np.full(len(states), n_system_states - 1, dtype=np.int64)
-        unclassified = []
+        hits = []
         for t, lower, upper in packed:
             low, up = word_hits(words, lower), word_hits(words, upper)
             np.minimum(hi, t, out=hi, where=low)
             np.maximum(lo, t + 1, out=lo, where=up)
-            unclassified.append(len(states) - int(np.count_nonzero(low | up)))
+            hits.append((low, up))
         crossed = np.flatnonzero(lo > hi)
         if crossed.size:
             i = int(crossed[0])
             raise InconsistentReferenceSets.on_bracket(sets, start + i, states[i], lo[i], hi[i])
-        return start, states, lo, hi, unclassified
+        return start, states, lo, hi, hits
 
     return ordered_map(work, range(0, n_rows, chunk_rows), n_workers)
 

@@ -257,9 +257,19 @@ def cmd_pmf(args: argparse.Namespace) -> int:
                     "cov_lower": r.cov_lower,
                     "cov_upper": r.cov_upper,
                     "unclassified_resolved": r.unclassified_resolved,
+                    "stage1": {
+                        "iterations": s1.iterations,
+                        "lower_refs": len(s1.lower),
+                        "upper_refs": len(s1.upper),
+                        "terminated_by": s1.terminated_by,
+                        "search_phi_calls": s1.search_phi_calls,
+                    },
                 }
-                for r in report.stage2_reports
+                for r, s1 in zip(report.stage2_reports, report.stage1_results)
             ],
+            # one per sample left open at some threshold; with the search
+            # calls above, every phi call of the run
+            "resolution_phi_calls": report.resolution_phi_calls,
             "manifest": manifest,
         },
     )

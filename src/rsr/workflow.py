@@ -5,6 +5,12 @@ searches seeded from unclassified samples, until the unclassified
 probability estimate falls below ``eps_u`` or the reference count reaches
 ``r_max``. Note that ``eps_u`` is checked on each iteration's fresh
 sample batch: it is a sample-estimate threshold, not a certified bound.
+For several thresholds (``multistate_pmf``) Stage 1 runs them in lockstep:
+iteration i streams its batch once, classified against every threshold
+still running, and then each of those thresholds tests its own stop and
+makes its own searches. Each threshold's references are those it would
+find alone, but a sample whose bracket references of two thresholds cross
+raises already in Stage 1.
 
 Stage 2 classifies one batch against the sets of every requested
 threshold, bracketing each sample's system state S: a lower match at m'
@@ -16,18 +22,20 @@ Both stages stream their batch through the one classification route,
 ``classify.verdicts``, with ``_stream`` as its row source: each chunk is
 drawn from the counter-based sampler, so the whole batch is never held,
 and its states stay N bytes a row (M <= 256). Memory is about one chunk's
-temporaries per worker plus a few bytes per sample: Stage 1 keeps the
-unclassified indices and regenerates the rows it searches from by index;
-Stage 2 keeps per-threshold counts and the open rows, whose phi calls it
-makes anyway. The crude Monte Carlo oracle (``oracle.crude_monte_carlo``)
-stays whole-batch on purpose, as an independent check of this path.
+temporaries per worker plus a few bytes per sample: Stage 1 keeps one bit
+per sample and running threshold for the unclassified rows, builds one
+threshold's index array at a time, and regenerates the rows it searches
+from by index; Stage 2 keeps per-threshold counts and the open rows, whose
+phi calls it makes anyway. The crude Monte Carlo oracle
+(``oracle.crude_monte_carlo``) stays whole-batch on purpose, as an
+independent check of this path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -99,11 +107,17 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """Per-iteration measurements of a Stage-1 run."""
+    """Per-iteration measurements of one threshold's Stage-1 run.
+
+    ``elapsed_seconds`` counts from the start of the Stage-1 call, and
+    ``peak_rss_bytes`` is the process's peak so far: thresholds that
+    ``multistate_pmf`` runs in lockstep share that clock and that peak.
+    Every other field is the threshold's own.
+    """
 
     reference_count: int
     elapsed_seconds: float
-    phi_evaluations: int
+    phi_evaluations: int  # phi calls of this threshold's own searches so far
     searches: int  # searches made so far; phi_evaluations / searches is phi calls per search
     p_lower: float
     p_upper: float
@@ -119,6 +133,11 @@ class Stage1Result:
     iterations: int
     redundant_searches: int
     terminated_by: str  # 'eps_u' or 'r_max'
+
+    @property
+    def search_phi_calls(self) -> int:
+        """phi calls of this threshold's boundary searches; the last record follows the last search."""
+        return self.trace[-1].phi_evaluations
 
 
 @dataclass(frozen=True)
@@ -148,70 +167,101 @@ def stage1_find_references(
     searches from up to ``parallel_searches`` randomly selected
     unclassified samples, regenerated by index.
     Redundant (dominated) search results do not count toward ``r_max``.
+    This is the one-threshold call of the Stage-1 core that
+    ``multistate_pmf`` runs for all thresholds in lockstep.
     """
-    model.check_threshold(threshold)
-    lower = ReferenceSet(Side.LOWER, threshold)
-    upper = ReferenceSet(Side.UPPER, threshold)
-    trace: list[TraceRecord] = []
-    redundant = 0
-    searches = 0
-    phi_start = model.evaluation_count
+    (result,) = _stage1(model, dist, config, [threshold])
+    return result
+
+
+def _stage1(
+    model: SystemModel,
+    dist: ComponentDistribution,
+    config: RunConfig,
+    thresholds: Sequence[int],
+) -> list[Stage1Result]:
+    """Stage 1 for every threshold in lockstep: iteration i classifies batch i once for all.
+
+    A threshold's stop tests, picks, searches and inserts read only its
+    own hit masks and sets, so each result equals a one-threshold run.
+    """
+    for threshold in thresholds:
+        model.check_threshold(threshold)
+    results = [
+        Stage1Result(ReferenceSet(Side.LOWER, t), ReferenceSet(Side.UPPER, t), [], 0, 0, "r_max")
+        for t in thresholds
+    ]
+    searches = [0] * len(results)
+    phi_calls = [0] * len(results)
     t_start = time.perf_counter()
-    terminated_by = "r_max"
-
     h = config.n_samples
+    live = list(range(len(results)))
     iteration = 0
-    while True:
-        n_lower = n_upper = 0
-        unclassified = []
-        for start, _, lo, hi, _ in _stream(model, dist, config, iteration, [(threshold, lower, upper)]):
-            n_lower += int(np.count_nonzero(hi <= threshold))
-            n_upper += int(np.count_nonzero(lo > threshold))
-            unclassified.append(start + np.flatnonzero((lo <= threshold) & (threshold < hi)))
-        open_indices = np.concatenate(unclassified)
-        trace.append(
-            TraceRecord(
-                reference_count=len(lower) + len(upper),
-                elapsed_seconds=time.perf_counter() - t_start,
-                phi_evaluations=model.evaluation_count - phi_start,
-                searches=searches,
-                p_lower=n_lower / h,
-                p_upper=n_upper / h,
-                p_unclassified=open_indices.size / h,
-                peak_rss_bytes=_peak_rss_bytes(),
+    while live:
+        sets = [(thresholds[k], results[k].lower, results[k].upper) for k in live]
+        n_lower = np.zeros(len(live), dtype=np.int64)
+        n_upper = np.zeros(len(live), dtype=np.int64)
+        # bit j % 8 of open_bits[j // 8, row]: neither side of live[j] hits the row
+        open_bits = np.empty((-(-len(live) // 8), h), dtype=np.uint8)
+        for start, states, lo, hi, hits in _stream(model, dist, config, iteration, sets):
+            low, up = (np.array(side) for side in zip(*hits))
+            n_lower += np.count_nonzero(low, axis=1)
+            n_upper += np.count_nonzero(up, axis=1)
+            open_bits[:, start : start + len(states)] = np.packbits(~(low | up), axis=0, bitorder="little")
+            # dropped before the next chunk is drawn, so one chunk is alive at a time
+            del states, lo, hi, hits, low, up
+        # verdicts raises on a row both sides of a set hit, so the counts partition h
+        n_open = h - n_lower - n_upper
+
+        still_live = []
+        for j, (k, low_count, up_count, open_count) in enumerate(
+            zip(live, n_lower.tolist(), n_upper.tolist(), n_open.tolist())
+        ):
+            result, threshold = results[k], thresholds[k]
+            result.trace.append(
+                TraceRecord(
+                    reference_count=len(result.lower) + len(result.upper),
+                    elapsed_seconds=time.perf_counter() - t_start,
+                    phi_evaluations=phi_calls[k],
+                    searches=searches[k],
+                    p_lower=low_count / h,
+                    p_upper=up_count / h,
+                    p_unclassified=open_count / h,
+                    peak_rss_bytes=_peak_rss_bytes(),
+                )
             )
-        )
-        if open_indices.size / h <= config.eps_u:
-            terminated_by = "eps_u"
-            break
-        if len(lower) + len(upper) >= config.r_max:
-            break
+            result.iterations = iteration + 1
+            if open_count / h <= config.eps_u:
+                result.terminated_by = "eps_u"
+                continue
+            if len(result.lower) + len(result.upper) >= config.r_max:
+                continue
+            still_live.append(k)
 
-        rng = np.random.default_rng([config.seed, iteration])
-        n_pick = min(config.parallel_searches, open_indices.size)
-        picks = rng.choice(open_indices, size=n_pick, replace=False)
-        searches += n_pick
-        # the counter-based stream regenerates the picked rows alone
-        for x0 in sample_rows(dist, config.seed, iteration, picks):
-            if config.boundary_search_enabled:
-                candidate = boundary_search(model, x0, threshold)
-            else:
-                s = model.evaluate(x0.astype(np.int64))
-                side = Side.LOWER if s <= threshold else Side.UPPER
-                candidate = ReferenceState(tuple(int(v) for v in x0), side, threshold)
-            target = lower if candidate.side == Side.LOWER else upper
-            if target.insert(candidate) == "redundant":
-                redundant += 1
+            open_indices = np.flatnonzero(open_bits[j >> 3] & (1 << (j & 7)))
+            rng = np.random.default_rng([config.seed, iteration])
+            n_pick = min(config.parallel_searches, open_count)
+            picks = rng.choice(open_indices, size=n_pick, replace=False)
+            del open_indices
+            searches[k] += n_pick
+            phi_start = model.evaluation_count
+            # the counter-based stream regenerates the picked rows alone
+            for x0 in sample_rows(dist, config.seed, iteration, picks):
+                if config.boundary_search_enabled:
+                    candidate = boundary_search(model, x0, threshold)
+                else:
+                    s = model.evaluate(x0.astype(np.int64))
+                    side = Side.LOWER if s <= threshold else Side.UPPER
+                    candidate = ReferenceState(tuple(int(v) for v in x0), side, threshold)
+                target = result.lower if candidate.side == Side.LOWER else result.upper
+                if target.insert(candidate) == "redundant":
+                    result.redundant_searches += 1
+            phi_calls[k] += model.evaluation_count - phi_start
+        # freed before the next iteration allocates its own
+        del open_bits
+        live = still_live
         iteration += 1
-
-    return Stage1Result(
-        lower=lower,
-        upper=upper,
-        trace=trace,
-        iterations=iteration + 1,
-        redundant_searches=redundant,
-        terminated_by=terminated_by,
-    )
+    return results
 
 
 def _chunk_rows(n_components: int) -> int:
@@ -253,12 +303,14 @@ def _stage2(
     # rows whose bracket leaves some threshold open, kept to the end so that
     # every bracket is checked before the first phi call
     open_rows = []
-    for start, states, lo, hi, n_unclassified in _stream(model, dist, config, _STAGE2_GENERATION, sets):
-        unclassified += n_unclassified
+    for start, states, lo, hi, hits in _stream(model, dist, config, _STAGE2_GENERATION, sets):
+        unclassified += [len(states) - np.count_nonzero(low | up) for low, up in hits]
         undecided = ((lo[:, None] <= thresholds) & (thresholds < hi[:, None])).any(axis=1)
         n_low += (hi[~undecided, None] <= thresholds).sum(axis=0)
         rows = np.flatnonzero(undecided)
         open_rows.append((start + rows, states[rows], lo[rows], hi[rows]))
+        # dropped before the next chunk is drawn, so one chunk is alive at a time
+        del states, lo, hi, hits, undecided
     indices, states, lo, hi = (np.concatenate(parts) for parts in zip(*open_rows))
     for k in range(indices.size):
         # sampled rows lie in [0, M-1] by construction: the counted core, unchecked
@@ -311,7 +363,8 @@ class PmfReport:
     pmf: np.ndarray  # length M_S, sums to 1
     cumulative_lower: np.ndarray  # P(S <= m') for m' = 0..M_S-2
     stage2_reports: tuple[Stage2Report, ...]
-    stage1_results: tuple[Stage1Result, ...]
+    stage1_results: tuple[Stage1Result, ...]  # one per m'; each counts its search phi calls
+    resolution_phi_calls: int  # Stage 2's phi calls, one per sample some threshold left open
 
 
 def assemble_pmf(cumulative: np.ndarray | list[float]) -> tuple[np.ndarray, float]:
@@ -335,16 +388,19 @@ def multistate_pmf(
     dist: ComponentDistribution,
     config: RunConfig,
 ) -> PmfReport:
-    """Run Stage 1 for every threshold, then one Stage 2 for all, and compose the PMF.
+    """Run Stage 1 for every threshold in lockstep, then one Stage 2 for all, and compose the PMF.
 
+    Stage 1 classifies each iteration's batch once for every threshold
+    still running; each threshold's references, trace and phi counts equal
+    those of ``stage1_find_references`` at that threshold alone. A sample
+    whose bracket references of two thresholds cross raises
+    ``InconsistentReferenceSets`` there, in Stage 1.
     Stage 2 resolves each sample's system state once, on one batch, so the
     chain P(S <= m') is monotone exactly and the PMF needs no clamping.
     """
-    stage1_results = tuple(
-        stage1_find_references(model, dist, config, threshold)
-        for threshold in range(model.n_system_states - 1)
-    )
+    stage1_results = tuple(_stage1(model, dist, config, range(model.n_system_states - 1)))
     sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in stage1_results]
+    phi_start = model.evaluation_count
     reports = _stage2(model, dist, config, sets)
     cum = np.array([r.p_lower for r in reports])
     pmf, _ = assemble_pmf(cum)
@@ -353,4 +409,5 @@ def multistate_pmf(
         cumulative_lower=cum,
         stage2_reports=tuple(reports),
         stage1_results=stage1_results,
+        resolution_phi_calls=model.evaluation_count - phi_start,
     )

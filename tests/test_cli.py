@@ -210,7 +210,15 @@ def test_oracle_mc_rejects_threshold_out_of_range(tmp_path, model_file, capsys):
     assert not out.exists()
 
 
-def test_pmf_subcommand(tmp_path):
+def test_pmf_subcommand(tmp_path, monkeypatch):
+    loaded = []
+
+    def keep_model(path):
+        model, dist, digest = files.load_model(path)
+        loaded.append(model)
+        return model, dist, digest
+
+    monkeypatch.setattr("rsr.cli._load_model", keep_model)
     model = tmp_path / "m.json"
     write_json(
         model,
@@ -232,6 +240,13 @@ def test_pmf_subcommand(tmp_path):
     assert len(doc["pmf"]) == 3
     assert sum(doc["pmf"]) == pytest.approx(1.0)
     assert len(doc["thresholds"]) == 2
+    stage1 = [t["stage1"] for t in doc["thresholds"]]
+    for s1 in stage1:
+        assert s1["iterations"] >= 1 and s1["terminated_by"] in ("eps_u", "r_max")
+        assert s1["lower_refs"] + s1["upper_refs"] >= 1
+    # search and resolution calls are every phi call of the run
+    (phi,) = (m.evaluation_count for m in loaded)
+    assert sum(s1["search_phi_calls"] for s1 in stage1) + doc["resolution_phi_calls"] == phi
 
 
 def test_determinism_modulo_timestamp(tmp_path, model_file):

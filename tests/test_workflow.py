@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import tracemalloc
@@ -16,6 +17,7 @@ from rsr.sysfn import k_out_of_n, pick_od_pair, random_geometric_graph, single_o
 from rsr.workflow import (
     RunConfig,
     _chunk_rows,
+    _stage1,
     _stage2,
     assemble_pmf,
     multistate_pmf,
@@ -332,6 +334,79 @@ def test_stage2_encodes_each_chunk_once_for_all_thresholds(monkeypatch):
     assert len(encoded) - len(sample_rows) == n_sets
 
 
+def test_pmf_stage1_samples_each_chunk_once_for_all_thresholds(monkeypatch):
+    model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
+    dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
+    monkeypatch.setattr(workflow, "_CHUNK_BYTES", 8 * 3 * 64)  # 64 rows a chunk
+    cfg = RunConfig(n_samples=1000, eps_u=1e-2, r_max=100, parallel_searches=1, seed=3)
+    drawn = []
+    in_stage2 = False
+
+    def counting_sample_batch(dist, n, seed, generation, start):
+        if not in_stage2:
+            drawn.append((generation, n))
+        return sample_batch(dist, n, seed, generation, start=start)
+
+    def uncounted_stage2(*args):
+        nonlocal in_stage2
+        in_stage2 = True
+        try:
+            return _stage2(*args)
+        finally:
+            in_stage2 = False
+
+    monkeypatch.setattr(workflow, "sample_batch", counting_sample_batch)
+    monkeypatch.setattr(workflow, "_stage2", uncounted_stage2)
+    iterations = [s1.iterations for s1 in multistate_pmf(model, dist, cfg).stage1_results]
+    assert len(set(iterations)) > 1  # thresholds stop at different iterations
+    # every chunk of every iteration is drawn once, whichever thresholds still run
+    n_chunks = -(-cfg.n_samples // 64)
+    assert len(drawn) == n_chunks * max(iterations)
+    for generation in range(max(iterations)):
+        assert sum(n for g, n in drawn if g == generation) == cfg.n_samples
+
+
+def untimed(trace):
+    return [dataclasses.replace(t, elapsed_seconds=0.0, peak_rss_bytes=None) for t in trace]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_pmf_stage1_equals_one_threshold_runs(monkeypatch, workers):
+    # criterion 4's random coherent systems, those with M_S >= 3
+    from conftest import random_distribution, random_monotone_model
+
+    monkeypatch.setattr(workflow, "_CHUNK_BYTES", 8 * 300)  # 100 rows a chunk or fewer
+    rng = np.random.default_rng(2026)
+    staggered = 0
+    for case in range(12):
+        n, m, m_s = int(rng.integers(3, 11)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        model = random_monotone_model(rng, n, m, m_s)
+        dist = random_distribution(rng, n, m)
+        if m_s < 3:
+            continue
+        cfg = RunConfig(n_samples=2000, eps_u=1e-3, r_max=500, parallel_searches=2, seed=case, n_workers=workers)
+        report = multistate_pmf(model, dist, cfg)
+        for threshold, s1 in enumerate(report.stage1_results):
+            alone = stage1_find_references(model, dist, cfg, threshold)
+            assert (s1.lower.members, s1.upper.members) == (alone.lower.members, alone.upper.members)
+            assert (s1.iterations, s1.redundant_searches, s1.terminated_by) == (
+                alone.iterations, alone.redundant_searches, alone.terminated_by
+            )
+            assert untimed(s1.trace) == untimed(alone.trace)
+        staggered += len({s1.iterations for s1 in report.stage1_results}) > 1
+    assert staggered >= 2
+
+
+def test_pmf_counts_every_phi_call():
+    model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
+    dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
+    cfg = RunConfig(n_samples=2000, eps_u=1e-2, r_max=4, parallel_searches=2, seed=5)
+    report = multistate_pmf(model, dist, cfg)
+    search = sum(s1.search_phi_calls for s1 in report.stage1_results)
+    assert search > 0 and report.resolution_phi_calls > 0
+    assert search + report.resolution_phi_calls == model.evaluation_count
+
+
 def traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -346,14 +421,16 @@ MiB = 1 << 20
 
 def test_stage2_memory_bounded_in_batch_size(rgg, rgg_refs):
     # the whole 400k x 115 batch would be 44 MiB of uint8 states alone, and a
-    # chunk widened to int64 would push the peak to about 19 MiB
+    # chunk widened to int64 would push the peak to about 19 MiB. The peak is
+    # 9.2 MiB with one chunk alive at a time; holding the previous chunk's
+    # states while the next is drawn reads 10.35 MiB
     model, dist = rgg
     lower, upper = rgg_refs
     peaks = {
         h: traced_peak(lambda: stage2_evaluate(model, dist, lower, upper, RunConfig(n_samples=h, seed=1), 0))
         for h in (100_000, 400_000)
     }
-    assert peaks[400_000] < 16 * MiB
+    assert peaks[400_000] < 10 * MiB
     assert peaks[400_000] - peaks[100_000] <= 24 * 300_000
 
 
@@ -366,6 +443,25 @@ def test_stage1_iteration_memory_bounded_in_batch_size(rgg):
     }
     assert peaks[400_000] < 40 * MiB
     assert peaks[400_000] - peaks[100_000] <= 24 * 300_000
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(eps_u=1.0),  # every threshold stops after its first classification
+        dict(eps_u=0.0, r_max=1),  # every threshold searches from a fully open first batch
+    ],
+)
+def test_pmf_stage1_memory_bounded_in_batch_size(settings):
+    # the Stage-1 core for all four thresholds of 3-out-of-12, M = 5; an
+    # int64 index array kept per running threshold would grow 32 bytes a sample
+    model = SystemModel(12, 5, 5, k_out_of_n(3, 12))
+    dist = ComponentDistribution.iid(12, [0.4, 0.3, 0.15, 0.1, 0.05])
+    peaks = {
+        h: traced_peak(lambda: _stage1(model, dist, RunConfig(n_samples=h, seed=1, **settings), range(4)))
+        for h in (100_000, 400_000)
+    }
+    assert peaks[400_000] - peaks[100_000] <= 16 * 300_000
 
 
 def test_stages_count_every_phi_call_in_range():
