@@ -1,17 +1,21 @@
 """Batched reference-state sample classification and probability estimation.
 
 Sample h lies in reference r's dominated region exactly when the AND of
-its flattened one-hot row with the complement of r's flattened row is
-zero. ``classify`` tests that on rows packed into 64-bit words: a sample
-is hit when, for some reference, every word of the AND is zero.
-``violation_counts`` keeps the full H x R matrix of how many component
-positions violate each region, as popcount-of-AND on the same packed
-words (the default) or as a plain integer matrix product (the
-differential-testing path).
+its flattened row with the complement of r's flattened region row is
+zero, in either layout of ``encoding``. The tests run on rows packed into
+64-bit words: a sample is hit when, for some reference, every word of the
+AND is zero. ``violation_counts`` keeps the full H x R matrix of how many
+component positions violate each region, as popcount-of-AND on the
+one-hot layout's packed words (the default) or as a plain integer matrix
+product (the differential-testing path).
 
 ``verdicts`` is the one classification route: it packs a chunk of rows
 at a time, tests it against every threshold's sets and brackets each
-row's system state S. Both workflow stages run it over the sampler's
+row's system state S. It packs the thermometer layout, M-1 bits a
+component: a chunk is encoded once, its words T(x) test the lower sets
+and their complement the upper, and at M = 2 a row packs to N bits where
+the one-hot layout takes 2N. ``word_hits`` is one kernel for both
+layouts. Both workflow stages run it over the sampler's
 rows, and ``classify`` over slices of its batch at one threshold. With a
 coherent phi and side-consistent reference sets no bracket is crossed;
 ``verdicts`` raises ``InconsistentReferenceSets`` on the first that is.
@@ -127,7 +131,10 @@ def violation_counts(samples: EncodedBatch, refs: EncodedBatch, method: str = "p
 def _pack_references(
     refs: ReferenceSet | None, side: str, n_components: int, n_states: int
 ) -> np.ndarray | None:
-    """Word-packed complement rows of a set's references; None for an absent or empty set.
+    """Word-packed complement rows of a set's references in the thermometer layout; None for an absent or empty set.
+
+    That is NOT T(l) for a lower set and T(u) for an upper one, pad bits
+    zero: an upper set's rows meet a chunk's NOT T(x), whose pad bits are one.
 
     A set on the wrong side, or a non-empty set whose vectors do not have
     ``n_components`` components, raises ValueError.
@@ -144,7 +151,7 @@ def _pack_references(
             f"{side} references have {vectors.shape[1]} components, "
             f"samples have {n_components}"
         )
-    return encode_batch(vectors, n_states, f"{side}_ref").packed_complement
+    return encode_batch(vectors, n_states, f"{side}_thermometer").packed_complement
 
 
 def word_hits(sample_words: np.ndarray, rbar_words: np.ndarray | None) -> np.ndarray:
@@ -233,13 +240,15 @@ def verdicts(
 
     def work(start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         states = rows(start, min(start + chunk_rows, n_rows))
-        # word-major: entry (w, k) is word w of row k, the layout word_hits takes
-        words = np.ascontiguousarray(encode_batch(states, m, "sample").packed.T)
+        # word-major: entry (w, k) is word w of row k, the layout word_hits takes;
+        # T(x) meets the lower sets, NOT T(x) the upper
+        words = np.ascontiguousarray(encode_batch(states, m, "thermometer").packed.T)
+        flipped = ~words
         lo = np.zeros(len(states), dtype=np.int64)
         hi = np.full(len(states), n_system_states - 1, dtype=np.int64)
         hits = []
         for t, lower, upper in packed:
-            low, up = word_hits(words, lower), word_hits(words, upper)
+            low, up = word_hits(words, lower), word_hits(flipped, upper)
             np.minimum(hi, t, out=hi, where=low)
             np.maximum(lo, t + 1, out=lo, where=up)
             hits.append((low, up))

@@ -1,20 +1,34 @@
-"""Binary N x M encodings of component-state vectors and flattened batch forms.
+"""Binary encodings of component-state vectors and flattened batch forms.
 
-Three encodings share one layout (row n = component n, column m = state m)
-and one rule table, ``_RULES``, that sets entry (n, m) by comparing state m
-with the vector's value x_n:
+Every kind encodes a vector as an N x C matrix, row n = component n, and
+one rule table, ``_RULES``, sets entry (n, c) by comparing column c with
+the vector's value x_n. Two layouts share that table.
+
+The paper's one-hot layout has C = M columns, one per state m:
 
 * sample: one-hot, 1 iff m == x_n;
 * lower reference: prefix of ones, 1 iff m <= x_n;
 * upper reference: suffix of ones, 1 iff m >= x_n.
 
+The thermometer layout has C = M - 1 columns, one per cut k = 0..M-2, and
+is what the classification route packs. T(x) has bit (n, k) = [x_n > k],
+so x <= l exactly when T(x) AND NOT T(l) is zero, and x >= u exactly when
+NOT T(x) AND T(u) is zero: one encoding of a sample serves both sides.
+
+* thermometer: T(x), a sample;
+* lower thermometer: T(l), the bits a sample's T(x) may set;
+* upper thermometer: NOT T(u), the bits a sample's NOT T(x) may set.
+
+In both layouts a reference's kind encodes its region, and a sample word
+is in it exactly when the AND with the word-packed complement is zero.
+
 ``encode_batch`` is the one encoder; the per-item encoders are its
-one-row calls. A batch flattens each N x M matrix row-major into a
-length-NM row. The flattened rows are also bit-packed into
-ceil(NM / 64) zero-padded 64-bit words, the layout the classification
-kernel ANDs word by word; the unpacked rows are kept as the
-differential-testing path. Encodings are derived data and never
-serialized; reference-set files persist raw vectors instead.
+one-row one-hot calls. A batch flattens each N x C matrix row-major into
+a length-NC row. The flattened rows are also bit-packed into zero-padded
+64-bit words, the layout the classification kernel ANDs word by word; the
+unpacked rows are kept as the differential-testing path. Encodings are
+derived data and never serialized; reference-set files persist raw
+vectors instead.
 """
 
 from __future__ import annotations
@@ -35,19 +49,28 @@ __all__ = [
     "encode_batch",
 ]
 
-# entry (n, m) of each kind's encoding is _RULES[kind](m, x_n)
+# entry (n, c) of each kind's encoding is _RULES[kind](c, x_n)
 _RULES = {
     "sample": np.equal,
     "lower_ref": np.less_equal,
     "upper_ref": np.greater_equal,
+    "thermometer": np.less,
+    "lower_thermometer": np.less,
+    "upper_thermometer": np.greater_equal,
 }
 KINDS = tuple(_RULES)
+_THERMOMETER_KINDS = ("thermometer", "lower_thermometer", "upper_thermometer")
+
+
+def _columns(kind: str, n_states: int) -> int:
+    """Columns a component takes in ``kind``'s layout."""
+    return n_states - 1 if kind in _THERMOMETER_KINDS else n_states
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """Pack K x W 0/1 rows into K x ceil(W / 64) uint64 words, pad bits zero."""
+    """Pack K x W 0/1 rows into K x max(1, ceil(W / 64)) uint64 words, pad bits zero."""
     k, width = bits.shape
-    out = np.zeros((k, -(-width // 64) * 8), dtype=np.uint8)
+    out = np.zeros((k, max(1, -(-width // 64)) * 8), dtype=np.uint8)
     out[:, : -(-width // 8)] = np.packbits(bits, axis=1)
     return out.view(np.uint64)
 
@@ -77,12 +100,12 @@ class EncodedBatch:
     """Flattened binary matrices for a batch of samples or reference states.
 
     ``data`` has one row per item, each the row-major flattening of the
-    item's N x M matrix. The word-packed forms are built lazily and cached;
-    samples and references share one layout, so its byte order never
-    matters to a bitwise comparison of the two.
+    item's N x C matrix. The word-packed forms are built lazily and cached;
+    samples and references of one layout share its bit order, so that
+    order never matters to a bitwise comparison of the two.
     """
 
-    data: np.ndarray  # K x (N*M) uint8
+    data: np.ndarray  # K x (N*C) uint8
     kind: str
     n_components: int
     n_states: int
@@ -90,8 +113,8 @@ class EncodedBatch:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.data.ndim != 2 or self.data.shape[1] != self.n_components * self.n_states:
-            raise ValueError("data must be K x (N*M)")
+        if self.data.ndim != 2 or self.data.shape[1] != self.n_components * _columns(self.kind, self.n_states):
+            raise ValueError("data must be K x (N*C), C the kind's columns per component")
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -108,14 +131,15 @@ class EncodedBatch:
 
 
 def encode_batch(states: np.ndarray, n_states: int, kind: str) -> EncodedBatch:
-    """Encode a K x N state matrix straight to flattened form, one state column at a time."""
+    """Encode a K x N state matrix straight to flattened form, one column at a time."""
     arr = check_states(states, n_states)
     if arr.ndim != 2:
         raise ValueError("states must be a K x N matrix")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     k, n = arr.shape
-    cube = np.empty((k, n, n_states), dtype=np.uint8)
-    for m in range(n_states):
-        _RULES[kind](m, arr, out=cube[:, :, m])
-    return EncodedBatch(cube.reshape(k, n * n_states), kind, n, n_states)
+    columns = _columns(kind, n_states)
+    cube = np.empty((k, n, columns), dtype=np.uint8)
+    for c in range(columns):
+        _RULES[kind](c, arr, out=cube[:, :, c])
+    return EncodedBatch(cube.reshape(k, n * columns), kind, n, n_states)

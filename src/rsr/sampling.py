@@ -6,6 +6,11 @@ component n is the same number regardless of evaluation order or how the
 batch is chunked. ``sample_batch`` draws a contiguous slice of a batch and
 ``sample_rows`` any scattered rows of it, as uint8 states (N bytes a row;
 uint16 for M > 256). There is no global RNG state.
+
+``sample_batch`` fills its state matrix a block of rows at a time: it draws
+at most ``_DRAW_BYTES`` of raw output, turns it into states in place and
+draws the next block from the same generator, so a slice of any size
+needs its states plus one cache-sized block of draws.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ from .model import ComponentDistribution
 __all__ = ["SampleBatch", "sample_batch", "sample_rows", "uniform_field"]
 
 _INV_2_53 = float(2.0**-53)
+
+# most raw 64-bit draws ``sample_batch`` holds at once: a block and the
+# states it makes stay in a core's cache
+_DRAW_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -45,16 +54,22 @@ def _philox(seed: int, generation_index: int) -> np.random.Philox:
     return np.random.Philox(key=key)
 
 
-def _draws(bg: np.random.Philox, first: int, total: int) -> np.ndarray:
-    """``total`` raw draws from flat index ``first`` of a fresh stream."""
+def _seek(bg: np.random.Philox, first: int) -> np.random.Philox:
+    """Position a fresh stream at flat index ``first``."""
     # Philox advances in blocks of four 64-bit outputs; align and discard.
     aligned_blocks, lead = divmod(first, 4)
     bg.advance(aligned_blocks)
-    return bg.random_raw(lead + total)[lead:]
+    bg.random_raw(lead)
+    return bg
 
 
-def _states(dist: ComponentDistribution, raw: np.ndarray) -> np.ndarray:
-    """Inverse CDF of K x N raw draws as uint8 states, N bytes a row (uint16 for M > 256).
+def _cuts(dist: ComponentDistribution) -> np.ndarray:
+    """M x N integer cuts: a state exceeds k exactly when raw >> 11 >= cuts[k]; the last row is never read."""
+    return np.ascontiguousarray(np.ceil(np.cumsum(dist.probs, axis=1) * 2.0**53).astype(np.uint64).T)
+
+
+def _states(cuts: np.ndarray, raw: np.ndarray, out: np.ndarray) -> None:
+    """Inverse CDF of K x N raw draws into ``out``, a K x N unsigned integer matrix; ``raw`` is overwritten.
 
     The state is #{k < M-1 : cum[k] <= u} with u = (raw >> 11) * 2**-53;
     leaving out cum[M-1] caps it at M-1. With j = raw >> 11 an integer,
@@ -63,14 +78,13 @@ def _states(dist: ComponentDistribution, raw: np.ndarray) -> np.ndarray:
     of the draws and gives the float comparison's states bit for bit.
     """
     raw >>= np.uint64(11)
-    cuts = np.ascontiguousarray(np.ceil(np.cumsum(dist.probs, axis=1) * 2.0**53).astype(np.uint64).T)
-    counts = np.zeros(raw.shape, dtype=np.min_scalar_type(dist.n_states - 1))
-    if dist.n_states > 1:
-        # the first cut's compare writes the counts: no bool temporary, no add pass
-        np.greater_equal(raw, cuts[0], out=counts, casting="unsafe")
-    for cut in cuts[1 : dist.n_states - 1]:
-        counts += raw >= cut
-    return counts
+    if len(cuts) == 1:  # M = 1
+        out.fill(0)
+        return
+    # the first cut's compare writes the counts: no bool temporary, no add pass
+    np.greater_equal(raw, cuts[0], out=out, casting="unsafe")
+    for cut in cuts[1:-1]:
+        out += raw >= cut
 
 
 def uniform_field(
@@ -86,7 +100,7 @@ def uniform_field(
     the stream is positioned at flat index (start+i)*N + n, so chunked
     generation reproduces any slice of the full batch bit-exactly.
     """
-    raw = _draws(_philox(seed, generation_index), start * n_components, count * n_components)
+    raw = _seek(_philox(seed, generation_index), start * n_components).random_raw(count * n_components)
     # in place, so only the raw draws and their float64 cast coexist
     raw >>= np.uint64(11)
     u = raw.astype(np.float64)
@@ -104,15 +118,21 @@ def sample_batch(
     """Draw component-state vectors by inverse CDF on the counter-based stream.
 
     ``start`` offsets into the batch's sample index space, so workers can
-    produce disjoint slices of one logical batch independently.
+    produce disjoint slices of one logical batch independently. The raw
+    draws come ``_DRAW_BYTES`` at a time from one generator, so the peak
+    is the states plus one block, whatever ``n_samples``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     n = dist.n_components
-    raw = _draws(_philox(seed, generation_index), start * n, n_samples * n)
-    return SampleBatch(
-        states=_states(dist, raw.reshape(n_samples, n)), seed=seed, generation_index=generation_index
-    )
+    cuts = _cuts(dist)
+    states = np.empty((n_samples, n), dtype=np.min_scalar_type(dist.n_states - 1))
+    bg = _seek(_philox(seed, generation_index), start * n)
+    block = max(1, _DRAW_BYTES // (8 * n))
+    for r0 in range(0, n_samples, block):
+        r1 = min(r0 + block, n_samples)
+        _states(cuts, bg.random_raw((r1 - r0) * n).reshape(r1 - r0, n), states[r0:r1])
+    return SampleBatch(states=states, seed=seed, generation_index=generation_index)
 
 
 def sample_rows(
@@ -132,5 +152,7 @@ def sample_rows(
     raw = np.empty((len(indices), n), dtype=np.uint64)
     for k, i in enumerate(indices):
         bg.state = origin
-        raw[k] = _draws(bg, int(i) * n, n)
-    return _states(dist, raw)
+        raw[k] = _seek(bg, int(i) * n).random_raw(n)
+    states = np.empty(raw.shape, dtype=np.min_scalar_type(dist.n_states - 1))
+    _states(_cuts(dist), raw, states)
+    return states

@@ -21,7 +21,10 @@ outside one, means phi is not coherent and raises.
 Both stages stream their batch through the one classification route,
 ``classify.verdicts``, with ``_stream`` as its row source: each chunk is
 drawn from the counter-based sampler, so the whole batch is never held,
-and its states stay N bytes a row (M <= 256). Memory is about one chunk's
+and its states stay N bytes a row (M <= 256). The sampler fills a chunk
+from 1 MiB blocks of raw draws and ``verdicts`` packs it once, in the
+thermometer layout, for both sides of every set, so a chunk's
+temporaries are about its states plus 1 MiB. Memory is about one chunk's
 temporaries per worker plus a few bytes per sample: Stage 1 keeps one bit
 per sample and running threshold for the unclassified rows, builds one
 threshold's index array at a time, and regenerates the rows it searches
@@ -62,7 +65,10 @@ __all__ = [
 # sets, it is seed-matched bit-for-bit with the crude Monte Carlo oracle.
 _STAGE2_GENERATION = 0
 
-# bytes of raw 64-bit draws in one streamed chunk; its uint8 states take an eighth
+# a streamed chunk holds the rows whose raw 64-bit draws take this many
+# bytes, so its uint8 states take an eighth. The sampler draws those rows
+# in 1 MiB blocks, so no array of this size is allocated; results do not
+# depend on it, and tests shrink it to make small chunks
 _CHUNK_BYTES = 8 << 20
 
 

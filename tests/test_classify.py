@@ -14,6 +14,7 @@ from rsr.classify import (
     _hits_for,
     classify,
     cov,
+    verdicts,
     violation_counts,
 )
 from rsr.encoding import encode_batch
@@ -98,6 +99,27 @@ def test_word_hits_match_unpacked_counts(n, m):
         for chunk in (1, 7, h):
             for workers in (1, 4):
                 assert np.array_equal(_hits_for(samples, refs, kind, chunk, workers), expected)
+
+
+@pytest.mark.parametrize("n, m", [(64, 2), (70, 2), (32, 3), (33, 3), (16, 5), (17, 5), (1, 257), (3, 257)])
+def test_thermometer_verdicts_match_one_hot_hits(n, m):
+    # verdicts packs N(M-1) thermometer bits a row: 64 or 128 bits exactly, or
+    # a partial last word (at M = 257 a row is always whole words)
+    rng = np.random.default_rng(n * m)
+    h = 300
+    refs = rng.integers(0, m, size=(12, n))
+    # samples near refs, a few components moved by one, so hits and misses mix
+    states = refs[rng.integers(0, 12, size=h)] + rng.integers(-1, 2, size=(h, n)) * (rng.random((h, n)) < 2 / n)
+    states = np.clip(states, 0, m - 1).astype(np.min_scalar_type(m - 1))
+    samples = encode_batch(states, m, "sample")
+    for j, (side, kind) in enumerate(((Side.LOWER, "lower_ref"), (Side.UPPER, "upper_ref"))):
+        ref_set = ReferenceSet(side, 0, refs.tolist())
+        sets = [(0, ref_set, None)] if side == Side.LOWER else [(0, None, ref_set)]
+        expected = _hits_for(samples, ref_set.as_array(), kind, DEFAULT_CHUNK_SIZE, 1)
+        assert 0 < expected.sum() < h
+        chunks = verdicts(lambda start, stop: states[start:stop], h, 97, sets, (n, m, 2), 1)
+        # hits[0] is the one set's (lower, upper) pair of masks
+        assert np.array_equal(np.concatenate([hits[0][j] for *_, hits in chunks]), expected)
 
 
 @pytest.mark.parametrize("n_refs", [49, 196])

@@ -117,6 +117,43 @@ def test_packed_complement_pad_bits_zero():
                 assert not unpacked[:, n * m :].any()
 
 
+def test_thermometer_bits():
+    # T(x) sets bit (n, k) for x_n > k, k = 0..M-2; a lower reference's region
+    # is T(l) and an upper reference's is NOT T(u)
+    states = np.random.default_rng(4).integers(0, 5, size=(30, 7))
+    therm = encode_batch(states, 5, "thermometer").data.reshape(30, 7, 4)
+    assert np.array_equal(therm, states[:, :, None] > np.arange(4))
+    assert np.array_equal(therm.sum(axis=2), states)
+    assert np.array_equal(encode_batch(states, 5, "lower_thermometer").data, therm.reshape(30, 28))
+    assert np.array_equal(encode_batch(states, 5, "upper_thermometer").data, 1 - therm.reshape(30, 28))
+    assert encode_batch(states[:, :1] % 2, 2, "thermometer").data.tolist() == (states[:, :1] % 2).tolist()
+
+
+def test_thermometer_pad_bits_zero():
+    # N(M-1) = 9, 63, 64, 65, 129 bits. A chunk meets the upper references as
+    # NOT T(x), whose pad bits are ones, so the words it is ANDed with (the
+    # complement of an upper reference's region, T(u)) must have zero pad
+    # bits, and so must the lower complement NOT T(l) and T(x) itself
+    for n, m in [(9, 2), (21, 4), (32, 3), (13, 6), (43, 4)]:
+        states = np.random.default_rng(n * m).integers(0, m, size=(5, n))
+        n_bits, n_words = n * (m - 1), -(-n * (m - 1) // 64)
+        samples = encode_batch(states, m, "thermometer")
+        lower = encode_batch(states, m, "lower_thermometer")
+        upper = encode_batch(states, m, "upper_thermometer")
+        for words, bits in (
+            (samples.packed, samples.data),
+            (lower.packed_complement, 1 - lower.data),
+            (upper.packed_complement, 1 - upper.data),
+        ):
+            assert words.dtype == np.uint64
+            assert words.shape == (5, n_words)
+            unpacked = np.unpackbits(words.view(np.uint8), axis=1)
+            assert np.array_equal(unpacked[:, :n_bits], bits)
+            assert not unpacked[:, n_bits:].any()
+        # the upper words are T(u)
+        assert np.array_equal(upper.packed_complement, samples.packed)
+
+
 def test_int8_states_encode_without_widening():
     # criterion 9 classifies int8 states; an int64 copy of them would be
     # 4x the one-hot output at M = 2

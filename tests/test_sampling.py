@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsr import sampling
 from rsr.model import ComponentDistribution
 from rsr.sampling import sample_batch, sample_rows, uniform_field
+
+MiB = 1 << 20
 
 
 def test_degenerate_distribution_all_ones():
@@ -128,3 +133,37 @@ def test_inverse_cdf_matches_searchsorted(seed, n, m, data):
     states = sample_batch(dist, h, seed).states
     assert states.dtype == np.min_scalar_type(m - 1)
     assert np.array_equal(states, expected)
+
+
+def test_one_chunk_holds_its_states_plus_one_draw_block():
+    # a streamed chunk at N = 115 is 9118 rows, 8.4 MB of raw draws; they
+    # come a 1 MiB block at a time, so the states and one block coexist
+    dist = ComponentDistribution.iid(115, [0.05, 0.95])
+    tracemalloc.start()
+    try:
+        states = sample_batch(dist, 9118, seed=1).states
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert states.nbytes == 9118 * 115
+    assert peak <= states.nbytes + 2 * MiB
+
+
+@pytest.mark.parametrize("m", [2, 5, 257])
+def test_slices_across_draw_blocks_match_one_whole_batch_draw(monkeypatch, m):
+    n = 115
+    dist = ComponentDistribution.iid(n, np.random.default_rng(m).dirichlet(np.ones(m)))
+    block = sampling._DRAW_BYTES // (8 * n)
+    total = 4 * block + 7
+    expected = np.searchsorted(np.cumsum(dist.probs[0]), uniform_field(6, 2, 0, total, n), side="right")
+    np.minimum(expected, m - 1, out=expected)
+    with monkeypatch.context() as patch:
+        # a block as large as the batch: all of its raw output in one draw
+        patch.setattr(sampling, "_DRAW_BYTES", 8 * n * total)
+        whole = sample_batch(dist, total, seed=6, generation_index=2).states
+    assert np.array_equal(whole, expected)
+    # row 1 starts at flat index 115, three past a Philox block of four
+    for start, count in [(0, total), (1, 3 * block + 5), (block - 3, 2 * block + 10), (2 * block + 1, block + 6)]:
+        part = sample_batch(dist, count, seed=6, generation_index=2, start=start).states
+        assert part.dtype == whole.dtype == np.min_scalar_type(m - 1)
+        assert np.array_equal(part, whole[start : start + count])

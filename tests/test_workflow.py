@@ -326,7 +326,7 @@ def test_stage2_encodes_each_chunk_once_for_all_thresholds(monkeypatch):
     monkeypatch.setattr(workflow, "_stage2", counted_stage2)
     report = multistate_pmf(model, dist, cfg)
     assert len(report.stage2_reports) == 3
-    sample_rows = [rows for kind, rows in encoded if kind == "sample"]
+    sample_rows = [rows for kind, rows in encoded if kind == "thermometer"]
     assert len(sample_rows) == -(-cfg.n_samples // 64)
     assert sum(sample_rows) == cfg.n_samples
     # and each non-empty reference set once per stage call
@@ -420,28 +420,32 @@ MiB = 1 << 20
 
 
 def test_stage2_memory_bounded_in_batch_size(rgg, rgg_refs):
-    # the whole 400k x 115 batch would be 44 MiB of uint8 states alone, and a
-    # chunk widened to int64 would push the peak to about 19 MiB. The peak is
-    # 9.2 MiB with one chunk alive at a time; holding the previous chunk's
-    # states while the next is drawn reads 10.35 MiB
+    # the whole 400k x 115 batch would be 44 MiB of uint8 states alone. The
+    # peak is 2.6 MiB: one chunk's 1 MiB of states, one 1 MiB block of raw
+    # draws or the kernel's 1 MiB of temporaries, and the packed words. The
+    # ceiling leaves 0.9 MiB of margin, less than the 1 MiB that holding the
+    # previous chunk's states, a second block of draws or the one-hot cube
+    # of a chunk at M = 2 would add
     model, dist = rgg
     lower, upper = rgg_refs
     peaks = {
         h: traced_peak(lambda: stage2_evaluate(model, dist, lower, upper, RunConfig(n_samples=h, seed=1), 0))
         for h in (100_000, 400_000)
     }
-    assert peaks[400_000] < 10 * MiB
+    assert peaks[400_000] < 3.5 * MiB
     assert peaks[400_000] - peaks[100_000] <= 24 * 300_000
 
 
 def test_stage1_iteration_memory_bounded_in_batch_size(rgg):
-    # eps_u = 1 stops after one iteration, whose samples are all unclassified
+    # eps_u = 1 stops after one iteration, whose samples are all unclassified.
+    # The peak is 2.7 MiB, one chunk's temporaries as in Stage 2 plus a bit
+    # per sample; the ceiling leaves 0.8 MiB of margin
     model, dist = rgg
     peaks = {
         h: traced_peak(lambda: stage1_find_references(model, dist, RunConfig(n_samples=h, eps_u=1.0, seed=1), 0))
         for h in (100_000, 400_000)
     }
-    assert peaks[400_000] < 40 * MiB
+    assert peaks[400_000] < 3.5 * MiB
     assert peaks[400_000] - peaks[100_000] <= 24 * 300_000
 
 
