@@ -15,10 +15,14 @@ row's system state S. It packs the thermometer layout, M-1 bits a
 component: a chunk is encoded once, its words T(x) test the lower sets
 and their complement the upper, and at M = 2 a row packs to N bits where
 the one-hot layout takes 2N. ``word_hits`` is one kernel for both
-layouts. Both workflow stages run it over the sampler's
-rows, and ``classify`` over slices of its batch at one threshold. With a
-coherent phi and side-consistent reference sets no bracket is crossed;
+layouts; a row leaves it once a block of references hits it. Both
+workflow stages run ``verdicts`` over the sampler's rows, and
+``classify`` over slices of its batch at one threshold. With a coherent
+phi and side-consistent reference sets no bracket is crossed;
 ``verdicts`` raises ``InconsistentReferenceSets`` on the first that is.
+A set's upper pass skips the rows its lower pass hit only when no upper
+reference lies under a lower one, so that no row can be hit by both and
+the first crossed bracket is found as if both passes ran in full.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .boundary import ReferenceSet, Side
+# _BLOCK_BYTES bounds one worker's chunk x ref-block temporaries
+from .boundary import _BLOCK_BYTES, ReferenceSet, Side
 from .encoding import EncodedBatch, encode_batch
 from .sampling import SampleBatch
 
@@ -45,10 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK_SIZE = 65536
-
-# bound on one worker's chunk x ref-block temporaries; small enough that
-# the hit kernel's AND and OR passes stay in a core's cache
-_BLOCK_BYTES = 1 << 20
 
 
 # a threshold m' with its lower and upper reference sets
@@ -155,24 +156,47 @@ def _pack_references(
 
 
 def word_hits(sample_words: np.ndarray, rbar_words: np.ndarray | None) -> np.ndarray:
-    """Hit mask of word-major samples: some reference leaves every word of the AND zero."""
+    """Hit mask of word-major samples: some reference leaves every word of the AND zero.
+
+    Rows a reference block hits leave the test: once a quarter of the
+    rows tested have been hit, the open ones are gathered into a compact
+    copy, and later blocks, sized to the rows left, test that alone.
+    """
     n_words, n_chunk = sample_words.shape
     hit = np.zeros(n_chunk, dtype=bool)
-    if rbar_words is None:
+    if rbar_words is None or n_chunk == 0:
         return hit
     n_refs = rbar_words.shape[0]
-    # the OR accumulator and the AND temporary, 8 bytes per pair each
-    block = _ref_block_size(n_refs, n_chunk, 16)
-    acc = np.empty((block, n_chunk), dtype=np.uint64)
-    tmp = np.empty_like(acc)
-    for r0 in range(0, n_refs, block):
-        rbar = rbar_words[r0 : r0 + block]
-        a, t = acc[: len(rbar)], tmp[: len(rbar)]
-        np.bitwise_and(rbar[:, :1], sample_words[0], out=a)
+    # entries of the OR accumulator and of the AND temporary, 8 bytes each
+    size = _ref_block_size(n_refs, n_chunk, 16) * n_chunk
+    acc, tmp = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    words, rows = sample_words, None  # rows[c]: the row of column c of a gathered copy
+    open_ = np.ones(n_chunk, dtype=bool)  # columns of words no block has hit
+    r0 = 0
+    while r0 < n_refs:
+        n_cols = words.shape[1]
+        rbar = rbar_words[r0 : r0 + size // n_cols]
+        r0 += len(rbar)
+        a = acc[: len(rbar) * n_cols].reshape(len(rbar), n_cols)
+        t = tmp[: a.size].reshape(a.shape)
+        np.bitwise_and(rbar[:, :1], words[0], out=a)
         for w in range(1, n_words):
-            np.bitwise_and(rbar[:, w : w + 1], sample_words[w], out=t)
+            np.bitwise_and(rbar[:, w : w + 1], words[w], out=t)
             a |= t
-        hit |= a.min(axis=0) == 0
+        open_ &= a.min(axis=0) != 0
+        n_open = np.count_nonzero(open_)
+        if r0 < n_refs and 4 * n_open > 3 * n_cols:
+            continue
+        if rows is None:
+            hit = ~open_
+        else:
+            hit[rows[~open_]] = True
+        if r0 == n_refs or n_open == 0:
+            break
+        keep = np.flatnonzero(open_)
+        words = words[:, keep]
+        rows = keep if rows is None else rows[keep]
+        open_ = np.ones(n_open, dtype=bool)
     return hit
 
 
@@ -233,22 +257,35 @@ def verdicts(
     ``InconsistentReferenceSets``, so no row is hit by both sides of a set.
     """
     n, m, n_system_states = shape
-    packed = [
-        (t, _pack_references(low, Side.LOWER, n, m), _pack_references(up, Side.UPPER, n, m))
-        for t, low, up in sets
-    ]
+    packed = []
+    for t, low, up in sets:
+        lower, upper = _pack_references(low, Side.LOWER, n, m), _pack_references(up, Side.UPPER, n, m)
+        # A row both sides hit would lie over some u and under some l, so
+        # u <= l. With no such pair the upper pass may skip the rows the
+        # lower pass hit; u <= l exactly when NOT T(l) AND T(u) is zero,
+        # the upper test with l as the sample.
+        disjoint = lower is None or upper is None or not word_hits(np.ascontiguousarray(lower.T), upper).any()
+        packed.append((t, lower, upper, disjoint))
 
     def work(start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         states = rows(start, min(start + chunk_rows, n_rows))
         # word-major: entry (w, k) is word w of row k, the layout word_hits takes;
         # T(x) meets the lower sets, NOT T(x) the upper
         words = np.ascontiguousarray(encode_batch(states, m, "thermometer").packed.T)
-        flipped = ~words
         lo = np.zeros(len(states), dtype=np.int64)
         hi = np.full(len(states), n_system_states - 1, dtype=np.int64)
         hits = []
-        for t, lower, upper in packed:
-            low, up = word_hits(words, lower), word_hits(flipped, upper)
+        for t, lower, upper, disjoint in packed:
+            low = word_hits(words, lower)
+            up = np.zeros(len(states), dtype=bool)
+            if upper is not None and disjoint and low.any():
+                # NOT T(x) of the rows the lower pass left open, and only those
+                flipped = words[:, ~low]
+                np.invert(flipped, out=flipped)
+                up[~low] = word_hits(flipped, upper)
+                del flipped
+            elif upper is not None:
+                up = word_hits(~words, upper)
             np.minimum(hi, t, out=hi, where=low)
             np.maximum(lo, t + 1, out=lo, where=up)
             hits.append((low, up))

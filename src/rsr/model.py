@@ -90,7 +90,9 @@ class SystemModel:
     integer vector to a system state in ``[0, n_system_states - 1]``, and
     safe to call concurrently (pure over immutable data). Evaluations are
     counted because performance-function calls are the cost metric of the
-    whole method.
+    whole method. It may carry a batch form, an attribute ``rows`` mapping
+    a K x N matrix to its K states, which ``_phi_rows`` then calls once in
+    place of K calls; each row still counts as one evaluation.
     """
 
     n_components: int
@@ -111,9 +113,9 @@ class SystemModel:
         """Validate ``x`` as one length-N vector of states in [0, M-1], then evaluate phi on it.
 
         Every call is counted and its result range-checked by ``_phi``,
-        the counted core that this entry shares with the two callers whose
-        vectors are in range by construction: the boundary walk and
-        Stage-2 resolution.
+        the counted core that this entry shares with Stage-2 resolution,
+        whose vectors are in range by construction; the boundary walks use
+        its batch form ``_phi_rows``.
         """
         return self._phi(validate_vector(x, self.n_components, self.n_component_states))
 
@@ -126,10 +128,31 @@ class SystemModel:
         self._evals.add()
         s = int(self.performance(x))
         if not 0 <= s < self.n_system_states:
-            raise ValueError(
-                f"performance returned {s}, outside [0, {self.n_system_states - 1}]"
-            )
+            raise self._out_of_range(s)
         return s
+
+    def _phi_rows(self, x: np.ndarray) -> np.ndarray:
+        """Count one call a row of the K x N matrix ``x``, run phi on every row and check each state.
+
+        ``x`` is not checked, as for ``_phi``. A performance function's
+        batch form ``rows`` (the built-in ``k_out_of_n`` has one) is called
+        once; any other performance function is called on each row in
+        order. A state outside [0, M_S-1] raises ``_phi``'s error, naming
+        the first such state.
+        """
+        self._evals.add(len(x))
+        rows = getattr(self.performance, "rows", None)
+        if rows is not None:
+            states = np.asarray(rows(x), dtype=np.int64)
+        else:
+            states = np.fromiter((int(self.performance(row)) for row in x), dtype=np.int64, count=len(x))
+        bad = np.flatnonzero((states < 0) | (states >= self.n_system_states))
+        if bad.size:
+            raise self._out_of_range(int(states[bad[0]]))
+        return states
+
+    def _out_of_range(self, s: int) -> ValueError:
+        return ValueError(f"performance returned {s}, outside [0, {self.n_system_states - 1}]")
 
     def check_threshold(self, threshold: int) -> None:
         """Raise ValueError unless m' lies in [0, n_system_states - 2]."""

@@ -196,6 +196,11 @@ def k_out_of_n(k: int, n_components: int) -> Callable:
         # sorting a short Python list beats np.partition's per-call overhead
         return sorted(x.tolist())[n_components - k]
 
+    def rows(x: np.ndarray) -> np.ndarray:
+        """The batch form: phi of each row of a K x N matrix."""
+        return np.sort(x, axis=1)[:, n_components - k]
+
+    phi.rows = rows
     return phi
 
 

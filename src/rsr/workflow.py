@@ -5,12 +5,19 @@ searches seeded from unclassified samples, until the unclassified
 probability estimate falls below ``eps_u`` or the reference count reaches
 ``r_max``. Note that ``eps_u`` is checked on each iteration's fresh
 sample batch: it is a sample-estimate threshold, not a certified bound.
+Each iteration works in batches: the searches of every pick walk in
+lockstep, one phi call a round for all of them
+(``boundary.boundary_searches``), and each reference set then takes the
+iteration's candidates in one ``ReferenceSet.insert_many``. Walks never
+read the sets, so the sets, outcomes and phi counts are those of one
+search and one insert at a time.
 For several thresholds (``multistate_pmf``) Stage 1 runs them in lockstep:
 iteration i streams its batch once, classified against every threshold
 still running, and then each of those thresholds tests its own stop and
-makes its own searches. Each threshold's references are those it would
-find alone, but a sample whose bracket references of two thresholds cross
-raises already in Stage 1.
+picks its own searches, which walk with the others'. Each threshold's
+references and search phi calls are those it would find alone, but a
+sample whose bracket references of two thresholds cross raises already in
+Stage 1.
 
 Stage 2 classifies one batch against the sets of every requested
 threshold, bracketing each sample's system state S: a lower match at m'
@@ -42,7 +49,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .boundary import ReferenceSet, ReferenceState, Side, boundary_search
+# boundary_search is not called here; it stays importable as
+# workflow.boundary_search because perfbench/spans.py wraps that name
+from .boundary import ReferenceSet, ReferenceState, Side, boundary_search, boundary_searches  # noqa: F401
 # classify is not called here; it stays importable as workflow.classify
 # because perfbench/spans.py wraps that name
 from .classify import InconsistentReferenceSets, ThresholdSets, classify, cov, verdicts  # noqa: F401
@@ -190,6 +199,8 @@ def _stage1(
 
     A threshold's stop tests, picks, searches and inserts read only its
     own hit masks and sets, so each result equals a one-threshold run.
+    The searches of all thresholds walk together, and each set takes its
+    iteration's candidates, in pick order, in one insert.
     """
     for threshold in thresholds:
         model.check_threshold(threshold)
@@ -220,10 +231,12 @@ def _stage1(
         n_open = h - n_lower - n_upper
 
         still_live = []
+        # (k, the rows k searches from) of every threshold that searches this iteration
+        picked = []
         for j, (k, low_count, up_count, open_count) in enumerate(
             zip(live, n_lower.tolist(), n_upper.tolist(), n_open.tolist())
         ):
-            result, threshold = results[k], thresholds[k]
+            result = results[k]
             result.trace.append(
                 TraceRecord(
                     reference_count=len(result.lower) + len(result.upper),
@@ -250,21 +263,35 @@ def _stage1(
             picks = rng.choice(open_indices, size=n_pick, replace=False)
             del open_indices
             searches[k] += n_pick
-            phi_start = model.evaluation_count
             # the counter-based stream regenerates the picked rows alone
-            for x0 in sample_rows(dist, config.seed, iteration, picks):
-                if config.boundary_search_enabled:
-                    candidate = boundary_search(model, x0, threshold)
-                else:
-                    s = model.evaluate(x0.astype(np.int64))
-                    side = Side.LOWER if s <= threshold else Side.UPPER
-                    candidate = ReferenceState(tuple(int(v) for v in x0), side, threshold)
-                target = result.lower if candidate.side == Side.LOWER else result.upper
-                if target.insert(candidate) == "redundant":
-                    result.redundant_searches += 1
-            phi_calls[k] += model.evaluation_count - phi_start
-        # freed before the next iteration allocates its own
+            picked.append((k, sample_rows(dist, config.seed, iteration, picks)))
+        # freed before the searches and the next iteration allocate their own
         del open_bits
+        if not still_live:
+            break
+
+        owners = [k for k, rows in picked for _ in rows]
+        starts = np.concatenate([rows for _, rows in picked])
+        if config.boundary_search_enabled:
+            # every pick of every threshold walks in lockstep, one phi call a round
+            candidates, calls = boundary_searches(model, starts, [thresholds[k] for k in owners])
+        else:
+            states = model._phi_rows(starts.astype(np.int64))
+            candidates = [
+                ReferenceState(tuple(x0.tolist()), Side.LOWER if s <= thresholds[k] else Side.UPPER, thresholds[k])
+                for k, x0, s in zip(owners, starts, states.tolist())
+            ]
+            calls = [1] * len(owners)
+        # walks never read the sets, so each set takes its iteration's
+        # candidates, in pick order, in one insert
+        for k in still_live:
+            result = results[k]
+            phi_calls[k] += sum(c for owner, c in zip(owners, calls) if owner == k)
+            for target in (result.lower, result.upper):
+                batch = [c for owner, c in zip(owners, candidates) if owner == k and c.side == target.side]
+                result.redundant_searches += target.insert_many(batch).count("redundant")
+        # dropped before the next iteration streams its batch
+        del picked, starts, candidates, calls, batch
         live = still_live
         iteration += 1
     return results

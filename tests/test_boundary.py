@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rsr.boundary import ReferenceSet, ReferenceState, Side, boundary_search
+from rsr.boundary import _BLOCK_BYTES, ReferenceSet, ReferenceState, Side, boundary_search, boundary_searches
 from rsr.model import SystemModel
 from rsr.oracle import dominates
 from rsr.sysfn import k_out_of_n, pick_od_pair, random_geometric_graph, single_od_connectivity
@@ -237,3 +239,111 @@ def test_nondominance_matches_quadratic_oracle(seed, n, m):
         # survivors keep their first-insertion order
         kept = set(slow.members())
         assert fast.members == [v for v in dict.fromkeys(slow.history) if v in kept]
+
+
+@given(st.integers(0, 2**31), st.integers(1, 8), st.integers(2, 5), st.integers(2, 4))
+@settings(max_examples=100, deadline=None)
+def test_lockstep_searches_equal_one_search_each(seed, n, m, m_s):
+    from conftest import PhiProbe, random_monotone_model
+
+    rng = np.random.default_rng(seed)
+    model = random_monotone_model(rng, n, m, m_s)
+    thresholds = [int(t) for t in rng.integers(0, m_s - 1, size=8)]
+    starts = [rng.integers(0, m, size=n) for _ in range(4)] + [np.zeros(n, dtype=np.int64), np.full(n, m - 1)]
+    # two starts already on the boundary: references of their own thresholds
+    starts += [np.array(_linear_search(model, x0, t).vector) for x0, t in zip(starts[:2], thresholds[6:])]
+    expected, counts = [], []
+    for x0, t in zip(starts, thresholds):
+        expected.append(_linear_search(model, x0, t))
+        before = model.evaluation_count
+        assert boundary_search(model, x0, t) == expected[-1]
+        counts.append(model.evaluation_count - before)
+
+    probe = PhiProbe(model)
+    before = model.evaluation_count
+    refs, calls = boundary_searches(model, [x0.astype(np.uint8) for x0 in starts], thresholds)
+    assert refs == expected
+    assert calls == counts
+    assert model.evaluation_count - before == sum(calls) == probe.calls
+    assert probe.dtypes == {np.dtype(np.int64)}
+    assert probe.bad == []
+
+
+def test_lockstep_searches_use_the_batch_form_of_phi():
+    # k-out-of-n has a batch form; the same walks through a per-row phi agree
+    rng = np.random.default_rng(2)
+    batch = SystemModel(12, 5, 5, k_out_of_n(3, 12))
+    per_row = SystemModel(12, 5, 5, lambda x: batch.performance(x))
+    starts = rng.integers(0, 5, size=(40, 12))
+    thresholds = [int(t) for t in rng.integers(0, 4, size=40)]
+    refs, calls = boundary_searches(batch, starts, thresholds)
+    assert (refs, calls) == boundary_searches(per_row, starts, thresholds)
+    assert batch.evaluation_count == per_row.evaluation_count == sum(calls)
+    assert boundary_searches(batch, [], []) == ([], [])
+
+
+def _one_at_a_time(side, members, candidates):
+    """Reference insertion, one candidate at a time: a candidate some member
+    covers is redundant; any other evicts the members it covers and goes last."""
+
+    def covers(r, x):
+        return all(a <= b if side == Side.LOWER else a >= b for a, b in zip(x, r))
+
+    members, outcomes = list(members), []
+    for x in candidates:
+        if any(covers(r, x) for r in members):
+            outcomes.append("redundant")
+        else:
+            members = [r for r in members if not covers(x, r)] + [x]
+            outcomes.append("inserted")
+    return members, outcomes
+
+
+@st.composite
+def _set_and_candidates(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    # vectors drawn from a small pool repeat, and candidates meet members
+    pool = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * n), min_size=1, max_size=8))
+    picks = st.lists(st.sampled_from(pool), max_size=12)
+    return draw(st.sampled_from([Side.LOWER, Side.UPPER])), draw(picks), draw(picks)
+
+
+@given(_set_and_candidates())
+# (0, 1) is covered only by the earlier (1, 1), which the later (2, 2) evicts
+@example((Side.LOWER, [], [(1, 1), (0, 1), (2, 2), (0, 1)]))
+@example((Side.UPPER, [(1, 1), (2, 0)], [(1, 1), (2, 2), (0, 0), (1, 1), (3, 0)]))
+@settings(max_examples=300, deadline=None)
+def test_insert_many_equals_inserting_one_at_a_time(case):
+    side, members, candidates = case
+    start, _ = _one_at_a_time(side, [], members)
+    refs = ReferenceSet(side, 0, members)
+    assert refs.members == start
+    want, outcomes = _one_at_a_time(side, start, candidates)
+    assert refs.insert_many([ReferenceState(x, side, 0) for x in candidates]) == outcomes
+    assert refs.members == want
+
+
+def test_loading_a_large_set_is_memory_bounded():
+    # about a paper-graph refs file: 3000 references of 294 components, a
+    # tenth of them copies of others with some components lowered, so
+    # covered on the lower side
+    rng = np.random.default_rng(4)
+    k, n = 3000, 294
+    vectors = (rng.random((k, n)) < 0.9).astype(np.int64)
+    lowered = vectors[rng.integers(0, k, size=k // 10)] * (rng.random((k // 10, n)) < 0.95)
+    vectors[rng.permutation(k)[: k // 10]] = lowered
+    members = vectors.tolist()
+    tracemalloc.start()
+    try:
+        loaded = ReferenceSet(Side.LOWER, 0, members)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three K x N copies (the candidates' tuples, their matrix, the member
+    # matrix) and a few comparison blocks, not a K x K x N comparison
+    assert peak <= 3.5 * k * n * 8 + 4 * _BLOCK_BYTES, f"{peak / 2**20:.1f} MiB"
+    one_at_a_time = ReferenceSet(Side.LOWER, 0)
+    for x in members:
+        one_at_a_time.insert(ReferenceState(x, Side.LOWER, 0))
+    assert loaded.members == one_at_a_time.members
+    assert 0 < len(loaded) < k

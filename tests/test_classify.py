@@ -1,3 +1,5 @@
+import importlib
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -120,6 +122,68 @@ def test_thermometer_verdicts_match_one_hot_hits(n, m):
         chunks = verdicts(lambda start, stop: states[start:stop], h, 97, sets, (n, m, 2), 1)
         # hits[0] is the one set's (lower, upper) pair of masks
         assert np.array_equal(np.concatenate([hits[0][j] for *_, hits in chunks]), expected)
+
+
+def _sum_cut_sets(rng, n, m, n_refs):
+    """Sets at m' = 0, 1, 2 that no sample can cross: a reference is upper at
+    m' exactly when its state sum reaches cut[m'], and the cuts increase, so no
+    u <= l within a set and no upper u at m' under a lower l at a smaller m'."""
+    top = n * (m - 1)
+    cuts = [top // 4, top // 2, 3 * top // 4]
+    sets = []
+    for t, cut in enumerate(cuts):
+        # a spread of state sums: each reference draws its states around its own level
+        refs = rng.binomial(m - 1, rng.random((8 * n_refs, 1)), size=(8 * n_refs, n))
+        low = [r for r in refs.tolist() if sum(r) < cut][:n_refs]
+        up = [r for r in refs.tolist() if sum(r) >= cut][:n_refs]
+        sets.append((t, ReferenceSet(Side.LOWER, t, low), ReferenceSet(Side.UPPER, t, up)))
+    return sets
+
+
+@pytest.mark.parametrize("n, m", [(12, 5), (70, 2), (33, 3)])
+def test_early_exit_kernel_matches_full_hits(monkeypatch, n, m):
+    # blocks of one or two references on chunks of 97 rows: many blocks, and
+    # rows decided early, so the kernel regathers its open rows and the upper
+    # passes skip rows their lower pass hit
+    rng = np.random.default_rng(n * m)
+    sets = _sum_cut_sets(rng, n, m, 24)
+    # each row a little under a random lower reference or over an upper one
+    refs = [(r, -1) for _, low, _ in sets for r in low.as_array()] + [(r, 1) for *_, up in sets for r in up.as_array()]
+    states = np.array([r + step * (rng.random(n) < 0.1) for r, step in (refs[i] for i in rng.integers(0, len(refs), 600))])
+    states = np.clip(states, 0, m - 1).astype(np.uint8)
+    samples = encode_batch(states, m, "sample")
+    expected = [
+        tuple(_hits_for(samples, s.as_array(), kind, DEFAULT_CHUNK_SIZE, 1) for s, kind in ((low, "lower_ref"), (up, "upper_ref")))
+        for _, low, up in sets
+    ]
+    assert all(0 < mask.sum() < len(states) for pair in expected for mask in pair)
+    monkeypatch.setattr(importlib.import_module("rsr.classify"), "_BLOCK_BYTES", 97 * 16 * 2)
+    chunks = list(verdicts(lambda start, stop: states[start:stop], len(states), 97, sets, (n, m, 4), 1))
+    for j, (want_low, want_up) in enumerate(expected):
+        assert np.array_equal(np.concatenate([hits[j][0] for *_, hits in chunks]), want_low)
+        assert np.array_equal(np.concatenate([hits[j][1] for *_, hits in chunks]), want_up)
+
+
+def test_crossing_sets_raise_on_the_first_crossed_sample(monkeypatch):
+    # one upper reference lies under a lower one (u <= l), so the upper pass
+    # must test the rows the lower pass hit and the first row between them raises
+    rng = np.random.default_rng(8)
+    n, m = 6, 3
+    states = rng.integers(0, m, size=(500, n)).astype(np.uint8)
+    lower = ReferenceSet(Side.LOWER, 0, [(2, 2, 2, 1, 1, 0), (1, 0, 2, 2, 1, 1)])
+    upper = ReferenceSet(Side.UPPER, 0, [(2, 2, 2, 2, 2, 2), (1, 1, 1, 0, 0, 0)])
+    sets = [(0, lower, upper)]
+    samples = encode_batch(states, m, "sample")
+    both = _hits_for(samples, lower.as_array(), "lower_ref", DEFAULT_CHUNK_SIZE, 1) & _hits_for(
+        samples, upper.as_array(), "upper_ref", DEFAULT_CHUNK_SIZE, 1
+    )
+    first = int(np.flatnonzero(both)[0])
+    assert first > 0
+    message = str(InconsistentReferenceSets.on_bracket(sets, first, states[first], 1, 0))
+    monkeypatch.setattr(importlib.import_module("rsr.classify"), "_BLOCK_BYTES", 64)
+    with pytest.raises(InconsistentReferenceSets, match=re.escape(message)):
+        for _ in verdicts(lambda start, stop: states[start:stop], len(states), 50, sets, (n, m, 2), 1):
+            pass
 
 
 @pytest.mark.parametrize("n_refs", [49, 196])

@@ -42,6 +42,31 @@ def test_performance_range_checked():
         model.evaluate((0, 0))
 
 
+def test_phi_rows_counts_and_range_checks_like_phi():
+    rows = np.array([[0, 1], [1, 1], [1, 0]])
+    model = SystemModel(2, 2, 2, lambda x: 5 if x.all() else int(x[0]))
+    assert model._phi_rows(rows[[0, 2]]).tolist() == [0, 1]
+    assert model._phi_rows(rows[:0]).tolist() == []
+    assert model.evaluation_count == 2
+    with pytest.raises(ValueError) as one:
+        model._phi(rows[1])
+    with pytest.raises(ValueError) as batch:
+        model._phi_rows(rows)
+    assert str(batch.value) == str(one.value) == "performance returned 5, outside [0, 1]"
+
+    # a batch form is range-checked the same way, naming the first bad state
+    def phi(x):
+        return 2 * int(x.sum()) - 1
+
+    phi.rows = lambda x: 2 * x.sum(axis=1) - 1
+    model = SystemModel(2, 2, 2, phi)
+    with pytest.raises(ValueError) as one:
+        model._phi(np.array([1, 1]))
+    with pytest.raises(ValueError) as batch:
+        model._phi_rows(np.array([[1, 0], [1, 1], [0, 0]]))  # states 1, 3, -1
+    assert str(batch.value) == str(one.value) == "performance returned 3, outside [0, 1]"
+
+
 def test_check_coherency_clean_on_builtin():
     graph = Graph(3, ((0, 1), (1, 2), (0, 2)))
     model = SystemModel(3, 2, 2, global_connectivity(graph))

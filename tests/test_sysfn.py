@@ -94,6 +94,9 @@ def test_k_out_of_n_is_the_sorted_order_statistic(dtype):
                     s = phi(x)
                     assert type(s) is int
                     assert s == np.sort(x)[n - k]
+                # the batch form agrees row by row, on no rows too
+                assert phi.rows(xs).tolist() == [phi(x) for x in xs]
+                assert phi.rows(xs[:0]).shape == (0,)
 
 
 def test_k_out_of_n_rejects_bad_k():
