@@ -19,7 +19,7 @@ from typing import Generator, Iterable, Sequence
 
 import numpy as np
 
-from .model import SystemModel, validate_vector
+from .model import SystemModel, check_states
 
 __all__ = ["Side", "ReferenceState", "ReferenceSet", "boundary_search", "boundary_searches"]
 
@@ -291,9 +291,9 @@ def boundary_searches(
     n, m = model.n_components, model.n_component_states
     # row i is walk i's vector, an int64 copy of start i that the walk moves
     # in place, so stepping never wraps a narrow input dtype
-    x = np.empty((len(starts), n), dtype=np.int64)
-    for i, x0 in enumerate(starts):
-        x[i] = validate_vector(x0, n, m)
+    x = np.array(check_states(starts, m) if len(starts) else np.empty((0, n)), dtype=np.int64)
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"component-state vector has length {x.shape[1:]}, expected ({n},)")
     walks = [_walk(row, threshold, m) for row, threshold in zip(x, thresholds, strict=True)]
     for walk in walks:
         next(walk)

@@ -15,7 +15,9 @@ row's system state S. It packs the thermometer layout, M-1 bits a
 component: a chunk is encoded once, its words T(x) test the lower sets
 and their complement the upper, and at M = 2 a row packs to N bits where
 the one-hot layout takes 2N. ``word_hits`` is one kernel for both
-layouts; a row leaves it once a block of references hits it. Both
+layouts; a row leaves it once a block of references hits it. A
+``verdicts`` call gives each worker thread one kernel scratch for all its
+chunks and sets, so a call does not allocate per kernel call. Both
 workflow stages run ``verdicts`` over the sampler's rows, and
 ``classify`` over slices of its batch at one threshold. With a coherent
 phi and side-consistent reference sets no bracket is crossed;
@@ -28,6 +30,7 @@ the first crossed bracket is found as if both passes ran in full.
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -155,12 +158,33 @@ def _pack_references(
     return encode_batch(vectors, n_states, f"{side}_thermometer").packed_complement
 
 
-def word_hits(sample_words: np.ndarray, rbar_words: np.ndarray | None) -> np.ndarray:
+def _scratch_size(n_refs: int, n_cols: int) -> int:
+    """Entries enough for every ``word_hits`` block of ``n_refs`` references on at most ``n_cols`` columns.
+
+    A block on k columns takes min(n_refs, max(1, B // 16k)) * k entries,
+    B being ``_BLOCK_BYTES``: at most B / 16 while 16k <= B, else k.
+    """
+    return min(n_refs * n_cols, max(_BLOCK_BYTES // 16, n_cols))
+
+
+def _kernel_scratch(size: int, n_words: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """``word_hits``'s OR accumulator of ``size`` entries, and its AND temporary when a row spans more than one word."""
+    return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64) if n_words > 1 else None
+
+
+def word_hits(
+    sample_words: np.ndarray,
+    rbar_words: np.ndarray | None,
+    scratch: tuple[np.ndarray, np.ndarray | None] | None = None,
+) -> np.ndarray:
     """Hit mask of word-major samples: some reference leaves every word of the AND zero.
 
     Rows a reference block hits leave the test: once a quarter of the
     rows tested have been hit, the open ones are gathered into a compact
     copy, and later blocks, sized to the rows left, test that alone.
+    ``scratch`` is a ``_kernel_scratch`` of at least ``_scratch_size``
+    entries for these references and columns, which the call overwrites;
+    without one, the call allocates its own.
     """
     n_words, n_chunk = sample_words.shape
     hit = np.zeros(n_chunk, dtype=bool)
@@ -169,7 +193,7 @@ def word_hits(sample_words: np.ndarray, rbar_words: np.ndarray | None) -> np.nda
     n_refs = rbar_words.shape[0]
     # entries of the OR accumulator and of the AND temporary, 8 bytes each
     size = _ref_block_size(n_refs, n_chunk, 16) * n_chunk
-    acc, tmp = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    acc, tmp = _kernel_scratch(size, n_words) if scratch is None else scratch
     words, rows = sample_words, None  # rows[c]: the row of column c of a gathered copy
     open_ = np.ones(n_chunk, dtype=bool)  # columns of words no block has hit
     r0 = 0
@@ -178,9 +202,9 @@ def word_hits(sample_words: np.ndarray, rbar_words: np.ndarray | None) -> np.nda
         rbar = rbar_words[r0 : r0 + size // n_cols]
         r0 += len(rbar)
         a = acc[: len(rbar) * n_cols].reshape(len(rbar), n_cols)
-        t = tmp[: a.size].reshape(a.shape)
         np.bitwise_and(rbar[:, :1], words[0], out=a)
         for w in range(1, n_words):
+            t = tmp[: a.size].reshape(a.shape)
             np.bitwise_and(rbar[:, w : w + 1], words[w], out=t)
             a |= t
         open_ &= a.min(axis=0) != 0
@@ -255,17 +279,49 @@ def verdicts(
     rows its lower and its upper references hit, as two boolean masks.
     Reading the chunk that holds the first crossed bracket raises
     ``InconsistentReferenceSets``, so no row is hit by both sides of a set.
+
+    The pass allocates ``word_hits``'s scratch once per worker thread,
+    sized to its largest block, and reuses it for every chunk, every set
+    and the once-per-pass u <= l checks; it is dropped when the pass ends.
     """
     n, m, n_system_states = shape
-    packed = []
-    for t, low, up in sets:
-        lower, upper = _pack_references(low, Side.LOWER, n, m), _pack_references(up, Side.UPPER, n, m)
-        # A row both sides hit would lie over some u and under some l, so
-        # u <= l. With no such pair the upper pass may skip the rows the
-        # lower pass hit; u <= l exactly when NOT T(l) AND T(u) is zero,
-        # the upper test with l as the sample.
-        disjoint = lower is None or upper is None or not word_hits(np.ascontiguousarray(lower.T), upper).any()
-        packed.append((t, lower, upper, disjoint))
+    refs = [(t, _pack_references(low, Side.LOWER, n, m), _pack_references(up, Side.UPPER, n, m)) for t, low, up in sets]
+    packed = [r for _, lower, upper in refs for r in (lower, upper) if r is not None]
+    # the largest kernel block tests a full chunk against the largest set,
+    # or a set's lower refs, as samples, against its upper refs
+    cols = min(chunk_rows, n_rows)
+    size = max(
+        [_scratch_size(len(r), cols) for r in packed]
+        + [_scratch_size(len(upper), len(lower)) for _, lower, upper in refs if lower is not None and upper is not None],
+        default=0,
+    )
+    n_words = packed[0].shape[1] if packed else 1
+    # the scratches no kernel call is using; list pop and append are atomic,
+    # so a thread never takes one another thread holds
+    spare: list[tuple[np.ndarray, np.ndarray | None]] = []
+
+    def scratch() -> tuple[np.ndarray, np.ndarray | None]:
+        try:
+            return spare.pop()
+        except IndexError:
+            return _kernel_scratch(size, n_words)
+
+    # A row both sides hit would lie over some u and under some l, so u <= l.
+    # With no such pair the upper pass may skip the rows the lower pass hit;
+    # u <= l exactly when NOT T(l) AND T(u) is zero, the upper test with l
+    # as the sample. The first chunk to run checks every set, with its own
+    # scratch, taken after its draws are freed so that it can reuse their memory
+    disjoint_sets: list[bool] = []
+    checking = threading.Lock()
+
+    def check_disjoint(kernel: tuple[np.ndarray, np.ndarray | None]) -> list[bool]:
+        with checking:
+            if not disjoint_sets:
+                disjoint_sets.extend(
+                    lower is None or upper is None or not word_hits(np.ascontiguousarray(lower.T), upper, kernel).any()
+                    for _, lower, upper in refs
+                )
+        return disjoint_sets
 
     def work(start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         states = rows(start, min(start + chunk_rows, n_rows))
@@ -275,20 +331,22 @@ def verdicts(
         lo = np.zeros(len(states), dtype=np.int64)
         hi = np.full(len(states), n_system_states - 1, dtype=np.int64)
         hits = []
-        for t, lower, upper, disjoint in packed:
-            low = word_hits(words, lower)
+        kernel = scratch()
+        for (t, lower, upper), disjoint in zip(refs, check_disjoint(kernel)):
+            low = word_hits(words, lower, kernel)
             up = np.zeros(len(states), dtype=bool)
             if upper is not None and disjoint and low.any():
                 # NOT T(x) of the rows the lower pass left open, and only those
                 flipped = words[:, ~low]
                 np.invert(flipped, out=flipped)
-                up[~low] = word_hits(flipped, upper)
+                up[~low] = word_hits(flipped, upper, kernel)
                 del flipped
             elif upper is not None:
-                up = word_hits(~words, upper)
+                up = word_hits(~words, upper, kernel)
             np.minimum(hi, t, out=hi, where=low)
             np.maximum(lo, t + 1, out=lo, where=up)
             hits.append((low, up))
+        spare.append(kernel)
         crossed = np.flatnonzero(lo > hi)
         if crossed.size:
             i = int(crossed[0])

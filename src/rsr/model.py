@@ -146,8 +146,8 @@ class SystemModel:
             states = np.asarray(rows(x), dtype=np.int64)
         else:
             states = np.fromiter((int(self.performance(row)) for row in x), dtype=np.int64, count=len(x))
-        bad = np.flatnonzero((states < 0) | (states >= self.n_system_states))
-        if bad.size:
+        if states.size and (states.min() < 0 or states.max() >= self.n_system_states):
+            bad = np.flatnonzero((states < 0) | (states >= self.n_system_states))
             raise self._out_of_range(int(states[bad[0]]))
         return states
 

@@ -30,6 +30,10 @@ _INV_2_53 = float(2.0**-53)
 # states it makes stay in a core's cache
 _DRAW_BYTES = 1 << 20
 
+# a gap of more draws than this ``sample_rows`` skips with one ``advance``
+# (about 2.5 us) rather than drawing it (about 6-9 ns a draw)
+_ADVANCE_DRAWS = 400
+
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -143,16 +147,25 @@ def sample_rows(
 ) -> np.ndarray:
     """States of the samples at ``indices`` of one batch; row k is row ``indices[k]``.
 
-    One generator is reset and repositioned for each row, which costs a
-    small fraction of a one-row ``sample_batch`` call.
+    One generator walks forward once through the distinct rows in
+    ascending order. It reaches each row by drawing the gap before it
+    with the row in one call, or, past ``_ADVANCE_DRAWS``, by advancing
+    its counter to the row's block of four draws. A repeated row is
+    drawn once and copied.
     """
     n = dist.n_components
+    rows, inverse = np.unique(np.asarray(indices, dtype=np.int64).reshape(-1), return_inverse=True)
+    raw = np.empty((len(rows), n), dtype=np.uint64)
     bg = _philox(seed, generation_index)
-    origin = bg.state
-    raw = np.empty((len(indices), n), dtype=np.uint64)
-    for k, i in enumerate(indices):
-        bg.state = origin
-        raw[k] = _seek(bg, int(i) * n).random_raw(n)
+    pos = 0  # flat index of the stream's next draw; ceil(pos / 4) blocks are spent
+    for k, first in enumerate(rows.tolist()):
+        first *= n
+        lead = first - pos
+        if lead > _ADVANCE_DRAWS:
+            blocks, lead = divmod(first, 4)
+            bg.advance(blocks + (-pos // 4))
+        raw[k] = bg.random_raw(lead + n)[lead:]
+        pos = first + n
     states = np.empty(raw.shape, dtype=np.min_scalar_type(dist.n_states - 1))
     _states(_cuts(dist), raw, states)
-    return states
+    return states[inverse]

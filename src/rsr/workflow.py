@@ -31,12 +31,15 @@ drawn from the counter-based sampler, so the whole batch is never held,
 and its states stay N bytes a row (M <= 256). The sampler fills a chunk
 from 1 MiB blocks of raw draws and ``verdicts`` packs it once, in the
 thermometer layout, for both sides of every set, so a chunk's
-temporaries are about its states plus 1 MiB. Memory is about one chunk's
-temporaries per worker plus a few bytes per sample: Stage 1 keeps one bit
-per sample and running threshold for the unclassified rows, builds one
-threshold's index array at a time, and regenerates the rows it searches
-from by index; Stage 2 keeps per-threshold counts and the open rows, whose
-phi calls it makes anyway. The crude Monte Carlo oracle
+temporaries are about its states plus 1 MiB, next to the hit kernel's
+scratch of about 1 MiB that each worker keeps for the whole pass. Memory
+is about one chunk's temporaries and one scratch per worker plus a few
+bytes per sample: Stage 1 keeps one bit per sample and running threshold
+for the unclassified rows, builds one threshold's index array at a time,
+and regenerates the rows it searches from by index, every threshold's
+picks in one forward walk of the stream; its first iteration, whose sets
+are all empty, draws nothing. Stage 2 keeps per-threshold counts and the
+open rows, whose phi calls it makes anyway. The crude Monte Carlo oracle
 (``oracle.crude_monte_carlo``) stays whole-batch on purpose, as an
 independent check of this path.
 """
@@ -199,8 +202,13 @@ def _stage1(
 
     A threshold's stop tests, picks, searches and inserts read only its
     own hit masks and sets, so each result equals a one-threshold run.
-    The searches of all thresholds walk together, and each set takes its
-    iteration's candidates, in pick order, in one insert.
+    Every threshold picks with the same ``default_rng([seed, iteration])``
+    stream, built once an iteration and reset before each pick, and one
+    ``sample_rows`` call regenerates all the picked rows. The searches of
+    all thresholds walk together, and each set takes its iteration's
+    candidates, in pick order, in one insert. While every set is empty no
+    reference hits a row, so that iteration (the first) streams nothing:
+    every row is open, and its trace record is (0, 0, 1).
     """
     for threshold in thresholds:
         model.check_threshold(threshold)
@@ -218,20 +226,27 @@ def _stage1(
         sets = [(thresholds[k], results[k].lower, results[k].upper) for k in live]
         n_lower = np.zeros(len(live), dtype=np.int64)
         n_upper = np.zeros(len(live), dtype=np.int64)
-        # bit j % 8 of open_bits[j // 8, row]: neither side of live[j] hits the row
-        open_bits = np.empty((-(-len(live) // 8), h), dtype=np.uint8)
-        for start, states, lo, hi, hits in _stream(model, dist, config, iteration, sets):
-            low, up = (np.array(side) for side in zip(*hits))
-            n_lower += np.count_nonzero(low, axis=1)
-            n_upper += np.count_nonzero(up, axis=1)
-            open_bits[:, start : start + len(states)] = np.packbits(~(low | up), axis=0, bitorder="little")
-            # dropped before the next chunk is drawn, so one chunk is alive at a time
-            del states, lo, hi, hits, low, up
+        # bit j % 8 of open_bits[j // 8, row]: neither side of live[j] hits the row.
+        # While every set is empty no reference hits a row, so the batch is
+        # not drawn, every row is open and open_bits stays None
+        open_bits = None
+        if any(len(ref_set) for _, lower, upper in sets for ref_set in (lower, upper)):
+            open_bits = np.empty((-(-len(live) // 8), h), dtype=np.uint8)
+            for start, states, lo, hi, hits in _stream(model, dist, config, iteration, sets):
+                low, up = (np.array(side) for side in zip(*hits))
+                n_lower += np.count_nonzero(low, axis=1)
+                n_upper += np.count_nonzero(up, axis=1)
+                open_bits[:, start : start + len(states)] = np.packbits(~(low | up), axis=0, bitorder="little")
+                # dropped before the next chunk is drawn, so one chunk is alive at a time
+                del states, lo, hi, hits, low, up
         # verdicts raises on a row both sides of a set hit, so the counts partition h
         n_open = h - n_lower - n_upper
 
         still_live = []
-        # (k, the rows k searches from) of every threshold that searches this iteration
+        # every threshold picks from the same stream, reset to its start
+        rng = np.random.default_rng([config.seed, iteration])
+        origin = rng.bit_generator.state
+        # (k, the indices of the rows k searches from) of every threshold that searches this iteration
         picked = []
         for j, (k, low_count, up_count, open_count) in enumerate(
             zip(live, n_lower.tolist(), n_upper.tolist(), n_open.tolist())
@@ -257,21 +272,22 @@ def _stage1(
                 continue
             still_live.append(k)
 
-            open_indices = np.flatnonzero(open_bits[j >> 3] & (1 << (j & 7)))
-            rng = np.random.default_rng([config.seed, iteration])
+            # choice over h picks what choice over arange(h) would, without the array
+            open_indices = h if open_bits is None else np.flatnonzero(open_bits[j >> 3] & (1 << (j & 7)))
+            rng.bit_generator.state = origin
             n_pick = min(config.parallel_searches, open_count)
-            picks = rng.choice(open_indices, size=n_pick, replace=False)
+            picked.append((k, rng.choice(open_indices, size=n_pick, replace=False)))
             del open_indices
             searches[k] += n_pick
-            # the counter-based stream regenerates the picked rows alone
-            picked.append((k, sample_rows(dist, config.seed, iteration, picks)))
         # freed before the searches and the next iteration allocate their own
         del open_bits
         if not still_live:
             break
 
-        owners = [k for k, rows in picked for _ in rows]
-        starts = np.concatenate([rows for _, rows in picked])
+        owners = [k for k, picks in picked for _ in range(len(picks))]
+        # the counter-based stream regenerates the picked rows alone, every
+        # threshold's in one walk; a row two thresholds picked is drawn once
+        starts = sample_rows(dist, config.seed, iteration, np.concatenate([picks for _, picks in picked]))
         if config.boundary_search_enabled:
             # every pick of every threshold walks in lockstep, one phi call a round
             candidates, calls = boundary_searches(model, starts, [thresholds[k] for k in owners])

@@ -67,6 +67,20 @@ def test_phi_rows_counts_and_range_checks_like_phi():
     assert str(batch.value) == str(one.value) == "performance returned 3, outside [0, 1]"
 
 
+def test_phi_rows_rejects_a_state_below_zero_alone():
+    # one min and one max bound the states; a negative state with every
+    # other in range still raises, naming it
+    def phi(x):
+        return int(x[0]) - 1
+
+    phi.rows = lambda x: x[:, 0] - 1
+    for performance in (phi, lambda x: int(x[0]) - 1):
+        model = SystemModel(2, 2, 2, performance)
+        assert model._phi_rows(np.array([[1, 0], [1, 1]])).tolist() == [0, 0]
+        with pytest.raises(ValueError, match=r"^performance returned -1, outside \[0, 1\]$"):
+            model._phi_rows(np.array([[1, 0], [0, 1], [1, 1]]))
+
+
 def test_check_coherency_clean_on_builtin():
     graph = Graph(3, ((0, 1), (1, 2), (0, 2)))
     model = SystemModel(3, 2, 2, global_connectivity(graph))

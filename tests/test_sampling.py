@@ -75,6 +75,28 @@ def test_sample_rows_match_full_batch(seed, n, m, data):
     assert np.array_equal(rows, full[indices].reshape(len(indices), n))
 
 
+@pytest.mark.parametrize("n", [1, 3, 115])
+@pytest.mark.parametrize("m", [1, 2, 257])
+def test_sample_rows_walk_skips_and_advances_to_every_row(n, m):
+    # the rows' gaps, in draws, on both sides of the cut between drawing a
+    # gap and advancing over it, plus one far past it
+    below, above = sampling._ADVANCE_DRAWS // n, sampling._ADVANCE_DRAWS // n + 1
+    assert below * n <= sampling._ADVANCE_DRAWS < above * n
+    rows = [0, 1, 2, 3]  # adjacent rows; at N = 1 one 4-draw Philox block, at N = 3 rows 0 and 1 share one
+    for gap in (below, above, 3 * above, below):
+        rows.append(rows[-1] + 1 + gap)
+    h = rows[-1] + 7
+    rows.append(h - 1)
+    rng = np.random.default_rng(n * m)
+    dist = ComponentDistribution.iid(n, rng.dirichlet(np.ones(m)))
+    full = sample_batch(dist, h, seed=11, generation_index=5).states
+    # unsorted, and every third row asked for twice
+    indices = rng.permutation(rows + rows[::3])
+    states = sample_rows(dist, 11, 5, indices)
+    assert states.dtype == full.dtype
+    assert np.array_equal(states, full[indices])
+
+
 @given(
     seed=st.integers(0, 2**32),
     gen=st.integers(0, 100),

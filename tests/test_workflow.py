@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -357,13 +358,50 @@ def test_pmf_stage1_samples_each_chunk_once_for_all_thresholds(monkeypatch):
 
     monkeypatch.setattr(workflow, "sample_batch", counting_sample_batch)
     monkeypatch.setattr(workflow, "_stage2", uncounted_stage2)
-    iterations = [s1.iterations for s1 in multistate_pmf(model, dist, cfg).stage1_results]
+    results = multistate_pmf(model, dist, cfg).stage1_results
+    iterations = [s1.iterations for s1 in results]
     assert len(set(iterations)) > 1  # thresholds stop at different iterations
-    # every chunk of every iteration is drawn once, whichever thresholds still run
+    # generation 0 is not drawn: its sets are empty, so every row is open
+    assert all((s1.trace[0].p_lower, s1.trace[0].p_upper, s1.trace[0].p_unclassified) == (0, 0, 1) for s1 in results)
+    # every chunk of every later iteration is drawn once, whichever thresholds still run
     n_chunks = -(-cfg.n_samples // 64)
-    assert len(drawn) == n_chunks * max(iterations)
+    assert len(drawn) == n_chunks * (max(iterations) - 1)
     for generation in range(max(iterations)):
-        assert sum(n for g, n in drawn if g == generation) == cfg.n_samples
+        assert sum(n for g, n in drawn if g == generation) == (generation > 0) * cfg.n_samples
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_pass_allocates_one_kernel_scratch_per_worker(monkeypatch, workers):
+    # the four thresholds of 3-out-of-12, M = 5, each set non-empty, on a
+    # batch of five chunks: every chunk and set reuses its worker's scratch
+    model = SystemModel(12, 5, 5, k_out_of_n(3, 12))
+    dist = ComponentDistribution.iid(12, [0.4, 0.3, 0.15, 0.1, 0.05])
+    cfg = RunConfig(n_samples=2000, eps_u=1e-3, parallel_searches=8, seed=3, n_workers=workers)
+    sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in _stage1(model, dist, cfg, range(4))]
+    assert all(len(s) for _, low, up in sets for s in (low, up))
+    monkeypatch.setattr(workflow, "_CHUNK_BYTES", 8 * 12 * 400)  # 400 rows a chunk
+    allocated = []
+
+    def counting_scratch(size, n_words):
+        allocated.append(size)
+        return kernel_scratch(size, n_words)
+
+    kernel_scratch = classify_module._kernel_scratch
+    monkeypatch.setattr(classify_module, "_kernel_scratch", counting_scratch)
+    # threads switch often, so two workers holding one scratch would clash
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        chunks = list(workflow._stream(model, dist, cfg, 9, sets))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(chunks) == 5
+    assert 1 <= len(allocated) <= workers
+    samples = encode_batch(sample_batch(dist, cfg.n_samples, cfg.seed, 9).states, 5, "sample")
+    for j, (_, low, up) in enumerate(sets):
+        for side, (ref_set, kind) in enumerate(((low, "lower_ref"), (up, "upper_ref"))):
+            expected = classify_module._hits_for(samples, ref_set.as_array(), kind, cfg.n_samples, 1)
+            assert np.array_equal(np.concatenate([hits[j][side] for *_, hits in chunks]), expected)
 
 
 def untimed(trace):
@@ -449,6 +487,23 @@ def test_stage1_iteration_memory_bounded_in_batch_size(rgg):
     assert peaks[400_000] - peaks[100_000] <= 24 * 300_000
 
 
+def test_stage1_streamed_iteration_memory_bounded_in_batch_size(rgg):
+    # The first iteration's sets are empty, so it draws nothing; one search
+    # then makes r_max = 1, and the run stops after streaming the second
+    # batch. The peak is 2.8 MiB at 400k, one chunk's temporaries as in
+    # Stage 2, with a kernel scratch sized to a one-reference set, plus a bit
+    # per sample
+    model, dist = rgg
+    peaks = {
+        h: traced_peak(
+            lambda: stage1_find_references(model, dist, RunConfig(n_samples=h, eps_u=0.0, r_max=1, seed=1), 0)
+        )
+        for h in (100_000, 400_000)
+    }
+    assert peaks[400_000] < 3.5 * MiB
+    assert peaks[400_000] - peaks[100_000] <= 24 * 300_000
+
+
 @pytest.mark.parametrize(
     "settings",
     [
@@ -466,6 +521,22 @@ def test_pmf_stage1_memory_bounded_in_batch_size(settings):
         for h in (100_000, 400_000)
     }
     assert peaks[400_000] - peaks[100_000] <= 16 * 300_000
+
+
+def test_warm_pmf_stays_under_a_minor_fault_ceiling():
+    # A pass reuses one kernel scratch per worker, so a warm pmf on the
+    # 3-out-of-12 benchmark model faults in few fresh pages: about 0-1.4k
+    # measured, against 9.5-10.7k when each kernel call allocated its own
+    if not sys.platform.startswith("linux"):
+        pytest.skip("minor-fault counts are read on Linux")
+    resource = pytest.importorskip("resource")
+    model = SystemModel(12, 5, 5, k_out_of_n(3, 12))
+    dist = ComponentDistribution.iid(12, [0.4, 0.3, 0.15, 0.1, 0.05])
+    cfg = RunConfig(n_samples=5000, eps_u=2e-4, parallel_searches=32, seed=1000)
+    multistate_pmf(model, dist, cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    multistate_pmf(model, dist, cfg)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 4000
 
 
 def test_stages_count_every_phi_call_in_range():
