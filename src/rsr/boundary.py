@@ -9,7 +9,8 @@ an insert evicts, for a whole batch of candidates at once.
 
 Searches run in lockstep: ``boundary_searches`` steps every walk one
 phi call at a time and evaluates the vectors of all live walks in one
-call to the model's counted core ``SystemModel._phi_rows``.
+call to ``SystemModel._phi_rows``, the model's one counted core, which
+Stage-2 resolution calls too.
 """
 
 from __future__ import annotations

@@ -47,15 +47,21 @@ TRACE_COLUMNS = (
 )
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("RSR_SEED", "0"))
+def _default_seed(parser: argparse.ArgumentParser) -> int:
+    raw = os.environ.get("RSR_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        parser.error(f"RSR_SEED must be an integer, got {raw!r}")
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
+    # main reads the $RSR_SEED default after parsing, so a malformed value
+    # is a usage error and --version or --help never reads it
     parser.add_argument(
         "--seed",
         type=int,
-        default=_default_seed(),
+        default=None,
         help="random seed (default: $RSR_SEED or 0)",
     )
 
@@ -319,6 +325,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is None:
+        args.seed = _default_seed(parser)
     try:
         return _COMMANDS[args.command](args)
     except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:

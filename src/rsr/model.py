@@ -87,12 +87,14 @@ class SystemModel:
     """A coherent multi-state system of N components.
 
     ``performance`` must be a deterministic total function from a length-N
-    integer vector to a system state in ``[0, n_system_states - 1]``, and
-    safe to call concurrently (pure over immutable data). Evaluations are
-    counted because performance-function calls are the cost metric of the
-    whole method. It may carry a batch form, an attribute ``rows`` mapping
-    a K x N matrix to its K states, which ``_phi_rows`` then calls once in
-    place of K calls; each row still counts as one evaluation.
+    int64 vector to a system state in ``[0, n_system_states - 1]``, and
+    safe to call concurrently (pure over immutable data). It always
+    receives int64: ``evaluate`` and ``_phi_rows`` widen narrower integer
+    input once, before the call. Evaluations are counted because
+    performance-function calls are the cost metric of the whole method.
+    It may carry a batch form, an attribute ``rows`` mapping a K x N int64
+    matrix to its K states, which ``_phi_rows`` then calls once in place
+    of K calls; each row still counts as one evaluation.
     """
 
     n_components: int
@@ -112,19 +114,12 @@ class SystemModel:
     def evaluate(self, x: Sequence[int] | np.ndarray) -> int:
         """Validate ``x`` as one length-N vector of states in [0, M-1], then evaluate phi on it.
 
-        Every call is counted and its result range-checked by ``_phi``,
-        the counted core that this entry shares with Stage-2 resolution,
-        whose vectors are in range by construction; the boundary walks use
-        its batch form ``_phi_rows``.
+        The call is counted and its result range-checked as ``_phi_rows``
+        does, but phi runs on the one vector and never through a batch
+        form, so the crude Monte Carlo oracle stays an independent check
+        of the batch forms that the stages call.
         """
-        return self._phi(validate_vector(x, self.n_components, self.n_component_states))
-
-    def _phi(self, x: np.ndarray) -> int:
-        """Count one call, run phi on ``x`` and check its result lies in [0, M_S-1].
-
-        ``x`` is not checked: the caller guarantees a length-N integer
-        vector of states in [0, M-1], as ``evaluate`` does by validating it.
-        """
+        x = np.asarray(validate_vector(x, self.n_components, self.n_component_states), dtype=np.int64)
         self._evals.add()
         s = int(self.performance(x))
         if not 0 <= s < self.n_system_states:
@@ -134,12 +129,15 @@ class SystemModel:
     def _phi_rows(self, x: np.ndarray) -> np.ndarray:
         """Count one call a row of the K x N matrix ``x``, run phi on every row and check each state.
 
-        ``x`` is not checked, as for ``_phi``. A performance function's
-        batch form ``rows`` (the built-in ``k_out_of_n`` has one) is called
-        once; any other performance function is called on each row in
-        order. A state outside [0, M_S-1] raises ``_phi``'s error, naming
-        the first such state.
+        This is the counted core of both stages. ``x`` is not checked: the
+        caller guarantees integer states in [0, M-1]. It is widened to
+        int64 once, without a copy when it is int64 already. A performance
+        function's batch form ``rows`` (the built-in ``k_out_of_n`` has
+        one) is called once; any other performance function is called on
+        each row in order. A state outside [0, M_S-1] raises the error
+        ``evaluate`` raises, naming the first such state.
         """
+        x = np.asarray(x, dtype=np.int64)
         self._evals.add(len(x))
         rows = getattr(self.performance, "rows", None)
         if rows is not None:

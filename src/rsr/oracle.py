@@ -56,7 +56,7 @@ def exact_probabilities(model: SystemModel, dist: ComponentDistribution) -> Exac
         p = 1.0
         for comp in range(n):
             p *= dist.probs[comp, x[comp]]
-        s = model.evaluate(np.array(x, dtype=np.int64))
+        s = model.evaluate(x)
         mass[s] += p
         counts[s] += 1
     cumulative = np.cumsum(mass)
@@ -91,7 +91,7 @@ def crude_monte_carlo(
     batch = sample_batch(dist, n_samples, seed, generation_index=0)
     hits = 0
     for row in batch.states:
-        if model.evaluate(row.astype(np.int64)) <= threshold:
+        if model.evaluate(row) <= threshold:
             hits += 1
     p_hat = hits / n_samples
     return p_hat, cov(p_hat, n_samples)

@@ -22,8 +22,11 @@ Stage 1.
 Stage 2 classifies one batch against the sets of every requested
 threshold, bracketing each sample's system state S: a lower match at m'
 gives S <= m', an upper match S >= m'+1. One performance-function call
-settles each sample the bracket leaves open. A crossed bracket, or phi
-outside one, means phi is not coherent and raises.
+settles each sample the bracket leaves open: once the stream has checked
+every bracket, the open rows go to the model's counted core
+``SystemModel._phi_rows`` a chunk's rows at a time, the core the boundary
+walks call too. A crossed bracket, or phi outside one, means phi is not
+coherent and raises, naming the lowest-index such sample.
 
 Both stages stream their batch through the one classification route,
 ``classify.verdicts``, with ``_stream`` as its row source: each chunk is
@@ -40,8 +43,9 @@ and regenerates the rows it searches from by index, every threshold's
 picks in one forward walk of the stream; its first iteration, whose sets
 are all empty, draws nothing. Stage 2 keeps per-threshold counts and the
 open rows, whose phi calls it makes anyway. The crude Monte Carlo oracle
-(``oracle.crude_monte_carlo``) stays whole-batch on purpose, as an
-independent check of this path.
+(``oracle.crude_monte_carlo``) stays whole-batch and calls phi one row at
+a time through ``SystemModel.evaluate`` on purpose, as an independent
+check of this path and of any batch form of phi.
 """
 
 from __future__ import annotations
@@ -292,7 +296,7 @@ def _stage1(
             # every pick of every threshold walks in lockstep, one phi call a round
             candidates, calls = boundary_searches(model, starts, [thresholds[k] for k in owners])
         else:
-            states = model._phi_rows(starts.astype(np.int64))
+            states = model._phi_rows(starts)
             candidates = [
                 ReferenceState(tuple(x0.tolist()), Side.LOWER if s <= thresholds[k] else Side.UPPER, thresholds[k])
                 for k, x0, s in zip(owners, starts, states.tolist())
@@ -361,15 +365,20 @@ def _stage2(
         # dropped before the next chunk is drawn, so one chunk is alive at a time
         del states, lo, hi, hits, undecided
     indices, states, lo, hi = (np.concatenate(parts) for parts in zip(*open_rows))
-    for k in range(indices.size):
-        # sampled rows lie in [0, M-1] by construction: the counted core, unchecked
-        x = states[k].astype(np.int64)
-        state = model._phi(x)
-        if not lo[k] <= state <= hi[k]:
-            raise InconsistentReferenceSets.on_bracket(sets, int(indices[k]), x, lo[k], hi[k], state)
-        hi[k] = state
-    # for every requested m', S <= m' now holds exactly where hi <= m'
-    n_low += (hi[:, None] <= thresholds).sum(axis=0)
+    # sampled rows lie in [0, M-1] by construction: the counted core,
+    # unchecked, a chunk's rows a call, so the int64 copy it makes of a
+    # block stays within _CHUNK_BYTES
+    phi = np.empty(indices.size, dtype=np.int64)
+    step = _chunk_rows(dist.n_components)
+    for s in range(0, indices.size, step):
+        phi[s : s + step] = model._phi_rows(states[s : s + step])
+    # indices ascend, so the first bad row is the lowest-index sample
+    bad = np.flatnonzero((phi < lo) | (phi > hi))
+    if bad.size:
+        k = bad[0]
+        raise InconsistentReferenceSets.on_bracket(sets, int(indices[k]), states[k], lo[k], hi[k], int(phi[k]))
+    # for every requested m', S <= m' now holds exactly where phi <= m'
+    n_low += (phi[:, None] <= thresholds).sum(axis=0)
 
     reports = []
     for threshold, low, n_unclassified in zip(thresholds.tolist(), n_low.tolist(), unclassified.tolist()):

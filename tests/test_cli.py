@@ -272,6 +272,25 @@ def test_seed_env_default(tmp_path, model_file, monkeypatch):
     assert json.loads(out.read_text())["seed"] == 77
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_malformed_seed_env_is_usage_error(tmp_path, model_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("RSR_SEED", value)
+    for args in (
+        ["gen-graph", "--n-nodes", 5, "--radius", 0.5, "--out", tmp_path / "g.json"],
+        ["oracle", "--model", model_file, "--mode", "mc", "--samples", 50],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2
+        assert re.search(r"error: RSR_SEED must be an integer", capsys.readouterr().err)
+    # --version and an explicit --seed do not read it
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert run(["oracle", "--model", model_file, "--mode", "mc", "--samples", 50, "--seed", 3]) == 0
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_noncoherent_phi_is_input_error_naming_refs(tmp_path, model_file, noncoherent, monkeypatch, capsys):
     # model files only name coherent functions, so the loaded model is swapped
     model, dist = noncoherent

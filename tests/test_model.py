@@ -49,7 +49,7 @@ def test_phi_rows_counts_and_range_checks_like_phi():
     assert model._phi_rows(rows[:0]).tolist() == []
     assert model.evaluation_count == 2
     with pytest.raises(ValueError) as one:
-        model._phi(rows[1])
+        model.evaluate(rows[1])
     with pytest.raises(ValueError) as batch:
         model._phi_rows(rows)
     assert str(batch.value) == str(one.value) == "performance returned 5, outside [0, 1]"
@@ -61,10 +61,22 @@ def test_phi_rows_counts_and_range_checks_like_phi():
     phi.rows = lambda x: 2 * x.sum(axis=1) - 1
     model = SystemModel(2, 2, 2, phi)
     with pytest.raises(ValueError) as one:
-        model._phi(np.array([1, 1]))
+        model.evaluate(np.array([1, 1]))
     with pytest.raises(ValueError) as batch:
         model._phi_rows(np.array([[1, 0], [1, 1], [0, 0]]))  # states 1, 3, -1
     assert str(batch.value) == str(one.value) == "performance returned 3, outside [0, 1]"
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+def test_evaluate_hands_phi_int64(dtype):
+    from conftest import PhiProbe
+
+    model = SystemModel(3, 2, 2, k_out_of_n(2, 3))
+    probe = PhiProbe(model)
+    assert model.evaluate(np.array([1, 1, 0], dtype=dtype)) == 1
+    assert model.evaluate((0, 1, 0)) == 0
+    assert probe.dtypes == {np.dtype(np.int64)}
+    assert probe.calls == model.evaluation_count == 2
 
 
 def test_phi_rows_rejects_a_state_below_zero_alone():

@@ -88,3 +88,22 @@ def test_crude_mc_rejects_threshold_out_of_range(series3, threshold):
     model, dist = series3
     with pytest.raises(ValueError, match="threshold must lie in"):
         crude_monte_carlo(model, dist, 100, seed=1, threshold=threshold)
+
+
+def test_evaluate_and_crude_mc_never_call_a_batch_form():
+    # the per-row path is the independent check of every batch form
+    inner = k_out_of_n(2, 3)
+
+    def phi(x):
+        return inner(x)
+
+    def rows(x):
+        raise AssertionError("the batch form was called")
+
+    phi.rows = rows
+    model = SystemModel(3, 2, 2, phi)
+    assert model.evaluate((1, 1, 0)) == 1
+    dist = ComponentDistribution.iid(3, [0.3, 0.7])
+    p_hat, _ = crude_monte_carlo(model, dist, 500, 1, 0)
+    assert p_hat == crude_monte_carlo(SystemModel(3, 2, 2, inner), dist, 500, 1, 0)[0]
+    assert model.evaluation_count == 501

@@ -203,6 +203,45 @@ def test_stage2_rejects_sets_that_contradict_across_thresholds():
         _stage2(model, dist, cfg, [(0, None, None), (1, ReferenceSet(Side.LOWER, 1, [(2, 2)]), None)])
 
 
+def test_stage2_names_the_lowest_index_sample_whose_phi_leaves_its_bracket():
+    # every sample is bracketed 0 <= S <= 1, and phi = max(x) leaves the
+    # bracket on every sample holding a 2, several of them in the one block
+    model = SystemModel(2, 3, 3, lambda x: int(max(x)))
+    dist = ComponentDistribution.iid(2, [0.45, 0.45, 0.1])
+    cfg = small_config(n_samples=200)
+    system = sample_batch(dist, cfg.n_samples, cfg.seed).states.max(axis=1)
+    bad = np.flatnonzero(system == 2)
+    assert bad.size >= 2 and bad[0] > 0 and _chunk_rows(2) >= cfg.n_samples
+    with pytest.raises(InconsistentReferenceSets, match=rf"^sample {bad[0]} \(\d, \d\): .*phi says S = 2;"):
+        _stage2(model, dist, cfg, [(0, None, None), (1, ReferenceSet(Side.LOWER, 1, [(2, 2)]), None)])
+
+
+def test_stage2_resolves_open_rows_through_the_batch_form_a_block_at_a_time(monkeypatch):
+    monkeypatch.setattr(workflow, "_CHUNK_BYTES", 8 * 6 * 64)  # 64 rows a chunk and a block
+    inner = k_out_of_n(3, 6)
+    blocks = []
+
+    def phi(x):
+        raise AssertionError("Stage 2 called the per-row phi")
+
+    def rows(x):
+        blocks.append((x.dtype, len(x)))
+        return inner.rows(x)
+
+    phi.rows = rows
+    model = SystemModel(6, 2, 2, phi)
+    dist = ComponentDistribution.iid(6, [0.3, 0.7])
+    cfg = small_config(n_samples=1000, seed=3)
+    # k = 3 of 6: two working components give S = 0, three give S = 1
+    lower = ReferenceSet(Side.LOWER, 0, [(1, 1, 0, 0, 0, 0)])
+    upper = ReferenceSet(Side.UPPER, 0, [(1, 1, 1, 0, 0, 0)])
+    report = stage2_evaluate(model, dist, lower, upper, cfg, 0)
+    n_open = report.unclassified_resolved
+    assert model.evaluation_count == n_open > 3 * 64
+    assert blocks == [(np.dtype(np.int64), min(64, n_open - s)) for s in range(0, n_open, 64)]
+    assert report.p_lower == crude_monte_carlo(SystemModel(6, 2, 2, inner), dist, cfg.n_samples, cfg.seed, 0)[0]
+
+
 def test_boundary_search_disabled_inserts_raw_samples(series3):
     model, dist = series3
     cfg = small_config(boundary_search_enabled=False, r_max=30)
@@ -459,11 +498,12 @@ MiB = 1 << 20
 
 def test_stage2_memory_bounded_in_batch_size(rgg, rgg_refs):
     # the whole 400k x 115 batch would be 44 MiB of uint8 states alone. The
-    # peak is 2.6 MiB: one chunk's 1 MiB of states, one 1 MiB block of raw
-    # draws or the kernel's 1 MiB of temporaries, and the packed words. The
-    # ceiling leaves 0.9 MiB of margin, less than the 1 MiB that holding the
-    # previous chunk's states, a second block of draws or the one-hot cube
-    # of a chunk at M = 2 would add
+    # peak is 3.40 MiB at 400k rows (3.31 MiB at 100k): one chunk's 1 MiB of
+    # states, one 1 MiB block of raw draws and the hit kernel's 1 MiB of
+    # scratch, which lives for the whole pass, plus the chunk's packed words
+    # and the open rows. The ceiling leaves 0.1 MiB of margin, less than the
+    # 1 MiB that holding the previous chunk's states, a second block of draws
+    # or the one-hot cube of a chunk at M = 2 would add
     model, dist = rgg
     lower, upper = rgg_refs
     peaks = {
