@@ -5,22 +5,22 @@ x <= r componentwise; an upper one gives state >= m'+1 and covers every
 x >= r. A set stores its non-dominated members as one R x N int64 matrix
 in insertion order; one coverage rule, ``_inside``, finds redundant
 candidates (covered by a member or an earlier candidate) and the members
-an insert evicts, for a whole batch of candidates at once.
+an insert evicts, for a whole K x N matrix of candidates at once.
 
 Searches run in lockstep: ``boundary_searches`` steps every walk one
-phi call at a time and evaluates the vectors of all live walks in one
-call to ``SystemModel._phi_rows``, the model's one counted core, which
-Stage-2 resolution calls too.
+phi call at a time, moving its own row of one K x N matrix to its
+reference, and evaluates the rows of all live walks in one call to
+``SystemModel._phi_rows``, the model's one counted core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterable, Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
-from .model import SystemModel, check_states
+from .model import SystemModel, check_integers, check_states
 
 __all__ = ["Side", "ReferenceState", "ReferenceSet", "boundary_search", "boundary_searches"]
 
@@ -44,7 +44,7 @@ class ReferenceState:
     def __post_init__(self) -> None:
         if self.side not in (Side.LOWER, Side.UPPER):
             raise ValueError(f"side must be '{Side.LOWER}' or '{Side.UPPER}'")
-        object.__setattr__(self, "vector", tuple(map(int, self.vector)))
+        object.__setattr__(self, "vector", tuple(check_integers(self.vector).tolist()))
 
     @classmethod
     def checked(
@@ -95,13 +95,13 @@ def _covered(side: str, x: np.ndarray, refs: np.ndarray, among: int = 0) -> np.n
 
 
 class ReferenceSet:
-    """Non-dominated set of reference vectors for one side and threshold."""
+    """Non-dominated set of reference vectors for one side and threshold, taking ``members`` as one matrix."""
 
     def __init__(
         self,
         side: str,
         threshold: int,
-        members: Iterable[Sequence[int]] = (),
+        members: Sequence[Sequence[int]] | np.ndarray = (),
     ) -> None:
         if side not in (Side.LOWER, Side.UPPER):
             raise ValueError(f"side must be '{Side.LOWER}' or '{Side.UPPER}'")
@@ -109,7 +109,16 @@ class ReferenceSet:
         self.threshold = int(threshold)
         self._matrix = np.empty((0, 0), dtype=np.int64)  # the first insert sets N
         self._matrix.flags.writeable = False
-        self.insert_many([ReferenceState(m, side, threshold) for m in members])
+        try:
+            vectors = np.array(members)
+        except ValueError:  # rows of several lengths: name the first that differs
+            n = len(members[0])
+            for v in members:
+                if len(v) != n:
+                    raise ValueError(f"candidate has {len(v)} components, set members have {n}") from None
+            raise
+        if vectors.size:
+            self.insert_many(vectors)
 
     @property
     def members(self) -> list[tuple[int, ...]]:
@@ -135,11 +144,15 @@ class ReferenceSet:
         is independent of insertion order (up to set equality). This is
         the one-candidate call of ``insert_many``.
         """
-        (outcome,) = self.insert_many([candidate])
+        if candidate.side != self.side:
+            raise ValueError(f"candidate side {candidate.side!r} != set side {self.side!r}")
+        if candidate.threshold != self.threshold:
+            raise ValueError(f"candidate threshold {candidate.threshold} != set threshold {self.threshold}")
+        (outcome,) = self.insert_many([candidate.vector])
         return outcome
 
-    def insert_many(self, candidates: Sequence[ReferenceState]) -> list[str]:
-        """Insert candidates in order; the set and outcomes equal those of one ``insert`` each.
+    def insert_many(self, vectors: np.ndarray) -> list[str]:
+        """Insert the rows of a K x N integer matrix in order; the set and outcomes equal those of one ``insert`` each.
 
         By transitivity of coverage, a candidate is redundant iff a member
         or an earlier candidate covers it (an earlier one that the set no
@@ -147,29 +160,22 @@ class ReferenceSet:
         arrival). A member is evicted iff an inserted candidate covers it,
         and an inserted candidate stays unless a later inserted one covers
         it. Survivors keep their order and inserted candidates go last, in
-        order. Every candidate is checked before the set changes.
+        order. The matrix is checked before the set changes.
         """
-        n = self._matrix.shape[1] if len(self) else len(candidates[0].vector) if candidates else 0
-        for candidate in candidates:
-            if candidate.side != self.side:
-                raise ValueError(f"candidate side {candidate.side!r} != set side {self.side!r}")
-            if candidate.threshold != self.threshold:
-                raise ValueError(
-                    f"candidate threshold {candidate.threshold} != set threshold {self.threshold}"
-                )
-            if len(candidate.vector) != n:
-                raise ValueError(
-                    f"candidate has {len(candidate.vector)} components, set members have {n}"
-                )
-        if not candidates:
+        vectors = np.asarray(check_integers(vectors), dtype=np.int64)
+        if vectors.ndim != 2:
+            raise ValueError(f"candidates must form a K x N matrix, got shape {vectors.shape}")
+        if not len(vectors):
             return []
-        vectors = np.array([c.vector for c in candidates], dtype=np.int64)
+        n = self._matrix.shape[1] if len(self) else vectors.shape[1]
+        if vectors.shape[1] != n:
+            raise ValueError(f"candidate has {vectors.shape[1]} components, set members have {n}")
         rows = self._matrix.reshape(len(self), n)
         new, members = _component_major(vectors, rows)
         redundant = _covered(self.side, new, members) | _covered(self.side, new, new, among=-1)
         added = np.flatnonzero(~redundant)
         if not added.size:
-            return ["redundant"] * len(candidates)
+            return ["redundant"] * len(vectors)
         new = new[:, added]
         kept = np.flatnonzero(~_covered(self.side, members, new))
         stays = added[~_covered(self.side, new, new, among=1)]
@@ -191,13 +197,13 @@ def _shift(x: np.ndarray, moves: list[int], step: int, a: int, b: int) -> None:
         x[n] += sign
 
 
-def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray, int, ReferenceState]:
+def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray, int, bool]:
     """The galloping walk from ``x`` to the boundary of m' = ``threshold``.
 
     Yields each vector to evaluate, is sent its system state, and returns
-    the reference. ``x`` is an int64 vector of states in [0, ``n_states``-1]
-    that the walk moves in place; each yielded vector is ``x`` itself, left
-    unchanged until the walk is sent its state.
+    whether it walked the lower side. ``x`` is an int64 vector of states
+    in [0, ``n_states``-1] that the walk moves in place to the reference;
+    each yielded vector is ``x`` itself, unchanged until it is sent a state.
 
     The walk's moves are unit steps of one component state, ordered by
     component index and, within a component, towards its limit: up to
@@ -220,11 +226,8 @@ def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray,
     ceil(log2 L) further calls, an L-move probe runs only while
     spare >= ceil(log2 L).
     """
-    if (yield x) <= threshold:
-        side, step, room = Side.LOWER, 1, n_states - 1 - x
-    else:
-        side, step, room = Side.UPPER, -1, x
-    lower = side == Side.LOWER
+    lower = (yield x) <= threshold
+    step, room = (1, n_states - 1 - x) if lower else (-1, x)
 
     # the component of each move, read before any move changes x
     moves = np.arange(x.size).repeat(room).tolist()
@@ -267,20 +270,20 @@ def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray,
             width, run = 1, 0
         spare += q - p - 1  # q - p moves settled for one probe call
         p = q
-    return ReferenceState(tuple(x.tolist()), side, threshold)
+    return lower
 
 
 def boundary_searches(
     model: SystemModel, starts: Sequence[Sequence[int]], thresholds: Sequence[int]
-) -> tuple[list[ReferenceState], list[int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk each start to the system-state boundary of its threshold, all walks in lockstep.
 
-    Returns the references and each walk's phi calls, both in start
-    order. A round gathers the next vector of every live walk into one
-    K x N matrix and evaluates it with one call to the model's counted
-    core ``_phi_rows``, which counts K calls. Each walk is ``_walk``'s
-    galloping walk; its reference and phi calls do not depend on the
-    other walks.
+    Returns ``(ends, lower, calls)`` in start order: the K x N int64 walk
+    rows, which end as the references, the mask of lower-side walks and
+    each walk's phi calls. A round evaluates the next vector of every live
+    walk, one K x N matrix, with one call to the model's counted core
+    ``_phi_rows``, which counts K calls. Each walk is ``_walk``'s
+    galloping walk; its reference and calls do not depend on the others.
 
     Every threshold and start is validated before the first phi call.
     Every vector evaluated after that is a start moved by unit steps
@@ -298,24 +301,24 @@ def boundary_searches(
     walks = [_walk(row, threshold, m) for row, threshold in zip(x, thresholds, strict=True)]
     for walk in walks:
         next(walk)
-    refs: list[ReferenceState] = [None] * len(walks)  # type: ignore[list-item]
-    calls = [0] * len(walks)
+    lower = np.zeros(len(walks), dtype=bool)
+    calls = np.zeros(len(walks), dtype=np.int64)
     live = list(range(len(walks)))
     while live:
         states = model._phi_rows(x[live])
+        calls[live] += 1
         waiting = []
         for i, state in zip(live, states.tolist()):
-            calls[i] += 1
             try:
                 walks[i].send(state)
                 waiting.append(i)
             except StopIteration as done:
-                refs[i] = done.value
+                lower[i] = done.value
         live = waiting
-    return refs, calls
+    return x, lower, calls
 
 
 def boundary_search(model: SystemModel, x0: Sequence[int], threshold: int) -> ReferenceState:
     """Walk one vector to the system-state boundary: the one-start call of ``boundary_searches``."""
-    (ref,), _ = boundary_searches(model, [x0], [threshold])
-    return ref
+    (end,), (lower,), _ = boundary_searches(model, [x0], [threshold])
+    return ReferenceState(end, Side.LOWER if lower else Side.UPPER, threshold)

@@ -244,25 +244,6 @@ def ordered_map(fn: Callable[[Any], Any], items: Iterable, n_workers: int) -> It
             yield pending.popleft().result()
 
 
-def _hits_for(
-    samples_enc: EncodedBatch,
-    ref_states: np.ndarray | None,
-    kind: str,
-    chunk_size: int,
-    n_workers: int,
-) -> np.ndarray:
-    """Hit mask of encoded samples against raw reference rows, ``chunk_size`` rows at a time."""
-    rbar = None
-    if ref_states is not None and ref_states.shape[0]:
-        rbar = encode_batch(ref_states, samples_enc.n_states, kind).packed_complement
-    packed = samples_enc.packed
-
-    def work(start: int) -> np.ndarray:
-        return word_hits(np.ascontiguousarray(packed[start : start + chunk_size].T), rbar)
-
-    return np.concatenate(list(ordered_map(work, range(0, len(samples_enc), chunk_size), n_workers)))
-
-
 def verdicts(
     rows: Callable[[int, int], np.ndarray],
     n_rows: int,

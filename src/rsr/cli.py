@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, files
@@ -219,21 +220,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         model_hash=digest,
         refs_path=str(args.refs),
     )
-    files.write_json(
-        args.out_report,
-        {
-            "format": files.FORMAT,
-            "p_lower": report.p_lower,
-            "p_upper": report.p_upper,
-            "cov_lower": report.cov_lower,
-            "cov_upper": report.cov_upper,
-            "n_samples": report.n_samples,
-            "unclassified_resolved": report.unclassified_resolved,
-            "threshold": report.threshold,
-            "seed": report.seed,
-            "manifest": manifest,
-        },
-    )
+    files.write_json(args.out_report, {"format": files.FORMAT, **asdict(report), "manifest": manifest})
     print(
         f"P(S<={report.threshold}) = {report.p_lower:.6e} "
         f"(cov {report.cov_lower if report.cov_lower is not None else 'undefined'}), "

@@ -20,6 +20,7 @@ __all__ = [
     "ComponentDistribution",
     "SystemModel",
     "check_coherency",
+    "check_integers",
     "check_states",
     "validate_vector",
 ]
@@ -55,6 +56,18 @@ class _EvalCounter:
             self._count = 0
 
 
+def check_integers(states: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Return ``states`` as an integer array, without a copy when it is one.
+
+    Any other dtype raises ValueError: floats, strings, bools, and the
+    object array an integer too large for int64 or uint64 gives.
+    """
+    arr = np.asarray(states)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"component states must be integers, got dtype {arr.dtype}")
+    return arr
+
+
 def check_states(states: Sequence[int] | np.ndarray, n_states: int) -> np.ndarray:
     """Return ``states`` as an integer array whose entries all lie in [0, n_states - 1].
 
@@ -63,9 +76,7 @@ def check_states(states: Sequence[int] | np.ndarray, n_states: int) -> np.ndarra
     width checks both ends: a negative entry wraps to 2**(bits-1) or more,
     and every valid signed entry lies below 2**(bits-1).
     """
-    arr = np.asarray(states)
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"component states must be integers, got dtype {arr.dtype}")
+    arr = check_integers(states)
     limit = n_states if arr.dtype.kind == "u" else min(n_states, 1 << (8 * arr.itemsize - 1))
     if arr.size and arr.view(_UNSIGNED[arr.dtype]).max() >= limit:
         raise ValueError(f"component states must lie in [0, {n_states - 1}]")

@@ -58,7 +58,7 @@ import numpy as np
 
 # boundary_search is not called here; it stays importable as
 # workflow.boundary_search because perfbench/spans.py wraps that name
-from .boundary import ReferenceSet, ReferenceState, Side, boundary_search, boundary_searches  # noqa: F401
+from .boundary import ReferenceSet, Side, boundary_search, boundary_searches  # noqa: F401
 # classify is not called here; it stays importable as workflow.classify
 # because perfbench/spans.py wraps that name
 from .classify import InconsistentReferenceSets, ThresholdSets, classify, cov, verdicts  # noqa: F401
@@ -288,30 +288,25 @@ def _stage1(
         if not still_live:
             break
 
-        owners = [k for k, picks in picked for _ in range(len(picks))]
+        owners = np.repeat([k for k, _ in picked], [len(picks) for _, picks in picked])
         # the counter-based stream regenerates the picked rows alone, every
         # threshold's in one walk; a row two thresholds picked is drawn once
         starts = sample_rows(dist, config.seed, iteration, np.concatenate([picks for _, picks in picked]))
+        targets = np.asarray(thresholds)[owners]
         if config.boundary_search_enabled:
             # every pick of every threshold walks in lockstep, one phi call a round
-            candidates, calls = boundary_searches(model, starts, [thresholds[k] for k in owners])
+            ends, lower, calls = boundary_searches(model, starts, targets.tolist())
         else:
-            states = model._phi_rows(starts)
-            candidates = [
-                ReferenceState(tuple(x0.tolist()), Side.LOWER if s <= thresholds[k] else Side.UPPER, thresholds[k])
-                for k, x0, s in zip(owners, starts, states.tolist())
-            ]
-            calls = [1] * len(owners)
+            ends, lower, calls = starts, model._phi_rows(starts) <= targets, np.ones(len(starts), dtype=np.int64)
         # walks never read the sets, so each set takes its iteration's
         # candidates, in pick order, in one insert
         for k in still_live:
             result = results[k]
-            phi_calls[k] += sum(c for owner, c in zip(owners, calls) if owner == k)
-            for target in (result.lower, result.upper):
-                batch = [c for owner, c in zip(owners, candidates) if owner == k and c.side == target.side]
-                result.redundant_searches += target.insert_many(batch).count("redundant")
+            phi_calls[k] += int(calls[owners == k].sum())
+            for target, side in ((result.lower, lower), (result.upper, ~lower)):
+                result.redundant_searches += target.insert_many(ends[(owners == k) & side]).count("redundant")
         # dropped before the next iteration streams its batch
-        del picked, starts, candidates, calls, batch
+        del picked, starts, ends, lower, calls
         live = still_live
         iteration += 1
     return results

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rsr.classify import ordered_map, word_hits
+from rsr.encoding import EncodedBatch, encode_batch
 from rsr.model import ComponentDistribution, SystemModel
 from rsr.sysfn import Graph, k_out_of_n
 
@@ -110,3 +112,27 @@ class PhiProbe:
             return inner(x)
 
         model.performance = phi
+
+
+def _hits_for(
+    samples_enc: EncodedBatch,
+    ref_states: np.ndarray | None,
+    kind: str,
+    chunk_size: int,
+    n_workers: int,
+) -> np.ndarray:
+    """Hit mask of encoded samples against raw reference rows, ``chunk_size`` rows at a time.
+
+    A test oracle: each call encodes its references in the layout ``kind``
+    names and runs the hit kernel on plain slices of the samples, apart
+    from ``classify.verdicts``'s packing and brackets.
+    """
+    rbar = None
+    if ref_states is not None and ref_states.shape[0]:
+        rbar = encode_batch(ref_states, samples_enc.n_states, kind).packed_complement
+    packed = samples_enc.packed
+
+    def work(start: int) -> np.ndarray:
+        return word_hits(np.ascontiguousarray(packed[start : start + chunk_size].T), rbar)
+
+    return np.concatenate(list(ordered_map(work, range(0, len(samples_enc), chunk_size), n_workers)))

@@ -10,9 +10,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import fig_space_phi, random_distribution, random_monotone_model
+from conftest import _hits_for, fig_space_phi, random_distribution, random_monotone_model
 from rsr.boundary import ReferenceSet, ReferenceState, Side, boundary_search
-from rsr.classify import DEFAULT_CHUNK_SIZE, _hits_for, classify
+from rsr.classify import DEFAULT_CHUNK_SIZE, classify
 from rsr.encoding import (
     encode_batch,
     encode_lower_ref,

@@ -181,6 +181,23 @@ def test_insert_rejects_mismatches():
         ReferenceSet(Side.LOWER, 0, [(0, 1), (1, 0, 0)])
 
 
+@pytest.mark.parametrize("vector", [(0.5, 1.5), (2**70, 1), (True, False), ("0", "1")])
+def test_non_integer_vectors_are_rejected(vector):
+    # a float is not truncated, and an int past 64 bits is an input error, not an overflow
+    with pytest.raises(ValueError, match="component states must be integers, got dtype"):
+        ReferenceSet(Side.LOWER, 0, [vector])
+    with pytest.raises(ValueError, match="component states must be integers, got dtype"):
+        ReferenceState(vector, Side.LOWER, 0)
+
+
+def test_insert_many_of_no_rows_leaves_the_set_unchanged():
+    for members in ([], [(1, 2), (2, 0)]):
+        refs = ReferenceSet(Side.UPPER, 0, members)
+        before = refs.as_array()
+        assert refs.insert_many(np.empty((0, 2), dtype=np.int64)) == []
+        assert refs.as_array() is before
+
+
 def test_as_array_is_read_only_matrix():
     refs = ReferenceSet(Side.UPPER, 0).as_array()
     assert refs.shape[0] == 0
@@ -261,10 +278,12 @@ def test_lockstep_searches_equal_one_search_each(seed, n, m, m_s):
 
     probe = PhiProbe(model)
     before = model.evaluation_count
-    refs, calls = boundary_searches(model, [x0.astype(np.uint8) for x0 in starts], thresholds)
-    assert refs == expected
-    assert calls == counts
-    assert model.evaluation_count - before == sum(calls) == probe.calls
+    ends, lower, calls = boundary_searches(model, [x0.astype(np.uint8) for x0 in starts], thresholds)
+    sides = [Side.LOWER if low else Side.UPPER for low in lower]
+    assert [ReferenceState(*ref) for ref in zip(ends, sides, thresholds)] == expected
+    assert ends.dtype == calls.dtype == np.int64
+    assert calls.tolist() == counts
+    assert model.evaluation_count - before == calls.sum() == probe.calls
     assert probe.dtypes == {np.dtype(np.int64)}
     assert probe.bad == []
 
@@ -276,10 +295,11 @@ def test_lockstep_searches_use_the_batch_form_of_phi():
     per_row = SystemModel(12, 5, 5, lambda x: batch.performance(x))
     starts = rng.integers(0, 5, size=(40, 12))
     thresholds = [int(t) for t in rng.integers(0, 4, size=40)]
-    refs, calls = boundary_searches(batch, starts, thresholds)
-    assert (refs, calls) == boundary_searches(per_row, starts, thresholds)
-    assert batch.evaluation_count == per_row.evaluation_count == sum(calls)
-    assert boundary_searches(batch, [], []) == ([], [])
+    ends, lower, calls = boundary_searches(batch, starts, thresholds)
+    for got, want in zip((ends, lower, calls), boundary_searches(per_row, starts, thresholds), strict=True):
+        assert np.array_equal(got, want)
+    assert batch.evaluation_count == per_row.evaluation_count == calls.sum()
+    assert [a.shape for a in boundary_searches(batch, [], [])] == [(0, 12), (0,), (0,)]
 
 
 def _one_at_a_time(side, members, candidates):
@@ -319,7 +339,8 @@ def test_insert_many_equals_inserting_one_at_a_time(case):
     refs = ReferenceSet(side, 0, members)
     assert refs.members == start
     want, outcomes = _one_at_a_time(side, start, candidates)
-    assert refs.insert_many([ReferenceState(x, side, 0) for x in candidates]) == outcomes
+    n = len(members[0]) if members else len(candidates[0]) if candidates else 0
+    assert refs.insert_many(np.array(candidates, dtype=np.int64).reshape(len(candidates), n)) == outcomes
     assert refs.members == want
 
 
@@ -339,8 +360,9 @@ def test_loading_a_large_set_is_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # three K x N copies (the candidates' tuples, their matrix, the member
-    # matrix) and a few comparison blocks, not a K x K x N comparison
+    # two K x N int64 copies (the candidates' matrix, the member matrix),
+    # their narrow component-major copies and a few comparison blocks, not
+    # a K x K x N comparison
     assert peak <= 3.5 * k * n * 8 + 4 * _BLOCK_BYTES, f"{peak / 2**20:.1f} MiB"
     one_at_a_time = ReferenceSet(Side.LOWER, 0)
     for x in members:

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _hits_for
+
 from rsr.boundary import ReferenceSet, Side
 from rsr.classify import (
     _BLOCK_BYTES,
     DEFAULT_CHUNK_SIZE,
     InconsistentReferenceSets,
-    _hits_for,
     classify,
     cov,
     verdicts,

@@ -154,6 +154,29 @@ def test_evaluate_empty_refs_matches_mc_oracle(tmp_path, model_file):
     assert rep["cov_lower"] == mc["cov"]
 
 
+@pytest.mark.parametrize("vector", [[0.5, 1.5], [2**70, 1]])
+def test_evaluate_rejects_non_integer_refs(tmp_path, capsys, vector):
+    # an input error (exit 3): a float is not truncated, an oversized int does not overflow
+    model = write_series_model(tmp_path / "model.json", n=2)
+    refs = tmp_path / "refs.json"
+    write_json(
+        refs,
+        {
+            "format": FORMAT,
+            "threshold": 0,
+            "model_hash": "x",
+            "lower": {"format": FORMAT, "side": "lower", "threshold": 0, "vectors": [vector]},
+            "upper": {"format": FORMAT, "side": "upper", "threshold": 0, "vectors": [[1, 1]]},
+        },
+    )
+    code = run(
+        ["evaluate", "--model", model, "--refs", refs, "--out-report", tmp_path / "rep.json",
+         "--samples", 1000, "--force"]
+    )
+    assert code == 3
+    assert "component states must be integers" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_refs_of_wrong_length(tmp_path, capsys):
     model = write_series_model(tmp_path / "wide.json", n=115)
     refs = tmp_path / "refs.json"

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import _hits_for
 from rsr import workflow
-from rsr.boundary import ReferenceSet, Side, boundary_search
+from rsr.boundary import ReferenceSet, ReferenceState, Side, boundary_search
 from rsr.classify import InconsistentReferenceSets, classify
 from rsr.encoding import encode_batch
 from rsr.model import ComponentDistribution, SystemModel
@@ -253,6 +254,21 @@ def test_boundary_search_disabled_inserts_raw_samples(series3):
         assert model.evaluate(np.array(vec)) == 1
 
 
+def test_batch_paths_build_no_reference_state(monkeypatch, series3):
+    # references go from the walks' matrix to the sets as rows, never one object each
+    def refuse(self):
+        raise AssertionError("a ReferenceState was built")
+
+    monkeypatch.setattr(ReferenceState, "__post_init__", refuse)
+    model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
+    dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
+    report = multistate_pmf(model, dist, RunConfig(n_samples=2000, eps_u=1e-2, r_max=40, parallel_searches=4, seed=5))
+    assert all(len(s1.lower) and len(s1.upper) for s1 in report.stage1_results)
+    model, dist = series3
+    raw = stage1_find_references(model, dist, small_config(boundary_search_enabled=False, r_max=30), threshold=0)
+    assert len(raw.lower) and len(raw.upper)
+
+
 def test_reference_sets_are_side_consistent(series3):
     model, dist = series3
     res = stage1_find_references(model, dist, small_config(), threshold=0)
@@ -439,7 +455,7 @@ def test_pass_allocates_one_kernel_scratch_per_worker(monkeypatch, workers):
     samples = encode_batch(sample_batch(dist, cfg.n_samples, cfg.seed, 9).states, 5, "sample")
     for j, (_, low, up) in enumerate(sets):
         for side, (ref_set, kind) in enumerate(((low, "lower_ref"), (up, "upper_ref"))):
-            expected = classify_module._hits_for(samples, ref_set.as_array(), kind, cfg.n_samples, 1)
+            expected = _hits_for(samples, ref_set.as_array(), kind, cfg.n_samples, 1)
             assert np.array_equal(np.concatenate([hits[j][side] for *_, hits in chunks]), expected)
 
 
