@@ -10,13 +10,17 @@ an insert evicts, for a whole K x N matrix of candidates at once.
 Searches run in lockstep: ``boundary_searches`` steps every walk one
 phi call at a time, moving its own row of one K x N matrix to its
 reference, and evaluates the rows of all live walks in one call to
-``SystemModel._phi_rows``, the model's one counted core.
+``SystemModel._phi_rows``, the model's one counted core. A walk that
+settles in a state another walk of its threshold settled in first stops
+and takes that walk's reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Sequence
+from functools import partial
+from itertools import chain
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -117,6 +121,10 @@ class ReferenceSet:
                 if len(v) != n:
                     raise ValueError(f"candidate has {len(v)} components, set members have {n}") from None
             raise
+        # numpy takes a bool among ints for 0 or 1, and check_integers sees only the matrix's dtype
+        from_sequences = vectors.dtype.kind in "iu" and not isinstance(members, np.ndarray)
+        if from_sequences and bool in map(type, chain.from_iterable(members)):
+            raise ValueError("component states must be integers, got a bool")
         if vectors.size:
             self.insert_many(vectors)
 
@@ -162,7 +170,10 @@ class ReferenceSet:
         it. Survivors keep their order and inserted candidates go last, in
         order. The matrix is checked before the set changes.
         """
-        vectors = np.asarray(check_integers(vectors), dtype=np.int64)
+        vectors = check_integers(vectors)
+        if vectors.dtype == np.uint64 and vectors.size and vectors.max() > np.iinfo(np.int64).max:
+            raise ValueError(f"component state {vectors.max()} does not fit int64")
+        vectors = np.asarray(vectors, dtype=np.int64)
         if vectors.ndim != 2:
             raise ValueError(f"candidates must form a K x N matrix, got shape {vectors.shape}")
         if not len(vectors):
@@ -197,7 +208,9 @@ def _shift(x: np.ndarray, moves: list[int], step: int, a: int, b: int) -> None:
         x[n] += sign
 
 
-def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray, int, bool]:
+def _walk(
+    x: np.ndarray, threshold: int, n_states: int, meet: Callable[[bool, int], bool]
+) -> Generator[np.ndarray, int, bool]:
     """The galloping walk from ``x`` to the boundary of m' = ``threshold``.
 
     Yields each vector to evaluate, is sent its system state, and returns
@@ -216,9 +229,16 @@ def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray,
     One evaluation probes the next L moves at once. An accepted probe
     takes them all; a rejected one is bisected for its first rejected
     move, which by monotonicity is the move a walk of single steps would
-    reject, so the reference is the same. L stays 1 until two components
-    in a row reach their limit without a rejection, then doubles on each
-    accepted probe, and falls back to 1 after a rejection.
+    reject, so the reference is the same. The walk is an exponential
+    search restarted after each rejection: L is 1 until a component
+    reaches its limit, then doubles on each accepted probe, and falls
+    back to 1 after a rejection.
+
+    After each accepted probe of more than one move, the moves left are
+    those of components c on, the next move's component, each towards its
+    limit from its state in ``x``; so a walk of single moves from here
+    ends at a reference that ``x`` and c fix. The walk calls
+    ``meet(lower, c)``, and a true answer ends it there, returning its side.
 
     It costs at most N*(M-1)+1 evaluations. ``spare`` counts the
     calls left in that budget beyond one per remaining move: an accepted
@@ -234,7 +254,7 @@ def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray,
     end = len(moves)
     spare = x.size * (n_states - 1) - end
 
-    p, width, run = 0, 1, 0  # moves[:p] are settled: taken, or skipped after a rejection
+    p, width, gallop = 0, 1, False  # moves[:p] are settled: taken, or skipped after a rejection
     while p < end:
         if width == 1:
             x[moves[p]] += step
@@ -246,9 +266,11 @@ def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray,
                 x[n] += step
         q = p + width
         if ((yield x) <= threshold) == lower:
-            if q == end or moves[q] != moves[q - 1]:  # a component reached its limit
-                run += 1
-            if run >= 2:
+            if width > 1 and q < end and meet(lower, moves[q]):
+                return lower
+            # gallop once a component has reached its limit since the last rejection
+            gallop = gallop or q == end or moves[q] != moves[q - 1]
+            if gallop:
                 width *= 2
         else:
             # bisect: moves[:lo] are accepted, moves[:hi] cross m', x is after moves[:q]
@@ -267,7 +289,7 @@ def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray,
             q = lo + 1
             while q < end and moves[q] == moves[lo]:
                 q += 1
-            width, run = 1, 0
+            width, gallop = 1, False
         spare += q - p - 1  # q - p moves settled for one probe call
         p = q
     return lower
@@ -278,12 +300,20 @@ def boundary_searches(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk each start to the system-state boundary of its threshold, all walks in lockstep.
 
-    Returns ``(ends, lower, calls)`` in start order: the K x N int64 walk
-    rows, which end as the references, the mask of lower-side walks and
-    each walk's phi calls. A round evaluates the next vector of every live
-    walk, one K x N matrix, with one call to the model's counted core
-    ``_phi_rows``, which counts K calls. Each walk is ``_walk``'s
-    galloping walk; its reference and calls do not depend on the others.
+    Returns ``(ends, lower, calls)`` in start order: the K x N int64
+    references, the mask of lower-side walks and each walk's own phi
+    calls. A round evaluates the next vector of every live walk, one
+    K x N matrix, with one call to the model's counted core ``_phi_rows``,
+    which counts K calls. Each walk is ``_walk``'s galloping walk.
+
+    Walks that meet share the rest of the walk. After each accepted probe
+    of more than one move a walk registers its settled state: threshold,
+    side, next component and vector. A walk that settles in a state
+    another walk registered first stops there and takes that walk's
+    reference and side, chains resolved. Since ``_walk``'s reference from
+    a settled state depends on that state alone, each reference is the
+    one its walk reaches alone, from at most as many calls, and only walks
+    of one threshold meet.
 
     Every threshold and start is validated before the first phi call.
     Every vector evaluated after that is a start moved by unit steps
@@ -298,7 +328,18 @@ def boundary_searches(
     x = np.array(check_states(starts, m) if len(starts) else np.empty((0, n)), dtype=np.int64)
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"component-state vector has length {x.shape[1:]}, expected ({n},)")
-    walks = [_walk(row, threshold, m) for row, threshold in zip(x, thresholds, strict=True)]
+    # the walk that registered each settled state first; into[i] is the walk whose state walk i met, or i
+    settled: dict[tuple[int, bool, int, bytes], int] = {}
+    into = list(range(len(x)))
+
+    def meet(i: int, threshold: int, lower: bool, component: int) -> bool:
+        into[i] = settled.setdefault((threshold, lower, component, x[i].tobytes()), i)
+        return into[i] != i
+
+    walks = [
+        _walk(row, threshold, m, partial(meet, i, threshold))
+        for i, (row, threshold) in enumerate(zip(x, thresholds, strict=True))
+    ]
     for walk in walks:
         next(walk)
     lower = np.zeros(len(walks), dtype=bool)
@@ -315,7 +356,11 @@ def boundary_searches(
             except StopIteration as done:
                 lower[i] = done.value
         live = waiting
-    return x, lower, calls
+    # a walk that met another takes its reference and side, through chains of meetings
+    root = np.array(into, dtype=np.intp)
+    while not np.array_equal(root[root], root):
+        root = root[root]
+    return x[root], lower[root], calls
 
 
 def boundary_search(model: SystemModel, x0: Sequence[int], threshold: int) -> ReferenceState:

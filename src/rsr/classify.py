@@ -40,7 +40,7 @@ import numpy as np
 
 # _BLOCK_BYTES bounds one worker's chunk x ref-block temporaries
 from .boundary import _BLOCK_BYTES, ReferenceSet, Side
-from .encoding import EncodedBatch, encode_batch
+from .encoding import EncodedBatch, _pack_words, encode_batch
 from .sampling import SampleBatch
 
 __all__ = [
@@ -156,6 +156,22 @@ def _pack_references(
             f"samples have {n_components}"
         )
     return encode_batch(vectors, n_states, f"{side}_thermometer").packed_complement
+
+
+def _levels_apart(lower: np.ndarray, upper: np.ndarray, n_components: int, n_states: int) -> bool:
+    """Whether level counts alone show that no upper reference lies under a lower one.
+
+    With c_k(v) = #{n : v_n > k}, u <= l implies c_k(u) <= c_k(l) at every
+    cut k. The rows are ``_pack_references``'s: NOT T(l) and T(u), pad bits
+    zero, so bits (n, k) of a row count N - c_k(l) and c_k(u). Some cut
+    with min c_k(u) > max c_k(l) therefore certifies that no u <= l.
+    """
+    cuts = n_states - 1
+    for mask in _pack_words(np.tile(np.eye(cuts, dtype=np.uint8), n_components)):
+        fewest = [int(np.bitwise_count(rows & mask).sum(axis=1).min()) for rows in (lower, upper)]
+        if sum(fewest) > n_components:
+            return True
+    return False
 
 
 def _scratch_size(n_refs: int, n_cols: int) -> int:
@@ -288,10 +304,11 @@ def verdicts(
             return _kernel_scratch(size, n_words)
 
     # A row both sides hit would lie over some u and under some l, so u <= l.
-    # With no such pair the upper pass may skip the rows the lower pass hit;
-    # u <= l exactly when NOT T(l) AND T(u) is zero, the upper test with l
-    # as the sample. The first chunk to run checks every set, with its own
-    # scratch, taken after its draws are freed so that it can reuse their memory
+    # With no such pair the upper pass may skip the rows the lower pass hit.
+    # Level counts rule such pairs out at the cost of a popcount a reference;
+    # failing that, u <= l exactly when NOT T(l) AND T(u) is zero, the upper
+    # test with l as the sample. The first chunk to run checks every set, with
+    # its own scratch, taken after its draws are freed so that it can reuse their memory
     disjoint_sets: list[bool] = []
     checking = threading.Lock()
 
@@ -299,7 +316,10 @@ def verdicts(
         with checking:
             if not disjoint_sets:
                 disjoint_sets.extend(
-                    lower is None or upper is None or not word_hits(np.ascontiguousarray(lower.T), upper, kernel).any()
+                    lower is None
+                    or upper is None
+                    or _levels_apart(lower, upper, n, m)
+                    or not word_hits(np.ascontiguousarray(lower.T), upper, kernel).any()
                     for _, lower, upper in refs
                 )
         return disjoint_sets

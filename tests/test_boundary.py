@@ -190,6 +190,20 @@ def test_non_integer_vectors_are_rejected(vector):
         ReferenceState(vector, Side.LOWER, 0)
 
 
+def test_bools_among_ints_and_unsigned_past_int64_are_rejected():
+    # numpy would promote [0, True] to (0, 1) and wrap 2**64 - 1 to -1
+    with pytest.raises(ValueError, match="got a bool"):
+        ReferenceSet(Side.LOWER, 0, [[0, True]])
+    with pytest.raises(ValueError, match="does not fit int64"):
+        ReferenceSet(Side.LOWER, 0, [[2**64 - 1, 2**63]])
+    refs = ReferenceSet(Side.UPPER, 0, [(1, 2)])
+    before = refs.as_array()
+    with pytest.raises(ValueError, match="does not fit int64"):
+        refs.insert_many(np.array([[0, 0], [2**63, 1]], dtype=np.uint64))
+    assert refs.as_array() is before
+    assert refs.insert_many(np.array([[1, 1]], dtype=np.uint64)) == ["inserted"]
+
+
 def test_insert_many_of_no_rows_leaves_the_set_unchanged():
     for members in ([], [(1, 2), (2, 0)]):
         refs = ReferenceSet(Side.UPPER, 0, members)
@@ -282,7 +296,8 @@ def test_lockstep_searches_equal_one_search_each(seed, n, m, m_s):
     sides = [Side.LOWER if low else Side.UPPER for low in lower]
     assert [ReferenceState(*ref) for ref in zip(ends, sides, thresholds)] == expected
     assert ends.dtype == calls.dtype == np.int64
-    assert calls.tolist() == counts
+    # a walk that meets another's settled state stops there: its own calls are at most its solo calls
+    assert all(c <= solo for c, solo in zip(calls.tolist(), counts, strict=True))
     assert model.evaluation_count - before == calls.sum() == probe.calls
     assert probe.dtypes == {np.dtype(np.int64)}
     assert probe.bad == []
@@ -300,6 +315,70 @@ def test_lockstep_searches_use_the_batch_form_of_phi():
         assert np.array_equal(got, want)
     assert batch.evaluation_count == per_row.evaluation_count == calls.sum()
     assert [a.shape for a in boundary_searches(batch, [], [])] == [(0, 12), (0,), (0,)]
+
+
+def _solo_calls(model, starts, thresholds):
+    """Each start's reference and phi calls when it walks alone."""
+    refs, calls = [], []
+    for x0, t in zip(starts, thresholds, strict=True):
+        before = model.evaluation_count
+        refs.append(boundary_search(model, x0, t))
+        calls.append(model.evaluation_count - before)
+    return refs, calls
+
+
+def _lockstep(model, starts, thresholds):
+    ends, lower, calls = boundary_searches(model, starts, thresholds)
+    sides = [Side.LOWER if low else Side.UPPER for low in lower]
+    return [ReferenceState(*ref) for ref in zip(ends, sides, thresholds)], calls
+
+
+def test_duplicate_starts_share_one_walk():
+    # from all ones or all threes, 3-out-of-12 takes a whole component
+    # before its first rejection, so copies of one start settle together
+    # after their first wide probe
+    model = SystemModel(12, 5, 5, k_out_of_n(3, 12))
+    starts = [np.ones(12, dtype=np.int64)] * 3 + [np.full(12, 3)] * 2
+    thresholds = [1, 1, 1, 2, 2]
+    refs, solo = _solo_calls(model, starts, thresholds)
+    before = model.evaluation_count
+    got, calls = _lockstep(model, starts, thresholds)
+    assert got == refs
+    assert refs[0] == refs[1] == refs[2] and refs[3] == refs[4]
+    assert model.evaluation_count - before == calls.sum() < sum(solo)
+    assert calls[0] == solo[0] and calls[3] == solo[3]
+    assert all(c < s for c, s in zip(calls[[1, 2, 4]], np.array(solo)[[1, 2, 4]]))
+
+
+def test_walks_meet_on_graph_connectivity():
+    g = random_geometric_graph(30, 0.35, 0)
+    model = SystemModel(g.n_edges, 2, 2, single_od_connectivity(g, *pick_od_pair(g)))
+    rng = np.random.default_rng(0)
+    starts = (rng.random((32, g.n_edges)) >= 0.05).astype(np.int64)
+    refs, solo = _solo_calls(model, starts, [0] * 32)
+    got, calls = _lockstep(model, starts, [0] * 32)
+    assert got == refs
+    assert (calls <= solo).all()
+    assert calls.sum() < sum(solo), f"{calls.sum()} phi calls in lockstep against {sum(solo)} alone"
+
+
+@given(st.integers(0, 2**31), st.integers(1, 8), st.integers(2, 5), st.integers(2, 4))
+@settings(max_examples=100, deadline=None)
+def test_walks_that_meet_match_the_linear_walk(seed, n, m, m_s):
+    from conftest import random_monotone_model
+
+    rng = np.random.default_rng(seed)
+    model = random_monotone_model(rng, n, m, m_s)
+    # starts and thresholds drawn from small pools repeat, so walks meet
+    pool = [rng.integers(0, m, size=n), np.zeros(n, dtype=np.int64), np.full(n, m - 1)]
+    starts = [pool[i] for i in rng.integers(0, len(pool), size=12)]
+    thresholds = [int(t) for t in rng.integers(0, m_s - 1, size=12)]
+    expected = [_linear_search(model, x0, t) for x0, t in zip(starts, thresholds)]
+    before = model.evaluation_count
+    got, calls = _lockstep(model, starts, thresholds)
+    assert got == expected
+    assert model.evaluation_count - before == calls.sum()
+    assert (calls <= n * (m - 1) + 1).all()
 
 
 def _one_at_a_time(side, members, candidates):

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import re
 import tracemalloc
 from fractions import Fraction
@@ -15,6 +16,8 @@ from rsr.classify import (
     _BLOCK_BYTES,
     DEFAULT_CHUNK_SIZE,
     InconsistentReferenceSets,
+    _levels_apart,
+    _pack_references,
     classify,
     cov,
     verdicts,
@@ -414,3 +417,56 @@ def test_classify_empty_batch():
     batch = SampleBatch(states=np.zeros((0, 3), dtype=np.int64), seed=0, generation_index=0)
     res = classify(batch, ReferenceSet(Side.LOWER, 0, [(1, 1, 1)]), None, n_states=2)
     assert (res.lower_indices.size, res.upper_indices.size, res.unclassified_indices.size) == (0, 0, 0)
+
+
+@given(st.integers(0, 2**31), st.integers(1, 6), st.integers(2, 4))
+@settings(max_examples=200, deadline=None)
+def test_level_count_certificate_never_fires_on_crossing_sets(seed, n, m):
+    rng = np.random.default_rng(seed)
+    lower = rng.integers(0, m, size=(int(rng.integers(1, 6)), n))
+    upper = rng.integers(0, m, size=(int(rng.integers(1, 6)), n))
+    if rng.random() < 0.5:  # plant some u <= l
+        upper[0] = rng.integers(0, lower[0] + 1)
+    packed = [
+        _pack_references(ReferenceSet(side, 0, refs), side, n, m)
+        for side, refs in ((Side.LOWER, lower), (Side.UPPER, upper))
+    ]
+    if _levels_apart(*packed, n, m):
+        assert not any(dominates(u, l) for l in lower.tolist() for u in upper.tolist())
+
+
+def _planted_k_out_of_n(n, m, k, threshold):
+    """The maximal lower and minimal upper references of k-out-of-n at ``threshold``, in closed form.
+
+    S <= m' exactly when fewer than k components exceed m': a maximal lower
+    state sets k - 1 components to M-1 and the rest to m', a minimal upper
+    one sets k components to m'+1 and the rest to 0.
+    """
+    lower, upper = [], []
+    for top in itertools.combinations(range(n), k - 1):
+        lower.append([m - 1 if i in top else threshold for i in range(n)])
+    for top in itertools.combinations(range(n), k):
+        upper.append([threshold + 1 if i in top else 0 for i in range(n)])
+    return ReferenceSet(Side.LOWER, threshold, lower), ReferenceSet(Side.UPPER, threshold, upper)
+
+
+@pytest.mark.parametrize("n, m, k, threshold", [(6, 2, 3, 0), (5, 3, 2, 0), (5, 3, 2, 1), (7, 4, 4, 2)])
+def test_level_counts_spare_the_kernel_check_on_k_out_of_n(monkeypatch, n, m, k, threshold):
+    # k-out-of-n's upper refs exceed m' in k components, its lower refs in
+    # k - 1, so the cut at m' rules out u <= l without the kernel
+    lower, upper = _planted_k_out_of_n(n, m, k, threshold)
+    lower_rows = np.ascontiguousarray(_pack_references(lower, Side.LOWER, n, m).T)
+    module = importlib.import_module("rsr.classify")
+    kernel, samples = module.word_hits, []
+
+    def spy(sample_words, *args):
+        samples.append(sample_words)
+        return kernel(sample_words, *args)
+
+    monkeypatch.setattr(module, "word_hits", spy)
+    states = np.random.default_rng(3).integers(0, m, size=(300, n))
+    result = classify(SampleBatch(states, 1, 0), lower, upper, n_states=m)
+    assert samples and not any(np.array_equal(words, lower_rows) for words in samples)
+    system = np.sort(states, axis=1)[:, n - k]
+    assert np.array_equal(result.lower_indices, np.flatnonzero(system <= threshold))
+    assert np.array_equal(result.upper_indices, np.flatnonzero(system > threshold))

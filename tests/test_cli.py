@@ -177,6 +177,29 @@ def test_evaluate_rejects_non_integer_refs(tmp_path, capsys, vector):
     assert "component states must be integers" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_refs_holding_bools(tmp_path, capsys):
+    # JSON true among ints is not taken as state 1
+    model = write_series_model(tmp_path / "model.json", n=2)
+    refs = tmp_path / "refs.json"
+    write_json(
+        refs,
+        {
+            "format": FORMAT,
+            "threshold": 0,
+            "model_hash": "x",
+            "lower": {"format": FORMAT, "side": "lower", "threshold": 0, "vectors": [[0, True]]},
+            "upper": {"format": FORMAT, "side": "upper", "threshold": 0, "vectors": [[1, 1]]},
+        },
+    )
+    assert "true" in refs.read_text()
+    code = run(
+        ["evaluate", "--model", model, "--refs", refs, "--out-report", tmp_path / "rep.json",
+         "--samples", 1000, "--force"]
+    )
+    assert code == 3
+    assert "component states must be integers, got a bool" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_refs_of_wrong_length(tmp_path, capsys):
     model = write_series_model(tmp_path / "wide.json", n=115)
     refs = tmp_path / "refs.json"
