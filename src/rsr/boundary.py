@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +32,13 @@ __all__ = ["Side", "ReferenceState", "ReferenceSet", "boundary_search", "boundar
 # coverage here, the hit kernel's AND and OR passes in classify. Small
 # enough that a block stays in a core's cache
 _BLOCK_BYTES = 1 << 20
+
+
+def _reject_bools(values: Iterable) -> None:
+    """Raise if a bool is among ``values``: numpy takes one among ints for 0 or 1, and
+    ``check_integers`` sees only the dtype numpy infers."""
+    if not {bool, np.bool_}.isdisjoint(map(type, values)):
+        raise ValueError("component states must be integers, got a bool")
 
 
 class Side:
@@ -48,7 +55,9 @@ class ReferenceState:
     def __post_init__(self) -> None:
         if self.side not in (Side.LOWER, Side.UPPER):
             raise ValueError(f"side must be '{Side.LOWER}' or '{Side.UPPER}'")
-        object.__setattr__(self, "vector", tuple(check_integers(self.vector).tolist()))
+        vector = check_integers(self.vector)
+        _reject_bools(self.vector)
+        object.__setattr__(self, "vector", tuple(vector.tolist()))
 
     @classmethod
     def checked(
@@ -121,10 +130,8 @@ class ReferenceSet:
                 if len(v) != n:
                     raise ValueError(f"candidate has {len(v)} components, set members have {n}") from None
             raise
-        # numpy takes a bool among ints for 0 or 1, and check_integers sees only the matrix's dtype
-        from_sequences = vectors.dtype.kind in "iu" and not isinstance(members, np.ndarray)
-        if from_sequences and bool in map(type, chain.from_iterable(members)):
-            raise ValueError("component states must be integers, got a bool")
+        if vectors.dtype.kind in "iu" and not isinstance(members, np.ndarray):
+            _reject_bools(chain.from_iterable(members))
         if vectors.size:
             self.insert_many(vectors)
 
@@ -229,10 +236,18 @@ def _walk(
     One evaluation probes the next L moves at once. An accepted probe
     takes them all; a rejected one is bisected for its first rejected
     move, which by monotonicity is the move a walk of single steps would
-    reject, so the reference is the same. The walk is an exponential
-    search restarted after each rejection: L is 1 until a component
-    reaches its limit, then doubles on each accepted probe, and falls
-    back to 1 after a rejection.
+    reject. So whatever the widths, the reference is the one the single
+    steps reach; the widths set only the number of calls. They follow
+    two rules. The walk gallops, an exponential search restarted after
+    each rejection: once a component has reached its limit since the
+    last rejection, L doubles on each accepted probe. A walk that is not
+    galloping and reaches a new component c probes all of c's moves up
+    to ``level``, the state the last rejected component settled at, in
+    one evaluation: L = max(1, (level - x[c]) * step), which never spills
+    into the next component. Components past a rejection tend to settle
+    where it did: on a k-out-of-n system each settles at the state of
+    the k-th largest. Every other probe of a walk that is not galloping
+    is one move.
 
     After each accepted probe of more than one move, the moves left are
     those of components c on, the next move's component, each towards its
@@ -243,8 +258,8 @@ def _walk(
     It costs at most N*(M-1)+1 evaluations. ``spare`` counts the
     calls left in that budget beyond one per remaining move: an accepted
     L-move probe adds L-1, and since bisecting a rejected one costs
-    ceil(log2 L) further calls, an L-move probe runs only while
-    spare >= ceil(log2 L).
+    ceil(log2 L) further calls, an L-move probe of either rule runs only
+    while spare >= ceil(log2 L), and is cut to 2**spare moves otherwise.
     """
     lower = (yield x) <= threshold
     step, room = (1, n_states - 1 - x) if lower else (-1, x)
@@ -255,7 +270,14 @@ def _walk(
     spare = x.size * (n_states - 1) - end
 
     p, width, gallop = 0, 1, False  # moves[:p] are settled: taken, or skipped after a rejection
+    # the state the last rejected component settled at; before the first
+    # rejection the end of the range away from the limit, so a level probe
+    # is one move
+    level = 0 if lower else n_states - 1
     while p < end:
+        if not gallop and (p == 0 or moves[p] != moves[p - 1]):
+            # a new component: take its moves up to ``level`` in one probe
+            width = max(1, (level - int(x[moves[p]])) * step)
         if width == 1:
             x[moves[p]] += step
         else:
@@ -270,8 +292,7 @@ def _walk(
                 return lower
             # gallop once a component has reached its limit since the last rejection
             gallop = gallop or q == end or moves[q] != moves[q - 1]
-            if gallop:
-                width *= 2
+            width = width * 2 if gallop else 1
         else:
             # bisect: moves[:lo] are accepted, moves[:hi] cross m', x is after moves[:q]
             lo, hi = p, q
@@ -285,11 +306,12 @@ def _walk(
                 else:
                     hi = mid
             _shift(x, moves, step, q, lo)
+            level = int(x[moves[lo]])
             # moves[lo] is rejected: skip the rest of its component
             q = lo + 1
             while q < end and moves[q] == moves[lo]:
                 q += 1
-            width, gallop = 1, False
+            gallop = False
         spare += q - p - 1  # q - p moves settled for one probe call
         p = q
     return lower

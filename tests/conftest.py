@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rsr.boundary import ReferenceState, Side
 from rsr.classify import ordered_map, word_hits
 from rsr.encoding import EncodedBatch, encode_batch
 from rsr.model import ComponentDistribution, SystemModel
@@ -83,6 +84,28 @@ def random_monotone_model(
         return s
 
     return SystemModel(n, m, m_s, phi)
+
+
+def single_step_walk(model: SystemModel, x0, threshold: int) -> ReferenceState:
+    """The specification of the boundary walk: one unit move per evaluation.
+
+    Moves go in component order, each component towards its limit: up to
+    M-1 on the lower side (system state of ``x0`` <= m'), down to 0 on the
+    upper side. A move that pushes the system state across m' is undone
+    and the rest of its component skipped.
+    """
+    x = np.array(x0, dtype=np.int64)
+    if model.evaluate(x) <= threshold:
+        side, step, limit = Side.LOWER, 1, model.n_component_states - 1
+    else:
+        side, step, limit = Side.UPPER, -1, 0
+    for n in range(model.n_components):
+        while x[n] != limit:
+            x[n] += step
+            if (model.evaluate(x) <= threshold) != (side == Side.LOWER):
+                x[n] -= step
+                break
+    return ReferenceState(tuple(x.tolist()), side, threshold)
 
 
 def random_distribution(rng: np.random.Generator, n: int, m: int) -> ComponentDistribution:

@@ -10,6 +10,8 @@ from rsr.model import SystemModel
 from rsr.oracle import dominates
 from rsr.sysfn import k_out_of_n, pick_od_pair, random_geometric_graph, single_od_connectivity
 
+from conftest import single_step_walk
+
 
 def test_worked_lower_trajectory(fig_space_model):
     ref = boundary_search(fig_space_model, (2, 0), 0)
@@ -71,23 +73,6 @@ def test_boundary_maximality_and_budget(seed, n, m):
         assert dominates(x, x0)  # search only descends
 
 
-def _linear_search(model, x0, threshold):
-    """Reference walk: one move per evaluation, components in index order."""
-    x = np.array(x0, dtype=np.int64)
-    if model.evaluate(x) <= threshold:
-        side, step, limit = Side.LOWER, 1, model.n_component_states - 1
-    else:
-        side, step, limit = Side.UPPER, -1, 0
-    for n in range(model.n_components):
-        while x[n] != limit:
-            x[n] += step
-            s = model.evaluate(x)
-            if (s > threshold) if side == Side.LOWER else (s <= threshold):
-                x[n] -= step
-                break
-    return ReferenceState(tuple(int(v) for v in x), side, threshold)
-
-
 @given(st.integers(0, 2**31), st.integers(1, 8), st.integers(2, 5), st.integers(2, 4))
 @settings(max_examples=150, deadline=None)
 def test_search_matches_linear_walk(seed, n, m, m_s):
@@ -98,7 +83,7 @@ def test_search_matches_linear_walk(seed, n, m, m_s):
     threshold = int(rng.integers(0, m_s - 1))
     starts = [rng.integers(0, m, size=n), np.zeros(n, dtype=np.int64), np.full(n, m - 1)]
     for x0 in starts:
-        expected = _linear_search(model, x0, threshold)
+        expected = single_step_walk(model, x0, threshold)
         model.reset_evaluation_count()
         assert boundary_search(model, x0, threshold) == expected
         assert model.evaluation_count <= n * (m - 1) + 1
@@ -138,7 +123,7 @@ def test_search_gallops_on_graph_connectivity():
     for _ in range(20):
         x0 = (rng.random(g.n_edges) >= 0.05).astype(np.int64)
         model.reset_evaluation_count()
-        expected = _linear_search(model, x0, 0)
+        expected = single_step_walk(model, x0, 0)
         linear_calls += model.evaluation_count
         model.reset_evaluation_count()
         assert boundary_search(model, x0, 0) == expected
@@ -192,8 +177,11 @@ def test_non_integer_vectors_are_rejected(vector):
 
 def test_bools_among_ints_and_unsigned_past_int64_are_rejected():
     # numpy would promote [0, True] to (0, 1) and wrap 2**64 - 1 to -1
-    with pytest.raises(ValueError, match="got a bool"):
-        ReferenceSet(Side.LOWER, 0, [[0, True]])
+    for vector in ((0, True), [1, np.False_]):
+        with pytest.raises(ValueError, match="got a bool"):
+            ReferenceSet(Side.LOWER, 0, [vector])
+        with pytest.raises(ValueError, match="got a bool"):
+            ReferenceState(vector, Side.LOWER, 0)
     with pytest.raises(ValueError, match="does not fit int64"):
         ReferenceSet(Side.LOWER, 0, [[2**64 - 1, 2**63]])
     refs = ReferenceSet(Side.UPPER, 0, [(1, 2)])
@@ -282,10 +270,10 @@ def test_lockstep_searches_equal_one_search_each(seed, n, m, m_s):
     thresholds = [int(t) for t in rng.integers(0, m_s - 1, size=8)]
     starts = [rng.integers(0, m, size=n) for _ in range(4)] + [np.zeros(n, dtype=np.int64), np.full(n, m - 1)]
     # two starts already on the boundary: references of their own thresholds
-    starts += [np.array(_linear_search(model, x0, t).vector) for x0, t in zip(starts[:2], thresholds[6:])]
+    starts += [np.array(single_step_walk(model, x0, t).vector) for x0, t in zip(starts[:2], thresholds[6:])]
     expected, counts = [], []
     for x0, t in zip(starts, thresholds):
-        expected.append(_linear_search(model, x0, t))
+        expected.append(single_step_walk(model, x0, t))
         before = model.evaluation_count
         assert boundary_search(model, x0, t) == expected[-1]
         counts.append(model.evaluation_count - before)
@@ -373,12 +361,63 @@ def test_walks_that_meet_match_the_linear_walk(seed, n, m, m_s):
     pool = [rng.integers(0, m, size=n), np.zeros(n, dtype=np.int64), np.full(n, m - 1)]
     starts = [pool[i] for i in rng.integers(0, len(pool), size=12)]
     thresholds = [int(t) for t in rng.integers(0, m_s - 1, size=12)]
-    expected = [_linear_search(model, x0, t) for x0, t in zip(starts, thresholds)]
+    expected = [single_step_walk(model, x0, t) for x0, t in zip(starts, thresholds)]
     before = model.evaluation_count
     got, calls = _lockstep(model, starts, thresholds)
     assert got == expected
     assert model.evaluation_count - before == calls.sum()
     assert (calls <= n * (m - 1) + 1).all()
+
+
+def _thresholded_sum(rng, n, m, m_s):
+    """A coherent system whose state counts the random cut points that sum(x) reaches."""
+    cuts = np.sort(rng.integers(1, n * (m - 1) + 1, size=m_s - 1))
+    return SystemModel(n, m, m_s, lambda x: int(np.searchsorted(cuts, sum(x.tolist()), side="right")))
+
+
+@given(
+    st.integers(0, 2**31),
+    st.sampled_from(["random", "k-out-of-n", "thresholded sum"]),
+    st.integers(1, 8),
+    st.integers(2, 6),
+)
+@settings(max_examples=150, deadline=None)
+def test_walks_match_the_single_step_specification(seed, family, n, m):
+    from conftest import random_monotone_model
+
+    rng = np.random.default_rng(seed)
+    if family == "k-out-of-n":
+        model = SystemModel(n, m, m, k_out_of_n(int(rng.integers(1, n + 1)), n))
+    elif family == "random":
+        model = random_monotone_model(rng, n, m, int(rng.integers(2, 5)))
+    else:
+        model = _thresholded_sum(rng, n, m, int(rng.integers(2, 5)))
+    # starts drawn from a small pool repeat, so walks of one threshold meet
+    pool = [rng.integers(0, m, size=n) for _ in range(4)] + [np.zeros(n, dtype=np.int64), np.full(n, m - 1)]
+    starts = [pool[i] for i in rng.integers(0, len(pool), size=12)]
+    thresholds = [int(t) for t in rng.integers(0, model.n_system_states - 1, size=12)]
+    expected = [single_step_walk(model, x0, t) for x0, t in zip(starts, thresholds)]
+    refs, solo = _solo_calls(model, starts, thresholds)
+    got, calls = _lockstep(model, starts, thresholds)
+    assert got == refs == expected
+    assert max(solo) <= n * (m - 1) + 1
+    assert (calls <= solo).all()
+
+
+def test_lower_walks_probe_each_component_to_the_last_settled_level():
+    # 3-out-of-12 with M = 5 at m' = 3: a lower walk raises components to
+    # 4 until two are there, and every later one is rejected at 4 and
+    # settles at 3. Probing each later component straight to 3 costs one
+    # call and its rejected move one more, where single moves cost up to four
+    model = SystemModel(12, 5, 5, k_out_of_n(3, 12))
+    starts = np.random.default_rng(0).choice(5, size=(400, 12), p=[0.4, 0.3, 0.15, 0.1, 0.05])
+    refs, solo = _solo_calls(model, starts, [3] * 400)
+    got, calls = _lockstep(model, starts, [3] * 400)
+    assert got == refs
+    lower = np.array([ref.side == Side.LOWER for ref in got])
+    # one level at a time, a lower walk averaged 35.5 calls, alone or in lockstep
+    assert calls[lower].mean() <= 22, f"{calls[lower].mean():.1f} calls a lower walk in lockstep"
+    assert np.array(solo)[lower].mean() <= 27, f"{np.array(solo)[lower].mean():.1f} calls a lower walk alone"
 
 
 def _one_at_a_time(side, members, candidates):
