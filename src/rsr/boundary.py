@@ -249,20 +249,45 @@ def _walk(
     the k-th largest. Every other probe of a walk that is not galloping
     is one move.
 
-    After each accepted probe of more than one move, the moves left are
-    those of components c on, the next move's component, each towards its
-    limit from its state in ``x``; so a walk of single moves from here
-    ends at a reference that ``x`` and c fix. The walk calls
-    ``meet(lower, c)``, and a true answer ends it there, returning its side.
+    Before that level probe, the walk may first evaluate one joint probe
+    y: ``x`` with every component from c on moved to ``level`` wherever it
+    falls short of it. It does so when some component past c moves, no
+    certificate holds (below), and ``level`` lies further from the limit
+    than the level of the last refused joint probe, if any: a y at that
+    level or past it tends to cross m' as the refused one did. A refused
+    y changes nothing but the call count.
+    An accepted y is a certificate: while every component from c up to
+    e-1 has settled at exactly y's value, the state that takes component
+    e's moves up to y[e] lies inside y (<= y on the lower side, >= y on
+    the upper), so monotonicity accepts each of those moves and the walk
+    takes them with no call, then probes e's next move by the rules above.
+    Since y[e] is e's state or ``level``, whichever is nearer the limit,
+    the certificate is kept as that level alone. A component settles at
+    y's value exactly when no move past what the certificate granted it
+    is accepted, so the first such move voids the certificate: an O(1)
+    test, made only on a probe's verdict. The moves a certificate grants
+    never reach a limit, since ``level`` lies short of it. At M = 2 no
+    component is ever short of ``level``, so no joint probe is made.
 
-    It costs at most N*(M-1)+1 evaluations. ``spare`` counts the
-    calls left in that budget beyond one per remaining move: an accepted
-    L-move probe adds L-1, and since bisecting a rejected one costs
-    ceil(log2 L) further calls, an L-move probe of either rule runs only
-    while spare >= ceil(log2 L), and is cut to 2**spare moves otherwise.
+    After each accepted probe of more than one move, and after the moves
+    a certificate grants, the moves left are those of components c on,
+    the next move's component, each towards its limit from its state in
+    ``x``; so a walk of single moves from here ends at a reference that
+    ``x`` and c fix. The walk calls ``meet(lower, c)``, and a true answer
+    ends it there, returning its side. A joint probe is written into
+    ``x`` for its call and undone once its state is sent.
+
+    It costs at most N*(M-1)+1 evaluations. ``spare`` counts the calls
+    left in that budget beyond one per remaining move: an accepted L-move
+    probe adds L-1, moves a certificate grants add one each, and a joint
+    probe, which settles no move, takes one. Since bisecting a rejected
+    L-move probe costs ceil(log2 L) further calls, an L-move probe of
+    either rule runs only while spare >= ceil(log2 L), and is cut to
+    2**spare moves otherwise; a joint probe runs only while spare >= 1.
     """
     lower = (yield x) <= threshold
     step, room = (1, n_states - 1 - x) if lower else (-1, x)
+    toward = np.maximum if lower else np.minimum  # of a state and ``level``, the one nearer the limit
 
     # the component of each move, read before any move changes x
     moves = np.arange(x.size).repeat(room).tolist()
@@ -274,12 +299,44 @@ def _walk(
     # rejection the end of the range away from the limit, so a level probe
     # is one move
     level = 0 if lower else n_states - 1
+    # the level of the last accepted joint probe while it certifies, None
+    # once a move past what it grants is accepted; and the level of the
+    # last refused joint probe, first one past the limit so that any level
+    # may be probed
+    cert, refused = None, n_states if lower else -1
     while p < end:
-        if not gallop and (p == 0 or moves[p] != moves[p - 1]):
+        c = moves[p]
+        if not gallop and (p == 0 or c != moves[p - 1]):
+            xc = int(x[c])
+            if (
+                cert is None
+                and (level - xc) * step > 0
+                and spare
+                and (refused - level) * step > 0
+                and any((level - v) * step > 0 for v in x[c + 1 :].tolist())
+            ):
+                # the joint probe: components c on moved to ``level``
+                tail = x[c:].copy()
+                toward(tail, level, out=x[c:])
+                spare -= 1
+                if ((yield x) <= threshold) == lower:
+                    cert = level
+                else:
+                    refused = level
+                x[c:] = tail
+            if cert is not None and (cert - xc) * step > 0:
+                # the moves up to the certificate's level need no call:
+                # their state lies inside the accepted joint probe
+                taken = (cert - xc) * step
+                x[c] = xc = cert
+                spare += taken
+                p += taken
+                if meet(lower, c):
+                    return lower
             # a new component: take its moves up to ``level`` in one probe
-            width = max(1, (level - int(x[moves[p]])) * step)
+            width = max(1, (level - xc) * step)
         if width == 1:
-            x[moves[p]] += step
+            x[c] += step
         else:
             width = min(width, end - p)
             if (width - 1).bit_length() > spare:  # ceil(log2 width) > spare
@@ -290,6 +347,8 @@ def _walk(
         if ((yield x) <= threshold) == lower:
             if width > 1 and q < end and meet(lower, moves[q]):
                 return lower
+            # the component moved past its value in the joint probe
+            cert = None
             # gallop once a component has reached its limit since the last rejection
             gallop = gallop or q == end or moves[q] != moves[q - 1]
             width = width * 2 if gallop else 1
@@ -306,6 +365,8 @@ def _walk(
                 else:
                     hi = mid
             _shift(x, moves, step, q, lo)
+            if lo > p:  # the component settles past its value in the joint probe
+                cert = None
             level = int(x[moves[lo]])
             # moves[lo] is rejected: skip the rest of its component
             q = lo + 1
@@ -329,7 +390,8 @@ def boundary_searches(
     which counts K calls. Each walk is ``_walk``'s galloping walk.
 
     Walks that meet share the rest of the walk. After each accepted probe
-    of more than one move a walk registers its settled state: threshold,
+    of more than one move, and after the moves a joint probe's
+    certificate grants, a walk registers its settled state: threshold,
     side, next component and vector. A walk that settles in a state
     another walk registered first stops there and takes that walk's
     reference and side, chains resolved. Since ``_walk``'s reference from

@@ -285,4 +285,9 @@ def load_reference_sets(
     upper = reference_set_from_dict(doc["upper"], path)
     if lower.side != Side.LOWER or upper.side != Side.UPPER:
         raise ValueError(f"{path}: sides are swapped or invalid")
+    if not int(doc["threshold"]) == lower.threshold == upper.threshold:
+        raise ValueError(
+            f"{path}: thresholds disagree: file {doc['threshold']}, "
+            f"lower set {lower.threshold}, upper set {upper.threshold}"
+        )
     return lower, upper

@@ -52,6 +52,7 @@ check of this path and of any batch form of phi.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -95,8 +96,9 @@ def _peak_rss_bytes() -> int | None:
         import resource
     except ImportError:  # not available on Windows
         return None
-    # ru_maxrss is the peak, in kilobytes on Linux
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    # ru_maxrss is the peak: in bytes on macOS, in kilobytes on Linux and the BSDs
+    scale = 1 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale
 
 
 @dataclass(frozen=True)

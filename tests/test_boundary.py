@@ -407,17 +407,95 @@ def test_walks_match_the_single_step_specification(seed, family, n, m):
 def test_lower_walks_probe_each_component_to_the_last_settled_level():
     # 3-out-of-12 with M = 5 at m' = 3: a lower walk raises components to
     # 4 until two are there, and every later one is rejected at 4 and
-    # settles at 3. Probing each later component straight to 3 costs one
-    # call and its rejected move one more, where single moves cost up to four
+    # settles at 3. One joint probe raises every later component to 3 at
+    # once; accepted, it grants each of them its moves up to 3, so each
+    # costs only its rejected move, where single moves cost up to four
     model = SystemModel(12, 5, 5, k_out_of_n(3, 12))
     starts = np.random.default_rng(0).choice(5, size=(400, 12), p=[0.4, 0.3, 0.15, 0.1, 0.05])
     refs, solo = _solo_calls(model, starts, [3] * 400)
     got, calls = _lockstep(model, starts, [3] * 400)
     assert got == refs
     lower = np.array([ref.side == Side.LOWER for ref in got])
-    # one level at a time, a lower walk averaged 35.5 calls, alone or in lockstep
-    assert calls[lower].mean() <= 22, f"{calls[lower].mean():.1f} calls a lower walk in lockstep"
-    assert np.array(solo)[lower].mean() <= 27, f"{np.array(solo)[lower].mean():.1f} calls a lower walk alone"
+    # one level at a time a lower walk averaged 35.5 calls, alone or in
+    # lockstep; with a level probe for each component, 20.2 in lockstep and
+    # 25.0 alone; with the joint probe, 14.58 and 17.92
+    assert calls[lower].mean() <= 14.6, f"{calls[lower].mean():.2f} calls a lower walk in lockstep"
+    assert np.array(solo)[lower].mean() <= 17.93, f"{np.array(solo)[lower].mean():.2f} calls a lower walk alone"
+
+
+def _weighted(weights, cut):
+    """A coherent binary system: state 1 once the weighted sum of the component states reaches ``cut``."""
+    return lambda x: int(sum(w * v for w, v in zip(weights, x.tolist())) >= cut)
+
+
+def _walked(phi, n, m, m_s, x0, threshold):
+    """The vectors one walk evaluates, in order, after checking its reference against the single-step walk."""
+    evaluated = []
+
+    def recording(x):
+        evaluated.append(tuple(x.tolist()))
+        return phi(x)
+
+    (end,), (lower,), (calls,) = boundary_searches(SystemModel(n, m, m_s, recording), [x0], [threshold])
+    spec = single_step_walk(SystemModel(n, m, m_s, phi), x0, threshold)
+    assert (tuple(end.tolist()), Side.LOWER if lower else Side.UPPER) == (spec.vector, spec.side)
+    assert calls == len(evaluated) <= n * (m - 1) + 1
+    return evaluated
+
+
+def test_an_accepted_joint_probe_grants_the_later_components_their_moves():
+    # 2-out-of-5 with M = 4 at m' = 1: component 1 is rejected at 2 and
+    # settles at 1, and the joint probe (3, 1, 1, 1, 1) is accepted, so
+    # components 2-4 take their move to 1 with no call and pay only their
+    # rejected move to 2: 10 calls, where single moves take 12
+    assert _walked(k_out_of_n(2, 5), 5, 4, 4, (0,) * 5, 1) == [
+        (0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (2, 0, 0, 0, 0), (3, 0, 0, 0, 0),
+        (3, 1, 0, 0, 0), (3, 2, 0, 0, 0),
+        (3, 1, 1, 1, 1),
+        (3, 1, 2, 0, 0), (3, 1, 1, 2, 0), (3, 1, 1, 1, 2),
+    ]
+
+
+def test_a_component_that_settles_off_the_certificate_voids_it():
+    # 3 x0 + x1 + x2 >= 6, M = 4, at m' = 0: component 0 settles at 1, and
+    # the joint probe (1, 1, 1), of weight 5, is accepted. Component 1
+    # takes its move to 1 free, but its next move is accepted too, so it
+    # settles at 2, above the certificate; kept, the certificate would
+    # take component 2 to 1 free, into (1, 2, 1) of weight 6, across m'.
+    # Void, component 2 is probed to the new level 2 and bisected: 8
+    # calls, as before the joint probe, against 7 single moves
+    assert _walked(_weighted((3, 1, 1), 6), 3, 4, 2, (0, 0, 0), 0) == [
+        (0, 0, 0), (1, 0, 0), (2, 0, 0),
+        (1, 1, 1),
+        (1, 2, 0), (1, 3, 0),
+        (1, 2, 2), (1, 2, 1),
+    ]
+    # 6 x0 + 3 x1 + 3 x2 + x3 + x4 >= 21, M = 5, at m' = 0: component 0
+    # settles at 1, and the joint probe (1, 1, 3, 1, 1), of weight 20, is
+    # accepted. Component 2 starts at 3 and settles there, which raises
+    # the level to 3 under the certificate. Component 3 takes its move to
+    # 1 free; its probe to 3 crosses m', and bisection settles it at 2,
+    # above the certificate, which would otherwise take component 4 to 1
+    # free, into (1, 1, 3, 2, 1) of weight 21: 10 calls, as single moves
+    assert _walked(_weighted((6, 3, 3, 1, 1), 21), 5, 5, 2, (0, 0, 3, 0, 0), 0) == [
+        (0, 0, 3, 0, 0), (1, 0, 3, 0, 0), (2, 0, 3, 0, 0),
+        (1, 1, 3, 1, 1),
+        (1, 2, 3, 0, 0), (1, 1, 4, 0, 0),
+        (1, 1, 3, 3, 0), (1, 1, 3, 2, 0),
+        (1, 1, 3, 2, 2), (1, 1, 3, 2, 1),
+    ]
+
+
+def test_a_refused_joint_probe_leaves_the_walk_as_it_was():
+    # 2 x0 + x1 + x2 >= 3, M = 3, at m' = 0 from (1, 0, 0): component 0 is
+    # rejected at 2 and settles at 1, and the joint probe (1, 1, 1) crosses
+    # m'. The walk then probes as it would have without it, the single
+    # moves' 4 calls and the refused probe's one
+    assert _walked(_weighted((2, 1, 1), 3), 3, 3, 2, (1, 0, 0), 0) == [
+        (1, 0, 0), (2, 0, 0),
+        (1, 1, 1),
+        (1, 1, 0), (1, 0, 1),
+    ]
 
 
 def _one_at_a_time(side, members, candidates):

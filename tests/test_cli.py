@@ -397,6 +397,27 @@ def test_model_with_string_system_function_is_input_error(tmp_path, model_file, 
     _assert_malformed_input(code, capsys, model_file)
 
 
+@pytest.mark.parametrize("field", ["threshold", "lower", "upper"])
+def test_refs_whose_thresholds_disagree_are_rejected_naming_the_file(tmp_path, model_file, capsys, field):
+    refs = tmp_path / "refs.json"
+    assert run(["find-refs", "--model", model_file, "--out-refs", refs, "--samples", 200, "--seed", 3]) == 0
+    doc = json.loads(refs.read_text())
+    if field == "threshold":
+        doc["threshold"] = 1
+    else:
+        doc[field]["threshold"] = 1
+    write_json(refs, doc)
+    capsys.readouterr()
+    code = run(
+        ["evaluate", "--model", model_file, "--refs", refs, "--out-report", tmp_path / "rep.json",
+         "--samples", 200]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert str(refs) in err and "thresholds disagree" in err
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_refs_with_string_lower_set_is_input_error(tmp_path, model_file, capsys):
     refs = tmp_path / "refs.json"
     assert run(["find-refs", "--model", model_file, "--out-refs", refs, "--samples", 200, "--seed", 3]) == 0

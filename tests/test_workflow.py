@@ -3,6 +3,7 @@ import importlib
 import itertools
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -593,6 +594,15 @@ def test_warm_pmf_stays_under_a_minor_fault_ceiling():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     multistate_pmf(model, dist, cfg)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 4000
+
+
+@pytest.mark.parametrize(("platform", "scale"), [("linux", 1024), ("darwin", 1), ("freebsd14", 1024)])
+def test_peak_rss_is_read_in_bytes_on_each_platform(monkeypatch, platform, scale):
+    # macOS reports ru_maxrss in bytes, Linux and the BSDs in kilobytes
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(resource, "getrusage", lambda who: types.SimpleNamespace(ru_maxrss=5000))
+    assert workflow._peak_rss_bytes() == 5000 * scale
 
 
 def test_stages_count_every_phi_call_in_range():
