@@ -251,11 +251,10 @@ def _walk(
 
     Before that level probe, the walk may first evaluate one joint probe
     y: ``x`` with every component from c on moved to ``level`` wherever it
-    falls short of it. It does so when some component past c moves, no
-    certificate holds (below), and ``level`` lies further from the limit
-    than the level of the last refused joint probe, if any: a y at that
-    level or past it tends to cross m' as the refused one did. A refused
-    y changes nothing but the call count.
+    falls short of it. It does so when some component past c moves and
+    no certificate holds (below). A refused y changes nothing but the
+    call count, so the probe pays only where the components past a
+    rejection settle at its level.
     An accepted y is a certificate: while every component from c up to
     e-1 has settled at exactly y's value, the state that takes component
     e's moves up to y[e] lies inside y (<= y on the lower side, >= y on
@@ -300,10 +299,8 @@ def _walk(
     # is one move
     level = 0 if lower else n_states - 1
     # the level of the last accepted joint probe while it certifies, None
-    # once a move past what it grants is accepted; and the level of the
-    # last refused joint probe, first one past the limit so that any level
-    # may be probed
-    cert, refused = None, n_states if lower else -1
+    # once a move past what it grants is accepted
+    cert = None
     while p < end:
         c = moves[p]
         if not gallop and (p == 0 or c != moves[p - 1]):
@@ -312,7 +309,6 @@ def _walk(
                 cert is None
                 and (level - xc) * step > 0
                 and spare
-                and (refused - level) * step > 0
                 and any((level - v) * step > 0 for v in x[c + 1 :].tolist())
             ):
                 # the joint probe: components c on moved to ``level``
@@ -321,8 +317,6 @@ def _walk(
                 spare -= 1
                 if ((yield x) <= threshold) == lower:
                     cert = level
-                else:
-                    refused = level
                 x[c:] = tail
             if cert is not None and (cert - xc) * step > 0:
                 # the moves up to the certificate's level need no call:
