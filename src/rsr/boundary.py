@@ -9,18 +9,17 @@ an insert evicts, for a whole K x N matrix of candidates at once.
 
 Searches run in lockstep: ``boundary_searches`` steps every walk one
 phi call at a time, moving its own row of one K x N matrix to its
-reference, and evaluates the rows of all live walks in one call to
-``SystemModel._phi_rows``, the model's one counted core. A walk that
-settles in a state another walk of its threshold settled in first stops
-and takes that walk's reference.
+reference. A round evaluates the distinct vectors that no walk of the
+same threshold has yet asked for in one call to ``SystemModel._phi_rows``,
+the model's one counted core; a vector asked for again takes the state
+remembered for the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
-from typing import Callable, Generator, Iterable, Sequence
+from typing import Generator, Iterable, Sequence
 
 import numpy as np
 
@@ -215,9 +214,7 @@ def _shift(x: np.ndarray, moves: list[int], step: int, a: int, b: int) -> None:
         x[n] += sign
 
 
-def _walk(
-    x: np.ndarray, threshold: int, n_states: int, meet: Callable[[bool, int], bool]
-) -> Generator[np.ndarray, int, bool]:
+def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray, int, bool]:
     """The galloping walk from ``x`` to the boundary of m' = ``threshold``.
 
     Yields each vector to evaluate, is sent its system state, and returns
@@ -266,15 +263,9 @@ def _walk(
     is accepted, so the first such move voids the certificate: an O(1)
     test, made only on a probe's verdict. The moves a certificate grants
     never reach a limit, since ``level`` lies short of it. At M = 2 no
-    component is ever short of ``level``, so no joint probe is made.
-
-    After each accepted probe of more than one move, and after the moves
-    a certificate grants, the moves left are those of components c on,
-    the next move's component, each towards its limit from its state in
-    ``x``; so a walk of single moves from here ends at a reference that
-    ``x`` and c fix. The walk calls ``meet(lower, c)``, and a true answer
-    ends it there, returning its side. A joint probe is written into
-    ``x`` for its call and undone once its state is sent.
+    component is ever short of ``level``, so no joint probe is made. A
+    joint probe is written into ``x`` for its call and undone once its
+    state is sent.
 
     It costs at most N*(M-1)+1 evaluations. ``spare`` counts the calls
     left in that budget beyond one per remaining move: an accepted L-move
@@ -325,8 +316,6 @@ def _walk(
                 x[c] = xc = cert
                 spare += taken
                 p += taken
-                if meet(lower, c):
-                    return lower
             # a new component: take its moves up to ``level`` in one probe
             width = max(1, (level - xc) * step)
         if width == 1:
@@ -339,8 +328,6 @@ def _walk(
                 x[n] += step
         q = p + width
         if ((yield x) <= threshold) == lower:
-            if width > 1 and q < end and meet(lower, moves[q]):
-                return lower
             # the component moved past its value in the joint probe
             cert = None
             # gallop once a component has reached its limit since the last rejection
@@ -378,20 +365,18 @@ def boundary_searches(
     """Walk each start to the system-state boundary of its threshold, all walks in lockstep.
 
     Returns ``(ends, lower, calls)`` in start order: the K x N int64
-    references, the mask of lower-side walks and each walk's own phi
-    calls. A round evaluates the next vector of every live walk, one
-    K x N matrix, with one call to the model's counted core ``_phi_rows``,
-    which counts K calls. Each walk is ``_walk``'s galloping walk.
+    references, the mask of lower-side walks and the phi calls charged to
+    each walk. Each walk is ``_walk``'s galloping walk, and a round sends
+    every live walk the system state of its next vector.
 
-    Walks that meet share the rest of the walk. After each accepted probe
-    of more than one move, and after the moves a joint probe's
-    certificate grants, a walk registers its settled state: threshold,
-    side, next component and vector. A walk that settles in a state
-    another walk registered first stops there and takes that walk's
-    reference and side, chains resolved. Since ``_walk``'s reference from
-    a settled state depends on that state alone, each reference is the
-    one its walk reaches alone, from at most as many calls, and only walks
-    of one threshold meet.
+    The call remembers the state of each (threshold, vector) it has
+    evaluated. A round evaluates only the distinct vectors not yet
+    remembered for their threshold, as one matrix, with one call to the
+    model's counted core ``_phi_rows``, which counts one call a row; each
+    row is charged to the first walk, in start order, that asked for it.
+    So a walk's reference is the one it reaches alone, from at most as
+    many calls, and a threshold's calls are the distinct vectors its walks
+    evaluate alone: two thresholds that probe one vector each pay for it.
 
     Every threshold and start is validated before the first phi call.
     Every vector evaluated after that is a start moved by unit steps
@@ -406,39 +391,38 @@ def boundary_searches(
     x = np.array(check_states(starts, m) if len(starts) else np.empty((0, n)), dtype=np.int64)
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"component-state vector has length {x.shape[1:]}, expected ({n},)")
-    # the walk that registered each settled state first; into[i] is the walk whose state walk i met, or i
-    settled: dict[tuple[int, bool, int, bytes], int] = {}
-    into = list(range(len(x)))
-
-    def meet(i: int, threshold: int, lower: bool, component: int) -> bool:
-        into[i] = settled.setdefault((threshold, lower, component, x[i].tobytes()), i)
-        return into[i] != i
-
-    walks = [
-        _walk(row, threshold, m, partial(meet, i, threshold))
-        for i, (row, threshold) in enumerate(zip(x, thresholds, strict=True))
-    ]
+    walks = [_walk(row, threshold, m) for row, threshold in zip(x, thresholds, strict=True)]
     for walk in walks:
         next(walk)
+    # a probe's key: its states and threshold, narrow, as one byte string
+    narrow = np.min_scalar_type(max(m - 1, model.n_system_states - 2))
+    key = np.dtype((np.void, (n + 1) * narrow.itemsize))
+    targets = np.array(thresholds, dtype=np.int64).reshape(-1, 1)
+    known: dict[bytes, int] = {}  # the system state of each key evaluated in this call
     lower = np.zeros(len(walks), dtype=bool)
-    calls = np.zeros(len(walks), dtype=np.int64)
+    calls = [0] * len(walks)
     live = list(range(len(walks)))
     while live:
-        states = model._phi_rows(x[live])
-        calls[live] += 1
+        # every walk's key, finished walks' too: cheaper than gathering the live rows
+        keys = np.concatenate((x, targets), axis=1, dtype=narrow, casting="unsafe").view(key).ravel().tolist()
+        first: dict[bytes, int] = {}  # each new key's first asker
+        for i in live:
+            if keys[i] not in known:
+                first.setdefault(keys[i], i)
+        if first:
+            payers = list(first.values())
+            known.update(zip(first, model._phi_rows(x[payers]).tolist()))
+            for i in payers:
+                calls[i] += 1
         waiting = []
-        for i, state in zip(live, states.tolist()):
+        for i in live:
             try:
-                walks[i].send(state)
+                walks[i].send(known[keys[i]])
                 waiting.append(i)
             except StopIteration as done:
                 lower[i] = done.value
         live = waiting
-    # a walk that met another takes its reference and side, through chains of meetings
-    root = np.array(into, dtype=np.intp)
-    while not np.array_equal(root[root], root):
-        root = root[root]
-    return x[root], lower[root], calls
+    return x, lower, np.array(calls, dtype=np.int64)
 
 
 def boundary_search(model: SystemModel, x0: Sequence[int], threshold: int) -> ReferenceState:

@@ -211,6 +211,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.refs.exists():
         raise FileNotFoundError(f"reference file not found: {args.refs}")
     lower, upper = files.load_reference_sets(args.refs, digest, force=args.force)
+    try:
+        model.check_threshold(lower.threshold)
+    except ValueError as exc:
+        raise ValueError(f"{args.refs}: {exc}") from None
     config = RunConfig(n_samples=args.samples, seed=args.seed, n_workers=args.workers)
     report = stage2_evaluate(model, dist, lower, upper, config, lower.threshold)
     manifest = files.build_manifest(

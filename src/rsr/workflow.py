@@ -10,9 +10,9 @@ lockstep, one phi call a round for all of them
 (``boundary.boundary_searches``), and each reference set then takes the
 iteration's candidates in one ``ReferenceSet.insert_many``. Walks never
 read the sets, so the sets and outcomes are those of one search and one
-insert at a time. Walks of one threshold that meet share the rest of the
-walk, so an iteration makes at most the phi calls of its searches made
-one at a time, and fewer when its walks meet.
+insert at a time. A vector that several walks of one threshold probe is
+evaluated once, so an iteration makes at most the phi calls of its
+searches made one at a time, and fewer when its walks probe alike.
 For several thresholds (``multistate_pmf``) Stage 1 runs them in lockstep:
 iteration i streams its batch once, classified against every threshold
 still running, and then each of those thresholds tests its own stop and

@@ -284,7 +284,7 @@ def test_lockstep_searches_equal_one_search_each(seed, n, m, m_s):
     sides = [Side.LOWER if low else Side.UPPER for low in lower]
     assert [ReferenceState(*ref) for ref in zip(ends, sides, thresholds)] == expected
     assert ends.dtype == calls.dtype == np.int64
-    # a walk that meets another's settled state stops there: its own calls are at most its solo calls
+    # a walk pays only for the vectors no walk before it asked for: at most its solo calls
     assert all(c <= solo for c, solo in zip(calls.tolist(), counts, strict=True))
     assert model.evaluation_count - before == calls.sum() == probe.calls
     assert probe.dtypes == {np.dtype(np.int64)}
@@ -306,13 +306,23 @@ def test_lockstep_searches_use_the_batch_form_of_phi():
 
 
 def _solo_calls(model, starts, thresholds):
-    """Each start's reference and phi calls when it walks alone."""
-    refs, calls = [], []
-    for x0, t in zip(starts, thresholds, strict=True):
-        before = model.evaluation_count
-        refs.append(boundary_search(model, x0, t))
-        calls.append(model.evaluation_count - before)
-    return refs, calls
+    """Each start's reference, phi calls and evaluated vectors, in order, when it walks alone."""
+    phi, refs, probes = model.performance, [], []
+
+    def recording(x):
+        probes[-1].append(tuple(x.tolist()))
+        return phi(x)
+
+    model.performance = recording
+    try:
+        for x0, t in zip(starts, thresholds, strict=True):
+            probes.append([])
+            before = model.evaluation_count
+            refs.append(boundary_search(model, x0, t))
+            assert model.evaluation_count - before == len(probes[-1])
+    finally:
+        model.performance = phi
+    return refs, np.array([len(p) for p in probes]), probes
 
 
 def _lockstep(model, starts, thresholds):
@@ -321,33 +331,84 @@ def _lockstep(model, starts, thresholds):
     return [ReferenceState(*ref) for ref in zip(ends, sides, thresholds)], calls
 
 
+def _assert_each_vector_paid_once(calls, thresholds, probes):
+    """Lockstep walks of one threshold pay one call for each distinct vector their solo walks
+    evaluate, and none pays more than alone."""
+    thresholds = np.asarray(thresholds)
+    for t in set(thresholds.tolist()):
+        walks = np.flatnonzero(thresholds == t)
+        assert calls[walks].sum() == len(set().union(*(probes[i] for i in walks)))
+    assert (calls <= [len(p) for p in probes]).all()
+
+
 def test_duplicate_starts_share_one_walk():
-    # from all ones or all threes, 3-out-of-12 takes a whole component
-    # before its first rejection, so copies of one start settle together
-    # after their first wide probe
+    # copies of one start ask for the same vectors in the same rounds, so
+    # the first copy pays for every vector and the others for none
     model = SystemModel(12, 5, 5, k_out_of_n(3, 12))
     starts = [np.ones(12, dtype=np.int64)] * 3 + [np.full(12, 3)] * 2
     thresholds = [1, 1, 1, 2, 2]
-    refs, solo = _solo_calls(model, starts, thresholds)
+    refs, solo, probes = _solo_calls(model, starts, thresholds)
     before = model.evaluation_count
     got, calls = _lockstep(model, starts, thresholds)
     assert got == refs
     assert refs[0] == refs[1] == refs[2] and refs[3] == refs[4]
     assert model.evaluation_count - before == calls.sum() < sum(solo)
     assert calls[0] == solo[0] and calls[3] == solo[3]
-    assert all(c < s for c, s in zip(calls[[1, 2, 4]], np.array(solo)[[1, 2, 4]]))
+    assert all(c < s for c, s in zip(calls[[1, 2, 4]], solo[[1, 2, 4]]))
+    assert calls[[1, 2, 4]].tolist() == [0, 0, 0]
+    _assert_each_vector_paid_once(calls, thresholds, probes)
+
+
+def test_two_thresholds_walking_from_one_start_each_pay_for_it():
+    # the start itself, and any vector both walks probe, is evaluated once
+    # a threshold, so each threshold pays what it pays alone
+    model = SystemModel(12, 5, 5, k_out_of_n(3, 12))
+    starts = [np.ones(12, dtype=np.int64)] * 4
+    thresholds = [1, 2, 1, 2]
+    refs, solo, probes = _solo_calls(model, starts, thresholds)
+    assert probes[0][0] == probes[1][0] == (1,) * 12
+    before = model.evaluation_count
+    got, calls = _lockstep(model, starts, thresholds)
+    assert got == refs
+    assert calls.tolist() == [solo[0], solo[1], 0, 0]
+    assert model.evaluation_count - before == solo[0] + solo[1]
+    _assert_each_vector_paid_once(calls, thresholds, probes)
 
 
 def test_walks_meet_on_graph_connectivity():
+    # walks from nearby starts probe many of the same vectors, and each of
+    # them is evaluated once
     g = random_geometric_graph(30, 0.35, 0)
     model = SystemModel(g.n_edges, 2, 2, single_od_connectivity(g, *pick_od_pair(g)))
     rng = np.random.default_rng(0)
     starts = (rng.random((32, g.n_edges)) >= 0.05).astype(np.int64)
-    refs, solo = _solo_calls(model, starts, [0] * 32)
+    refs, solo, probes = _solo_calls(model, starts, [0] * 32)
     got, calls = _lockstep(model, starts, [0] * 32)
     assert got == refs
     assert (calls <= solo).all()
     assert calls.sum() < sum(solo), f"{calls.sum()} phi calls in lockstep against {sum(solo)} alone"
+    _assert_each_vector_paid_once(calls, [0] * 32, probes)
+
+
+def test_lockstep_memory_is_the_distinct_vectors_in_narrow_keys():
+    # one call's peak traced memory on the paper's graph (294 edges): the
+    # state of each distinct vector it evaluated, kept under a key of N + 1
+    # bytes (M = 2: a byte a state and one for the threshold) and about 150
+    # bytes of Python objects, plus a few K x N int64 matrices of one
+    # round. On Python 3.11 with numpy 2.4 it reads 1.2 MiB against a bound
+    # of 1.7 MiB for 2,754 vectors; keys of int64 rows, 8 (N + 1) bytes,
+    # read 6.7 MiB
+    g = random_geometric_graph(119, 0.12, seed=3)
+    model = SystemModel(g.n_edges, 2, 2, single_od_connectivity(g, *pick_od_pair(g)))
+    k, n = 32, g.n_edges
+    starts = (np.random.default_rng(0).random((k, n)) >= 0.05).astype(np.int64)
+    tracemalloc.start()
+    try:
+        _, _, calls = boundary_searches(model, starts, [0] * k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= calls.sum() * (n + 1 + 150) + 8 * k * n * 8, f"{peak / 2**20:.2f} MiB"
 
 
 @given(st.integers(0, 2**31), st.integers(1, 8), st.integers(2, 5), st.integers(2, 4))
@@ -357,16 +418,19 @@ def test_walks_that_meet_match_the_linear_walk(seed, n, m, m_s):
 
     rng = np.random.default_rng(seed)
     model = random_monotone_model(rng, n, m, m_s)
-    # starts and thresholds drawn from small pools repeat, so walks meet
+    # starts and thresholds drawn from small pools repeat, so walks probe
+    # vectors that other walks of their threshold probe too
     pool = [rng.integers(0, m, size=n), np.zeros(n, dtype=np.int64), np.full(n, m - 1)]
     starts = [pool[i] for i in rng.integers(0, len(pool), size=12)]
     thresholds = [int(t) for t in rng.integers(0, m_s - 1, size=12)]
     expected = [single_step_walk(model, x0, t) for x0, t in zip(starts, thresholds)]
+    _, _, probes = _solo_calls(model, starts, thresholds)
     before = model.evaluation_count
     got, calls = _lockstep(model, starts, thresholds)
     assert got == expected
     assert model.evaluation_count - before == calls.sum()
     assert (calls <= n * (m - 1) + 1).all()
+    _assert_each_vector_paid_once(calls, thresholds, probes)
 
 
 def _thresholded_sum(rng, n, m, m_s):
@@ -375,33 +439,85 @@ def _thresholded_sum(rng, n, m, m_s):
     return SystemModel(n, m, m_s, lambda x: int(np.searchsorted(cuts, sum(x.tolist()), side="right")))
 
 
+def _weighted(weights, cut):
+    """A coherent binary system: state 1 once the weighted sum of the component states reaches ``cut``."""
+    return lambda x: int(sum(w * v for w, v in zip(weights, x.tolist())) >= cut)
+
+
+def _settles_off_the_certificate(rng):
+    """A weighted sum and a start whose walk keeps a joint probe's certificate until a component settles off it.
+
+    From the start, the first component (weight w0) settles at 1 with
+    slack s left, and the joint probe, each later component at 1 or its
+    start, is accepted. Then a unit-weight component settles above 1, by
+    (a) an accepted move, or (b) a level probe bisected to s after a heavy
+    component that starts at x > s is rejected at once and raises the
+    level to x. The next unit-weight component's move to 1, which the
+    certificate would grant, then crosses the cut. Components of random
+    weight pinned at their limit sit in between, and half the systems are
+    mirrored, so that the walk is an upper one. Returns the model and the
+    start.
+    """
+    # s < M - 1: a component that reached its limit would start a gallop,
+    # which takes no move a certificate grants
+    if rng.random() < 0.5:  # (a)
+        m = int(rng.integers(4, 7))
+        s = int(rng.integers(2, m - 1))
+        weights, start = [int(rng.integers(s + 1, s + 4)), 1, 1], [0, 0, 0]
+        cut = weights[0] + s + 1
+    else:  # (b): the second component settles at 1, under the certificate
+        m = int(rng.integers(5, 7))
+        s = int(rng.integers(2, m - 2))
+        x = int(rng.integers(s + 1, m - 1))
+        w1, w2 = (int(w) for w in rng.integers(s + 1, s + 4, size=2))
+        weights, start = [int(rng.integers(w1 + s + 1, w1 + s + 4)), w1, w2, 1, 1], [0, 0, x, 0, 0]
+        cut = weights[0] + w1 + w2 * x + s + 1
+    for _ in range(int(rng.integers(0, 3))):
+        i, w = int(rng.integers(0, len(weights) + 1)), int(rng.integers(0, 4))
+        weights.insert(i, w)
+        start.insert(i, m - 1)
+        cut += w * (m - 1)
+    phi = _weighted(weights, cut)
+    if rng.random() < 0.5:
+        return SystemModel(len(weights), m, 2, phi), np.array(start)
+    mirrored = SystemModel(len(weights), m, 2, lambda x: 1 - phi(m - 1 - x))
+    return mirrored, m - 1 - np.array(start)
+
+
 @given(
     st.integers(0, 2**31),
-    st.sampled_from(["random", "k-out-of-n", "thresholded sum"]),
+    st.sampled_from(["random", "k-out-of-n", "thresholded sum", "settles off the certificate"]),
     st.integers(1, 8),
     st.integers(2, 6),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_walks_match_the_single_step_specification(seed, family, n, m):
     from conftest import random_monotone_model
 
     rng = np.random.default_rng(seed)
+    planted = []
     if family == "k-out-of-n":
         model = SystemModel(n, m, m, k_out_of_n(int(rng.integers(1, n + 1)), n))
     elif family == "random":
         model = random_monotone_model(rng, n, m, int(rng.integers(2, 5)))
-    else:
+    elif family == "thresholded sum":
         model = _thresholded_sum(rng, n, m, int(rng.integers(2, 5)))
-    # starts drawn from a small pool repeat, so walks of one threshold meet
-    pool = [rng.integers(0, m, size=n) for _ in range(4)] + [np.zeros(n, dtype=np.int64), np.full(n, m - 1)]
+    else:
+        model, start = _settles_off_the_certificate(rng)
+        n, m, planted = model.n_components, model.n_component_states, [start]
+    # starts drawn from a small pool repeat, so walks of one threshold
+    # probe the same vectors
+    pool = planted + [rng.integers(0, m, size=n) for _ in range(4 - len(planted))]
+    pool += [np.zeros(n, dtype=np.int64), np.full(n, m - 1)]
     starts = [pool[i] for i in rng.integers(0, len(pool), size=12)]
     thresholds = [int(t) for t in rng.integers(0, model.n_system_states - 1, size=12)]
     expected = [single_step_walk(model, x0, t) for x0, t in zip(starts, thresholds)]
-    refs, solo = _solo_calls(model, starts, thresholds)
+    refs, solo, probes = _solo_calls(model, starts, thresholds)
     got, calls = _lockstep(model, starts, thresholds)
     assert got == refs == expected
     assert max(solo) <= n * (m - 1) + 1
     assert (calls <= solo).all()
+    _assert_each_vector_paid_once(calls, thresholds, probes)
 
 
 def test_lower_walks_probe_each_component_to_the_last_settled_level():
@@ -412,7 +528,7 @@ def test_lower_walks_probe_each_component_to_the_last_settled_level():
     # costs only its rejected move, where single moves cost up to four
     model = SystemModel(12, 5, 5, k_out_of_n(3, 12))
     starts = np.random.default_rng(0).choice(5, size=(400, 12), p=[0.4, 0.3, 0.15, 0.1, 0.05])
-    refs, solo = _solo_calls(model, starts, [3] * 400)
+    refs, solo, _ = _solo_calls(model, starts, [3] * 400)
     got, calls = _lockstep(model, starts, [3] * 400)
     assert got == refs
     lower = np.array([ref.side == Side.LOWER for ref in got])
@@ -421,11 +537,6 @@ def test_lower_walks_probe_each_component_to_the_last_settled_level():
     # 25.0 alone; with the joint probe, 14.58 and 17.92
     assert calls[lower].mean() <= 14.6, f"{calls[lower].mean():.2f} calls a lower walk in lockstep"
     assert np.array(solo)[lower].mean() <= 17.93, f"{np.array(solo)[lower].mean():.2f} calls a lower walk alone"
-
-
-def _weighted(weights, cut):
-    """A coherent binary system: state 1 once the weighted sum of the component states reaches ``cut``."""
-    return lambda x: int(sum(w * v for w, v in zip(weights, x.tolist())) >= cut)
 
 
 def _walked(phi, n, m, m_s, x0, threshold):

@@ -418,6 +418,23 @@ def test_refs_whose_thresholds_disagree_are_rejected_naming_the_file(tmp_path, m
     assert not (tmp_path / "rep.json").exists()
 
 
+def test_refs_whose_threshold_is_out_of_the_models_range_are_rejected_naming_the_file(tmp_path, model_file, capsys):
+    refs = tmp_path / "refs.json"
+    assert run(["find-refs", "--model", model_file, "--out-refs", refs, "--samples", 200, "--seed", 3]) == 0
+    doc = json.loads(refs.read_text())
+    doc["threshold"] = doc["lower"]["threshold"] = doc["upper"]["threshold"] = 1
+    write_json(refs, doc)
+    capsys.readouterr()
+    code = run(
+        ["evaluate", "--model", model_file, "--refs", refs, "--out-report", tmp_path / "rep.json",
+         "--samples", 200]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert f"{refs}: threshold must lie in [0, 0]" in err
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_refs_with_string_lower_set_is_input_error(tmp_path, model_file, capsys):
     refs = tmp_path / "refs.json"
     assert run(["find-refs", "--model", model_file, "--out-refs", refs, "--samples", 200, "--seed", 3]) == 0
