@@ -58,18 +58,6 @@ class ReferenceState:
         _reject_bools(self.vector)
         object.__setattr__(self, "vector", tuple(vector.tolist()))
 
-    @classmethod
-    def checked(
-        cls, model: SystemModel, vector: Sequence[int], side: str, threshold: int
-    ) -> "ReferenceState":
-        """Construct after verifying the side condition against the model."""
-        s = model.evaluate(vector)
-        if side == Side.LOWER and s > threshold:
-            raise ValueError(f"lower reference has system state {s} > m'={threshold}")
-        if side == Side.UPPER and s <= threshold:
-            raise ValueError(f"upper reference has system state {s} <= m'={threshold}")
-        return cls(tuple(vector), side, threshold)
-
 
 def _inside(side: str, x: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Componentwise x <= r (lower) or x >= r (upper), broadcast."""

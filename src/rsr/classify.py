@@ -14,10 +14,12 @@ at a time, tests it against every threshold's sets and brackets each
 row's system state S. It packs the thermometer layout, M-1 bits a
 component: a chunk is encoded once, its words T(x) test the lower sets
 and their complement the upper, and at M = 2 a row packs to N bits where
-the one-hot layout takes 2N. ``word_hits`` is one kernel for both
-layouts; a row leaves it once a block of references hits it. A
-``verdicts`` call gives each worker thread one kernel scratch for all its
-chunks and sets, so a call does not allocate per kernel call. Both
+the one-hot layout takes 2N. A set's references are encoded the same way,
+as T(r), and packed as NOT T(l) for a lower set and T(u) for an upper
+one. ``word_hits`` is one kernel for both layouts; a row leaves it once a
+block of references hits it. A ``verdicts`` call gives each worker thread
+one kernel scratch for all its chunks and sets, so a call does not
+allocate per kernel call. Both
 workflow stages run ``verdicts`` over the sampler's rows, and
 ``classify`` over slices of its batch at one threshold. With a coherent
 phi and side-consistent reference sets no bracket is crossed;
@@ -25,12 +27,13 @@ phi and side-consistent reference sets no bracket is crossed;
 A set's upper pass skips the rows its lower pass hit only when no upper
 reference lies under a lower one, so that no row can be hit by both and
 the first crossed bracket is found as if both passes ran in full.
+``verdicts`` checks each set for such a pair once, before the first
+chunk: the members' level counts rule most out, and the kernel the rest.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,7 +43,7 @@ import numpy as np
 
 # _BLOCK_BYTES bounds one worker's chunk x ref-block temporaries
 from .boundary import _BLOCK_BYTES, ReferenceSet, Side
-from .encoding import EncodedBatch, _pack_words, encode_batch
+from .encoding import EncodedBatch, encode_batch
 from .sampling import SampleBatch
 
 __all__ = [
@@ -155,21 +158,19 @@ def _pack_references(
             f"{side} references have {vectors.shape[1]} components, "
             f"samples have {n_components}"
         )
-    return encode_batch(vectors, n_states, f"{side}_thermometer").packed_complement
+    encoded = encode_batch(vectors, n_states, "thermometer")
+    return encoded.packed_complement if side == Side.LOWER else encoded.packed
 
 
-def _levels_apart(lower: np.ndarray, upper: np.ndarray, n_components: int, n_states: int) -> bool:
+def _levels_apart(lower: np.ndarray, upper: np.ndarray, n_states: int) -> bool:
     """Whether level counts alone show that no upper reference lies under a lower one.
 
-    With c_k(v) = #{n : v_n > k}, u <= l implies c_k(u) <= c_k(l) at every
-    cut k. The rows are ``_pack_references``'s: NOT T(l) and T(u), pad bits
-    zero, so bits (n, k) of a row count N - c_k(l) and c_k(u). Some cut
-    with min c_k(u) > max c_k(l) therefore certifies that no u <= l.
+    ``lower`` and ``upper`` are the sets' R x N member matrices. With
+    c_k(v) = #{n : v_n > k}, u <= l implies c_k(u) <= c_k(l) at every cut
+    k, so some cut with min c_k(u) > max c_k(l) certifies that no u <= l.
     """
-    cuts = n_states - 1
-    for mask in _pack_words(np.tile(np.eye(cuts, dtype=np.uint8), n_components)):
-        fewest = [int(np.bitwise_count(rows & mask).sum(axis=1).min()) for rows in (lower, upper)]
-        if sum(fewest) > n_components:
+    for k in range(n_states - 1):
+        if np.count_nonzero(upper > k, axis=1).min() > np.count_nonzero(lower > k, axis=1).max():
             return True
     return False
 
@@ -277,21 +278,28 @@ def verdicts(
     Reading the chunk that holds the first crossed bracket raises
     ``InconsistentReferenceSets``, so no row is hit by both sides of a set.
 
-    The pass allocates ``word_hits``'s scratch once per worker thread,
-    sized to its largest block, and reuses it for every chunk, every set
-    and the once-per-pass u <= l checks; it is dropped when the pass ends.
+    Before the first chunk is drawn, each set is checked once for an upper
+    reference under a lower one. The pass then allocates ``word_hits``'s
+    scratch once per worker thread, sized to its largest block, and reuses
+    it for every chunk and set; it is dropped when the pass ends.
     """
     n, m, n_system_states = shape
     refs = [(t, _pack_references(low, Side.LOWER, n, m), _pack_references(up, Side.UPPER, n, m)) for t, low, up in sets]
+    # A row both sides hit would lie over some u and under some l, so u <= l.
+    # With no such pair the upper pass may skip the rows the lower pass hit.
+    # Level counts rule such pairs out without the kernel; failing that,
+    # u <= l exactly when NOT T(l) AND T(u) is zero, the upper test with l
+    # as the sample, on a scratch of its own that is freed here
+    disjoint = [
+        lower is None
+        or upper is None
+        or _levels_apart(low.as_array(), up.as_array(), m)
+        or not word_hits(np.ascontiguousarray(lower.T), upper).any()
+        for (_, low, up), (_, lower, upper) in zip(sets, refs)
+    ]
     packed = [r for _, lower, upper in refs for r in (lower, upper) if r is not None]
-    # the largest kernel block tests a full chunk against the largest set,
-    # or a set's lower refs, as samples, against its upper refs
-    cols = min(chunk_rows, n_rows)
-    size = max(
-        [_scratch_size(len(r), cols) for r in packed]
-        + [_scratch_size(len(upper), len(lower)) for _, lower, upper in refs if lower is not None and upper is not None],
-        default=0,
-    )
+    # the largest kernel block tests a full chunk against the largest set
+    size = max((_scratch_size(len(r), min(chunk_rows, n_rows)) for r in packed), default=0)
     n_words = packed[0].shape[1] if packed else 1
     # the scratches no kernel call is using; list pop and append are atomic,
     # so a thread never takes one another thread holds
@@ -303,27 +311,6 @@ def verdicts(
         except IndexError:
             return _kernel_scratch(size, n_words)
 
-    # A row both sides hit would lie over some u and under some l, so u <= l.
-    # With no such pair the upper pass may skip the rows the lower pass hit.
-    # Level counts rule such pairs out at the cost of a popcount a reference;
-    # failing that, u <= l exactly when NOT T(l) AND T(u) is zero, the upper
-    # test with l as the sample. The first chunk to run checks every set, with
-    # its own scratch, taken after its draws are freed so that it can reuse their memory
-    disjoint_sets: list[bool] = []
-    checking = threading.Lock()
-
-    def check_disjoint(kernel: tuple[np.ndarray, np.ndarray | None]) -> list[bool]:
-        with checking:
-            if not disjoint_sets:
-                disjoint_sets.extend(
-                    lower is None
-                    or upper is None
-                    or _levels_apart(lower, upper, n, m)
-                    or not word_hits(np.ascontiguousarray(lower.T), upper, kernel).any()
-                    for _, lower, upper in refs
-                )
-        return disjoint_sets
-
     def work(start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         states = rows(start, min(start + chunk_rows, n_rows))
         # word-major: entry (w, k) is word w of row k, the layout word_hits takes;
@@ -333,10 +320,10 @@ def verdicts(
         hi = np.full(len(states), n_system_states - 1, dtype=np.int64)
         hits = []
         kernel = scratch()
-        for (t, lower, upper), disjoint in zip(refs, check_disjoint(kernel)):
+        for (t, lower, upper), apart in zip(refs, disjoint):
             low = word_hits(words, lower, kernel)
             up = np.zeros(len(states), dtype=bool)
-            if upper is not None and disjoint and low.any():
+            if upper is not None and apart and low.any():
                 # NOT T(x) of the rows the lower pass left open, and only those
                 flipped = words[:, ~low]
                 np.invert(flipped, out=flipped)
@@ -400,8 +387,13 @@ def classify(
     used to encode samples and references. A sample matched by both sides
     raises ``InconsistentReferenceSets``, naming the first such sample and
     the first lower and upper reference it matches. A non-empty set whose
-    vectors do not have N components raises ValueError.
+    vectors do not have N components, or a ``chunk_size`` or ``n_workers``
+    below 1, raises ValueError.
     """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     if lower_set is not None and upper_set is not None:
         if lower_set.threshold != upper_set.threshold:
             raise ValueError(

@@ -11,16 +11,14 @@ The paper's one-hot layout has C = M columns, one per state m:
 * upper reference: suffix of ones, 1 iff m >= x_n.
 
 The thermometer layout has C = M - 1 columns, one per cut k = 0..M-2, and
-is what the classification route packs. T(x) has bit (n, k) = [x_n > k],
-so x <= l exactly when T(x) AND NOT T(l) is zero, and x >= u exactly when
-NOT T(x) AND T(u) is zero: one encoding of a sample serves both sides.
+is what the classification route packs. Its one kind, thermometer, sets
+bit (n, k) of T(x) to [x_n > k], for a sample and a reference alike. So
+x <= l exactly when T(x) AND NOT T(l) is zero, and x >= u exactly when
+NOT T(x) AND T(u) is zero: one encoding of a sample serves both sides, a
+lower reference's region is T(l) and an upper one's is NOT T(u).
 
-* thermometer: T(x), a sample;
-* lower thermometer: T(l), the bits a sample's T(x) may set;
-* upper thermometer: NOT T(u), the bits a sample's NOT T(x) may set.
-
-In both layouts a reference's kind encodes its region, and a sample word
-is in it exactly when the AND with the word-packed complement is zero.
+In the one-hot layout a reference's kind encodes its region, and a sample
+word is in it exactly when the AND with the word-packed complement is zero.
 
 ``encode_batch`` is the one encoder; the per-item encoders are its
 one-row one-hot calls. A batch flattens each N x C matrix row-major into
@@ -55,16 +53,13 @@ _RULES = {
     "lower_ref": np.less_equal,
     "upper_ref": np.greater_equal,
     "thermometer": np.less,
-    "lower_thermometer": np.less,
-    "upper_thermometer": np.greater_equal,
 }
 KINDS = tuple(_RULES)
-_THERMOMETER_KINDS = ("thermometer", "lower_thermometer", "upper_thermometer")
 
 
 def _columns(kind: str, n_states: int) -> int:
     """Columns a component takes in ``kind``'s layout."""
-    return n_states - 1 if kind in _THERMOMETER_KINDS else n_states
+    return n_states - 1 if kind == "thermometer" else n_states
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:

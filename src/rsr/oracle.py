@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "exact_probabilities",
     "dominates",
     "crude_monte_carlo",
-    "exact_reference_probability",
     "bfs_connected",
 ]
 
@@ -95,42 +94,6 @@ def crude_monte_carlo(
             hits += 1
     p_hat = hits / n_samples
     return p_hat, cov(p_hat, n_samples)
-
-
-def exact_reference_probability(
-    dist: ComponentDistribution,
-    members: Iterable[Sequence[int]],
-    side: str,
-) -> float:
-    """Exact probability of the union of regions dominated by the reference vectors.
-
-    For side 'lower' a vector x is covered when x <= some member; for
-    'upper' when x >= some member. Enumeration-based; respects the same
-    size guard as exact_probabilities.
-    """
-    vectors = [tuple(int(v) for v in m) for m in members]
-    if side not in ("lower", "upper"):
-        raise ValueError("side must be 'lower' or 'upper'")
-    if not vectors:
-        return 0.0
-    n, m = dist.n_components, dist.n_states
-    _guard_enum(n, m)
-    total = 0.0
-    for x in itertools.product(range(m), repeat=n):
-        covered = False
-        for ref in vectors:
-            if side == "lower":
-                covered = dominates(x, ref)
-            else:
-                covered = dominates(ref, x)
-            if covered:
-                break
-        if covered:
-            p = 1.0
-            for comp in range(n):
-                p *= dist.probs[comp, x[comp]]
-            total += p
-    return total
 
 
 def bfs_connected(

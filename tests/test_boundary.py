@@ -209,16 +209,6 @@ def test_as_array_is_read_only_matrix():
     assert not refs.flags.writeable
 
 
-def test_checked_reference_state():
-    model = SystemModel(3, 2, 2, k_out_of_n(3, 3))
-    ReferenceState.checked(model, (1, 1, 0), Side.LOWER, 0)
-    with pytest.raises(ValueError):
-        ReferenceState.checked(model, (1, 1, 1), Side.LOWER, 0)
-    ReferenceState.checked(model, (1, 1, 1), Side.UPPER, 0)
-    with pytest.raises(ValueError):
-        ReferenceState.checked(model, (0, 1, 1), Side.UPPER, 0)
-
-
 class _QuadraticScanSet:
     """Reference oracle for non-dominance maintenance: filter the full history."""
 

@@ -168,9 +168,11 @@ def test_early_exit_kernel_matches_full_hits(monkeypatch, n, m):
         assert np.array_equal(np.concatenate([hits[j][1] for *_, hits in chunks]), want_up)
 
 
-def test_crossing_sets_raise_on_the_first_crossed_sample(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_crossing_sets_raise_on_the_first_crossed_sample(monkeypatch, workers):
     # one upper reference lies under a lower one (u <= l), so the upper pass
-    # must test the rows the lower pass hit and the first row between them raises
+    # must test the rows the lower pass hit and the first row between them
+    # raises, whatever the number of workers
     rng = np.random.default_rng(8)
     n, m = 6, 3
     states = rng.integers(0, m, size=(500, n)).astype(np.uint8)
@@ -186,8 +188,60 @@ def test_crossing_sets_raise_on_the_first_crossed_sample(monkeypatch):
     message = str(InconsistentReferenceSets.on_bracket(sets, first, states[first], 1, 0))
     monkeypatch.setattr(importlib.import_module("rsr.classify"), "_BLOCK_BYTES", 64)
     with pytest.raises(InconsistentReferenceSets, match=re.escape(message)):
-        for _ in verdicts(lambda start, stop: states[start:stop], len(states), 50, sets, (n, m, 2), 1):
+        for _ in verdicts(lambda start, stop: states[start:stop], len(states), 50, sets, (n, m, 2), workers):
             pass
+
+
+def test_set_kernel_check_runs_once_a_pass_before_the_first_chunk(monkeypatch):
+    # sets whose level counts do not separate, as on the RGG workloads, so
+    # only the kernel rules out u <= l: it tests each set pair once a pass,
+    # with the lower references as the samples, before any chunk is drawn
+    # S = max(min(x0, x1), min(x2, x3)) with M = 3: S <= t when each path has
+    # a component at t or under, S > t when one path has both above t
+    n, m = 4, 3
+    sets = [
+        (
+            t,
+            ReferenceSet(Side.LOWER, t, [(t, 2, t, 2), (t, 2, 2, t), (2, t, t, 2), (2, t, 2, t)]),
+            ReferenceSet(Side.UPPER, t, [(t + 1, t + 1, 0, 0), (0, 0, t + 1, t + 1)]),
+        )
+        for t in (0, 1)
+    ]
+    assert not any(_levels_apart(low.as_array(), up.as_array(), m) for _, low, up in sets)
+    lower_rows = [np.ascontiguousarray(_pack_references(low, Side.LOWER, n, m).T) for _, low, _ in sets]
+    states = np.random.default_rng(5).integers(0, m, size=(300, n))
+    module = importlib.import_module("rsr.classify")
+    kernel, events = module.word_hits, []
+
+    def spy(sample_words, *args):
+        checked = [j for j, rows in enumerate(lower_rows) if np.array_equal(sample_words, rows)]
+        events.append(("check", *checked) if checked else "chunk")
+        return kernel(sample_words, *args)
+
+    def rows(start, stop):
+        events.append("rows")
+        return states[start:stop]
+
+    monkeypatch.setattr(module, "word_hits", spy)
+    for workers in (1, 3):
+        events.clear()
+        for _ in verdicts(rows, len(states), 50, sets, (n, m, 3), workers):
+            pass
+        checks = [("check", j) for j in range(len(sets))]
+        assert events[: len(sets)] == checks
+        assert [e for e in events if e[0] == "check"] == checks
+        assert events.count("rows") == 6 and "chunk" in events
+
+
+@pytest.mark.parametrize("chunk_size, n_workers", [(0, 1), (-3, 1), (5, 0), (5, -1)])
+def test_classify_rejects_chunk_size_or_workers_below_one(chunk_size, n_workers):
+    # unchecked, a chunk size below 1 leaves every verdict unset or fails
+    # inside range(), and a worker count below 1 silently runs one thread
+    batch = SampleBatch(states=np.zeros((5, 2), dtype=np.int64), seed=0, generation_index=0)
+    lower = ReferenceSet(Side.LOWER, 0, [(1, 1)])
+    name, value = ("chunk_size", chunk_size) if chunk_size < 1 else ("n_workers", n_workers)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be >= 1, got {value}")):
+        classify(batch, lower, None, chunk_size=chunk_size, n_workers=n_workers, n_states=2)
 
 
 @pytest.mark.parametrize("n_refs", [49, 196])
@@ -427,11 +481,7 @@ def test_level_count_certificate_never_fires_on_crossing_sets(seed, n, m):
     upper = rng.integers(0, m, size=(int(rng.integers(1, 6)), n))
     if rng.random() < 0.5:  # plant some u <= l
         upper[0] = rng.integers(0, lower[0] + 1)
-    packed = [
-        _pack_references(ReferenceSet(side, 0, refs), side, n, m)
-        for side, refs in ((Side.LOWER, lower), (Side.UPPER, upper))
-    ]
-    if _levels_apart(*packed, n, m):
+    if _levels_apart(lower, upper, m):
         assert not any(dominates(u, l) for l in lower.tolist() for u in upper.tolist())
 
 

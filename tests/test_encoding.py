@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsr.boundary import ReferenceSet, Side
+from rsr.classify import _pack_references
 from rsr.encoding import (
     EncodedBatch,
     encode_batch,
@@ -117,15 +119,25 @@ def test_packed_complement_pad_bits_zero():
                 assert not unpacked[:, n * m :].any()
 
 
+def _packed_refs(states, side, m):
+    """A set of ``states``'s non-dominated rows, its members and ``_pack_references``'s words for it."""
+    refs = ReferenceSet(side, 0, states)
+    return refs.as_array(), _pack_references(refs, side, states.shape[1], m)
+
+
 def test_thermometer_bits():
     # T(x) sets bit (n, k) for x_n > k, k = 0..M-2; a lower reference's region
-    # is T(l) and an upper reference's is NOT T(u)
+    # is T(l) and an upper reference's is NOT T(u), so the classification
+    # route packs their complements: NOT T(l) and T(u)
     states = np.random.default_rng(4).integers(0, 5, size=(30, 7))
     therm = encode_batch(states, 5, "thermometer").data.reshape(30, 7, 4)
     assert np.array_equal(therm, states[:, :, None] > np.arange(4))
     assert np.array_equal(therm.sum(axis=2), states)
-    assert np.array_equal(encode_batch(states, 5, "lower_thermometer").data, therm.reshape(30, 28))
-    assert np.array_equal(encode_batch(states, 5, "upper_thermometer").data, 1 - therm.reshape(30, 28))
+    for side, flip in ((Side.LOWER, 1), (Side.UPPER, 0)):
+        members, words = _packed_refs(states, side, 5)
+        bits = np.unpackbits(words.view(np.uint8), axis=1)
+        assert np.array_equal(bits[:, :28], flip ^ (members[:, :, None] > np.arange(4)).reshape(len(members), 28))
+        assert not bits[:, 28:].any()
     assert encode_batch(states[:, :1] % 2, 2, "thermometer").data.tolist() == (states[:, :1] % 2).tolist()
 
 
@@ -138,20 +150,20 @@ def test_thermometer_pad_bits_zero():
         states = np.random.default_rng(n * m).integers(0, m, size=(5, n))
         n_bits, n_words = n * (m - 1), -(-n * (m - 1) // 64)
         samples = encode_batch(states, m, "thermometer")
-        lower = encode_batch(states, m, "lower_thermometer")
-        upper = encode_batch(states, m, "upper_thermometer")
+        lower, lower_words = _packed_refs(states, Side.LOWER, m)
+        upper, upper_words = _packed_refs(states, Side.UPPER, m)
         for words, bits in (
             (samples.packed, samples.data),
-            (lower.packed_complement, 1 - lower.data),
-            (upper.packed_complement, 1 - upper.data),
+            (lower_words, 1 - encode_batch(lower, m, "thermometer").data),
+            (upper_words, encode_batch(upper, m, "thermometer").data),
         ):
             assert words.dtype == np.uint64
-            assert words.shape == (5, n_words)
+            assert words.shape == (len(bits), n_words)
             unpacked = np.unpackbits(words.view(np.uint8), axis=1)
             assert np.array_equal(unpacked[:, :n_bits], bits)
             assert not unpacked[:, n_bits:].any()
         # the upper words are T(u)
-        assert np.array_equal(upper.packed_complement, samples.packed)
+        assert np.array_equal(upper_words, encode_batch(upper, m, "thermometer").packed)
 
 
 def test_int8_states_encode_without_widening():

@@ -6,7 +6,6 @@ from rsr.oracle import (
     crude_monte_carlo,
     dominates,
     exact_probabilities,
-    exact_reference_probability,
 )
 from rsr.sysfn import k_out_of_n
 
@@ -49,22 +48,6 @@ def test_dominates_scalar():
     assert not dominates((2, 0), (1, 2))
     with pytest.raises(ValueError):
         dominates((1,), (1, 2))
-
-
-def test_upper_union_probability():
-    # uniform 2-component, 5 states: |{x >= (1,4)} U {x >= (4,0)}| = 4 + 5 - 1 = 8
-    dist = ComponentDistribution.iid(2, [0.2] * 5)
-    p = exact_reference_probability(dist, [(1, 4), (4, 0)], "upper")
-    assert p == pytest.approx(8 / 25)
-
-
-def test_lower_cone_probability():
-    dist = ComponentDistribution.iid(2, [0.2] * 5)
-    p = exact_reference_probability(dist, [(1, 2)], "lower")
-    assert p == pytest.approx(6 / 25)
-    assert exact_reference_probability(dist, [], "lower") == 0.0
-    with pytest.raises(ValueError):
-        exact_reference_probability(dist, [(0, 0)], "sideways")
 
 
 def test_crude_mc_converges(series3):

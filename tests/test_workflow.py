@@ -383,12 +383,14 @@ def test_stage2_encodes_each_chunk_once_for_all_thresholds(monkeypatch):
     monkeypatch.setattr(workflow, "_stage2", counted_stage2)
     report = multistate_pmf(model, dist, cfg)
     assert len(report.stage2_reports) == 3
-    sample_rows = [rows for kind, rows in encoded if kind == "thermometer"]
+    # samples and references share one kind; the stage call encodes each
+    # non-empty reference set once, in threshold order, before its first chunk
+    assert {kind for kind, _ in encoded} == {"thermometer"}
+    set_rows = [len(s) for s1 in report.stage1_results for s in (s1.lower, s1.upper) if len(s)]
+    assert [rows for _, rows in encoded[: len(set_rows)]] == set_rows
+    sample_rows = [rows for _, rows in encoded[len(set_rows) :]]
     assert len(sample_rows) == -(-cfg.n_samples // 64)
     assert sum(sample_rows) == cfg.n_samples
-    # and each non-empty reference set once per stage call
-    n_sets = sum(len(s) > 0 for s1 in report.stage1_results for s in (s1.lower, s1.upper))
-    assert len(encoded) - len(sample_rows) == n_sets
 
 
 def test_pmf_stage1_samples_each_chunk_once_for_all_thresholds(monkeypatch):
