@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Generator, Iterable, Sequence
+from typing import Generator, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +31,11 @@ __all__ = ["Side", "ReferenceState", "ReferenceSet", "boundary_search", "boundar
 # coverage here, the hit kernel's AND and OR passes in classify. Small
 # enough that a block stays in a core's cache
 _BLOCK_BYTES = 1 << 20
+
+# the weight, in rejections, of the prior in a walk's rejection rate, and the
+# least prior it takes, so that an empty count stays finite
+_PRIOR_REJECTIONS = 4
+_PRIOR_FLOOR = 1e-3
 
 
 def _reject_bools(values: Iterable) -> None:
@@ -202,7 +207,16 @@ def _shift(x: np.ndarray, moves: list[int], step: int, a: int, b: int) -> None:
         x[n] += sign
 
 
-def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray, int, bool]:
+def _gap(left: int, rate: float) -> int:
+    """Hwang's group size for ``left`` moves expected to hold d = max(1, ``left`` * ``rate``) rejections:
+    2**floor(log2((left - d + 1) / d)), and at least 1."""
+    d = max(1.0, left * rate)
+    return 1 << max(0, int((left - d + 1) / d).bit_length() - 1)
+
+
+def _walk(
+    x: np.ndarray, threshold: int, n_states: int, priors: tuple[float | None, float | None] = (None, None)
+) -> Generator[np.ndarray, int, bool]:
     """The galloping walk from ``x`` to the boundary of m' = ``threshold``.
 
     Yields each vector to evaluate, is sent its system state, and returns
@@ -223,13 +237,35 @@ def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray,
     move, which by monotonicity is the move a walk of single steps would
     reject. So whatever the widths, the reference is the one the single
     steps reach; the widths set only the number of calls. They follow
-    two rules. The walk gallops, an exponential search restarted after
+    three rules. The walk gallops, an exponential search restarted after
     each rejection: once a component has reached its limit since the
-    last rejection, L doubles on each accepted probe. A walk that is not
-    galloping and reaches a new component c probes all of c's moves up
-    to ``level``, the state the last rejected component settled at, in
-    one evaluation: L = max(1, (level - x[c]) * step), which never spills
-    into the next component. Components past a rejection tend to settle
+    last rejection, L doubles on each accepted probe.
+
+    The gallop starts at the gap the walk expects, when it is given a
+    prior for its side and its components are binary (M = 2, so a move
+    is a whole component). The probe after the one that starts the
+    gallop then takes max(2L, 2**floor(log2((n - d + 1) / d))) moves,
+    Hwang's generalized binary splitting group for n moves left that
+    hold d = max(1, n * rate) rejections. ``rate`` is the walk's own
+    count, r rejections in a accepted moves, shrunk toward the prior:
+    (r + 4) / (a + 4 / prior), with the prior floored at 1e-3. Both
+    counts are kept as the walk goes, so the rule costs O(1) a restart.
+    ``priors`` holds the lower side's prior and the upper side's, or
+    None; Stage 1 reads each from its reference set, as the share of
+    member entries short of the walk's limit, which is the rate at which
+    finished walks were rejected. The probe that starts the gallop stays
+    one move, so a rejection right after a rejection, common on graphs
+    where two edges in series are both needed, still costs one call.
+    With more states a rejection skips the rest of its component, so
+    rejections fall one per component and bunch past the first, which a
+    rate per move does not see: on k-out-of-n and on sums the expected
+    gap measured more calls, and there the gallop starts at 2L. A walk
+    with no prior has no rate to shrink and starts at 2L too.
+
+    A walk that is not galloping and reaches a new component c probes
+    all of c's moves up to ``level``, the state the last rejected
+    component settled at, in one evaluation: L = max(1, (level - x[c]) *
+    step), which never spills into the next component. Components past a rejection tend to settle
     where it did: on a k-out-of-n system each settles at the state of
     the k-th largest. Every other probe of a walk that is not galloping
     is one move.
@@ -260,10 +296,14 @@ def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray,
     probe adds L-1, moves a certificate grants add one each, and a joint
     probe, which settles no move, takes one. Since bisecting a rejected
     L-move probe costs ceil(log2 L) further calls, an L-move probe of
-    either rule runs only while spare >= ceil(log2 L), and is cut to
+    any rule runs only while spare >= ceil(log2 L), and is cut to
     2**spare moves otherwise; a joint probe runs only while spare >= 1.
+    So neither the budget nor the reference depends on the priors.
     """
     lower = (yield x) <= threshold
+    prior = (priors[0] if lower else priors[1]) if n_states == 2 else None
+    if prior is not None:
+        prior = max(prior, _PRIOR_FLOOR)
     step, room = (1, n_states - 1 - x) if lower else (-1, x)
     toward = np.maximum if lower else np.minimum  # of a state and ``level``, the one nearer the limit
 
@@ -280,6 +320,7 @@ def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray,
     # the level of the last accepted joint probe while it certifies, None
     # once a move past what it grants is accepted
     cert = None
+    rejections = 0
     while p < end:
         c = moves[p]
         if not gallop and (p == 0 or c != moves[p - 1]):
@@ -319,8 +360,13 @@ def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray,
             # the component moved past its value in the joint probe
             cert = None
             # gallop once a component has reached its limit since the last rejection
-            gallop = gallop or q == end or moves[q] != moves[q - 1]
+            starting = not gallop and (q == end or moves[q] != moves[q - 1])
+            gallop = gallop or starting
             width = width * 2 if gallop else 1
+            if starting and prior is not None and q < end:
+                # at M = 2, q - rejections of the moves before q were accepted
+                rate = (rejections + _PRIOR_REJECTIONS) / (q - rejections + _PRIOR_REJECTIONS / prior)
+                width = max(width, _gap(end - q, rate))
         else:
             # bisect: moves[:lo] are accepted, moves[:hi] cross m', x is after moves[:q]
             lo, hi = p, q
@@ -337,6 +383,7 @@ def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray,
             if lo > p:  # the component settles past its value in the joint probe
                 cert = None
             level = int(x[moves[lo]])
+            rejections += 1
             # moves[lo] is rejected: skip the rest of its component
             q = lo + 1
             while q < end and moves[q] == moves[lo]:
@@ -348,14 +395,20 @@ def _walk(x: np.ndarray, threshold: int, n_states: int) -> Generator[np.ndarray,
 
 
 def boundary_searches(
-    model: SystemModel, starts: Sequence[Sequence[int]], thresholds: Sequence[int]
+    model: SystemModel,
+    starts: Sequence[Sequence[int]],
+    thresholds: Sequence[int],
+    priors: Mapping[tuple[int, str], float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk each start to the system-state boundary of its threshold, all walks in lockstep.
 
     Returns ``(ends, lower, calls)`` in start order: the K x N int64
     references, the mask of lower-side walks and the phi calls charged to
     each walk. Each walk is ``_walk``'s galloping walk, and a round sends
-    every live walk the system state of its next vector.
+    every live walk the system state of its next vector. ``priors`` maps
+    (threshold, side) to the rejection rate in [0, 1] that the walks of
+    that threshold and side expect; it sets only the calls, never the
+    references.
 
     The call remembers the state of each (threshold, vector) it has
     evaluated. A round evaluates only the distinct vectors not yet
@@ -373,13 +426,20 @@ def boundary_searches(
     """
     for threshold in set(thresholds):
         model.check_threshold(threshold)
+    priors = priors or {}
+    for key, rate in priors.items():
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"prior {rate!r} for {key} is not a rate in [0, 1]")
     n, m = model.n_components, model.n_component_states
     # row i is walk i's vector, an int64 copy of start i that the walk moves
     # in place, so stepping never wraps a narrow input dtype
     x = np.array(check_states(starts, m) if len(starts) else np.empty((0, n)), dtype=np.int64)
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"component-state vector has length {x.shape[1:]}, expected ({n},)")
-    walks = [_walk(row, threshold, m) for row, threshold in zip(x, thresholds, strict=True)]
+    walks = [
+        _walk(row, t, m, (priors.get((t, Side.LOWER)), priors.get((t, Side.UPPER))))
+        for row, t in zip(x, thresholds, strict=True)
+    ]
     for walk in walks:
         next(walk)
     # a probe's key: its states and threshold, narrow, as one byte string

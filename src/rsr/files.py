@@ -15,7 +15,9 @@ import json
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, TextIO
+
+import numpy as np
 
 from . import __version__
 from .boundary import ReferenceSet, Side
@@ -217,19 +219,37 @@ def load_model(path: str | Path) -> tuple[SystemModel, ComponentDistribution, st
 # -- reference sets -----------------------------------------------------
 
 
-def reference_set_to_dict(
-    refs: ReferenceSet, model_digest: str, seed: int | None = None
-) -> dict:
+# the vectors of a saved reference set are encoded this many rows at a time
+_SAVE_ROWS = 256
+# stands for a set's vectors in the document until they are written
+_VECTORS = "\x00vectors"
+_encode_row = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _set_doc(refs: ReferenceSet, model_digest: str, seed: int | None) -> dict:
+    """The set's document, with ``_VECTORS`` in place of its vectors."""
     doc: dict[str, Any] = {
         "format": FORMAT,
         "side": refs.side,
         "threshold": refs.threshold,
-        "vectors": [list(v) for v in refs.members],
+        "vectors": _VECTORS,
         "model_hash": model_digest,
     }
     if seed is not None:
         doc["seed"] = seed
     return doc
+
+
+def _write_rows(fh: TextIO, matrix: np.ndarray, indent: int) -> None:
+    """Write an R x N matrix as a JSON list at ``indent``, one row a line, a block of rows at a time."""
+    if not len(matrix):
+        fh.write("[]")
+        return
+    pad = " " * (indent + 2)
+    for start in range(0, len(matrix), _SAVE_ROWS):
+        rows = map(_encode_row, matrix[start : start + _SAVE_ROWS].tolist())
+        fh.write(("[\n" if start == 0 else ",\n") + pad + (",\n" + pad).join(rows))
+    fh.write("\n" + " " * indent + "]")
 
 
 def reference_set_from_dict(doc: dict, origin: str | Path = "<dict>") -> ReferenceSet:
@@ -248,18 +268,32 @@ def save_reference_sets(
     manifest: dict | None = None,
     seed: int | None = None,
 ) -> None:
+    """Write both sets as one document, laid out as ``write_json`` lays it out but one vector a line.
+
+    ``indent`` would send every vector entry through json's pure-Python
+    encoder. Here the C encoder encodes each vector, a block of rows at a
+    time, and the text is written as it is made, so the save holds about
+    one block's lists and text whatever the sets' size.
+    """
     if lower.threshold != upper.threshold:
         raise ValueError("lower and upper sets must share a threshold")
     doc = {
         "format": FORMAT,
         "threshold": lower.threshold,
         "model_hash": model_digest,
-        "lower": reference_set_to_dict(lower, model_digest, seed),
-        "upper": reference_set_to_dict(upper, model_digest, seed),
+        "lower": _set_doc(lower, model_digest, seed),
+        "upper": _set_doc(upper, model_digest, seed),
     }
     if manifest is not None:
         doc["manifest"] = manifest
-    write_json(path, doc)
+    # sorted keys put "lower" before "upper": each set's vectors follow its piece
+    pieces = json.dumps(doc, indent=2, sort_keys=True).split(json.dumps(_VECTORS))
+    with open(path, "w") as fh:
+        for refs, piece in zip((lower, upper), pieces):
+            fh.write(piece)
+            line = piece[piece.rfind("\n") + 1 :]
+            _write_rows(fh, refs.as_array(), len(line) - len(line.lstrip()))
+        fh.write(pieces[-1] + "\n")
 
 
 @_input_errors

@@ -13,6 +13,9 @@ read the sets, so the sets and outcomes are those of one search and one
 insert at a time. A vector that several walks of one threshold probe is
 evaluated once, so an iteration makes at most the phi calls of its
 searches made one at a time, and fewer when its walks probe alike.
+Each set's members give its side's walks a prior rejection rate, which
+sizes the start of their gallops (``boundary._walk``): it moves the phi
+calls, never the references.
 For several thresholds (``multistate_pmf``) Stage 1 runs them in lockstep:
 iteration i streams its batch once, classified against every threshold
 still running, and then each of those thresholds tests its own stop and
@@ -298,8 +301,17 @@ def _stage1(
         starts = sample_rows(dist, config.seed, iteration, np.concatenate([picks for _, picks in picked]))
         targets = np.asarray(thresholds)[owners]
         if config.boundary_search_enabled:
-            # every pick of every threshold walks in lockstep, one phi call a round
-            ends, lower, calls = boundary_searches(model, starts, targets.tolist())
+            # every pick of every threshold walks in lockstep, one phi call a
+            # round. Each nonempty set gives its side's walks the rate at
+            # which earlier walks were rejected, which sizes their gallops
+            # and never changes a reference
+            priors = {
+                (ref_set.threshold, ref_set.side): _rejection_rate(ref_set, model.n_component_states)
+                for k in still_live
+                for ref_set in (results[k].lower, results[k].upper)
+                if len(ref_set)
+            }
+            ends, lower, calls = boundary_searches(model, starts, targets.tolist(), priors)
         else:
             ends, lower, calls = starts, model._phi_rows(starts) <= targets, np.ones(len(starts), dtype=np.int64)
         # walks never read the sets, so each set takes its iteration's
@@ -314,6 +326,13 @@ def _stage1(
         live = still_live
         iteration += 1
     return results
+
+
+def _rejection_rate(ref_set: ReferenceSet, n_states: int) -> float:
+    """The share of the set's member entries short of its walks' limit: each is a rejected move at M = 2."""
+    limit = n_states - 1 if ref_set.side == Side.LOWER else 0
+    members = ref_set.as_array()
+    return float(np.count_nonzero(members != limit) / members.size)
 
 
 def _chunk_rows(n_components: int) -> int:

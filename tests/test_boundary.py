@@ -9,6 +9,7 @@ from rsr.boundary import _BLOCK_BYTES, ReferenceSet, ReferenceState, Side, bound
 from rsr.model import SystemModel
 from rsr.oracle import dominates
 from rsr.sysfn import k_out_of_n, pick_od_pair, random_geometric_graph, single_od_connectivity
+from rsr.workflow import _rejection_rate
 
 from conftest import single_step_walk
 
@@ -295,7 +296,7 @@ def test_lockstep_searches_use_the_batch_form_of_phi():
     assert [a.shape for a in boundary_searches(batch, [], [])] == [(0, 12), (0,), (0,)]
 
 
-def _solo_calls(model, starts, thresholds):
+def _solo_calls(model, starts, thresholds, priors=None):
     """Each start's reference, phi calls and evaluated vectors, in order, when it walks alone."""
     phi, refs, probes = model.performance, [], []
 
@@ -308,15 +309,16 @@ def _solo_calls(model, starts, thresholds):
         for x0, t in zip(starts, thresholds, strict=True):
             probes.append([])
             before = model.evaluation_count
-            refs.append(boundary_search(model, x0, t))
+            (end,), (lower,), _ = boundary_searches(model, [x0], [t], priors)
+            refs.append(ReferenceState(end, Side.LOWER if lower else Side.UPPER, t))
             assert model.evaluation_count - before == len(probes[-1])
     finally:
         model.performance = phi
     return refs, np.array([len(p) for p in probes]), probes
 
 
-def _lockstep(model, starts, thresholds):
-    ends, lower, calls = boundary_searches(model, starts, thresholds)
+def _lockstep(model, starts, thresholds, priors=None):
+    ends, lower, calls = boundary_searches(model, starts, thresholds, priors)
     sides = [Side.LOWER if low else Side.UPPER for low in lower]
     return [ReferenceState(*ref) for ref in zip(ends, sides, thresholds)], calls
 
@@ -401,6 +403,80 @@ def test_lockstep_memory_is_the_distinct_vectors_in_narrow_keys():
     assert peak <= calls.sum() * (n + 1 + 150) + 8 * k * n * 8, f"{peak / 2**20:.2f} MiB"
 
 
+def test_priors_size_only_the_calls_on_the_papers_graph():
+    # the 32 walks of the memory test above, with no prior and with the
+    # prior Stage 1 would read from their own references. Each walk ends at
+    # its single-step reference either way; lockstep, the walks made 2,754
+    # calls before they took priors, and with the prior they make 2,685
+    g = random_geometric_graph(119, 0.12, seed=3)
+    model = SystemModel(g.n_edges, 2, 2, single_od_connectivity(g, *pick_od_pair(g)))
+    starts = (np.random.default_rng(0).random((32, g.n_edges)) >= 0.05).astype(np.int64)
+    expected = [single_step_walk(model, x0, 0) for x0 in starts]
+    got, plain = _lockstep(model, starts, [0] * 32)
+    assert got == expected
+    sets = [ReferenceSet(side, 0, [ref.vector for ref in got if ref.side == side]) for side in (Side.LOWER, Side.UPPER)]
+    priors = {(0, ref_set.side): _rejection_rate(ref_set, 2) for ref_set in sets if len(ref_set)}
+    got, sized = _lockstep(model, starts, [0] * 32, priors)
+    assert got == expected
+    assert plain.sum() <= 2754
+    assert sized.sum() < plain.sum(), f"{sized.sum()} phi calls with the prior against {plain.sum()} without"
+
+
+def _capacity(x):
+    """4 x 3 series-parallel capacity: 4 stages in series, each 3 parallel components, capped at 6."""
+    return int(min(6, x.reshape(4, 3).sum(axis=1).min()))
+
+
+def _cut(values, cuts):
+    """The system state: the number of ``cuts`` that ``values(x)`` reaches."""
+    cuts = np.asarray(cuts)
+    return lambda x: int(np.searchsorted(cuts, int(values(x)), side="right"))
+
+
+@pytest.mark.parametrize(
+    "model, committed",
+    [
+        (SystemModel(12, 5, 5, k_out_of_n(3, 12)), 65747),
+        (SystemModel(12, 5, 4, _cut(lambda x: np.tile([1, 2, 3], 4) @ x, (24, 48, 72))), 62871),
+        (SystemModel(12, 5, 4, _cut(np.sum, (12, 24, 36))), 62381),
+        (SystemModel(12, 4, 7, _capacity), 100263),
+    ],
+    ids=["3-out-of-12", "weighted sum", "plain sum", "series-parallel capacity"],
+)
+def test_multi_state_walks_cost_no_more_calls(model, committed):
+    # each threshold walks 40 batches of 32 lockstep walks from uniform
+    # default_rng(0) starts, each batch given the priors Stage 1 would read
+    # from the references of the batches before it. ``committed`` is the
+    # count before walks took priors: no prior may make a multi-state walk
+    # dearer, since there a rejection skips the rest of its component
+    m = model.n_component_states
+    rng = np.random.default_rng(0)
+    total = 0
+    for t in range(model.n_system_states - 1):
+        sets = [ReferenceSet(Side.LOWER, t), ReferenceSet(Side.UPPER, t)]
+        for _ in range(40):
+            priors = {(t, ref_set.side): _rejection_rate(ref_set, m) for ref_set in sets if len(ref_set)}
+            ends, lower, calls = boundary_searches(model, rng.integers(0, m, size=(32, 12)), [t] * 32, priors)
+            total += int(calls.sum())
+            sets[0].insert_many(ends[lower])
+            sets[1].insert_many(ends[~lower])
+    assert total <= committed
+
+
+def test_priors_outside_zero_to_one_are_rejected_before_any_phi_call(fig_space_model):
+    for rate in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="not a rate in"):
+            boundary_searches(fig_space_model, [(2, 0)], [0], {(0, Side.LOWER): rate})
+    assert fig_space_model.evaluation_count == 0
+
+
+def _draw_priors(rng, n_thresholds):
+    """Priors for most (threshold, side) keys: 0, a tiny rate, 1 or a uniform draw. The other keys get none."""
+    keys = [(t, side) for t in range(n_thresholds) for side in (Side.LOWER, Side.UPPER)]
+    values = (0.0, 1e-12, 1.0, float(rng.random()))
+    return {key: values[rng.integers(len(values))] for key in keys if rng.random() < 0.8}
+
+
 @given(st.integers(0, 2**31), st.integers(1, 8), st.integers(2, 5), st.integers(2, 4))
 @settings(max_examples=100, deadline=None)
 def test_walks_that_meet_match_the_linear_walk(seed, n, m, m_s):
@@ -414,13 +490,15 @@ def test_walks_that_meet_match_the_linear_walk(seed, n, m, m_s):
     starts = [pool[i] for i in rng.integers(0, len(pool), size=12)]
     thresholds = [int(t) for t in rng.integers(0, m_s - 1, size=12)]
     expected = [single_step_walk(model, x0, t) for x0, t in zip(starts, thresholds)]
-    _, _, probes = _solo_calls(model, starts, thresholds)
-    before = model.evaluation_count
-    got, calls = _lockstep(model, starts, thresholds)
-    assert got == expected
-    assert model.evaluation_count - before == calls.sum()
-    assert (calls <= n * (m - 1) + 1).all()
-    _assert_each_vector_paid_once(calls, thresholds, probes)
+    # priors size the gallops: they move the calls, never a reference or the budget
+    for priors in (None, _draw_priors(rng, m_s - 1)):
+        _, _, probes = _solo_calls(model, starts, thresholds, priors)
+        before = model.evaluation_count
+        got, calls = _lockstep(model, starts, thresholds, priors)
+        assert got == expected
+        assert model.evaluation_count - before == calls.sum()
+        assert (calls <= n * (m - 1) + 1).all()
+        _assert_each_vector_paid_once(calls, thresholds, probes)
 
 
 def _thresholded_sum(rng, n, m, m_s):
@@ -502,12 +580,13 @@ def test_walks_match_the_single_step_specification(seed, family, n, m):
     starts = [pool[i] for i in rng.integers(0, len(pool), size=12)]
     thresholds = [int(t) for t in rng.integers(0, model.n_system_states - 1, size=12)]
     expected = [single_step_walk(model, x0, t) for x0, t in zip(starts, thresholds)]
-    refs, solo, probes = _solo_calls(model, starts, thresholds)
-    got, calls = _lockstep(model, starts, thresholds)
-    assert got == refs == expected
-    assert max(solo) <= n * (m - 1) + 1
-    assert (calls <= solo).all()
-    _assert_each_vector_paid_once(calls, thresholds, probes)
+    for priors in (None, _draw_priors(rng, model.n_system_states - 1)):
+        refs, solo, probes = _solo_calls(model, starts, thresholds, priors)
+        got, calls = _lockstep(model, starts, thresholds, priors)
+        assert got == refs == expected
+        assert max(solo) <= n * (m - 1) + 1
+        assert (calls <= solo).all()
+        _assert_each_vector_paid_once(calls, thresholds, probes)
 
 
 def test_lower_walks_probe_each_component_to_the_last_settled_level():

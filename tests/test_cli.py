@@ -295,6 +295,48 @@ def test_pmf_subcommand(tmp_path, monkeypatch):
     assert sum(s1["search_phi_calls"] for s1 in stage1) + doc["resolution_phi_calls"] == phi
 
 
+def test_refs_file_holds_the_indented_document_one_vector_a_line(tmp_path):
+    # the document is the one write_json writes for the same sets, vector
+    # order included; only its text differs, each vector on one line
+    graph, model = tmp_path / "g.json", tmp_path / "model.json"
+    assert run(["gen-graph", "--n-nodes", 14, "--radius", 0.45, "--out", graph, "--seed", 2]) == 0
+    n = files.load_graph(graph).n_edges
+    write_json(
+        model,
+        {
+            "format": FORMAT,
+            "n_components": n,
+            "n_component_states": 2,
+            "n_system_states": 2,
+            "distribution": [[0.2, 0.8]] * n,
+            "system_function": {"name": "single_od_connectivity", "graph_file": "g.json"},
+        },
+    )
+    refs = tmp_path / "refs.json"
+    assert run(["find-refs", "--model", model, "--out-refs", refs, "--samples", 2000, "--parallel", 8, "--seed", 3]) == 0
+    text = refs.read_text()
+    doc = json.loads(text)
+    lower, upper = files.load_reference_sets(refs)
+    assert len(lower) > 1 and len(upper) > 1
+    sets = {
+        s.side: {
+            "format": FORMAT,
+            "side": s.side,
+            "threshold": 0,
+            "vectors": [list(v) for v in s.members],
+            "model_hash": doc["model_hash"],
+            "seed": 3,
+        }
+        for s in (lower, upper)
+    }
+    old = tmp_path / "old.json"
+    write_json(old, {"format": FORMAT, "threshold": 0, "model_hash": doc["model_hash"], "manifest": doc["manifest"], **sets})
+    assert json.loads(old.read_text()) == doc
+    lines = re.findall(r"^ *(\[[0-9,]*\]),?$", text, flags=re.M)
+    assert [json.loads(line) for line in lines] == [list(v) for v in lower.members + upper.members]
+    assert text.endswith("}\n")
+
+
 def test_determinism_modulo_timestamp(tmp_path, model_file):
     docs = []
     for name in ("a", "b"):
