@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .boundary import ReferenceSet, ReferenceState, Side, boundary_search
+from .boundary import ReferenceSet, Side, boundary_search
 from .classify import ClassificationResult, classify, cov, violation_counts
 from .encoding import (
     EncodedBatch,
@@ -55,7 +55,6 @@ __all__ = [
     "classify",
     "violation_counts",
     "cov",
-    "ReferenceState",
     "ReferenceSet",
     "Side",
     "boundary_search",

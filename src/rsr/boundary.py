@@ -2,10 +2,12 @@
 
 A lower reference state r gives system state <= m', so it covers every
 x <= r componentwise; an upper one gives state >= m'+1 and covers every
-x >= r. A set stores its non-dominated members as one R x N int64 matrix
-in insertion order; one coverage rule, ``_inside``, finds redundant
-candidates (covered by a member or an earlier candidate) and the members
-an insert evicts, for a whole K x N matrix of candidates at once.
+x >= r. A set stores its non-dominated members once, as one N x R
+component-major matrix in a narrow integer dtype (uint8 for states
+0-255), and a reference is a row of its R x N transposed view, in insertion
+order. One coverage rule, ``_inside``, finds redundant candidates
+(covered by a member or an earlier candidate) and the members an insert
+evicts, for a whole K x N matrix of candidates at once.
 
 Searches run in lockstep: ``boundary_searches`` steps every walk one
 phi call at a time, moving its own row of one K x N matrix to its
@@ -17,7 +19,6 @@ remembered for the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Generator, Iterable, Mapping, Sequence
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .model import SystemModel, check_integers, check_states
 
-__all__ = ["Side", "ReferenceState", "ReferenceSet", "boundary_search", "boundary_searches"]
+__all__ = ["Side", "ReferenceSet", "boundary_search", "boundary_searches"]
 
 # bound on the comparison temporaries of one block of a kernel: reference-set
 # coverage here, the hit kernel's AND and OR passes in classify. Small
@@ -50,30 +51,9 @@ class Side:
     UPPER = "upper"
 
 
-@dataclass(frozen=True)
-class ReferenceState:
-    vector: tuple[int, ...]
-    side: str
-    threshold: int
-
-    def __post_init__(self) -> None:
-        if self.side not in (Side.LOWER, Side.UPPER):
-            raise ValueError(f"side must be '{Side.LOWER}' or '{Side.UPPER}'")
-        vector = check_integers(self.vector)
-        _reject_bools(self.vector)
-        object.__setattr__(self, "vector", tuple(vector.tolist()))
-
-
 def _inside(side: str, x: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Componentwise x <= r (lower) or x >= r (upper), broadcast."""
     return x <= refs if side == Side.LOWER else x >= refs
-
-
-def _component_major(*matrices: np.ndarray) -> list[np.ndarray]:
-    """N x K copies of K x N state matrices, in the narrowest integer dtype that holds every entry."""
-    ends = [v for m in matrices if m.size for v in (m.min(), m.max())]
-    dtype = np.result_type(*map(np.min_scalar_type, ends))
-    return [np.ascontiguousarray(m.T, dtype=dtype) for m in matrices]
 
 
 def _covered(side: str, x: np.ndarray, refs: np.ndarray, among: int = 0) -> np.ndarray:
@@ -99,8 +79,30 @@ def _covered(side: str, x: np.ndarray, refs: np.ndarray, among: int = 0) -> np.n
     return covered
 
 
+def _as_rows(members: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """``members`` as one array, naming the first row of another length and refusing a bool among ints."""
+    try:
+        vectors = np.array(members)
+    except ValueError:  # rows of several lengths: name the first that differs
+        n = len(members[0])
+        for v in members:
+            if len(v) != n:
+                raise ValueError(f"candidate has {len(v)} components, set members have {n}") from None
+        raise
+    if vectors.dtype.kind in "iu" and not isinstance(members, np.ndarray):
+        _reject_bools(chain.from_iterable(members))
+    return vectors
+
+
 class ReferenceSet:
-    """Non-dominated set of reference vectors for one side and threshold, taking ``members`` as one matrix."""
+    """Non-dominated set of reference vectors for one side and threshold, taking ``members`` as one matrix.
+
+    The set keeps its members once, as the N x R component-major matrix
+    that coverage compares, in the integer dtype ``np.min_scalar_type``
+    gives for the extremes of the members and of the latest insert's
+    candidates: uint8 for states 0-255. A reference is a row of
+    ``as_array()``.
+    """
 
     def __init__(
         self,
@@ -112,50 +114,38 @@ class ReferenceSet:
             raise ValueError(f"side must be '{Side.LOWER}' or '{Side.UPPER}'")
         self.side = side
         self.threshold = int(threshold)
-        self._matrix = np.empty((0, 0), dtype=np.int64)  # the first insert sets N
-        self._matrix.flags.writeable = False
-        try:
-            vectors = np.array(members)
-        except ValueError:  # rows of several lengths: name the first that differs
-            n = len(members[0])
-            for v in members:
-                if len(v) != n:
-                    raise ValueError(f"candidate has {len(v)} components, set members have {n}") from None
-            raise
-        if vectors.dtype.kind in "iu" and not isinstance(members, np.ndarray):
-            _reject_bools(chain.from_iterable(members))
+        # the R x N transposed view of the stored N x R matrix; the first insert sets N
+        self._rows = np.empty((0, 0), dtype=np.uint8)
+        self._rows.flags.writeable = False
+        vectors = _as_rows(members)
         if vectors.size:
             self.insert_many(vectors)
 
     @property
     def members(self) -> list[tuple[int, ...]]:
-        return [tuple(row) for row in self._matrix.tolist()]
+        return [tuple(row) for row in self.as_array().tolist()]
 
     def __len__(self) -> int:
-        return self._matrix.shape[0]
+        return self._rows.shape[0]
 
     def as_array(self) -> np.ndarray:
-        """The read-only R x N member matrix, rows in insertion order."""
-        return self._matrix
+        """The read-only R x N member matrix, rows in insertion order: a transposed view of the stored matrix."""
+        return self._rows
 
     def first_match(self, x: np.ndarray) -> tuple[int, ...]:
         """The earliest-inserted member whose region contains ``x``."""
-        row = np.flatnonzero(_inside(self.side, x, self._matrix).all(axis=1))[0]
-        return tuple(self._matrix[row].tolist())
+        row = np.flatnonzero(_inside(self.side, x, self._rows).all(axis=1))[0]
+        return tuple(self._rows[row].tolist())
 
-    def insert(self, candidate: ReferenceState) -> str:
+    def insert(self, vector: Sequence[int] | np.ndarray) -> str:
         """Insert keeping non-dominance; returns 'inserted' or 'redundant'.
 
-        A redundant candidate leaves the set unchanged; an inserted one
-        drops every member it makes redundant and goes last. The final set
-        is independent of insertion order (up to set equality). This is
-        the one-candidate call of ``insert_many``.
+        A redundant vector leaves the set unchanged; an inserted one drops
+        every member it makes redundant and goes last. The final set is
+        independent of insertion order (up to set equality). This is the
+        one-row call of ``insert_many``.
         """
-        if candidate.side != self.side:
-            raise ValueError(f"candidate side {candidate.side!r} != set side {self.side!r}")
-        if candidate.threshold != self.threshold:
-            raise ValueError(f"candidate threshold {candidate.threshold} != set threshold {self.threshold}")
-        (outcome,) = self.insert_many([candidate.vector])
+        (outcome,) = self.insert_many(_as_rows([vector]))
         return outcome
 
     def insert_many(self, vectors: np.ndarray) -> list[str]:
@@ -177,26 +167,29 @@ class ReferenceSet:
             raise ValueError(f"candidates must form a K x N matrix, got shape {vectors.shape}")
         if not len(vectors):
             return []
-        n = self._matrix.shape[1] if len(self) else vectors.shape[1]
+        members = self._rows.T
+        n = members.shape[0] if len(self) else vectors.shape[1]
         if vectors.shape[1] != n:
             raise ValueError(f"candidate has {vectors.shape[1]} components, set members have {n}")
-        rows = self._matrix.reshape(len(self), n)
-        new, members = _component_major(vectors, rows)
+        ends = [v for m in (vectors, members) if m.size for v in (m.min(), m.max())]
+        dtype = np.result_type(*map(np.min_scalar_type, ends))
+        new = np.ascontiguousarray(vectors.T, dtype=dtype)
+        members = members.reshape(n, len(self)).astype(dtype, copy=False)
         redundant = _covered(self.side, new, members) | _covered(self.side, new, new, among=-1)
         added = np.flatnonzero(~redundant)
         if not added.size:
             return ["redundant"] * len(vectors)
-        new = new[:, added]
-        kept = np.flatnonzero(~_covered(self.side, members, new))
-        stays = added[~_covered(self.side, new, new, among=1)]
-        del new, members
-        # taken straight into the new matrix: mode="clip" (the indices are
-        # in range) spares take the whole-output buffer of mode="raise"
-        matrix = np.empty((kept.size + stays.size, n), dtype=np.int64)
-        np.take(rows, kept, axis=0, out=matrix[: kept.size], mode="clip")
-        np.take(vectors, stays, axis=0, out=matrix[kept.size :], mode="clip")
-        matrix.flags.writeable = False
-        self._matrix = matrix
+        inserted = new[:, added]
+        kept = np.flatnonzero(~_covered(self.side, members, inserted))
+        stays = added[~_covered(self.side, inserted, inserted, among=1)]
+        del inserted
+        # mode="clip" (the indices are in range) lets take write a contiguous
+        # ``out`` in place; a slice of columns goes through one buffer
+        columns = np.empty((n, kept.size + stays.size), dtype=dtype)
+        np.take(members, kept, axis=1, out=columns[:, : kept.size], mode="clip")
+        np.take(new, stays, axis=1, out=columns[:, kept.size :], mode="clip")
+        columns.flags.writeable = False
+        self._rows = columns.T
         return ["redundant" if r else "inserted" for r in redundant.tolist()]
 
 
@@ -473,7 +466,10 @@ def boundary_searches(
     return x, lower, np.array(calls, dtype=np.int64)
 
 
-def boundary_search(model: SystemModel, x0: Sequence[int], threshold: int) -> ReferenceState:
-    """Walk one vector to the system-state boundary: the one-start call of ``boundary_searches``."""
+def boundary_search(model: SystemModel, x0: Sequence[int], threshold: int) -> tuple[tuple[int, ...], str]:
+    """Walk one vector to the system-state boundary: the one-start call of ``boundary_searches``.
+
+    Returns the reference as a tuple of states and the side it lies on.
+    """
     (end,), (lower,), _ = boundary_searches(model, [x0], [threshold])
-    return ReferenceState(end, Side.LOWER if lower else Side.UPPER, threshold)
+    return tuple(end.tolist()), Side.LOWER if lower else Side.UPPER

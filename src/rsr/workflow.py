@@ -119,7 +119,6 @@ class RunConfig:
     seed: int = 0
     parallel_searches: int = 1
     n_workers: int = 1
-    boundary_search_enabled: bool = True  # False inserts raw samples (diagnostic)
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -300,20 +299,17 @@ def _stage1(
         # threshold's in one walk; a row two thresholds picked is drawn once
         starts = sample_rows(dist, config.seed, iteration, np.concatenate([picks for _, picks in picked]))
         targets = np.asarray(thresholds)[owners]
-        if config.boundary_search_enabled:
-            # every pick of every threshold walks in lockstep, one phi call a
-            # round. Each nonempty set gives its side's walks the rate at
-            # which earlier walks were rejected, which sizes their gallops
-            # and never changes a reference
-            priors = {
-                (ref_set.threshold, ref_set.side): _rejection_rate(ref_set, model.n_component_states)
-                for k in still_live
-                for ref_set in (results[k].lower, results[k].upper)
-                if len(ref_set)
-            }
-            ends, lower, calls = boundary_searches(model, starts, targets.tolist(), priors)
-        else:
-            ends, lower, calls = starts, model._phi_rows(starts) <= targets, np.ones(len(starts), dtype=np.int64)
+        # every pick of every threshold walks in lockstep, one phi call a
+        # round. Each nonempty set gives its side's walks the rate at which
+        # earlier walks were rejected, which sizes their gallops and never
+        # changes a reference
+        priors = {
+            (ref_set.threshold, ref_set.side): _rejection_rate(ref_set, model.n_component_states)
+            for k in still_live
+            for ref_set in (results[k].lower, results[k].upper)
+            if len(ref_set)
+        }
+        ends, lower, calls = boundary_searches(model, starts, targets.tolist(), priors)
         # walks never read the sets, so each set takes its iteration's
         # candidates, in pick order, in one insert
         for k in still_live:

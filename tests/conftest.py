@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rsr.boundary import ReferenceState, Side
+from rsr.boundary import Side
 from rsr.classify import ordered_map, word_hits
 from rsr.encoding import EncodedBatch, encode_batch
 from rsr.model import ComponentDistribution, SystemModel
@@ -86,8 +86,13 @@ def random_monotone_model(
     return SystemModel(n, m, m_s, phi)
 
 
-def single_step_walk(model: SystemModel, x0, threshold: int) -> ReferenceState:
-    """The specification of the boundary walk: one unit move per evaluation.
+def raw_sample_searches(model: SystemModel, starts, targets, priors):
+    """A stand-in for ``boundary_searches`` that walks nowhere: each start is its own reference, one phi call each."""
+    return starts, model._phi_rows(starts) <= np.asarray(targets), np.ones(len(starts), dtype=np.int64)
+
+
+def single_step_walk(model: SystemModel, x0, threshold: int) -> tuple[tuple[int, ...], str]:
+    """The specification of the boundary walk, one unit move per evaluation: (reference, side).
 
     Moves go in component order, each component towards its limit: up to
     M-1 on the lower side (system state of ``x0`` <= m'), down to 0 on the
@@ -105,7 +110,7 @@ def single_step_walk(model: SystemModel, x0, threshold: int) -> ReferenceState:
             if (model.evaluate(x) <= threshold) != (side == Side.LOWER):
                 x[n] -= step
                 break
-    return ReferenceState(tuple(x.tolist()), side, threshold)
+    return tuple(x.tolist()), side
 
 
 def random_distribution(rng: np.random.Generator, n: int, m: int) -> ComponentDistribution:

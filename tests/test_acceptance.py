@@ -10,8 +10,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import _hits_for, fig_space_phi, random_distribution, random_monotone_model
-from rsr.boundary import ReferenceSet, ReferenceState, Side, boundary_search
+from conftest import _hits_for, fig_space_phi, random_distribution, random_monotone_model, raw_sample_searches
+from rsr import workflow
+from rsr.boundary import ReferenceSet, Side, boundary_search
 from rsr.classify import DEFAULT_CHUNK_SIZE, classify
 from rsr.encoding import (
     encode_batch,
@@ -93,13 +94,9 @@ def test_criterion_02_classification_counting(capsys):
 def test_criterion_03_boundary_search_trajectory(capsys):
     with criterion(capsys, 3, "boundary search reaches (3,1) in <= 9 evaluations, (1,4) upper"):
         model = SystemModel(2, 5, 2, fig_space_phi)
-        ref = boundary_search(model, (2, 0), 0)
-        assert ref.vector == (3, 1)
-        assert ref.side == Side.LOWER
+        assert boundary_search(model, (2, 0), 0) == ((3, 1), Side.LOWER)
         assert model.evaluation_count <= 9
-        up = boundary_search(model, (4, 4), 0)
-        assert up.vector == (1, 4)
-        assert up.side == Side.UPPER
+        assert boundary_search(model, (4, 4), 0) == ((1, 4), Side.UPPER)
 
 
 def test_criterion_04_oracle_equivalence_property_suite(capsys):
@@ -196,7 +193,7 @@ def test_criterion_07_multistate_composition(capsys):
         assert abs(pmf[2] - 8.96e-1) <= 5e-4
 
 
-def test_criterion_08_convergence_structure(capsys):
+def test_criterion_08_convergence_structure(capsys, monkeypatch):
     with criterion(capsys, 8, "boundary search converges where raw-sample references stall"):
         graph = random_geometric_graph(30, 0.35, seed=0)
         origin, dest = pick_od_pair(graph)
@@ -216,8 +213,10 @@ def test_criterion_08_convergence_structure(capsys):
 
         stalled_cfg = RunConfig(
             n_samples=200_000, eps_u=5e-6, r_max=10 * n_refs,
-            parallel_searches=64, seed=1, boundary_search_enabled=False,
+            parallel_searches=64, seed=1,
         )
+        # each open sample picked becomes a reference as it is, with no walk
+        monkeypatch.setattr(workflow, "boundary_searches", raw_sample_searches)
         stalled = stage1_find_references(model, dist, stalled_cfg, 0)
         assert stalled.terminated_by == "r_max"
         assert len(stalled.lower) + len(stalled.upper) >= 10 * n_refs
@@ -234,7 +233,7 @@ def test_criterion_09_throughput_and_linear_scaling(capsys):
         lower = ReferenceSet(Side.LOWER, 0)
         while len(lower) < 49:
             vec = tuple(int(v) for v in rng.integers(0, 2, size=n))
-            lower.insert(ReferenceState(vec, Side.LOWER, 0))
+            lower.insert(vec)
         t0 = time.perf_counter()
         classify(batch, lower, None, n_workers=1, n_states=2)
         elapsed = time.perf_counter() - t0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rsr.boundary import _BLOCK_BYTES, ReferenceSet, ReferenceState, Side, boundary_search, boundary_searches
+from rsr.boundary import _BLOCK_BYTES, ReferenceSet, Side, boundary_search, boundary_searches
 from rsr.model import SystemModel
 from rsr.oracle import dominates
 from rsr.sysfn import k_out_of_n, pick_od_pair, random_geometric_graph, single_od_connectivity
@@ -15,23 +15,17 @@ from conftest import single_step_walk
 
 
 def test_worked_lower_trajectory(fig_space_model):
-    ref = boundary_search(fig_space_model, (2, 0), 0)
-    assert ref.side == Side.LOWER
-    assert ref.vector == (3, 1)
+    assert boundary_search(fig_space_model, (2, 0), 0) == ((3, 1), Side.LOWER)
     assert fig_space_model.evaluation_count <= 2 * 4 + 1
 
 
 def test_worked_upper_trajectory(fig_space_model):
-    ref = boundary_search(fig_space_model, (4, 4), 0)
-    assert ref.side == Side.UPPER
-    assert ref.vector == (1, 4)
+    assert boundary_search(fig_space_model, (4, 4), 0) == ((1, 4), Side.UPPER)
 
 
 def test_fixed_point_when_already_on_boundary(fig_space_model):
-    ref = boundary_search(fig_space_model, (3, 1), 0)
-    assert ref.vector == (3, 1)
-    ref_up = boundary_search(fig_space_model, (1, 4), 0)
-    assert ref_up.vector == (1, 4)
+    assert boundary_search(fig_space_model, (3, 1), 0)[0] == (3, 1)
+    assert boundary_search(fig_space_model, (1, 4), 0)[0] == (1, 4)
 
 
 def test_invalid_threshold_rejected(fig_space_model):
@@ -50,13 +44,13 @@ def test_boundary_maximality_and_budget(seed, n, m):
     model = random_monotone_model(rng, n, m, 2)
     x0 = rng.integers(0, m, size=n)
     model.reset_evaluation_count()
-    ref = boundary_search(model, x0, 0)
+    vector, side = boundary_search(model, x0, 0)
     evals = model.evaluation_count
     assert evals <= n * (m - 1) + 1
 
-    x = np.array(ref.vector)
+    x = np.array(vector)
     s = model.evaluate(x)
-    if ref.side == Side.LOWER:
+    if side == Side.LOWER:
         assert s <= 0
         for i in range(n):
             if x[i] < m - 1:
@@ -89,7 +83,7 @@ def test_search_matches_linear_walk(seed, n, m, m_s):
         assert boundary_search(model, x0, threshold) == expected
         assert model.evaluation_count <= n * (m - 1) + 1
         # a reference is a fixed point of the walk
-        assert boundary_search(model, expected.vector, threshold) == expected
+        assert boundary_search(model, expected[0], threshold) == expected
 
 
 @given(st.integers(0, 2**31), st.integers(1, 8), st.integers(2, 5), st.integers(2, 4))
@@ -140,29 +134,32 @@ def test_search_determinism(fig_space_model):
 
 def test_insert_nondominated_examples():
     s = ReferenceSet(Side.LOWER, 0, [(1, 2)])
-    assert s.insert(ReferenceState((3, 1), Side.LOWER, 0)) == "inserted"
+    assert s.insert((3, 1)) == "inserted"
     assert sorted(s.members) == [(1, 2), (3, 1)]
 
     s2 = ReferenceSet(Side.LOWER, 0, [(3, 1)])
-    assert s2.insert(ReferenceState((2, 1), Side.LOWER, 0)) == "redundant"
+    assert s2.insert((2, 1)) == "redundant"
     assert s2.members == [(3, 1)]
 
     s3 = ReferenceSet(Side.LOWER, 0, [(2, 0), (0, 2)])
-    assert s3.insert(ReferenceState((2, 2), Side.LOWER, 0)) == "inserted"
+    assert s3.insert((2, 2)) == "inserted"
     assert s3.members == [(2, 2)]
 
 
 def test_insert_duplicate_is_redundant():
     s = ReferenceSet(Side.UPPER, 0, [(1, 1)])
-    assert s.insert(ReferenceState((1, 1), Side.UPPER, 0)) == "redundant"
+    assert s.insert((1, 1)) == "redundant"
 
 
 def test_insert_rejects_mismatches():
-    s = ReferenceSet(Side.LOWER, 0)
-    with pytest.raises(ValueError):
-        s.insert(ReferenceState((0, 0), Side.UPPER, 0))
-    with pytest.raises(ValueError):
-        s.insert(ReferenceState((0, 0), Side.LOWER, 1))
+    with pytest.raises(ValueError, match="side must be"):
+        ReferenceSet("middle", 0)
+    s = ReferenceSet(Side.LOWER, 0, [(0, 1)])
+    with pytest.raises(ValueError, match="3 components, set members have 2"):
+        s.insert((1, 0, 0))
+    with pytest.raises(ValueError, match="K x N matrix"):
+        s.insert([(1, 0), (0, 1)])
+    assert s.members == [(0, 1)]
     with pytest.raises(ValueError, match="3 components, set members have 2"):
         ReferenceSet(Side.LOWER, 0, [(0, 1), (1, 0, 0)])
 
@@ -172,8 +169,10 @@ def test_non_integer_vectors_are_rejected(vector):
     # a float is not truncated, and an int past 64 bits is an input error, not an overflow
     with pytest.raises(ValueError, match="component states must be integers, got dtype"):
         ReferenceSet(Side.LOWER, 0, [vector])
+    refs = ReferenceSet(Side.LOWER, 0)
     with pytest.raises(ValueError, match="component states must be integers, got dtype"):
-        ReferenceState(vector, Side.LOWER, 0)
+        refs.insert(vector)
+    assert len(refs) == 0
 
 
 def test_bools_among_ints_and_unsigned_past_int64_are_rejected():
@@ -182,7 +181,7 @@ def test_bools_among_ints_and_unsigned_past_int64_are_rejected():
         with pytest.raises(ValueError, match="got a bool"):
             ReferenceSet(Side.LOWER, 0, [vector])
         with pytest.raises(ValueError, match="got a bool"):
-            ReferenceState(vector, Side.LOWER, 0)
+            ReferenceSet(Side.LOWER, 0).insert(vector)
     with pytest.raises(ValueError, match="does not fit int64"):
         ReferenceSet(Side.LOWER, 0, [[2**64 - 1, 2**63]])
     refs = ReferenceSet(Side.UPPER, 0, [(1, 2)])
@@ -204,10 +203,21 @@ def test_insert_many_of_no_rows_leaves_the_set_unchanged():
 def test_as_array_is_read_only_matrix():
     refs = ReferenceSet(Side.UPPER, 0).as_array()
     assert refs.shape[0] == 0
-    assert refs.dtype == np.int64
+    assert refs.dtype == np.uint8
     refs = ReferenceSet(Side.UPPER, 0, [(1, 2), (2, 0)]).as_array()
     assert refs.tolist() == [[1, 2], [2, 0]]
     assert not refs.flags.writeable
+    # np.min_scalar_type of the extremes: one byte for states 0-255, two
+    # once a member holds 300, signed when an entry is negative
+    wide = ReferenceSet(Side.LOWER, 0, np.array([(255, 0), (0, 255)], dtype=np.int64))
+    assert wide.as_array().dtype == np.uint8
+    assert wide.insert((300, 1)) == "inserted"
+    assert wide.as_array().tolist() == [[0, 255], [300, 1]]
+    assert wide.as_array().dtype == np.uint16
+    assert not wide.as_array().flags.writeable
+    signed = ReferenceSet(Side.UPPER, 0, [(1, 2), (-1, 5)])
+    assert signed.as_array().tolist() == [[1, 2], [-1, 5]]
+    assert signed.as_array().dtype.kind == "i"
 
 
 class _QuadraticScanSet:
@@ -243,7 +253,7 @@ def test_nondominance_matches_quadratic_oracle(seed, n, m):
         slow = _QuadraticScanSet(side)
         for _ in range(20):
             vec = tuple(int(v) for v in rng.integers(0, m, size=n))
-            fast.insert(ReferenceState(vec, side, 0))
+            fast.insert(vec)
             slow.insert(vec)
         assert sorted(fast.members) == slow.members()
         # survivors keep their first-insertion order
@@ -261,7 +271,7 @@ def test_lockstep_searches_equal_one_search_each(seed, n, m, m_s):
     thresholds = [int(t) for t in rng.integers(0, m_s - 1, size=8)]
     starts = [rng.integers(0, m, size=n) for _ in range(4)] + [np.zeros(n, dtype=np.int64), np.full(n, m - 1)]
     # two starts already on the boundary: references of their own thresholds
-    starts += [np.array(single_step_walk(model, x0, t).vector) for x0, t in zip(starts[:2], thresholds[6:])]
+    starts += [np.array(single_step_walk(model, x0, t)[0]) for x0, t in zip(starts[:2], thresholds[6:])]
     expected, counts = [], []
     for x0, t in zip(starts, thresholds):
         expected.append(single_step_walk(model, x0, t))
@@ -272,8 +282,7 @@ def test_lockstep_searches_equal_one_search_each(seed, n, m, m_s):
     probe = PhiProbe(model)
     before = model.evaluation_count
     ends, lower, calls = boundary_searches(model, [x0.astype(np.uint8) for x0 in starts], thresholds)
-    sides = [Side.LOWER if low else Side.UPPER for low in lower]
-    assert [ReferenceState(*ref) for ref in zip(ends, sides, thresholds)] == expected
+    assert [(tuple(end), Side.LOWER if low else Side.UPPER) for end, low in zip(ends.tolist(), lower)] == expected
     assert ends.dtype == calls.dtype == np.int64
     # a walk pays only for the vectors no walk before it asked for: at most its solo calls
     assert all(c <= solo for c, solo in zip(calls.tolist(), counts, strict=True))
@@ -310,7 +319,7 @@ def _solo_calls(model, starts, thresholds, priors=None):
             probes.append([])
             before = model.evaluation_count
             (end,), (lower,), _ = boundary_searches(model, [x0], [t], priors)
-            refs.append(ReferenceState(end, Side.LOWER if lower else Side.UPPER, t))
+            refs.append((tuple(end.tolist()), Side.LOWER if lower else Side.UPPER))
             assert model.evaluation_count - before == len(probes[-1])
     finally:
         model.performance = phi
@@ -319,8 +328,7 @@ def _solo_calls(model, starts, thresholds, priors=None):
 
 def _lockstep(model, starts, thresholds, priors=None):
     ends, lower, calls = boundary_searches(model, starts, thresholds, priors)
-    sides = [Side.LOWER if low else Side.UPPER for low in lower]
-    return [ReferenceState(*ref) for ref in zip(ends, sides, thresholds)], calls
+    return [(tuple(end), Side.LOWER if low else Side.UPPER) for end, low in zip(ends.tolist(), lower)], calls
 
 
 def _assert_each_vector_paid_once(calls, thresholds, probes):
@@ -414,7 +422,7 @@ def test_priors_size_only_the_calls_on_the_papers_graph():
     expected = [single_step_walk(model, x0, 0) for x0 in starts]
     got, plain = _lockstep(model, starts, [0] * 32)
     assert got == expected
-    sets = [ReferenceSet(side, 0, [ref.vector for ref in got if ref.side == side]) for side in (Side.LOWER, Side.UPPER)]
+    sets = [ReferenceSet(side, 0, [end for end, s in got if s == side]) for side in (Side.LOWER, Side.UPPER)]
     priors = {(0, ref_set.side): _rejection_rate(ref_set, 2) for ref_set in sets if len(ref_set)}
     got, sized = _lockstep(model, starts, [0] * 32, priors)
     assert got == expected
@@ -600,7 +608,7 @@ def test_lower_walks_probe_each_component_to_the_last_settled_level():
     refs, solo, _ = _solo_calls(model, starts, [3] * 400)
     got, calls = _lockstep(model, starts, [3] * 400)
     assert got == refs
-    lower = np.array([ref.side == Side.LOWER for ref in got])
+    lower = np.array([side == Side.LOWER for _, side in got])
     # one level at a time a lower walk averaged 35.5 calls, alone or in
     # lockstep; with a level probe for each component, 20.2 in lockstep and
     # 25.0 alone; with the joint probe, 14.58 and 17.92
@@ -618,7 +626,7 @@ def _walked(phi, n, m, m_s, x0, threshold):
 
     (end,), (lower,), (calls,) = boundary_searches(SystemModel(n, m, m_s, recording), [x0], [threshold])
     spec = single_step_walk(SystemModel(n, m, m_s, phi), x0, threshold)
-    assert (tuple(end.tolist()), Side.LOWER if lower else Side.UPPER) == (spec.vector, spec.side)
+    assert (tuple(end.tolist()), Side.LOWER if lower else Side.UPPER) == spec
     assert calls == len(evaluated) <= n * (m - 1) + 1
     return evaluated
 
@@ -736,12 +744,15 @@ def test_loading_a_large_set_is_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # two K x N int64 copies (the candidates' matrix, the member matrix),
-    # their narrow component-major copies and a few comparison blocks, not
-    # a K x K x N comparison
-    assert peak <= 3.5 * k * n * 8 + 4 * _BLOCK_BYTES, f"{peak / 2**20:.1f} MiB"
+    # the candidates' K x N int64 matrix, a byte an entry for their
+    # component-major copy and one for the member matrix, and a few
+    # comparison blocks, not a K x K x N comparison (1.37 x K x N x 8 bytes
+    # measured, 1.92 x when the members were stored as int64)
+    assert peak <= k * n * (8 + 2) + 4 * _BLOCK_BYTES, f"{peak / 2**20:.1f} MiB"
+    # one byte an entry: states 0 and 1 fit uint8
+    assert loaded.as_array().nbytes == len(loaded) * n
     one_at_a_time = ReferenceSet(Side.LOWER, 0)
     for x in members:
-        one_at_a_time.insert(ReferenceState(x, Side.LOWER, 0))
+        one_at_a_time.insert(x)
     assert loaded.members == one_at_a_time.members
     assert 0 < len(loaded) < k

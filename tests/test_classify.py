@@ -382,12 +382,10 @@ def test_partition_of_unity_and_monotone_coverage(seed):
         assert covered >= covered_before  # adding references never loses coverage
         covered_before = covered
         # grow one of the sets with a random reference
-        from rsr.boundary import ReferenceState
-
         vec = tuple(int(v) for v in rng.integers(0, m, size=n))
         side = Side.UPPER if sum(vec) >= s0 else Side.LOWER
         target = lower if side == Side.LOWER else upper
-        target.insert(ReferenceState(vec, side, 0))
+        target.insert(vec)
 
 
 def test_cov_values():

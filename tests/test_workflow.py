@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import itertools
 import sys
@@ -8,9 +9,9 @@ import types
 import numpy as np
 import pytest
 
-from conftest import _hits_for
+from conftest import _hits_for, raw_sample_searches
 from rsr import workflow
-from rsr.boundary import ReferenceSet, ReferenceState, Side, boundary_search
+from rsr.boundary import ReferenceSet, Side, boundary_search
 from rsr.classify import InconsistentReferenceSets, classify
 from rsr.encoding import encode_batch
 from rsr.model import ComponentDistribution, SystemModel
@@ -171,8 +172,8 @@ def test_noncoherent_phi_raises_naming_sample_and_refs(noncoherent):
     model, dist = noncoherent
     # the boundary searches from (2, 0) and (1, 0) give refs that overlap
     # wherever x0 >= 1; without the check p_lower came out 1.0, not 2/3
-    lower = ReferenceSet(Side.LOWER, 0, [boundary_search(model, (2, 0), 0).vector])
-    upper = ReferenceSet(Side.UPPER, 0, [boundary_search(model, (1, 0), 0).vector])
+    lower = ReferenceSet(Side.LOWER, 0, [boundary_search(model, (2, 0), 0)[0]])
+    upper = ReferenceSet(Side.UPPER, 0, [boundary_search(model, (1, 0), 0)[0]])
     assert (lower.members, upper.members) == ([(2, 2)], [(1, 0)])
     cfg = small_config()
     states = sample_batch(dist, cfg.n_samples, cfg.seed).states
@@ -244,10 +245,10 @@ def test_stage2_resolves_open_rows_through_the_batch_form_a_block_at_a_time(monk
     assert report.p_lower == crude_monte_carlo(SystemModel(6, 2, 2, inner), dist, cfg.n_samples, cfg.seed, 0)[0]
 
 
-def test_boundary_search_disabled_inserts_raw_samples(series3):
+def test_boundary_search_disabled_inserts_raw_samples(series3, monkeypatch):
     model, dist = series3
-    cfg = small_config(boundary_search_enabled=False, r_max=30)
-    res = stage1_find_references(model, dist, cfg, threshold=0)
+    monkeypatch.setattr(workflow, "boundary_searches", raw_sample_searches)
+    res = stage1_find_references(model, dist, small_config(r_max=30), threshold=0)
     # raw samples still form valid reference sets on their own sides
     for vec in res.lower.members:
         assert model.evaluate(np.array(vec)) == 0
@@ -256,17 +257,19 @@ def test_boundary_search_disabled_inserts_raw_samples(series3):
 
 
 def test_batch_paths_build_no_reference_state(monkeypatch, series3):
-    # references go from the walks' matrix to the sets as rows, never one object each
-    def refuse(self):
-        raise AssertionError("a ReferenceState was built")
+    # references go from the walks' matrix to the sets as rows, in one
+    # insert_many a set, never one insert each
+    def refuse(self, vector):
+        raise AssertionError("a reference was inserted alone")
 
-    monkeypatch.setattr(ReferenceState, "__post_init__", refuse)
+    monkeypatch.setattr(ReferenceSet, "insert", refuse)
     model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
     dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
     report = multistate_pmf(model, dist, RunConfig(n_samples=2000, eps_u=1e-2, r_max=40, parallel_searches=4, seed=5))
     assert all(len(s1.lower) and len(s1.upper) for s1 in report.stage1_results)
     model, dist = series3
-    raw = stage1_find_references(model, dist, small_config(boundary_search_enabled=False, r_max=30), threshold=0)
+    monkeypatch.setattr(workflow, "boundary_searches", raw_sample_searches)
+    raw = stage1_find_references(model, dist, small_config(r_max=30), threshold=0)
     assert len(raw.lower) and len(raw.upper)
 
 
@@ -306,8 +309,8 @@ def whole_batch_stage1(model, dist, cfg, threshold):
         rng = np.random.default_rng([cfg.seed, iteration])
         n_pick = min(cfg.parallel_searches, res.unclassified_indices.size)
         for idx in rng.choice(res.unclassified_indices, size=n_pick, replace=False):
-            candidate = boundary_search(model, batch.states[idx], threshold)
-            (lower if candidate.side == Side.LOWER else upper).insert(candidate)
+            vector, side = boundary_search(model, batch.states[idx], threshold)
+            (lower if side == Side.LOWER else upper).insert(vector)
 
 
 def whole_batch_stage2(model, dist, cfg, sets):
@@ -648,8 +651,46 @@ def test_stages_count_every_phi_call_in_range():
     probe.dtypes.clear()
     crude_monte_carlo(model, dist, 200, 2, 1)
     assert probe.dtypes == int64
-    probe.dtypes.clear()
-    stage1_find_references(model, dist, RunConfig(n_samples=2000, r_max=3, seed=2, boundary_search_enabled=False), 1)
-    assert probe.dtypes == int64  # the diagnostic insert of raw samples
     assert probe.calls == model.evaluation_count
     assert probe.bad == []
+
+
+def _sha256(ref_set):
+    return hashlib.sha256(ref_set.as_array().astype(np.int64).tobytes()).hexdigest()
+
+
+def test_known_references_frozen(rgg):
+    # each set's members, in order, and the Stage-2 estimates of a small
+    # fixed binary run and a small fixed multi-state run, bit for bit
+    model, dist = rgg
+    cfg = RunConfig(n_samples=2000, parallel_searches=8, seed=1)
+    s1 = stage1_find_references(model, dist, cfg, 0)
+    report = stage2_evaluate(model, dist, s1.lower, s1.upper, cfg, 0)
+    assert (len(s1.lower), len(s1.upper)) == (1, 25)
+    assert (_sha256(s1.lower), _sha256(s1.upper), report.p_lower, report.p_upper) == (
+        "e238cd6efda4637fb67d59af017a935ad886be91db12bf6c022ee388ba8d67dd",
+        "f151acfa8492655ef3074038da314a11dcbe9327fb6f95064b5dad2306a8356e",
+        0.0,
+        1.0,
+    )
+    model = SystemModel(6, 3, 3, k_out_of_n(3, 6))
+    dist = ComponentDistribution.iid(6, [0.2, 0.3, 0.5])
+    pmf = multistate_pmf(model, dist, cfg)
+    got = [
+        (_sha256(s1.lower), _sha256(s1.upper), r.p_lower, r.p_upper)
+        for s1, r in zip(pmf.stage1_results, pmf.stage2_reports, strict=True)
+    ]
+    assert got == [
+        (
+            "d4e14b3805f2a9429ce735ebca92c4040da29e8f47967374145edc7c0a1afbed",
+            "446fec4790737ebee9d34ecc5fb8fc4733c3e5f5a9dbe6441d8d7c6d9025bdcf",
+            0.0125,
+            0.9875,
+        ),
+        (
+            "0ed6625e984217bd0f304b8c0b8ead59e99c52d2dfa3c3f68fe6245e91fafebb",
+            "c38dfa0135bf338db50f2049b1fca6b1c060cc033c448ac57abd740d966f10f2",
+            0.35,
+            0.65,
+        ),
+    ]
