@@ -3,14 +3,8 @@
 __version__ = "0.1.0"
 
 from .boundary import ReferenceSet, Side, boundary_search
-from .classify import ClassificationResult, classify, cov, violation_counts
-from .encoding import (
-    EncodedBatch,
-    encode_batch,
-    encode_lower_ref,
-    encode_sample,
-    encode_upper_ref,
-)
+from .classify import ClassificationResult, classify, cov
+from .encoding import EncodedBatch, encode_batch
 from .model import ComponentDistribution, SystemModel, check_coherency
 from .sampling import SampleBatch, sample_batch
 from .sysfn import (
@@ -47,13 +41,9 @@ __all__ = [
     "SampleBatch",
     "sample_batch",
     "EncodedBatch",
-    "encode_sample",
-    "encode_lower_ref",
-    "encode_upper_ref",
     "encode_batch",
     "ClassificationResult",
     "classify",
-    "violation_counts",
     "cov",
     "ReferenceSet",
     "Side",

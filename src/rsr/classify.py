@@ -1,34 +1,29 @@
 """Batched reference-state sample classification and probability estimation.
 
 Sample h lies in reference r's dominated region exactly when the AND of
-its flattened row with the complement of r's flattened region row is
-zero, in either layout of ``encoding``. The tests run on rows packed into
-64-bit words: a sample is hit when, for some reference, every word of the
-AND is zero. ``violation_counts`` keeps the full H x R matrix of how many
-component positions violate each region, as popcount-of-AND on the
-one-hot layout's packed words (the default) or as a plain integer matrix
-product (the differential-testing path).
+its thermometer row (``encoding``) with the complement of r's region row
+is zero. The tests run on rows packed into 64-bit words: a sample is hit
+when, for some reference, every word of the AND is zero.
 
 ``verdicts`` is the one classification route: it packs a chunk of rows
 at a time, tests it against every threshold's sets and brackets each
-row's system state S. It packs the thermometer layout, M-1 bits a
-component: a chunk is encoded once, its words T(x) test the lower sets
-and their complement the upper, and at M = 2 a row packs to N bits where
-the one-hot layout takes 2N. A set's references are encoded the same way,
+row's system state S. A chunk is encoded once, M-1 bits a component: its
+words T(x) test the lower sets and their complement the upper, and at
+M = 2 a row packs to N bits. A set's references are encoded the same way,
 as T(r), and packed as NOT T(l) for a lower set and T(u) for an upper
-one. ``word_hits`` is one kernel for both layouts; a row leaves it once a
-block of references hits it. A ``verdicts`` call gives each worker thread
-one kernel scratch for all its chunks and sets, so a call does not
-allocate per kernel call. Both
-workflow stages run ``verdicts`` over the sampler's rows, and
-``classify`` over slices of its batch at one threshold. With a coherent
-phi and side-consistent reference sets no bracket is crossed;
-``verdicts`` raises ``InconsistentReferenceSets`` on the first that is.
-A set's upper pass skips the rows its lower pass hit only when no upper
-reference lies under a lower one, so that no row can be hit by both and
-the first crossed bracket is found as if both passes ran in full.
-``verdicts`` checks each set for such a pair once, before the first
-chunk: the members' level counts rule most out, and the kernel the rest.
+one. ``word_hits`` is the kernel; a row leaves it once a block of
+references hits it. A ``verdicts`` call gives each worker thread one
+kernel scratch for all its chunks and sets, so a call does not allocate
+per kernel call. Both workflow stages run ``verdicts`` over the
+sampler's rows, and ``classify`` over slices of its batch at one
+threshold. With a coherent phi and side-consistent reference sets no
+bracket is crossed; ``verdicts`` raises ``InconsistentReferenceSets`` on
+the first that is. A set's upper pass skips the rows its lower pass hit
+only when no upper reference lies under a lower one, so that no row can
+be hit by both and the first crossed bracket is found as if both passes
+ran in full. ``verdicts`` checks each set for such a pair once, before
+the first chunk: the members' level counts rule most out, and the kernel
+the rest.
 """
 
 from __future__ import annotations
@@ -43,13 +38,12 @@ import numpy as np
 
 # _BLOCK_BYTES bounds one worker's chunk x ref-block temporaries
 from .boundary import _BLOCK_BYTES, ReferenceSet, Side
-from .encoding import EncodedBatch, encode_batch
+from .encoding import encode_batch
 from .sampling import SampleBatch
 
 __all__ = [
     "ClassificationResult",
     "InconsistentReferenceSets",
-    "violation_counts",
     "classify",
     "verdicts",
     "cov",
@@ -86,55 +80,6 @@ class InconsistentReferenceSets(ValueError):
         )
 
 
-def _violation_block_packed(sample_packed: np.ndarray, rbar_packed: np.ndarray) -> np.ndarray:
-    anded = sample_packed[:, None, :] & rbar_packed[None, :, :]
-    return np.bitwise_count(anded).sum(axis=2, dtype=np.int32)
-
-
-def _violation_block_unpacked(sample_rows: np.ndarray, ref_rows: np.ndarray) -> np.ndarray:
-    rbar = (1 - ref_rows).astype(np.int32)
-    return sample_rows.astype(np.int32) @ rbar.T
-
-
-def _ref_block_size(n_refs: int, chunk: int, bytes_per_pair: int) -> int:
-    block = max(1, _BLOCK_BYTES // max(1, chunk * bytes_per_pair))
-    return min(n_refs, block)
-
-
-def violation_counts(samples: EncodedBatch, refs: EncodedBatch, method: str = "packed") -> np.ndarray:
-    """Full H x R violation matrix, computed ``DEFAULT_CHUNK_SIZE`` samples at a time.
-
-    Counts fit int32 since the maximum violation per pair is N.
-    """
-    if samples.kind != "sample":
-        raise ValueError("samples batch must have kind='sample'")
-    if refs.kind not in ("lower_ref", "upper_ref"):
-        raise ValueError("refs batch must have kind 'lower_ref' or 'upper_ref'")
-    if (samples.n_components, samples.n_states) != (refs.n_components, refs.n_states):
-        raise ValueError("samples and refs must share N and M")
-    if len(refs) == 0:
-        raise ValueError("refs batch is empty")
-    if method not in ("packed", "unpacked"):
-        raise ValueError("method must be 'packed' or 'unpacked'")
-
-    h = len(samples)
-    out = np.empty((h, len(refs)), dtype=np.int32)
-    for start in range(0, h, DEFAULT_CHUNK_SIZE):
-        stop = min(start + DEFAULT_CHUNK_SIZE, h)
-        if method == "packed":
-            sp = samples.packed[start:stop]
-            rbp = refs.packed_complement
-            block = _ref_block_size(len(refs), stop - start, sp.shape[1] * sp.itemsize)
-            for r0 in range(0, len(refs), block):
-                r1 = min(r0 + block, len(refs))
-                out[start:stop, r0:r1] = _violation_block_packed(sp, rbp[r0:r1])
-        else:
-            out[start:stop] = _violation_block_unpacked(
-                samples.data[start:stop], refs.data
-            )
-    return out
-
-
 def _pack_references(
     refs: ReferenceSet | None, side: str, n_components: int, n_states: int
 ) -> np.ndarray | None:
@@ -158,7 +103,7 @@ def _pack_references(
             f"{side} references have {vectors.shape[1]} components, "
             f"samples have {n_components}"
         )
-    encoded = encode_batch(vectors, n_states, "thermometer")
+    encoded = encode_batch(vectors, n_states)
     return encoded.packed_complement if side == Side.LOWER else encoded.packed
 
 
@@ -209,7 +154,7 @@ def word_hits(
         return hit
     n_refs = rbar_words.shape[0]
     # entries of the OR accumulator and of the AND temporary, 8 bytes each
-    size = _ref_block_size(n_refs, n_chunk, 16) * n_chunk
+    size = min(n_refs, max(1, _BLOCK_BYTES // (16 * n_chunk))) * n_chunk
     acc, tmp = _kernel_scratch(size, n_words) if scratch is None else scratch
     words, rows = sample_words, None  # rows[c]: the row of column c of a gathered copy
     open_ = np.ones(n_chunk, dtype=bool)  # columns of words no block has hit
@@ -315,7 +260,7 @@ def verdicts(
         states = rows(start, min(start + chunk_rows, n_rows))
         # word-major: entry (w, k) is word w of row k, the layout word_hits takes;
         # T(x) meets the lower sets, NOT T(x) the upper
-        words = np.ascontiguousarray(encode_batch(states, m, "thermometer").packed.T)
+        words = np.ascontiguousarray(encode_batch(states, m).packed.T)
         lo = np.zeros(len(states), dtype=np.int64)
         hi = np.full(len(states), n_system_states - 1, dtype=np.int64)
         hits = []
@@ -381,9 +326,9 @@ def classify(
 ) -> ClassificationResult:
     """Partition a sample batch against lower and upper reference sets.
 
-    A sample is lower-classified if any lower reference gives zero
-    violations, upper-classified if any upper reference does, and
-    unclassified otherwise. ``n_states`` is the component state count M
+    A sample is lower-classified if it lies under some lower reference
+    componentwise, upper-classified if it lies over some upper reference,
+    and unclassified otherwise. ``n_states`` is the component state count M
     used to encode samples and references. A sample matched by both sides
     raises ``InconsistentReferenceSets``, naming the first such sample and
     the first lower and upper reference it matches. A non-empty set whose

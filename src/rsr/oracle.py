@@ -1,4 +1,4 @@
-"""Independent ground-truth engines: enumeration, scalar dominance, crude Monte Carlo.
+"""Independent ground-truth engines: enumeration, scalar dominance, the paper's one-hot matrices, crude Monte Carlo.
 
 Everything here is deliberately written with plain scalar loops and shares
 no code with the encoding or classification kernels, so the two routes
@@ -22,6 +22,8 @@ __all__ = [
     "ExactResult",
     "exact_probabilities",
     "dominates",
+    "one_hot",
+    "one_hot_violations",
     "crude_monte_carlo",
     "bfs_connected",
 ]
@@ -70,6 +72,50 @@ def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
         if x > y:
             return False
     return True
+
+
+# entry (n, m) of the paper's N x M matrix of a vector, per kind, from m and x_n
+_ONE_HOT = {
+    "sample": lambda m, v: m == v,
+    "lower": lambda m, v: m <= v,
+    "upper": lambda m, v: m >= v,
+}
+
+
+def one_hot(x: Sequence[int], n_states: int, kind: str) -> list[list[int]]:
+    """The paper's N x M binary matrix of ``x``, row n = component n, column m = state m.
+
+    A "sample" row is one-hot, 1 iff m == x_n. A "lower" reference row is
+    a prefix of ones, 1 iff m <= x_n, and an "upper" one a suffix of ones,
+    1 iff m >= x_n: the states of component n inside the reference's
+    dominated region.
+    """
+    if kind not in _ONE_HOT:
+        raise ValueError(f"kind must be one of {tuple(_ONE_HOT)}")
+    rule = _ONE_HOT[kind]
+    rows = []
+    for v in x:
+        if not 0 <= v < n_states:
+            raise ValueError(f"state {v} outside [0, {n_states - 1}]")
+        rows.append([int(rule(m, v)) for m in range(n_states)])
+    return rows
+
+
+def one_hot_violations(sample: list[list[int]], region: list[list[int]]) -> int:
+    """Entries where a one-hot sample matrix has a one and a reference's region matrix a zero.
+
+    Each sample row has one 1, so this counts the components whose state
+    lies outside the region; it is zero exactly when the sample lies in
+    the reference's dominated region.
+    """
+    if len(sample) != len(region):
+        raise ValueError(f"length mismatch: {len(sample)} vs {len(region)}")
+    count = 0
+    for sample_row, region_row in zip(sample, region):
+        for h, r in zip(sample_row, region_row):
+            if h and not r:
+                count += 1
+    return count
 
 
 def crude_monte_carlo(

@@ -143,24 +143,41 @@ class PhiProbe:
 
 
 def _hits_for(
-    samples_enc: EncodedBatch,
+    samples: EncodedBatch,
     ref_states: np.ndarray | None,
-    kind: str,
+    side: str,
     chunk_size: int,
     n_workers: int,
 ) -> np.ndarray:
-    """Hit mask of encoded samples against raw reference rows, ``chunk_size`` rows at a time.
+    """Hit mask of encoded samples against raw reference rows on ``side``, ``chunk_size`` rows at a time.
 
-    A test oracle: each call encodes its references in the layout ``kind``
-    names and runs the hit kernel on plain slices of the samples, apart
-    from ``classify.verdicts``'s packing and brackets.
+    Runs the thermometer kernel on plain slices of the samples, apart from
+    ``classify.verdicts``'s sets, packing and brackets: a lower reference
+    meets T(x) as NOT T(l), an upper one meets NOT T(x) as T(u). The
+    samples come encoded, so that a caller can time or trace the kernel
+    without their encoding.
     """
     rbar = None
     if ref_states is not None and ref_states.shape[0]:
-        rbar = encode_batch(ref_states, samples_enc.n_states, kind).packed_complement
-    packed = samples_enc.packed
+        refs = encode_batch(ref_states, samples.n_states)
+        rbar = refs.packed_complement if side == Side.LOWER else refs.packed
+    packed = samples.packed
 
     def work(start: int) -> np.ndarray:
-        return word_hits(np.ascontiguousarray(packed[start : start + chunk_size].T), rbar)
+        # word-major, and a view of ``packed`` when a row is one word, so
+        # the upper side inverts a copy
+        words = np.ascontiguousarray(packed[start : start + chunk_size].T)
+        return word_hits(words if side == Side.LOWER else ~words, rbar)
 
-    return np.concatenate(list(ordered_map(work, range(0, len(samples_enc), chunk_size), n_workers)))
+    return np.concatenate(list(ordered_map(work, range(0, len(samples), chunk_size), n_workers)))
+
+
+def dominance_hits(states: np.ndarray, ref_states: np.ndarray, side: str) -> np.ndarray:
+    """Rows of ``states`` that some reference row bounds on ``side``: x <= l for a lower set, x >= u for an upper one.
+
+    Plain broadcast componentwise comparisons of the raw states, with no
+    encoding and no kernel: the expected value of the kernel's hit masks.
+    """
+    x, r = np.asarray(states)[:, None, :], np.asarray(ref_states)[None, :, :]
+    inside = x <= r if side == Side.LOWER else x >= r
+    return inside.all(axis=2).any(axis=1)

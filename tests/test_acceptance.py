@@ -14,14 +14,9 @@ from conftest import _hits_for, fig_space_phi, random_distribution, random_monot
 from rsr import workflow
 from rsr.boundary import ReferenceSet, Side, boundary_search
 from rsr.classify import DEFAULT_CHUNK_SIZE, classify
-from rsr.encoding import (
-    encode_batch,
-    encode_lower_ref,
-    encode_sample,
-    encode_upper_ref,
-)
+from rsr.encoding import encode_batch
 from rsr.model import ComponentDistribution, SystemModel
-from rsr.oracle import dominates, exact_probabilities
+from rsr.oracle import dominates, exact_probabilities, one_hot, one_hot_violations
 from rsr.sampling import SampleBatch, sample_batch
 from rsr.sysfn import (
     pick_od_pair,
@@ -55,23 +50,23 @@ def criterion(capsys, num: int, title: str):
 def test_criterion_01_encoding_fidelity(capsys):
     with criterion(capsys, 1, "binary encodings match the worked matrices bit-exact"):
         assert np.array_equal(
-            encode_lower_ref((1, 2), 5),
+            one_hot((1, 2), 5, "lower"),
             [[1, 1, 0, 0, 0], [1, 1, 1, 0, 0]],
         )
         assert np.array_equal(
-            encode_upper_ref((1, 4), 5),
+            one_hot((1, 4), 5, "upper"),
             [[0, 1, 1, 1, 1], [0, 0, 0, 0, 1]],
         )
         assert np.array_equal(
-            encode_upper_ref((4, 0), 5),
+            one_hot((4, 0), 5, "upper"),
             [[0, 0, 0, 0, 1], [1, 1, 1, 1, 1]],
         )
         assert np.array_equal(
-            encode_sample((3, 0), 5),
+            one_hot((3, 0), 5, "sample"),
             [[0, 0, 0, 1, 0], [1, 0, 0, 0, 0]],
         )
         assert np.array_equal(
-            encode_sample((4, 4), 5),
+            one_hot((4, 4), 5, "sample"),
             [[0, 0, 0, 0, 1], [0, 0, 0, 0, 1]],
         )
 
@@ -129,26 +124,22 @@ def test_criterion_04_oracle_equivalence_property_suite(capsys):
 
 
 def test_criterion_05_dominance_violation_equivalence(capsys):
-    with criterion(capsys, 5, "zero violations iff scalar dominance, packed == unpacked, 1e5 pairs"):
-        from rsr.classify import violation_counts
-
+    with criterion(capsys, 5, "zero violations iff scalar dominance, thermometer kernel agrees, 1e5 pairs"):
         rng = np.random.default_rng(7)
         n, m = 9, 3
         samples = rng.integers(0, m, size=(500, n))
         refs = rng.integers(0, m, size=(200, n))
-        s_enc = encode_batch(samples, m, "sample")
-        for kind in ("lower_ref", "upper_ref"):
-            r_enc = encode_batch(refs, m, kind)
-            packed = violation_counts(s_enc, r_enc, method="packed")
-            unpacked = violation_counts(s_enc, r_enc, method="unpacked")
-            assert np.array_equal(packed, unpacked)
-            for i in range(samples.shape[0]):
-                for j in range(refs.shape[0]):
-                    if kind == "lower_ref":
-                        agrees = dominates(samples[i], refs[j])
-                    else:
-                        agrees = dominates(refs[j], samples[i])
-                    assert (packed[i, j] == 0) == agrees
+        encoded = encode_batch(samples, m)
+        sample_rows = [one_hot(x, m, "sample") for x in samples.tolist()]
+        for side in (Side.LOWER, Side.UPPER):
+            for j, r in enumerate(refs.tolist()):
+                region = one_hot(r, m, side)
+                # the live kernel on the thermometer words, one reference a call
+                hits = _hits_for(encoded, refs[j : j + 1], side, DEFAULT_CHUNK_SIZE, 1)
+                for i, x in enumerate(samples.tolist()):
+                    inside = one_hot_violations(sample_rows[i], region) == 0
+                    assert inside == (dominates(x, r) if side == Side.LOWER else dominates(r, x))
+                    assert hits[i] == inside
 
 
 def test_criterion_06_chunk_and_parallel_invariance(capsys):
@@ -243,14 +234,14 @@ def test_criterion_09_throughput_and_linear_scaling(capsys):
         # the one-time sample encoding hoisted out of the timed region; each
         # ref count's time is the best of 3 calls, made in 3 rounds over the
         # ref counts, so a slow spell of the host cannot decide the ratio
-        enc = encode_batch(states, 2, "sample")
+        enc = encode_batch(states, 2)
         enc.packed
         refs = {r: rng.integers(0, 2, size=(r, n)) for r in (49, 98, 196)}
         times = dict.fromkeys(refs, float("inf"))
         for _ in range(3):
             for r, ref_rows in refs.items():
                 t0 = time.perf_counter()
-                _hits_for(enc, ref_rows, "lower_ref", DEFAULT_CHUNK_SIZE, 1)
+                _hits_for(enc, ref_rows, Side.LOWER, DEFAULT_CHUNK_SIZE, 1)
                 times[r] = min(times[r], time.perf_counter() - t0)
         for r in (49, 98):
             ratio = times[2 * r] / times[r]

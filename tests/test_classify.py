@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _hits_for
+from conftest import _hits_for, dominance_hits
 
 from rsr.boundary import ReferenceSet, Side
 from rsr.classify import (
@@ -21,40 +21,37 @@ from rsr.classify import (
     classify,
     cov,
     verdicts,
-    violation_counts,
 )
 from rsr.encoding import encode_batch
 from rsr.model import ComponentDistribution
-from rsr.oracle import dominates
+from rsr.oracle import dominates, one_hot, one_hot_violations
 from rsr.sampling import SampleBatch, sample_batch
 
 
-def _violations(samples, refs, kind, m, **kw):
-    s = encode_batch(np.atleast_2d(samples), m, "sample")
-    r = encode_batch(np.atleast_2d(refs), m, kind)
-    return violation_counts(s, r, **kw)
+def _pair_hits(samples, refs, side, m):
+    """H x R matrix of the thermometer kernel's verdict on each sample and reference, one reference a call."""
+    encoded = encode_batch(np.atleast_2d(samples), m)
+    refs = np.atleast_2d(refs)
+    columns = [_hits_for(encoded, refs[j : j + 1], side, DEFAULT_CHUNK_SIZE, 1) for j in range(len(refs))]
+    return np.stack(columns, axis=1)
 
 
 def test_worked_violation_entries():
+    # the paper's violation counts, and the kernel's verdicts on the same pairs
+    def violations(x, r, side):
+        return one_hot_violations(one_hot(x, 5, "sample"), one_hot(r, 5, side))
+
     # sample (4,4) dominates upper ref (1,4): zero violations
-    assert _violations([4, 4], [1, 4], "upper_ref", 5)[0, 0] == 0
+    assert violations((4, 4), (1, 4), Side.UPPER) == 0
     # sample (3,0) vs lower ref (1,2): one violating position
-    assert _violations([3, 0], [1, 2], "lower_ref", 5)[0, 0] == 1
+    assert violations((3, 0), (1, 2), Side.LOWER) == 1
     # self dominance
-    assert _violations([2, 3], [2, 3], "lower_ref", 5)[0, 0] == 0
-    assert _violations([2, 3], [2, 3], "upper_ref", 5)[0, 0] == 0
-
-
-def test_violation_counts_rejects_bad_input():
-    s = encode_batch(np.array([[1, 1]]), 3, "sample")
-    r2 = encode_batch(np.array([[1]]), 3, "lower_ref")
-    with pytest.raises(ValueError):
-        violation_counts(s, r2)
-    with pytest.raises(ValueError):
-        violation_counts(s, s)
-    empty = encode_batch(np.zeros((0, 2), dtype=int), 3, "lower_ref")
-    with pytest.raises(ValueError):
-        violation_counts(s, empty)
+    assert violations((2, 3), (2, 3), Side.LOWER) == 0
+    assert violations((2, 3), (2, 3), Side.UPPER) == 0
+    assert _pair_hits([4, 4], [1, 4], Side.UPPER, 5)[0, 0]
+    assert not _pair_hits([3, 0], [1, 2], Side.LOWER, 5)[0, 0]
+    assert _pair_hits([2, 3], [2, 3], Side.LOWER, 5)[0, 0]
+    assert _pair_hits([2, 3], [2, 3], Side.UPPER, 5)[0, 0]
 
 
 @given(st.integers(0, 2**31), st.integers(1, 8), st.integers(2, 4))
@@ -63,33 +60,22 @@ def test_dominance_equivalence_property(seed, n, m):
     rng = np.random.default_rng(seed)
     samples = rng.integers(0, m, size=(20, n))
     refs = rng.integers(0, m, size=(6, n))
-    v_low = _violations(samples, refs, "lower_ref", m)
-    v_up = _violations(samples, refs, "upper_ref", m)
-    for i, x in enumerate(samples):
-        for j, r in enumerate(refs):
-            assert (v_low[i, j] == 0) == dominates(x, r)
-            assert (v_up[i, j] == 0) == dominates(r, x)
+    for side in (Side.LOWER, Side.UPPER):
+        hits = _pair_hits(samples, refs, side, m)
+        for i, x in enumerate(samples.tolist()):
+            for j, r in enumerate(refs.tolist()):
+                inside = one_hot_violations(one_hot(x, m, "sample"), one_hot(r, m, side)) == 0
+                assert inside == (dominates(x, r) if side == Side.LOWER else dominates(r, x))
+                assert hits[i, j] == inside
 
 
-@given(st.integers(0, 2**31))
-@settings(max_examples=30, deadline=None)
-def test_packed_unpacked_equivalence(seed):
-    rng = np.random.default_rng(seed)
-    n, m = int(rng.integers(1, 12)), int(rng.integers(2, 5))
-    samples = rng.integers(0, m, size=(50, n))
-    refs = rng.integers(0, m, size=(7, n))
-    s = encode_batch(samples, m, "sample")
-    r = encode_batch(refs, m, "lower_ref")
-    assert np.array_equal(
-        violation_counts(s, r, method="packed"),
-        violation_counts(s, r, method="unpacked"),
-    )
-
-
-@pytest.mark.parametrize("n, m", [(1, 1), (21, 3), (32, 2), (13, 5), (64, 2), (43, 3)])
+# rows of N(M-1) = 0, 42, 32, 52, 64 and 86 bits, then of 1, 63, 64, 65, 128
+# and 129: the last six pad a row at every position around a 64-bit word edge
+@pytest.mark.parametrize(
+    "n, m",
+    [(1, 1), (21, 3), (32, 2), (13, 5), (64, 2), (43, 3), (1, 2), (21, 4), (32, 3), (13, 6), (64, 3), (43, 4)],
+)
 def test_word_hits_match_unpacked_counts(n, m):
-    # N*M = 1, 63, 64, 65, 128, 129 bits: padding at every position around
-    # a 64-bit word edge
     rng = np.random.default_rng(n * m)
     h = 60
     states = rng.integers(0, m, size=(h, n))
@@ -98,13 +84,12 @@ def test_word_hits_match_unpacked_counts(n, m):
         rng.random((12, n)) < 0.1
     )
     refs = np.clip(refs, 0, m - 1)
-    samples = encode_batch(states, m, "sample")
-    for kind in ("lower_ref", "upper_ref"):
-        counts = violation_counts(samples, encode_batch(refs, m, kind), method="unpacked")
-        expected = (counts == 0).any(axis=1)
+    samples = encode_batch(states, m)
+    for side in (Side.LOWER, Side.UPPER):
+        expected = dominance_hits(states, refs, side)
         for chunk in (1, 7, h):
             for workers in (1, 4):
-                assert np.array_equal(_hits_for(samples, refs, kind, chunk, workers), expected)
+                assert np.array_equal(_hits_for(samples, refs, side, chunk, workers), expected)
 
 
 @pytest.mark.parametrize("n, m", [(64, 2), (70, 2), (32, 3), (33, 3), (16, 5), (17, 5), (1, 257), (3, 257)])
@@ -117,11 +102,10 @@ def test_thermometer_verdicts_match_one_hot_hits(n, m):
     # samples near refs, a few components moved by one, so hits and misses mix
     states = refs[rng.integers(0, 12, size=h)] + rng.integers(-1, 2, size=(h, n)) * (rng.random((h, n)) < 2 / n)
     states = np.clip(states, 0, m - 1).astype(np.min_scalar_type(m - 1))
-    samples = encode_batch(states, m, "sample")
-    for j, (side, kind) in enumerate(((Side.LOWER, "lower_ref"), (Side.UPPER, "upper_ref"))):
+    for j, side in enumerate((Side.LOWER, Side.UPPER)):
         ref_set = ReferenceSet(side, 0, refs.tolist())
         sets = [(0, ref_set, None)] if side == Side.LOWER else [(0, None, ref_set)]
-        expected = _hits_for(samples, ref_set.as_array(), kind, DEFAULT_CHUNK_SIZE, 1)
+        expected = dominance_hits(states, refs, side)
         assert 0 < expected.sum() < h
         chunks = verdicts(lambda start, stop: states[start:stop], h, 97, sets, (n, m, 2), 1)
         # hits[0] is the one set's (lower, upper) pair of masks
@@ -155,9 +139,8 @@ def test_early_exit_kernel_matches_full_hits(monkeypatch, n, m):
     refs = [(r, -1) for _, low, _ in sets for r in low.as_array()] + [(r, 1) for *_, up in sets for r in up.as_array()]
     states = np.array([r + step * (rng.random(n) < 0.1) for r, step in (refs[i] for i in rng.integers(0, len(refs), 600))])
     states = np.clip(states, 0, m - 1).astype(np.uint8)
-    samples = encode_batch(states, m, "sample")
     expected = [
-        tuple(_hits_for(samples, s.as_array(), kind, DEFAULT_CHUNK_SIZE, 1) for s, kind in ((low, "lower_ref"), (up, "upper_ref")))
+        (dominance_hits(states, low.as_array(), Side.LOWER), dominance_hits(states, up.as_array(), Side.UPPER))
         for _, low, up in sets
     ]
     assert all(0 < mask.sum() < len(states) for pair in expected for mask in pair)
@@ -179,10 +162,7 @@ def test_crossing_sets_raise_on_the_first_crossed_sample(monkeypatch, workers):
     lower = ReferenceSet(Side.LOWER, 0, [(2, 2, 2, 1, 1, 0), (1, 0, 2, 2, 1, 1)])
     upper = ReferenceSet(Side.UPPER, 0, [(2, 2, 2, 2, 2, 2), (1, 1, 1, 0, 0, 0)])
     sets = [(0, lower, upper)]
-    samples = encode_batch(states, m, "sample")
-    both = _hits_for(samples, lower.as_array(), "lower_ref", DEFAULT_CHUNK_SIZE, 1) & _hits_for(
-        samples, upper.as_array(), "upper_ref", DEFAULT_CHUNK_SIZE, 1
-    )
+    both = dominance_hits(states, lower.as_array(), Side.LOWER) & dominance_hits(states, upper.as_array(), Side.UPPER)
     first = int(np.flatnonzero(both)[0])
     assert first > 0
     message = str(InconsistentReferenceSets.on_bracket(sets, first, states[first], 1, 0))
@@ -250,12 +230,12 @@ def test_hit_kernel_memory_bounded_in_ref_count(n_refs):
     # count; the rest is per chunk: one word-major copy of the chunk's rows
     # plus per-sample masks
     rng = np.random.default_rng(3)
-    samples = encode_batch(rng.integers(0, 2, size=(65536, 262), dtype=np.int8), 2, "sample")
+    samples = encode_batch(rng.integers(0, 2, size=(65536, 262), dtype=np.int8), 2)
     row_bytes = samples.packed.shape[1] * samples.packed.itemsize
     refs = rng.integers(0, 2, size=(n_refs, 262))
     tracemalloc.start()
     try:
-        _hits_for(samples, refs, "lower_ref", DEFAULT_CHUNK_SIZE, 1)
+        _hits_for(samples, refs, Side.LOWER, DEFAULT_CHUNK_SIZE, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

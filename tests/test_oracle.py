@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from rsr.model import ComponentDistribution, SystemModel
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rsr.oracle import (
     crude_monte_carlo,
     dominates,
     exact_probabilities,
+    one_hot,
+    one_hot_violations,
 )
 from rsr.sysfn import k_out_of_n
 
@@ -48,6 +53,35 @@ def test_dominates_scalar():
     assert not dominates((2, 0), (1, 2))
     with pytest.raises(ValueError):
         dominates((1,), (1, 2))
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**31))
+@settings(max_examples=60, deadline=None)
+def test_one_hot_row_sums(n, m, seed):
+    # a sample row holds one 1; a lower reference row x_n + 1 (states 0..x_n)
+    # and an upper one M - x_n (states x_n..M-1)
+    x = np.random.default_rng(seed).integers(0, m, size=n).tolist()
+    assert [sum(row) for row in one_hot(x, m, "sample")] == [1] * n
+    assert [sum(row) for row in one_hot(x, m, "lower")] == [v + 1 for v in x]
+    assert [sum(row) for row in one_hot(x, m, "upper")] == [m - v for v in x]
+
+
+def test_one_hot_edge_cases_and_bad_input():
+    assert one_hot((0, 0, 0), 1, "sample") == [[1], [1], [1]]
+    assert one_hot((4, 4), 5, "lower") == one_hot((0, 0), 5, "upper") == [[1] * 5] * 2
+    assert one_hot((0, 0), 5, "lower") == [[1, 0, 0, 0, 0]] * 2
+    # each row holds one 1, so violations and agreements add up to N
+    sample, region = one_hot((3, 0, 2), 4, "sample"), one_hot((1, 2, 2), 4, "lower")
+    agreements = sum(h * r for hs, rs in zip(sample, region) for h, r in zip(hs, rs))
+    assert one_hot_violations(sample, region) == 3 - agreements == 1
+    with pytest.raises(ValueError):
+        one_hot((5,), 5, "sample")
+    with pytest.raises(ValueError):
+        one_hot((-1,), 5, "lower")
+    with pytest.raises(ValueError):
+        one_hot((1,), 5, "lower_ref")
+    with pytest.raises(ValueError):
+        one_hot_violations(one_hot((1,), 3, "sample"), one_hot((1, 1), 3, "lower"))
 
 
 def test_crude_mc_converges(series3):

@@ -124,6 +124,36 @@ def test_known_stream_frozen():
     assert np.array_equal(u, again)
     assert u.shape == (2, 3)
     assert np.all((u >= 0) & (u < 1))
+    # literal values, so a changed Philox key, flat index or float
+    # conversion fails here; floats print and parse back bit-exactly
+    assert u.tolist() == [
+        [0.5170052385149787, 0.18380038030745394, 0.2128372644551676],
+        [0.20996920348350878, 0.3628162495103908, 0.10630955649437224],
+    ]
+    binary = ComponentDistribution.iid(4, [0.3, 0.7])
+    assert sample_batch(binary, 3, seed=123, generation_index=2, start=5).states.tolist() == [
+        [1, 1, 0, 1],
+        [1, 1, 0, 0],
+        [1, 1, 0, 1],
+    ]
+    # a row of its own per component, so a component swap shows too
+    five = ComponentDistribution(
+        np.array([[0.4, 0.3, 0.15, 0.1, 0.05], [0.2, 0.2, 0.2, 0.2, 0.2], [0.05, 0.1, 0.15, 0.3, 0.4]])
+    )
+    assert sample_batch(five, 4, seed=123, generation_index=1, start=1001).states.tolist() == [
+        [0, 4, 2],
+        [0, 2, 2],
+        [2, 3, 4],
+        [2, 1, 3],
+    ]
+    # scattered rows, one repeated and one far enough to advance the counter
+    assert sample_rows(five, 123, 7, [0, 9, 1000, 250_000, 9]).tolist() == [
+        [0, 4, 4],
+        [3, 1, 1],
+        [0, 0, 0],
+        [1, 1, 3],
+        [3, 1, 1],
+    ]
 
 
 @given(seed=st.integers(0, 2**32), n=st.integers(1, 5), m=st.integers(2, 6), data=st.data())

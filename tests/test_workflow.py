@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import _hits_for, raw_sample_searches
+from conftest import dominance_hits, raw_sample_searches
 from rsr import workflow
 from rsr.boundary import ReferenceSet, Side, boundary_search
 from rsr.classify import InconsistentReferenceSets, classify
@@ -387,10 +387,10 @@ def test_stage2_encodes_each_chunk_once_for_all_thresholds(monkeypatch):
     encoded = []
     in_stage2 = False
 
-    def counting_encode(states, n_states, kind):
+    def counting_encode(states, n_states):
         if in_stage2:
-            encoded.append((kind, len(states)))
-        return encode_batch(states, n_states, kind)
+            encoded.append(len(states))
+        return encode_batch(states, n_states)
 
     def counted_stage2(*args):
         nonlocal in_stage2
@@ -404,12 +404,11 @@ def test_stage2_encodes_each_chunk_once_for_all_thresholds(monkeypatch):
     monkeypatch.setattr(workflow, "_stage2", counted_stage2)
     report = multistate_pmf(model, dist, cfg)
     assert len(report.stage2_reports) == 3
-    # samples and references share one kind; the stage call encodes each
-    # non-empty reference set once, in threshold order, before its first chunk
-    assert {kind for kind, _ in encoded} == {"thermometer"}
+    # the stage call encodes each non-empty reference set once, in
+    # threshold order, before its first chunk
     set_rows = [len(s) for s1 in report.stage1_results for s in (s1.lower, s1.upper) if len(s)]
-    assert [rows for _, rows in encoded[: len(set_rows)]] == set_rows
-    sample_rows = [rows for _, rows in encoded[len(set_rows) :]]
+    assert encoded[: len(set_rows)] == set_rows
+    sample_rows = encoded[len(set_rows) :]
     assert len(sample_rows) == -(-cfg.n_samples // 64)
     assert sum(sample_rows) == cfg.n_samples
 
@@ -476,11 +475,11 @@ def test_pass_allocates_one_kernel_scratch_per_worker(monkeypatch, workers):
         sys.setswitchinterval(interval)
     assert len(chunks) == 5
     assert 1 <= len(allocated) <= workers
-    samples = encode_batch(sample_batch(dist, cfg.n_samples, cfg.seed, 9).states, 5, "sample")
+    states = sample_batch(dist, cfg.n_samples, cfg.seed, 9).states
     for j, (_, low, up) in enumerate(sets):
-        for side, (ref_set, kind) in enumerate(((low, "lower_ref"), (up, "upper_ref"))):
-            expected = _hits_for(samples, ref_set.as_array(), kind, cfg.n_samples, 1)
-            assert np.array_equal(np.concatenate([hits[j][side] for *_, hits in chunks]), expected)
+        for k, (ref_set, side) in enumerate(((low, Side.LOWER), (up, Side.UPPER))):
+            expected = dominance_hits(states, ref_set.as_array(), side)
+            assert np.array_equal(np.concatenate([hits[j][k] for *_, hits in chunks]), expected)
 
 
 def untimed(trace):
