@@ -49,7 +49,16 @@ __all__ = [
     "cov",
 ]
 
-DEFAULT_CHUNK_SIZE = 65536
+# the one chunk size of both stages and classify(): 2^20 / N rows, whose
+# raw 64-bit draws, or the int64 copy of them Stage 2 hands to phi, take
+# this many bytes and whose uint8 states take an eighth. The sampler draws
+# in 1 MiB blocks, so no array of this size is allocated. Results do not
+# depend on it; tests shrink it to make small chunks
+_CHUNK_BYTES = 8 << 20
+
+
+def _chunk_rows(n_components: int) -> int:
+    return max(1, _CHUNK_BYTES // (8 * n_components))
 
 
 # a threshold m' with its lower and upper reference sets
@@ -319,7 +328,6 @@ def classify(
     batch: SampleBatch,
     lower_set: ReferenceSet | None,
     upper_set: ReferenceSet | None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     n_workers: int = 1,
     *,
     n_states: int,
@@ -332,11 +340,9 @@ def classify(
     used to encode samples and references. A sample matched by both sides
     raises ``InconsistentReferenceSets``, naming the first such sample and
     the first lower and upper reference it matches. A non-empty set whose
-    vectors do not have N components, or a ``chunk_size`` or ``n_workers``
-    below 1, raises ValueError.
+    vectors do not have N components, or an ``n_workers`` below 1, raises
+    ValueError.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     if lower_set is not None and upper_set is not None:
@@ -349,7 +355,7 @@ def classify(
     # lo + hi is then 0 for a lower hit, 2 for an upper hit, 1 for neither
     verdict = np.empty(batch.n_samples, dtype=np.int8)
     for start, _, lo, hi, _ in verdicts(
-        lambda start, stop: batch.states[start:stop], batch.n_samples, chunk_size,
+        lambda start, stop: batch.states[start:stop], batch.n_samples, _chunk_rows(batch.n_components),
         [(0, lower_set, upper_set)], (batch.n_components, n_states, 2), n_workers,
     ):
         verdict[start : start + lo.size] = lo + hi

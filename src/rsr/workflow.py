@@ -27,11 +27,10 @@ Stage 1.
 Stage 2 classifies one batch against the sets of every requested
 threshold, bracketing each sample's system state S: a lower match at m'
 gives S <= m', an upper match S >= m'+1. One performance-function call
-settles each sample the bracket leaves open: once the stream has checked
-every bracket, the open rows go to the model's counted core
-``SystemModel._phi_rows`` a chunk's rows at a time, the core the boundary
-walks call too. A crossed bracket, or phi outside one, means phi is not
-coherent and raises, naming the lowest-index such sample.
+settles each sample the bracket leaves open: each chunk's open rows go
+to the model's counted core ``SystemModel._phi_rows`` in one call as the
+chunk arrives, the core the boundary walks call too. A crossed bracket,
+or phi outside one, means phi is not coherent and raises (``_stage2``).
 
 Both stages stream their batch through the one classification route,
 ``classify.verdicts``, with ``_stream`` as its row source: each chunk is
@@ -41,16 +40,16 @@ from 1 MiB blocks of raw draws and ``verdicts`` packs it once, in the
 thermometer layout, for both sides of every set, so a chunk's
 temporaries are about its states plus 1 MiB, next to the hit kernel's
 scratch of about 1 MiB that each worker keeps for the whole pass. Memory
-is about one chunk's temporaries and one scratch per worker plus a few
-bytes per sample: Stage 1 keeps one bit per sample and running threshold
-for the unclassified rows, builds one threshold's index array at a time,
-and regenerates the rows it searches from by index, every threshold's
-picks in one forward walk of the stream; its first iteration, whose sets
-are all empty, draws nothing. Stage 2 keeps per-threshold counts and the
-open rows, whose phi calls it makes anyway. The crude Monte Carlo oracle
-(``oracle.crude_monte_carlo``) stays whole-batch and calls phi one row at
-a time through ``SystemModel.evaluate`` on purpose, as an independent
-check of this path and of any batch form of phi.
+is about one chunk's temporaries and one scratch per worker. Stage 1
+adds one bit per sample and running threshold for the unclassified rows,
+builds one threshold's index array at a time, and regenerates the rows
+it searches from by index, every threshold's picks in one forward walk
+of the stream; its first iteration, whose sets are all empty, draws
+nothing. Stage 2 adds only per-threshold counts, whatever the batch
+size. The crude Monte Carlo oracle (``oracle.crude_monte_carlo``) stays
+whole-batch and calls phi one row at a time through
+``SystemModel.evaluate`` on purpose, as an independent check of this path
+and of any batch form of phi.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ import numpy as np
 from .boundary import ReferenceSet, Side, boundary_search, boundary_searches  # noqa: F401
 # classify is not called here; it stays importable as workflow.classify
 # because perfbench/spans.py wraps that name
-from .classify import InconsistentReferenceSets, ThresholdSets, classify, cov, verdicts  # noqa: F401
+from .classify import InconsistentReferenceSets, ThresholdSets, _chunk_rows, classify, cov, verdicts  # noqa: F401
 from .model import ComponentDistribution, SystemModel
 from .sampling import sample_batch, sample_rows
 
@@ -87,12 +86,6 @@ __all__ = [
 # sets, it is seed-matched bit-for-bit with the crude Monte Carlo oracle.
 _STAGE2_GENERATION = 0
 
-# a streamed chunk holds the rows whose raw 64-bit draws take this many
-# bytes, so its uint8 states take an eighth. The sampler draws those rows
-# in 1 MiB blocks, so no array of this size is allocated; results do not
-# depend on it, and tests shrink it to make small chunks
-_CHUNK_BYTES = 8 << 20
-
 
 def _peak_rss_bytes() -> int | None:
     try:
@@ -110,7 +103,7 @@ class RunConfig:
 
     The CLI takes its defaults from these fields. The chunk size is not a
     setting: results do not depend on it, so both stages size their
-    chunks from a fixed byte budget.
+    chunks by ``classify._chunk_rows``.
     """
 
     n_samples: int = 1_000_000
@@ -331,10 +324,6 @@ def _rejection_rate(ref_set: ReferenceSet, n_states: int) -> float:
     return float(np.count_nonzero(members != limit) / members.size)
 
 
-def _chunk_rows(n_components: int) -> int:
-    return max(1, _CHUNK_BYTES // (8 * n_components))
-
-
 def _stream(
     model: SystemModel,
     dist: ComponentDistribution,
@@ -357,7 +346,12 @@ def _stage2(
     config: RunConfig,
     sets: list[ThresholdSets],
 ) -> list[Stage2Report]:
-    """Stage 2 on one shared batch; one report per (threshold, lower, upper), thresholds distinct."""
+    """Stage 2 on one shared batch; one report per (threshold, lower, upper), thresholds distinct.
+
+    ``InconsistentReferenceSets`` comes from the first chunk, in index
+    order whatever the worker count, that holds a crossed bracket or phi
+    outside its bracket; in that chunk a crossed bracket is named first.
+    """
     for threshold, lower, upper in sets:
         model.check_threshold(threshold)
         for ref_set in (lower, upper):
@@ -367,32 +361,22 @@ def _stage2(
     thresholds = np.array([t for t, _, _ in sets])
     n_low = np.zeros(len(sets), dtype=np.int64)
     unclassified = np.zeros(len(sets), dtype=np.int64)
-    # rows whose bracket leaves some threshold open, kept to the end so that
-    # every bracket is checked before the first phi call
-    open_rows = []
     for start, states, lo, hi, hits in _stream(model, dist, config, _STAGE2_GENERATION, sets):
         unclassified += [len(states) - np.count_nonzero(low | up) for low, up in hits]
-        undecided = ((lo[:, None] <= thresholds) & (thresholds < hi[:, None])).any(axis=1)
-        n_low += (hi[~undecided, None] <= thresholds).sum(axis=0)
-        rows = np.flatnonzero(undecided)
-        open_rows.append((start + rows, states[rows], lo[rows], hi[rows]))
+        # the rows whose bracket leaves some threshold open
+        rows = np.flatnonzero(((lo[:, None] <= thresholds) & (thresholds < hi[:, None])).any(axis=1))
+        if rows.size:
+            # sampled rows lie in [0, M-1] by construction: the counted core, unchecked
+            phi = model._phi_rows(states[rows])
+            bad = np.flatnonzero((phi < lo[rows]) | (phi > hi[rows]))
+            if bad.size:
+                k, s = rows[bad[0]], int(phi[bad[0]])
+                raise InconsistentReferenceSets.on_bracket(sets, start + int(k), states[k], lo[k], hi[k], s)
+            # S = phi on an open row; on any other row S <= m' exactly where hi <= m'
+            hi[rows] = phi
+        n_low += (hi[:, None] <= thresholds).sum(axis=0)
         # dropped before the next chunk is drawn, so one chunk is alive at a time
-        del states, lo, hi, hits, undecided
-    indices, states, lo, hi = (np.concatenate(parts) for parts in zip(*open_rows))
-    # sampled rows lie in [0, M-1] by construction: the counted core,
-    # unchecked, a chunk's rows a call, so the int64 copy it makes of a
-    # block stays within _CHUNK_BYTES
-    phi = np.empty(indices.size, dtype=np.int64)
-    step = _chunk_rows(dist.n_components)
-    for s in range(0, indices.size, step):
-        phi[s : s + step] = model._phi_rows(states[s : s + step])
-    # indices ascend, so the first bad row is the lowest-index sample
-    bad = np.flatnonzero((phi < lo) | (phi > hi))
-    if bad.size:
-        k = bad[0]
-        raise InconsistentReferenceSets.on_bracket(sets, int(indices[k]), states[k], lo[k], hi[k], int(phi[k]))
-    # for every requested m', S <= m' now holds exactly where phi <= m'
-    n_low += (phi[:, None] <= thresholds).sum(axis=0)
+        del states, lo, hi, hits, rows
 
     reports = []
     for threshold, low, n_unclassified in zip(thresholds.tolist(), n_low.tolist(), unclassified.tolist()):

@@ -142,12 +142,17 @@ class PhiProbe:
         model.performance = phi
 
 
+# _hits_for's rows a call by default: the kernel-memory bound and the
+# timed kernel of criterion 9 are stated at this chunk size
+HITS_CHUNK_ROWS = 65536
+
+
 def _hits_for(
     samples: EncodedBatch,
     ref_states: np.ndarray | None,
     side: str,
-    chunk_size: int,
-    n_workers: int,
+    chunk_size: int = HITS_CHUNK_ROWS,
+    n_workers: int = 1,
 ) -> np.ndarray:
     """Hit mask of encoded samples against raw reference rows on ``side``, ``chunk_size`` rows at a time.
 

@@ -5,6 +5,7 @@ PASS/FAIL line (bypassing capture) so a log scan shows the verdict per
 criterion. Tolerances are pinned in the assertions themselves.
 """
 
+import importlib
 import time
 from contextlib import contextmanager
 
@@ -13,7 +14,7 @@ import numpy as np
 from conftest import _hits_for, fig_space_phi, random_distribution, random_monotone_model, raw_sample_searches
 from rsr import workflow
 from rsr.boundary import ReferenceSet, Side, boundary_search
-from rsr.classify import DEFAULT_CHUNK_SIZE, classify
+from rsr.classify import classify
 from rsr.encoding import encode_batch
 from rsr.model import ComponentDistribution, SystemModel
 from rsr.oracle import dominates, exact_probabilities, one_hot, one_hot_violations
@@ -29,6 +30,9 @@ from rsr.workflow import (
     stage1_find_references,
     stage2_evaluate,
 )
+
+# rsr/__init__ rebinds the name ``rsr.classify`` to the function
+classify_module = importlib.import_module("rsr.classify")
 
 
 @contextmanager
@@ -135,27 +139,27 @@ def test_criterion_05_dominance_violation_equivalence(capsys):
             for j, r in enumerate(refs.tolist()):
                 region = one_hot(r, m, side)
                 # the live kernel on the thermometer words, one reference a call
-                hits = _hits_for(encoded, refs[j : j + 1], side, DEFAULT_CHUNK_SIZE, 1)
+                hits = _hits_for(encoded, refs[j : j + 1], side)
                 for i, x in enumerate(samples.tolist()):
                     inside = one_hot_violations(sample_rows[i], region) == 0
                     assert inside == (dominates(x, r) if side == Side.LOWER else dominates(r, x))
                     assert hits[i] == inside
 
 
-def test_criterion_06_chunk_and_parallel_invariance(capsys):
+def test_criterion_06_chunk_and_parallel_invariance(capsys, monkeypatch):
     with criterion(capsys, 6, "classification and Stage-1 results invariant to chunking and workers"):
         dist = ComponentDistribution.iid(6, [0.3, 0.3, 0.4])
         batch = sample_batch(dist, 512, seed=3)
         lower = ReferenceSet(Side.LOWER, 0, [(1, 0, 2, 0, 1, 0)])
         upper = ReferenceSet(Side.UPPER, 0, [(1, 1, 1, 1, 1, 1), (2, 0, 0, 2, 0, 0)])
         h = batch.n_samples
-        base = classify(batch, lower, upper, chunk_size=h, n_states=3)
+        # classify() chunks the batch _chunk_rows(N) = _CHUNK_BYTES // 8N rows at a time
+        monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 6 * h)
+        base = classify(batch, lower, upper, n_states=3)
         for chunk in (1, 7, h, h + 13):
+            monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 6 * chunk)
             for workers in (1, 4):
-                res = classify(
-                    batch, lower, upper,
-                    chunk_size=chunk, n_workers=workers, n_states=3,
-                )
+                res = classify(batch, lower, upper, n_workers=workers, n_states=3)
                 assert np.array_equal(res.lower_indices, base.lower_indices)
                 assert np.array_equal(res.upper_indices, base.upper_indices)
                 assert np.array_equal(
@@ -241,7 +245,7 @@ def test_criterion_09_throughput_and_linear_scaling(capsys):
         for _ in range(3):
             for r, ref_rows in refs.items():
                 t0 = time.perf_counter()
-                _hits_for(enc, ref_rows, Side.LOWER, DEFAULT_CHUNK_SIZE, 1)
+                _hits_for(enc, ref_rows, Side.LOWER)
                 times[r] = min(times[r], time.perf_counter() - t0)
         for r in (49, 98):
             ratio = times[2 * r] / times[r]

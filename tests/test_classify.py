@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _hits_for, dominance_hits
+from conftest import HITS_CHUNK_ROWS, _hits_for, dominance_hits
 
 from rsr.boundary import ReferenceSet, Side
 from rsr.classify import (
     _BLOCK_BYTES,
-    DEFAULT_CHUNK_SIZE,
     InconsistentReferenceSets,
     _levels_apart,
     _pack_references,
@@ -27,12 +26,15 @@ from rsr.model import ComponentDistribution
 from rsr.oracle import dominates, one_hot, one_hot_violations
 from rsr.sampling import SampleBatch, sample_batch
 
+# rsr/__init__ rebinds the name ``rsr.classify`` to the function
+classify_module = importlib.import_module("rsr.classify")
+
 
 def _pair_hits(samples, refs, side, m):
     """H x R matrix of the thermometer kernel's verdict on each sample and reference, one reference a call."""
     encoded = encode_batch(np.atleast_2d(samples), m)
     refs = np.atleast_2d(refs)
-    columns = [_hits_for(encoded, refs[j : j + 1], side, DEFAULT_CHUNK_SIZE, 1) for j in range(len(refs))]
+    columns = [_hits_for(encoded, refs[j : j + 1], side) for j in range(len(refs))]
     return np.stack(columns, axis=1)
 
 
@@ -213,15 +215,13 @@ def test_set_kernel_check_runs_once_a_pass_before_the_first_chunk(monkeypatch):
         assert events.count("rows") == 6 and "chunk" in events
 
 
-@pytest.mark.parametrize("chunk_size, n_workers", [(0, 1), (-3, 1), (5, 0), (5, -1)])
-def test_classify_rejects_chunk_size_or_workers_below_one(chunk_size, n_workers):
-    # unchecked, a chunk size below 1 leaves every verdict unset or fails
-    # inside range(), and a worker count below 1 silently runs one thread
+@pytest.mark.parametrize("n_workers", [0, -1])
+def test_classify_rejects_workers_below_one(n_workers):
+    # unchecked, a worker count below 1 silently runs one thread
     batch = SampleBatch(states=np.zeros((5, 2), dtype=np.int64), seed=0, generation_index=0)
     lower = ReferenceSet(Side.LOWER, 0, [(1, 1)])
-    name, value = ("chunk_size", chunk_size) if chunk_size < 1 else ("n_workers", n_workers)
-    with pytest.raises(ValueError, match=re.escape(f"{name} must be >= 1, got {value}")):
-        classify(batch, lower, None, chunk_size=chunk_size, n_workers=n_workers, n_states=2)
+    with pytest.raises(ValueError, match=re.escape(f"n_workers must be >= 1, got {n_workers}")):
+        classify(batch, lower, None, n_workers=n_workers, n_states=2)
 
 
 @pytest.mark.parametrize("n_refs", [49, 196])
@@ -235,35 +235,38 @@ def test_hit_kernel_memory_bounded_in_ref_count(n_refs):
     refs = rng.integers(0, 2, size=(n_refs, 262))
     tracemalloc.start()
     try:
-        _hits_for(samples, refs, Side.LOWER, DEFAULT_CHUNK_SIZE, 1)
+        _hits_for(samples, refs, Side.LOWER)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= _BLOCK_BYTES + DEFAULT_CHUNK_SIZE * (row_bytes + 16)
+    assert peak <= _BLOCK_BYTES + HITS_CHUNK_ROWS * (row_bytes + 16)
 
 
-def test_chunk_invariance():
+def test_chunk_invariance(monkeypatch):
     rng = np.random.default_rng(11)
     dist = ComponentDistribution.iid(6, [0.3, 0.3, 0.4])
     batch = sample_batch(dist, 101, seed=5)
     lower = ReferenceSet(Side.LOWER, 0, [(1, 0, 2, 0, 1, 0)])
     upper = ReferenceSet(Side.UPPER, 0, [(1, 1, 1, 1, 1, 1), (2, 0, 0, 2, 0, 0)])
     h = batch.n_samples
-    baseline = classify(batch, lower, upper, chunk_size=h, n_states=3)
+    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 6 * h)  # the whole batch in one chunk
+    baseline = classify(batch, lower, upper, n_states=3)
     for chunk in (1, 7, h + 13):
-        res = classify(batch, lower, upper, chunk_size=chunk, n_states=3)
+        monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 6 * chunk)
+        res = classify(batch, lower, upper, n_states=3)
         assert np.array_equal(res.lower_indices, baseline.lower_indices)
         assert np.array_equal(res.upper_indices, baseline.upper_indices)
         assert np.array_equal(res.unclassified_indices, baseline.unclassified_indices)
 
 
-def test_worker_invariance():
+def test_worker_invariance(monkeypatch):
     dist = ComponentDistribution.iid(5, [0.2, 0.8])
     batch = sample_batch(dist, 500, seed=8)
     lower = ReferenceSet(Side.LOWER, 0, [(0, 1, 1, 0, 1)])
     upper = ReferenceSet(Side.UPPER, 0, [(1, 1, 0, 1, 1)])
-    a = classify(batch, lower, upper, chunk_size=64, n_workers=1, n_states=2)
-    b = classify(batch, lower, upper, chunk_size=64, n_workers=4, n_states=2)
+    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 5 * 64)  # 64 rows a chunk
+    a = classify(batch, lower, upper, n_workers=1, n_states=2)
+    b = classify(batch, lower, upper, n_workers=4, n_states=2)
     assert np.array_equal(a.lower_indices, b.lower_indices)
     assert np.array_equal(a.upper_indices, b.upper_indices)
 
@@ -402,7 +405,7 @@ def test_classify_memory_per_sample_bounded():
 
 
 @pytest.mark.parametrize("m_prime", [-1, 0, 3])
-def test_classify_verdicts_do_not_depend_on_threshold(m_prime):
+def test_classify_verdicts_do_not_depend_on_threshold(m_prime, monkeypatch):
     # the sets' m' only labels them; the index sets come from dominance alone
     batch = SampleBatch(states=np.array([[0, 0], [1, 1], [0, 1]]), seed=0, generation_index=0)
     res = classify(batch, ReferenceSet(Side.LOWER, m_prime, [(0, 0)]), None, n_states=2)
@@ -416,11 +419,11 @@ def test_classify_verdicts_do_not_depend_on_threshold(m_prime):
     base = classify(
         batch, ReferenceSet(Side.LOWER, 0, lower_refs), ReferenceSet(Side.UPPER, 0, upper_refs), n_states=3
     )
+    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 6 * 37)  # 37 rows a chunk
     res = classify(
         batch,
         ReferenceSet(Side.LOWER, m_prime, lower_refs),
         ReferenceSet(Side.UPPER, m_prime, upper_refs),
-        chunk_size=37,
         n_states=3,
     )
     for got, want in zip(

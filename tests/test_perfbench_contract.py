@@ -44,7 +44,7 @@ def test_traced_evaluate_records_sampling_and_encoding(tmp_path, monkeypatch):
 
     lower, upper = files.load_reference_sets(refs)
     ref_sets = sum(len(s) > 0 for s in (lower, upper))
-    monkeypatch.setattr(workflow, "_CHUNK_BYTES", 8 * 3 * 256)  # 256 rows a chunk
+    monkeypatch.setattr(classify, "_CHUNK_BYTES", 8 * 3 * 256)  # 256 rows a chunk
 
     spans = _load_spans()
     tracer = spans.Tracer()

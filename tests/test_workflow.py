@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib
 import itertools
+import re
 import sys
 import tracemalloc
 import types
@@ -12,7 +13,7 @@ import pytest
 from conftest import dominance_hits, raw_sample_searches
 from rsr import workflow
 from rsr.boundary import ReferenceSet, Side, boundary_search
-from rsr.classify import InconsistentReferenceSets, classify
+from rsr.classify import InconsistentReferenceSets, _chunk_rows, classify
 from rsr.encoding import encode_batch
 from rsr.model import ComponentDistribution, SystemModel
 from rsr.oracle import crude_monte_carlo, exact_probabilities
@@ -20,7 +21,6 @@ from rsr.sampling import sample_batch
 from rsr.sysfn import k_out_of_n, pick_od_pair, random_geometric_graph, single_od_connectivity
 from rsr.workflow import (
     RunConfig,
-    _chunk_rows,
     _stage1,
     _stage2,
     assemble_pmf,
@@ -220,7 +220,7 @@ def test_stage2_names_the_lowest_index_sample_whose_phi_leaves_its_bracket():
 
 
 def test_stage2_resolves_open_rows_through_the_batch_form_a_block_at_a_time(monkeypatch):
-    monkeypatch.setattr(workflow, "_CHUNK_BYTES", 8 * 6 * 64)  # 64 rows a chunk and a block
+    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 6 * 64)  # 64 rows a chunk
     inner = k_out_of_n(3, 6)
     blocks = []
 
@@ -241,8 +241,66 @@ def test_stage2_resolves_open_rows_through_the_batch_form_a_block_at_a_time(monk
     report = stage2_evaluate(model, dist, lower, upper, cfg, 0)
     n_open = report.unclassified_resolved
     assert model.evaluation_count == n_open > 3 * 64
-    assert blocks == [(np.dtype(np.int64), min(64, n_open - s)) for s in range(0, n_open, 64)]
+    # one int64 call per chunk that holds open rows, on exactly those rows
+    batch = sample_batch(dist, cfg.n_samples, cfg.seed)
+    open_rows = classify(batch, lower, upper, n_states=2).unclassified_indices
+    per_chunk = np.bincount(open_rows // 64, minlength=-(-cfg.n_samples // 64))
+    assert blocks == [(np.dtype(np.int64), int(n)) for n in per_chunk if n]
+    assert all(n <= 64 for _, n in blocks) and sum(n for _, n in blocks) == n_open
     assert report.p_lower == crude_monte_carlo(SystemModel(6, 2, 2, inner), dist, cfg.n_samples, cfg.seed, 0)[0]
+
+
+def test_stage2_settles_each_chunk_alike_at_any_chunk_size_and_worker_count(monkeypatch):
+    # Stage 2 resolves each chunk's open rows as the chunk arrives: the
+    # reports, the phi calls and the sample a fault is named by do not depend
+    # on the chunk size or the worker count
+    model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
+    dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
+    cfg = RunConfig(n_samples=200, eps_u=1e-2, r_max=6, parallel_searches=2, seed=7)
+    sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in _stage1(model, dist, cfg, range(3))]
+    # a planted fault: phi says S = 3 wherever component 0 is down, outside
+    # the bracket 0 <= S <= 2 that the one reference puts on every sample
+    faulty = SystemModel(3, 4, 4, lambda x: 3 * int(x[0] == 0))
+    faulty_sets = [(0, None, None), (1, None, None), (2, ReferenceSet(Side.LOWER, 2, [(3, 3, 3)]), None)]
+    first = int(np.flatnonzero(sample_batch(dist, cfg.n_samples, cfg.seed).states[:, 0] == 0)[0])
+    assert first >= 7  # past the first chunk of 7 rows
+    runs = []
+    for chunk, workers in itertools.product((1, 7, cfg.n_samples), (1, 3)):
+        monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 3 * chunk)
+        run_cfg = dataclasses.replace(cfg, n_workers=workers)
+        before = model.evaluation_count
+        reports = _stage2(model, dist, run_cfg, sets)
+        with pytest.raises(InconsistentReferenceSets) as exc:
+            _stage2(faulty, dist, run_cfg, faulty_sets)
+        runs.append((reports, model.evaluation_count - before, str(exc.value)))
+    assert all(run == runs[0] for run in runs)
+    reports, calls, message = runs[0]
+    assert calls > 0 and any(r.unclassified_resolved for r in reports)
+    assert summary(reports) == whole_batch_stage2(model, dist, cfg, sets)
+    assert re.match(rf"sample {first} \(0, \d, \d\): .*phi says S = 3;", message)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_stage2_names_a_phi_fault_in_an_earlier_chunk_before_a_crossed_bracket(monkeypatch, workers):
+    # phi = max(x), but 2 at (1, 0), where the lower reference (2, 0) at
+    # m' = 1 says S <= 1; that reference and the upper reference (2, 0) at
+    # m' = 1 cross on the sample (2, 0)
+    model = SystemModel(2, 3, 3, lambda x: 2 if (int(x[0]), int(x[1])) == (1, 0) else int(max(x)))
+    dist = ComponentDistribution.iid(2, [0.5, 0.4, 0.1])
+    cfg = RunConfig(n_samples=200, seed=0, n_workers=workers)
+    sets = [(0, None, None), (1, ReferenceSet(Side.LOWER, 1, [(2, 0)]), ReferenceSet(Side.UPPER, 1, [(2, 0)]))]
+    states = sample_batch(dist, cfg.n_samples, cfg.seed).states
+    fault = int(np.flatnonzero((states[:, 0] == 1) & (states[:, 1] == 0))[0])
+    crossed = int(np.flatnonzero((states[:, 0] == 2) & (states[:, 1] == 0))[0])
+    assert 0 < fault < crossed
+    # chunk 0 holds the fault and chunk 1 opens on the crossed bracket
+    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 2 * crossed)
+    with pytest.raises(InconsistentReferenceSets, match=rf"^sample {fault} \(1, 0\): .* S <= 1, phi says S = 2;"):
+        _stage2(model, dist, cfg, sets)
+    # within one chunk the crossed bracket is named first
+    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 2 * cfg.n_samples)
+    with pytest.raises(InconsistentReferenceSets, match=rf"^sample {crossed} \(2, 0\): .* S <= 1, .* S >= 2;"):
+        _stage2(model, dist, cfg, sets)
 
 
 def test_boundary_search_disabled_inserts_raw_samples(series3, monkeypatch):
@@ -367,7 +425,7 @@ def test_stage1_priors_cut_search_calls_not_references(rgg, monkeypatch):
 def test_streamed_pmf_equals_whole_batch(monkeypatch):
     model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
     dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
-    monkeypatch.setattr(workflow, "_CHUNK_BYTES", 8 * 3 * 64)
+    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 3 * 64)
     h = 2 * 64 + 13
     cfg = RunConfig(n_samples=h, eps_u=1e-2, r_max=100, parallel_searches=2, seed=4)
     report = multistate_pmf(model, dist, cfg)
@@ -382,7 +440,7 @@ def test_streamed_pmf_equals_whole_batch(monkeypatch):
 def test_stage2_encodes_each_chunk_once_for_all_thresholds(monkeypatch):
     model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
     dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
-    monkeypatch.setattr(workflow, "_CHUNK_BYTES", 8 * 3 * 64)  # 64 rows a chunk
+    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 3 * 64)  # 64 rows a chunk
     cfg = RunConfig(n_samples=1000, eps_u=1e-2, r_max=100, parallel_searches=4, seed=3)
     encoded = []
     in_stage2 = False
@@ -416,7 +474,7 @@ def test_stage2_encodes_each_chunk_once_for_all_thresholds(monkeypatch):
 def test_pmf_stage1_samples_each_chunk_once_for_all_thresholds(monkeypatch):
     model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
     dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
-    monkeypatch.setattr(workflow, "_CHUNK_BYTES", 8 * 3 * 64)  # 64 rows a chunk
+    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 3 * 64)  # 64 rows a chunk
     cfg = RunConfig(n_samples=1000, eps_u=1e-2, r_max=100, parallel_searches=1, seed=3)
     drawn = []
     in_stage2 = False
@@ -457,7 +515,7 @@ def test_pass_allocates_one_kernel_scratch_per_worker(monkeypatch, workers):
     cfg = RunConfig(n_samples=2000, eps_u=1e-3, parallel_searches=8, seed=3, n_workers=workers)
     sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in _stage1(model, dist, cfg, range(4))]
     assert all(len(s) for _, low, up in sets for s in (low, up))
-    monkeypatch.setattr(workflow, "_CHUNK_BYTES", 8 * 12 * 400)  # 400 rows a chunk
+    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 12 * 400)  # 400 rows a chunk
     allocated = []
 
     def counting_scratch(size, n_words):
@@ -491,7 +549,7 @@ def test_pmf_stage1_equals_one_threshold_runs(monkeypatch, workers):
     # criterion 4's random coherent systems, those with M_S >= 3
     from conftest import random_distribution, random_monotone_model
 
-    monkeypatch.setattr(workflow, "_CHUNK_BYTES", 8 * 300)  # 100 rows a chunk or fewer
+    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 300)  # 100 rows a chunk or fewer
     rng = np.random.default_rng(2026)
     staggered = 0
     for case in range(12):
@@ -537,12 +595,13 @@ MiB = 1 << 20
 
 def test_stage2_memory_bounded_in_batch_size(rgg, rgg_refs):
     # the whole 400k x 115 batch would be 44 MiB of uint8 states alone. The
-    # peak is 3.40 MiB at 400k rows (3.31 MiB at 100k): one chunk's 1 MiB of
-    # states, one 1 MiB block of raw draws and the hit kernel's 1 MiB of
-    # scratch, which lives for the whole pass, plus the chunk's packed words
-    # and the open rows. The ceiling leaves 0.1 MiB of margin, less than the
-    # 1 MiB that holding the previous chunk's states, a second block of draws
-    # or the one-hot cube of a chunk at M = 2 would add
+    # peak is 3.28 MiB at 100k and at 400k rows: one chunk's 1 MiB of states,
+    # one 1 MiB block of raw draws and the hit kernel's 1 MiB of scratch,
+    # which lives for the whole pass, plus the chunk's packed words and its
+    # open rows. The ceiling leaves 0.2 MiB of margin, less than the 1 MiB
+    # that holding the previous chunk's states, a second block of draws or
+    # the one-hot cube of a chunk at M = 2 would add. Each chunk's open rows
+    # are resolved as it arrives, so the peak does not grow with H
     model, dist = rgg
     lower, upper = rgg_refs
     peaks = {
@@ -550,7 +609,7 @@ def test_stage2_memory_bounded_in_batch_size(rgg, rgg_refs):
         for h in (100_000, 400_000)
     }
     assert peaks[400_000] < 3.5 * MiB
-    assert peaks[400_000] - peaks[100_000] <= 24 * 300_000
+    assert peaks[400_000] - peaks[100_000] <= 16 * 1024
 
 
 def test_stage1_iteration_memory_bounded_in_batch_size(rgg):
