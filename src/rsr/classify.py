@@ -222,6 +222,7 @@ def verdicts(
     sets: list[ThresholdSets],
     shape: tuple[int, int, int],
     n_workers: int,
+    index: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
     """Classify rows ``0..n_rows-1`` of ``rows(start, stop)``, ``chunk_rows`` at a time.
 
@@ -231,6 +232,8 @@ def verdicts(
     rows its lower and its upper references hit, as two boolean masks.
     Reading the chunk that holds the first crossed bracket raises
     ``InconsistentReferenceSets``, so no row is hit by both sides of a set.
+    The error names row k as sample ``index[k]``, or as sample k when
+    ``index`` is None.
 
     Before the first chunk is drawn, each set is checked once for an upper
     reference under a lower one. The pass then allocates ``word_hits``'s
@@ -292,7 +295,8 @@ def verdicts(
         crossed = np.flatnonzero(lo > hi)
         if crossed.size:
             i = int(crossed[0])
-            raise InconsistentReferenceSets.on_bracket(sets, start + i, states[i], lo[i], hi[i])
+            sample = start + i if index is None else int(index[start + i])
+            raise InconsistentReferenceSets.on_bracket(sets, sample, states[i], lo[i], hi[i])
         return start, states, lo, hi, hits
 
     return ordered_map(work, range(0, n_rows, chunk_rows), n_workers)

@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable
 
 from . import __version__, files
 from .model import ComponentDistribution, SystemModel
@@ -26,6 +27,7 @@ from .sysfn import random_geometric_graph
 from .workflow import (
     RunConfig,
     Stage1Result,
+    _peak_rss_bytes,
     multistate_pmf,
     stage1_find_references,
     stage2_evaluate,
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="ignore model hash mismatch")
     _add_batch_flags(p)
 
-    p = sub.add_parser("pmf", help="multi-state PMF via both stages per threshold")
+    p = sub.add_parser("pmf", help="multi-state PMF: both stages on one batch for every threshold")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     _add_run_flags(p)
@@ -158,6 +160,19 @@ def _write_trace(path: Path, result: Stage1Result) -> None:
             )
 
 
+def _save_with_peak(save: Callable[[], None], manifest: dict) -> None:
+    """Run ``save`` with the command's peak RSS, taken after the save, as the manifest's ``peak_rss_bytes``.
+
+    A peak never falls, so while a save raises it the save runs again
+    with the new peak, until the peak it records is the peak after it.
+    """
+    while True:
+        manifest["peak_rss_bytes"] = peak = _peak_rss_bytes()
+        save()
+        if _peak_rss_bytes() == peak:
+            return
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         n_samples=args.samples,
@@ -192,8 +207,11 @@ def cmd_find_refs(args: argparse.Namespace) -> int:
         terminated_by=result.terminated_by,
         redundant_searches=result.redundant_searches,
     )
-    files.save_reference_sets(
-        args.out_refs, result.lower, result.upper, digest, manifest=manifest, seed=args.seed
+    _save_with_peak(
+        lambda: files.save_reference_sets(
+            args.out_refs, result.lower, result.upper, digest, manifest=manifest, seed=args.seed
+        ),
+        manifest,
     )
     if args.out_trace:
         _write_trace(args.out_trace, result)
@@ -224,7 +242,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         model_hash=digest,
         refs_path=str(args.refs),
     )
-    files.write_json(args.out_report, {"format": files.FORMAT, **asdict(report), "manifest": manifest})
+    doc = {"format": files.FORMAT, **asdict(report), "manifest": manifest}
+    _save_with_peak(lambda: files.write_json(args.out_report, doc), manifest)
     print(
         f"P(S<={report.threshold}) = {report.p_lower:.6e} "
         f"(cov {report.cov_lower if report.cov_lower is not None else 'undefined'}), "
@@ -240,36 +259,35 @@ def cmd_pmf(args: argparse.Namespace) -> int:
     manifest = files.build_manifest(
         "pmf", config=config, model_path=str(args.model), model_hash=digest
     )
-    files.write_json(
-        args.out,
-        {
-            "format": files.FORMAT,
-            "pmf": report.pmf.tolist(),
-            "cumulative_lower": report.cumulative_lower.tolist(),
-            "thresholds": [
-                {
-                    "m_prime": r.threshold,
-                    "p_lower": r.p_lower,
-                    "p_upper": r.p_upper,
-                    "cov_lower": r.cov_lower,
-                    "cov_upper": r.cov_upper,
-                    "unclassified_resolved": r.unclassified_resolved,
-                    "stage1": {
-                        "iterations": s1.iterations,
-                        "lower_refs": len(s1.lower),
-                        "upper_refs": len(s1.upper),
-                        "terminated_by": s1.terminated_by,
-                        "search_phi_calls": s1.search_phi_calls,
-                    },
-                }
-                for r, s1 in zip(report.stage2_reports, report.stage1_results)
-            ],
-            # one per sample left open at some threshold; with the search
-            # calls above, every phi call of the run
-            "resolution_phi_calls": report.resolution_phi_calls,
-            "manifest": manifest,
-        },
-    )
+    doc = {
+        "format": files.FORMAT,
+        "pmf": report.pmf.tolist(),
+        "cumulative_lower": report.cumulative_lower.tolist(),
+        "thresholds": [
+            {
+                "m_prime": r.threshold,
+                "p_lower": r.p_lower,
+                "p_upper": r.p_upper,
+                "cov_lower": r.cov_lower,
+                "cov_upper": r.cov_upper,
+                "unclassified_resolved": r.unclassified_resolved,
+                "stage1": {
+                    # rounds on batch 0, the batch the estimates come from
+                    "iterations": s1.iterations,
+                    "lower_refs": len(s1.lower),
+                    "upper_refs": len(s1.upper),
+                    "terminated_by": s1.terminated_by,
+                    "search_phi_calls": s1.search_phi_calls,
+                },
+            }
+            for r, s1 in zip(report.stage2_reports, report.stage1_results)
+        ],
+        # one per sample left open at some threshold; with the search
+        # calls above, every phi call of the run
+        "resolution_phi_calls": report.resolution_phi_calls,
+        "manifest": manifest,
+    }
+    _save_with_peak(lambda: files.write_json(args.out, doc), manifest)
     print("PMF:", " ".join(f"{p:.6e}" for p in report.pmf))
     return EXIT_OK
 

@@ -148,24 +148,63 @@ def sample_rows(
     """States of the samples at ``indices`` of one batch; row k is row ``indices[k]``.
 
     One generator walks forward once through the distinct rows in
-    ascending order. It reaches each row by drawing the gap before it
-    with the row in one call, or, past ``_ADVANCE_DRAWS``, by advancing
-    its counter to the row's block of four draws. A repeated row is
-    drawn once and copied.
+    ascending order, a run of rows at a time. A run spans at most one
+    block of ``_DRAW_BYTES`` of draws and is drawn in one call, the gaps
+    between its rows with it; the generator reaches it by drawing the gap
+    before it in the same call, or, past ``_ADVANCE_DRAWS``, by advancing
+    its counter to the run's block of four draws. A dense set of rows
+    costs a few calls a block, a scattered one a call a row. A long run
+    with no gap is turned into states as it is drawn; the rows of the
+    others gather in a buffer of at most one block, turned into states
+    whenever it fills, so the call holds the states plus about two
+    blocks. A repeated row is drawn once and copied.
     """
     n = dist.n_components
     rows, inverse = np.unique(np.asarray(indices, dtype=np.int64).reshape(-1), return_inverse=True)
-    raw = np.empty((len(rows), n), dtype=np.uint64)
+    cuts = _cuts(dist)
+    states = np.empty((len(rows), n), dtype=np.min_scalar_type(dist.n_states - 1))
+    if not len(rows):
+        return states
+    block = max(1, _DRAW_BYTES // (8 * n))
+    # a stretch of rows starts at the first row and after each gap too long
+    # to draw; a run is the rows of one block-long piece of a stretch
+    stretch = np.r_[True, (np.diff(rows) - 1) * n > _ADVANCE_DRAWS]
+    origin = np.repeat(rows[stretch], np.diff(np.r_[np.flatnonzero(stretch), len(rows)]))
+    piece = (rows - origin) // block
+    starts = np.flatnonzero(np.r_[True, (np.diff(origin) != 0) | (np.diff(piece) != 0)])
+    ends = np.r_[starts[1:], len(rows)]
+    first, last = rows[starts], rows[ends - 1]
+    # each run's plan: the stream's next draw is at the end of the run before;
+    # a run past a long gap advances to its block of four draws, of which
+    # ceil(pos / 4) are spent, and then draws its lead into that block
+    pos = np.r_[0, (last[:-1] + 1) * n]
+    lead = first * n - pos
+    jump = lead > _ADVANCE_DRAWS
+    advance = np.where(jump, first * n // 4 + (-pos // 4), 0)
+    lead[jump] = first[jump] * n % 4
+    offset = rows - np.repeat(first, ends - starts)  # a row's place in its run
+    span = (last + 1 - first) * n
+    dense = (ends - starts) * n == span  # runs with no gap
+    # a gapless run of more draws than a call's overhead costs (about
+    # _ADVANCE_DRAWS) becomes states as it is drawn; shorter ones wait in the buffer
+    direct = dense & (span > _ADVANCE_DRAWS)
+    buffer = np.empty((min(block, int((ends - starts)[~direct].sum())), n), dtype=np.uint64)
+    done = 0  # rows before ``done`` are states; rows done..a wait in the buffer
     bg = _philox(seed, generation_index)
-    pos = 0  # flat index of the stream's next draw; ceil(pos / 4) blocks are spent
-    for k, first in enumerate(rows.tolist()):
-        first *= n
-        lead = first - pos
-        if lead > _ADVANCE_DRAWS:
-            blocks, lead = divmod(first, 4)
-            bg.advance(blocks + (-pos // 4))
-        raw[k] = bg.random_raw(lead + n)[lead:]
-        pos = first + n
-    states = np.empty(raw.shape, dtype=np.min_scalar_type(dist.n_states - 1))
-    _states(_cuts(dist), raw, states)
+    plan = zip(*(v.tolist() for v in (starts, ends, advance, lead, span, dense, direct)))
+    for a, b, skip, lead_k, span_k, dense_k, direct_k in plan:
+        if a > done and (direct_k or b - done > len(buffer)):
+            _states(cuts, buffer[: a - done], states[done:a])
+            done = a
+        if skip:
+            bg.advance(skip)
+        raw = bg.random_raw(lead_k + span_k)[lead_k:].reshape(-1, n)
+        if direct_k:
+            _states(cuts, raw, states[a:b])
+            done = b
+        elif dense_k:
+            buffer[a - done : b - done] = raw
+        else:
+            np.take(raw, offset[a:b], axis=0, out=buffer[a - done : b - done], mode="clip")
+    _states(cuts, buffer[: len(rows) - done], states[done:])
     return states[inverse]

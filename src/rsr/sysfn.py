@@ -198,7 +198,8 @@ def k_out_of_n(k: int, n_components: int) -> Callable:
 
     def rows(x: np.ndarray) -> np.ndarray:
         """The batch form: phi of each row of a K x N matrix."""
-        return np.sort(x, axis=1)[:, n_components - k]
+        # a copy, so that the result does not keep the sorted matrix alive
+        return np.sort(x, axis=1)[:, n_components - k].copy()
 
     phi.rows = rows
     return phi

@@ -1,63 +1,71 @@
 """Two-stage workflow: reference discovery (Stage 1) and probability evaluation (Stage 2).
 
-Stage 1 alternates sample classification with componentwise boundary
-searches seeded from unclassified samples, until the unclassified
-probability estimate falls below ``eps_u`` or the reference count reaches
-``r_max``. Note that ``eps_u`` is checked on each iteration's fresh
-sample batch: it is a sample-estimate threshold, not a certified bound.
-Each iteration works in batches: the searches of every pick walk in
-lockstep, one phi call a round for all of them
-(``boundary.boundary_searches``), and each reference set then takes the
-iteration's candidates in one ``ReferenceSet.insert_many``. Walks never
-read the sets, so the sets and outcomes are those of one search and one
-insert at a time. A vector that several walks of one threshold probe is
-evaluated once, so an iteration makes at most the phi calls of its
-searches made one at a time, and fewer when its walks probe alike.
-Each set's members give its side's walks a prior rejection rate, which
-sizes the start of their gallops (``boundary._walk``): it moves the phi
-calls, never the references.
-For several thresholds (``multistate_pmf``) Stage 1 runs them in lockstep:
-iteration i streams its batch once, classified against every threshold
-still running, and then each of those thresholds tests its own stop and
-picks its own searches, which walk with the others'. Each threshold's
-references and search phi calls are those it would find alone, but a
-sample whose bracket references of two thresholds cross raises already in
-Stage 1.
+Stage 1 (``stage1_find_references``) alternates sample classification
+with componentwise boundary searches seeded from unclassified samples,
+until the unclassified probability estimate falls below ``eps_u`` or the
+reference count reaches ``r_max``. Note that ``eps_u`` is checked on each
+iteration's fresh sample batch: it is a sample-estimate threshold, not a
+certified bound. Each iteration works in batches (``_search_round``): the
+searches of every pick walk in lockstep, one phi call a round for all of
+them (``boundary.boundary_searches``), and each reference set then takes
+the iteration's candidates in one ``ReferenceSet.insert_many``. Walks
+never read the sets, so the sets and outcomes are those of one search and
+one insert at a time. A vector that several walks of one threshold probe
+is evaluated once, so an iteration makes at most the phi calls of its
+searches made one at a time, and fewer when its walks probe alike. Each
+set's members give its side's walks a prior rejection rate, which sizes
+the start of their gallops (``boundary._walk``): it moves the phi calls,
+never the references.
 
-Stage 2 classifies one batch against the sets of every requested
-threshold, bracketing each sample's system state S: a lower match at m'
-gives S <= m', an upper match S >= m'+1. One performance-function call
-settles each sample the bracket leaves open: each chunk's open rows go
-to the model's counted core ``SystemModel._phi_rows`` in one call as the
-chunk arrives, the core the boundary walks call too. A crossed bracket,
-or phi outside one, means phi is not coherent and raises (``_stage2``).
+Stage 2 (``_stage2``) classifies one batch against the sets of every
+requested threshold, bracketing each sample's system state S: a lower
+match at m' gives S <= m', an upper match S >= m'+1. One
+performance-function call settles each sample the bracket leaves open:
+each chunk's open rows go to the model's counted core
+``SystemModel._phi_rows`` in one call as the chunk arrives, the core the
+boundary walks call too. A crossed bracket, or phi outside one, means phi
+is not coherent and raises (``_phi_in_bracket``).
 
-Both stages stream their batch through the one classification route,
-``classify.verdicts``, with ``_stream`` as its row source: each chunk is
-drawn from the counter-based sampler, so the whole batch is never held,
-and its states stay N bytes a row (M <= 256). The sampler fills a chunk
-from 1 MiB blocks of raw draws and ``verdicts`` packs it once, in the
-thermometer layout, for both sides of every set, so a chunk's
-temporaries are about its states plus 1 MiB, next to the hit kernel's
-scratch of about 1 MiB that each worker keeps for the whole pass. Memory
-is about one chunk's temporaries and one scratch per worker. Stage 1
-adds one bit per sample and running threshold for the unclassified rows,
-builds one threshold's index array at a time, and regenerates the rows
-it searches from by index, every threshold's picks in one forward walk
-of the stream; its first iteration, whose sets are all empty, draws
-nothing. Stage 2 adds only per-threshold counts, whatever the batch
-size. The crude Monte Carlo oracle (``oracle.crude_monte_carlo``) stays
-whole-batch and calls phi one row at a time through
-``SystemModel.evaluate`` on purpose, as an independent check of this path
-and of any batch form of phi.
+``multistate_pmf`` runs both stages on one batch, Stage 2's batch 0. Its
+Stage 1 works in rounds: each threshold still running searches from rows
+its bracket leaves open, every threshold's picks walk in one
+``_search_round``, and only the rows still open are classified again.
+Coverage only grows, so a settled row stays settled. A threshold stops on
+``eps_u`` (now the open share of batch 0 itself) or ``r_max``, and all
+stop on cost, once the walks' phi calls over the last ``_COST_WINDOW``
+rounds exceed the open rows those rounds settled: each open row costs
+one phi call when the rounds end and Stage 2 resolves the rest, checked
+against its bracket. Stage 2's estimate does not depend on the
+references, so the PMF is phi's frequency on batch 0 whatever the stop.
+
+``find-refs`` and ``evaluate`` stream their batch through the one
+classification route, ``classify.verdicts``, with ``_stream`` as its row
+source: each chunk is drawn from the counter-based sampler, so the whole
+batch is never held, and its states stay N bytes a row (M <= 256). The
+sampler fills a chunk from 1 MiB blocks of raw draws and ``verdicts``
+packs it once, in the thermometer layout, for both sides of every set,
+so a chunk's temporaries are about its states plus 1 MiB, next to the
+hit kernel's scratch of about 1 MiB that each worker keeps for the whole
+pass. Memory is about one chunk's temporaries and one scratch per
+worker. Stage 1 adds one byte per sample for the unclassified rows and
+regenerates the rows it searches from by index; its first iteration,
+whose sets are empty, draws nothing. Stage 2 adds only per-threshold
+counts, whatever the batch size. ``multistate_pmf`` keeps the open rows'
+indices and narrow brackets between rounds, a few bytes a row and never
+their states, and regenerates the open rows chunk by chunk with
+``sampling.sample_rows`` as the source of ``verdicts``. The crude Monte
+Carlo oracle (``oracle.crude_monte_carlo``) stays whole-batch and calls
+phi one row at a time through ``SystemModel.evaluate`` on purpose, as an
+independent check of this path and of any batch form of phi.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -85,6 +93,10 @@ __all__ = [
 # Stage 2 always draws generation index 0 so that, with empty reference
 # sets, it is seed-matched bit-for-bit with the crude Monte Carlo oracle.
 _STAGE2_GENERATION = 0
+
+# pmf's Stage 1 stops once its walks' phi calls over this many rounds
+# exceed the open rows those rounds settled
+_COST_WINDOW = 3
 
 
 def _peak_rss_bytes() -> int | None:
@@ -128,11 +140,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """Per-iteration measurements of one threshold's Stage-1 run.
+    """Per-iteration measurements of one threshold's Stage-1 run; ``multistate_pmf``'s iterations are its rounds.
 
     ``elapsed_seconds`` counts from the start of the Stage-1 call, and
-    ``peak_rss_bytes`` is the process's peak so far: thresholds that
-    ``multistate_pmf`` runs in lockstep share that clock and that peak.
+    ``peak_rss_bytes`` is the process's peak so far: the thresholds of one
+    ``multistate_pmf`` round share that clock and that peak.
     Every other field is the threshold's own.
     """
 
@@ -153,7 +165,7 @@ class Stage1Result:
     trace: list[TraceRecord]
     iterations: int
     redundant_searches: int
-    terminated_by: str  # 'eps_u' or 'r_max'
+    terminated_by: str  # 'eps_u', 'r_max', or 'cost' (multistate_pmf only)
 
     @property
     def search_phi_calls(self) -> int:
@@ -170,7 +182,7 @@ class Stage2Report:
     cov_lower: float | None
     cov_upper: float | None
     n_samples: int
-    unclassified_resolved: int
+    unclassified_resolved: int  # samples the bracket left open at m', each resolved by phi
     threshold: int
     seed: int
 
@@ -186,135 +198,121 @@ def stage1_find_references(
     Each iteration streams a fresh batch (keyed by its iteration index)
     through classification and, if not yet converged, runs boundary
     searches from up to ``parallel_searches`` randomly selected
-    unclassified samples, regenerated by index.
-    Redundant (dominated) search results do not count toward ``r_max``.
-    This is the one-threshold call of the Stage-1 core that
-    ``multistate_pmf`` runs for all thresholds in lockstep.
-    """
-    (result,) = _stage1(model, dist, config, [threshold])
-    return result
-
-
-def _stage1(
-    model: SystemModel,
-    dist: ComponentDistribution,
-    config: RunConfig,
-    thresholds: Sequence[int],
-) -> list[Stage1Result]:
-    """Stage 1 for every threshold in lockstep: iteration i classifies batch i once for all.
-
-    A threshold's stop tests, picks, searches and inserts read only its
-    own hit masks and sets, so each result equals a one-threshold run.
-    Every threshold picks with the same ``default_rng([seed, iteration])``
-    stream, built once an iteration and reset before each pick, and one
-    ``sample_rows`` call regenerates all the picked rows. The searches of
-    all thresholds walk together, and each set takes its iteration's
-    candidates, in pick order, in one insert. While every set is empty no
+    unclassified samples, regenerated by index, with
+    ``default_rng([seed, iteration])``. Redundant (dominated) search
+    results do not count toward ``r_max``. While the sets are empty no
     reference hits a row, so that iteration (the first) streams nothing:
     every row is open, and its trace record is (0, 0, 1).
     """
-    for threshold in thresholds:
-        model.check_threshold(threshold)
-    results = [
-        Stage1Result(ReferenceSet(Side.LOWER, t), ReferenceSet(Side.UPPER, t), [], 0, 0, "r_max")
-        for t in thresholds
-    ]
-    searches = [0] * len(results)
-    phi_calls = [0] * len(results)
+    model.check_threshold(threshold)
+    result = Stage1Result(ReferenceSet(Side.LOWER, threshold), ReferenceSet(Side.UPPER, threshold), [], 0, 0, "r_max")
+    searches = phi_calls = 0
     t_start = time.perf_counter()
     h = config.n_samples
-    live = list(range(len(results)))
-    iteration = 0
-    while live:
-        sets = [(thresholds[k], results[k].lower, results[k].upper) for k in live]
-        n_lower = np.zeros(len(live), dtype=np.int64)
-        n_upper = np.zeros(len(live), dtype=np.int64)
-        # bit j % 8 of open_bits[j // 8, row]: neither side of live[j] hits the row.
-        # While every set is empty no reference hits a row, so the batch is
-        # not drawn, every row is open and open_bits stays None
-        open_bits = None
-        if any(len(ref_set) for _, lower, upper in sets for ref_set in (lower, upper)):
-            open_bits = np.empty((-(-len(live) // 8), h), dtype=np.uint8)
-            for start, states, lo, hi, hits in _stream(model, dist, config, iteration, sets):
-                low, up = (np.array(side) for side in zip(*hits))
-                n_lower += np.count_nonzero(low, axis=1)
-                n_upper += np.count_nonzero(up, axis=1)
-                open_bits[:, start : start + len(states)] = np.packbits(~(low | up), axis=0, bitorder="little")
+    for iteration in itertools.count():
+        n_lower = n_upper = 0
+        # open_[row]: neither side hits the row. While both sets are empty the
+        # batch is not drawn, every row is open and ``open_`` stays None
+        open_ = None
+        if len(result.lower) or len(result.upper):
+            open_ = np.empty(h, dtype=bool)
+            sets = [(threshold, result.lower, result.upper)]
+            for start, states, lo, hi, ((low, up),) in _stream(model, dist, config, iteration, sets):
+                n_lower += int(np.count_nonzero(low))
+                n_upper += int(np.count_nonzero(up))
+                open_[start : start + len(states)] = ~(low | up)
                 # dropped before the next chunk is drawn, so one chunk is alive at a time
-                del states, lo, hi, hits, low, up
+                del states, lo, hi, low, up
         # verdicts raises on a row both sides of a set hit, so the counts partition h
-        n_open = h - n_lower - n_upper
-
-        still_live = []
-        # every threshold picks from the same stream, reset to its start
+        if not _record(result, config, iteration, t_start, phi_calls, searches, n_lower, n_upper):
+            return result
+        # choice over h picks what choice over arange(h) would, without the array
         rng = np.random.default_rng([config.seed, iteration])
-        origin = rng.bit_generator.state
-        # (k, the indices of the rows k searches from) of every threshold that searches this iteration
-        picked = []
-        for j, (k, low_count, up_count, open_count) in enumerate(
-            zip(live, n_lower.tolist(), n_upper.tolist(), n_open.tolist())
-        ):
-            result = results[k]
-            result.trace.append(
-                TraceRecord(
-                    reference_count=len(result.lower) + len(result.upper),
-                    elapsed_seconds=time.perf_counter() - t_start,
-                    phi_evaluations=phi_calls[k],
-                    searches=searches[k],
-                    p_lower=low_count / h,
-                    p_upper=up_count / h,
-                    p_unclassified=open_count / h,
-                    peak_rss_bytes=_peak_rss_bytes(),
-                )
-            )
-            result.iterations = iteration + 1
-            if open_count / h <= config.eps_u:
-                result.terminated_by = "eps_u"
-                continue
-            if len(result.lower) + len(result.upper) >= config.r_max:
-                continue
-            still_live.append(k)
-
-            # choice over h picks what choice over arange(h) would, without the array
-            open_indices = h if open_bits is None else np.flatnonzero(open_bits[j >> 3] & (1 << (j & 7)))
-            rng.bit_generator.state = origin
-            n_pick = min(config.parallel_searches, open_count)
-            picked.append((k, rng.choice(open_indices, size=n_pick, replace=False)))
-            del open_indices
-            searches[k] += n_pick
+        rows = h if open_ is None else np.flatnonzero(open_)
+        picks = rng.choice(rows, size=min(config.parallel_searches, h - n_lower - n_upper), replace=False)
         # freed before the searches and the next iteration allocate their own
-        del open_bits
-        if not still_live:
-            break
+        del open_, rows
+        (calls,) = _search_round(model, dist, config, iteration, [(result, picks)])
+        searches += len(picks)
+        phi_calls += calls
 
-        owners = np.repeat([k for k, _ in picked], [len(picks) for _, picks in picked])
-        # the counter-based stream regenerates the picked rows alone, every
-        # threshold's in one walk; a row two thresholds picked is drawn once
-        starts = sample_rows(dist, config.seed, iteration, np.concatenate([picks for _, picks in picked]))
-        targets = np.asarray(thresholds)[owners]
-        # every pick of every threshold walks in lockstep, one phi call a
-        # round. Each nonempty set gives its side's walks the rate at which
-        # earlier walks were rejected, which sizes their gallops and never
-        # changes a reference
-        priors = {
-            (ref_set.threshold, ref_set.side): _rejection_rate(ref_set, model.n_component_states)
-            for k in still_live
-            for ref_set in (results[k].lower, results[k].upper)
-            if len(ref_set)
-        }
-        ends, lower, calls = boundary_searches(model, starts, targets.tolist(), priors)
-        # walks never read the sets, so each set takes its iteration's
-        # candidates, in pick order, in one insert
-        for k in still_live:
-            result = results[k]
-            phi_calls[k] += int(calls[owners == k].sum())
-            for target, side in ((result.lower, lower), (result.upper, ~lower)):
-                result.redundant_searches += target.insert_many(ends[(owners == k) & side]).count("redundant")
-        # dropped before the next iteration streams its batch
-        del picked, starts, ends, lower, calls
-        live = still_live
-        iteration += 1
-    return results
+
+def _record(
+    result: Stage1Result,
+    config: RunConfig,
+    iteration: int,
+    t_start: float,
+    phi_calls: int,
+    searches: int,
+    n_lower: int,
+    n_upper: int,
+) -> bool:
+    """Append an iteration's trace record, and return whether the threshold searches on.
+
+    ``n_lower`` and ``n_upper`` count the rows the threshold's bracket
+    settles below and above m'. It stops on ``eps_u`` once the open share
+    is at most ``eps_u``, or on ``r_max`` references, the stop a
+    ``Stage1Result`` starts with.
+    """
+    h = config.n_samples
+    n_open = h - n_lower - n_upper
+    result.trace.append(
+        TraceRecord(
+            reference_count=len(result.lower) + len(result.upper),
+            elapsed_seconds=time.perf_counter() - t_start,
+            phi_evaluations=phi_calls,
+            searches=searches,
+            p_lower=n_lower / h,
+            p_upper=n_upper / h,
+            p_unclassified=n_open / h,
+            peak_rss_bytes=_peak_rss_bytes(),
+        )
+    )
+    result.iterations = iteration + 1
+    if n_open / h <= config.eps_u:
+        result.terminated_by = "eps_u"
+        return False
+    return len(result.lower) + len(result.upper) < config.r_max
+
+
+def _search_round(
+    model: SystemModel,
+    dist: ComponentDistribution,
+    config: RunConfig,
+    generation: int,
+    picks: list[tuple[Stage1Result, np.ndarray]],
+) -> list[int]:
+    """Walk from every picked row of batch ``generation`` in lockstep, then give each set its candidates in one insert.
+
+    ``picks`` pairs each searching threshold's result with the indices of
+    the rows it searches from. One ``sample_rows`` call regenerates every
+    picked row, and one ``boundary_searches`` call walks them all, one phi
+    call a round; each nonempty set gives its side's walks the rate at
+    which earlier walks were rejected, which sizes their gallops and never
+    changes a reference. Walks never read the sets, so each set takes its
+    candidates, in pick order, in one ``insert_many``: the sets and
+    outcomes of one search and one insert at a time. Returns each
+    threshold's walks' phi calls, in the order of ``picks``.
+    """
+    sizes = [len(rows) for _, rows in picks]
+    owners = np.repeat(np.arange(len(picks)), sizes)
+    targets = np.repeat([result.lower.threshold for result, _ in picks], sizes).tolist()
+    # the counter-based stream regenerates the picked rows alone; a row two thresholds picked is drawn once
+    starts = sample_rows(dist, config.seed, generation, np.concatenate([rows for _, rows in picks]))
+    priors = {
+        (ref_set.threshold, ref_set.side): _rejection_rate(ref_set, model.n_component_states)
+        for result, _ in picks
+        for ref_set in (result.lower, result.upper)
+        if len(ref_set)
+    }
+    ends, lower, calls = boundary_searches(model, starts, targets, priors)
+    spent = []
+    for k, (result, _) in enumerate(picks):
+        mine = owners == k
+        for target, side in ((result.lower, lower), (result.upper, ~lower)):
+            result.redundant_searches += target.insert_many(ends[mine & side]).count("redundant")
+        spent.append(int(calls[mine].sum()))
+    return spent
 
 
 def _rejection_rate(ref_set: ReferenceSet, n_states: int) -> float:
@@ -366,14 +364,8 @@ def _stage2(
         # the rows whose bracket leaves some threshold open
         rows = np.flatnonzero(((lo[:, None] <= thresholds) & (thresholds < hi[:, None])).any(axis=1))
         if rows.size:
-            # sampled rows lie in [0, M-1] by construction: the counted core, unchecked
-            phi = model._phi_rows(states[rows])
-            bad = np.flatnonzero((phi < lo[rows]) | (phi > hi[rows]))
-            if bad.size:
-                k, s = rows[bad[0]], int(phi[bad[0]])
-                raise InconsistentReferenceSets.on_bracket(sets, start + int(k), states[k], lo[k], hi[k], s)
             # S = phi on an open row; on any other row S <= m' exactly where hi <= m'
-            hi[rows] = phi
+            hi[rows] = _phi_in_bracket(model, sets, states[rows], lo[rows], hi[rows], lambda k: start + int(rows[k]))
         n_low += (hi[:, None] <= thresholds).sum(axis=0)
         # dropped before the next chunk is drawn, so one chunk is alive at a time
         del states, lo, hi, hits, rows
@@ -396,6 +388,29 @@ def _stage2(
     return reports
 
 
+def _phi_in_bracket(
+    model: SystemModel,
+    sets: list[ThresholdSets],
+    states: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    sample: Callable[[int], int],
+) -> np.ndarray:
+    """phi on every row of ``states``, each checked against its bracket lo <= S <= hi.
+
+    The rows go to the model's counted core ``SystemModel._phi_rows`` in one
+    call: sampled rows lie in [0, M-1] by construction, so they are not
+    checked. The first row whose phi leaves its bracket raises
+    ``InconsistentReferenceSets``, named as sample ``sample(k)``.
+    """
+    phi = model._phi_rows(states)
+    bad = np.flatnonzero((phi < lo) | (phi > hi))
+    if bad.size:
+        k = int(bad[0])
+        raise InconsistentReferenceSets.on_bracket(sets, sample(k), states[k], int(lo[k]), int(hi[k]), int(phi[k]))
+    return phi
+
+
 def stage2_evaluate(
     model: SystemModel,
     dist: ComponentDistribution,
@@ -416,11 +431,19 @@ def stage2_evaluate(
 
 @dataclass(frozen=True)
 class PmfReport:
+    """The PMF of S from ``multistate_pmf``, with each threshold's Stage-1 result and estimates.
+
+    Every estimate is phi's frequency on batch 0, exact whatever
+    references Stage 1 found. Each Stage-1 result holds that threshold's
+    rounds on batch 0 and their search phi calls; with
+    ``resolution_phi_calls`` they make up every phi call of the run.
+    """
+
     pmf: np.ndarray  # length M_S, sums to 1
     cumulative_lower: np.ndarray  # P(S <= m') for m' = 0..M_S-2
     stage2_reports: tuple[Stage2Report, ...]
     stage1_results: tuple[Stage1Result, ...]  # one per m'; each counts its search phi calls
-    resolution_phi_calls: int  # Stage 2's phi calls, one per sample some threshold left open
+    resolution_phi_calls: int  # one phi call per sample some threshold's bracket left open
 
 
 def assemble_pmf(cumulative: np.ndarray | list[float]) -> tuple[np.ndarray, float]:
@@ -439,31 +462,153 @@ def assemble_pmf(cumulative: np.ndarray | list[float]) -> tuple[np.ndarray, floa
     return clipped / clipped.sum(), adjustment
 
 
+def _reclassify(
+    model: SystemModel,
+    dist: ComponentDistribution,
+    config: RunConfig,
+    sets: list[ThresholdSets],
+    index: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    known: np.ndarray,
+) -> int:
+    """Classify the rows ``index`` of batch 0 against every set, and keep those still open at the front, in place.
+
+    ``sample_rows`` regenerates the rows chunk by chunk as ``verdicts``'s
+    source, and a crossed bracket raises naming its sample. A row whose
+    bracket closes, lo = hi = S, is counted in ``known[S]``; the others
+    move to the front of ``index``, with their brackets in ``lo`` and
+    ``hi``, and their count is returned. A chunk's rows go no further
+    forward than the chunk itself, so no worker reads an index written over.
+    """
+    n_open = 0
+    for start, states, c_lo, c_hi, _ in verdicts(
+        lambda start, stop: sample_rows(dist, config.seed, _STAGE2_GENERATION, index[start:stop]),
+        len(index), _chunk_rows(model.n_components), sets,
+        (model.n_components, model.n_component_states, model.n_system_states), config.n_workers, index,
+    ):
+        keep = c_lo < c_hi
+        known += np.bincount(c_hi[~keep], minlength=len(known))
+        end = n_open + np.count_nonzero(keep)
+        index[n_open:end] = index[start : start + len(states)][keep]
+        lo[n_open:end] = c_lo[keep]
+        hi[n_open:end] = c_hi[keep]
+        n_open = end
+        # dropped before the next chunk is drawn, so one chunk is alive at a time
+        del states, c_lo, c_hi, keep
+    return n_open
+
+
 def multistate_pmf(
     model: SystemModel,
     dist: ComponentDistribution,
     config: RunConfig,
 ) -> PmfReport:
-    """Run Stage 1 for every threshold in lockstep, then one Stage 2 for all, and compose the PMF.
+    """Find references for every threshold on Stage 2's own batch, then resolve the rest by phi.
 
-    Stage 1 classifies each iteration's batch once for every threshold
-    still running; each threshold's references, trace and phi counts equal
-    those of ``stage1_find_references`` at that threshold alone. A sample
-    whose bracket references of two thresholds cross raises
-    ``InconsistentReferenceSets`` there, in Stage 1.
-    Stage 2 resolves each sample's system state once, on one batch, so the
-    chain P(S <= m') is monotone exactly and the PMF needs no clamping.
+    Stage 1 runs in rounds on batch 0, the batch Stage 2 draws. Each
+    round, every threshold still running picks up to ``parallel_searches``
+    rows its bracket leaves open, with ``default_rng([seed, round])``
+    reset before each threshold; all picks walk in one lockstep
+    (``_search_round``), and the rows still open are classified again
+    against the full sets. A threshold stops on ``eps_u`` (the share of
+    batch 0 its bracket leaves open) or ``r_max``; all stop on cost, once
+    the walks' phi calls over the last ``_COST_WINDOW`` rounds exceed the
+    open rows those rounds settled. Both are exact counts on the batch:
+    each open row costs one phi call at the end. Then every row still
+    open is resolved by one phi call, checked against its bracket.
+
+    The estimate is phi's frequency on batch 0 whatever references are
+    found, so it equals the crude Monte Carlo oracle's at the same seed,
+    and the chain P(S <= m') is monotone exactly. Between rounds only the
+    open rows' indices and narrow brackets are kept: the rows are
+    regenerated chunk by chunk by ``sample_rows``. A crossed bracket, or
+    phi outside one, raises ``InconsistentReferenceSets``.
     """
-    stage1_results = tuple(_stage1(model, dist, config, range(model.n_system_states - 1)))
-    sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in stage1_results]
-    phi_start = model.evaluation_count
-    reports = _stage2(model, dist, config, sets)
+    n_states = model.n_system_states
+    thresholds = range(n_states - 1)
+    results = [
+        Stage1Result(ReferenceSet(Side.LOWER, t), ReferenceSet(Side.UPPER, t), [], 0, 0, "r_max") for t in thresholds
+    ]
+    sets = [(t, result.lower, result.upper) for t, result in zip(thresholds, results)]
+    searches = [0] * len(results)
+    phi_calls = [0] * len(results)
+    h = config.n_samples
+    # the open rows, whose bracket lo <= S <= hi leaves S unknown: ascending
+    # sample indices and narrow brackets, a few bytes a row, which each round
+    # compacts in place. While the sets are empty every row is open
+    index = np.arange(h, dtype=np.min_scalar_type(h - 1))
+    lo = np.zeros(h, dtype=np.min_scalar_type(n_states - 1))
+    hi = np.full(h, n_states - 1, dtype=lo.dtype)
+    # known[s]: the settled rows whose system state is s
+    known = np.zeros(n_states, dtype=np.int64)
+    spent: list[int] = []  # each round's walks' phi calls
+    settled: list[int] = []  # the open rows each round's references settled
+    t_start = time.perf_counter()
+    live = list(range(len(results)))
+    for round_ in itertools.count():
+        if round_:
+            n_open = _reclassify(model, dist, config, sets, index, lo, hi, known)
+            settled.append(len(index) - n_open)
+            index, lo, hi = index[:n_open], lo[:n_open], hi[:n_open]
+        # the rows whose bracket says S <= m', and S >= m'+1, at each m'
+        below = np.cumsum(known + np.bincount(hi, minlength=n_states))[:-1].tolist()
+        above = (h - np.cumsum(known + np.bincount(lo, minlength=n_states))[:-1]).tolist()
+        still_live = [
+            k for k in live if _record(results[k], config, round_, t_start, phi_calls[k], searches[k], below[k], above[k])
+        ]
+        if still_live and len(spent) >= _COST_WINDOW and sum(spent[-_COST_WINDOW:]) > sum(settled[-_COST_WINDOW:]):
+            for k in still_live:
+                results[k].terminated_by = "cost"
+            still_live = []
+        if not still_live:
+            break
+        # every threshold picks from the same stream, reset to its start
+        rng = np.random.default_rng([config.seed, round_])
+        origin = rng.bit_generator.state
+        picks = []
+        for k in still_live:
+            rng.bit_generator.state = origin
+            open_k = index[(lo <= k) & (k < hi)]
+            n_pick = min(config.parallel_searches, len(open_k))
+            picks.append((results[k], rng.choice(open_k, size=n_pick, replace=False)))
+            searches[k] += n_pick
+            del open_k
+        calls = _search_round(model, dist, config, _STAGE2_GENERATION, picks)
+        for k, c in zip(still_live, calls):
+            phi_calls[k] += c
+        spent.append(sum(calls))
+        live = still_live
+
+    # every row still open costs one phi call, checked against its bracket
+    chunk = _chunk_rows(model.n_components)
+    for start in range(0, len(index), chunk):
+        stop = min(start + chunk, len(index))
+        states = sample_rows(dist, config.seed, _STAGE2_GENERATION, index[start:stop])
+        phi = _phi_in_bracket(model, sets, states, lo[start:stop], hi[start:stop], lambda k: int(index[start + k]))
+        known += np.bincount(phi, minlength=n_states)
+    n_low = np.cumsum(known)[:-1].tolist()
+    # the rows each threshold's bracket left open, which phi resolved
+    open_at_end = [h - below[k] - above[k] for k in thresholds]
+    reports = [
+        Stage2Report(
+            p_lower=low / h,
+            p_upper=(h - low) / h,
+            cov_lower=cov(low / h, h),
+            cov_upper=cov((h - low) / h, h),
+            n_samples=h,
+            unclassified_resolved=n_open_k,
+            threshold=t,
+            seed=config.seed,
+        )
+        for t, low, n_open_k in zip(thresholds, n_low, open_at_end)
+    ]
     cum = np.array([r.p_lower for r in reports])
     pmf, _ = assemble_pmf(cum)
     return PmfReport(
         pmf=pmf,
         cumulative_lower=cum,
         stage2_reports=tuple(reports),
-        stage1_results=stage1_results,
-        resolution_phi_calls=model.evaluation_count - phi_start,
+        stage1_results=tuple(results),
+        resolution_phi_calls=len(index),
     )

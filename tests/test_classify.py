@@ -174,6 +174,28 @@ def test_crossing_sets_raise_on_the_first_crossed_sample(monkeypatch, workers):
             pass
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_crossed_row_is_named_by_its_sample_index(workers):
+    # a source of scattered rows, every third sample, names a crossed row by
+    # the sample it was drawn from, not by its place among the rows
+    rng = np.random.default_rng(8)
+    n, m = 6, 3
+    states = rng.integers(0, m, size=(300, n)).astype(np.uint8)
+    lower = ReferenceSet(Side.LOWER, 0, [(2, 2, 2, 1, 1, 0), (1, 0, 2, 2, 1, 1)])
+    upper = ReferenceSet(Side.UPPER, 0, [(2, 2, 2, 2, 2, 2), (1, 1, 1, 0, 0, 0)])
+    sets = [(0, lower, upper)]
+    index = np.arange(1, len(states), 3)
+    rows = states[index]
+    both = dominance_hits(rows, lower.as_array(), Side.LOWER) & dominance_hits(rows, upper.as_array(), Side.UPPER)
+    place = int(np.flatnonzero(both)[0])
+    sample = int(index[place])
+    assert place >= 5  # past the first chunk of 5 rows
+    message = str(InconsistentReferenceSets.on_bracket(sets, sample, states[sample], 1, 0))
+    with pytest.raises(InconsistentReferenceSets, match=re.escape(message)):
+        for _ in verdicts(lambda start, stop: rows[start:stop], len(index), 5, sets, (n, m, 2), workers, index):
+            pass
+
+
 def test_set_kernel_check_runs_once_a_pass_before_the_first_chunk(monkeypatch):
     # sets whose level counts do not separate, as on the RGG workloads, so
     # only the kernel rules out u <= l: it tests each set pair once a pass,

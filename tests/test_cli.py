@@ -288,7 +288,7 @@ def test_pmf_subcommand(tmp_path, monkeypatch):
     assert len(doc["thresholds"]) == 2
     stage1 = [t["stage1"] for t in doc["thresholds"]]
     for s1 in stage1:
-        assert s1["iterations"] >= 1 and s1["terminated_by"] in ("eps_u", "r_max")
+        assert s1["iterations"] >= 1 and s1["terminated_by"] in ("eps_u", "r_max", "cost")
         assert s1["lower_refs"] + s1["upper_refs"] >= 1
     # search and resolution calls are every phi call of the run
     (phi,) = (m.evaluation_count for m in loaded)
@@ -337,6 +337,41 @@ def test_refs_file_holds_the_indented_document_one_vector_a_line(tmp_path):
     assert text.endswith("}\n")
 
 
+def test_each_manifest_carries_the_commands_peak_after_the_save(tmp_path, model_file, monkeypatch):
+    # the manifest's peak is the process's peak once its file is written,
+    # and at least the trace's last peak so far
+    peak = pytest.importorskip("rsr.workflow")._peak_rss_bytes
+    if peak() is None:
+        pytest.skip("no peak RSS on this platform")
+    after = []
+
+    def then_peak(save):
+        return lambda *args, **kwargs: (save(*args, **kwargs), after.append(peak()))
+
+    monkeypatch.setattr(files, "write_json", then_peak(files.write_json))
+    monkeypatch.setattr(files, "save_reference_sets", then_peak(files.save_reference_sets))
+    refs, trace = tmp_path / "refs.json", tmp_path / "trace.csv"
+    commands = {
+        refs: ["find-refs", "--out-refs", refs, "--out-trace", trace],
+        tmp_path / "report.json": ["evaluate", "--refs", refs, "--out-report", tmp_path / "report.json"],
+        tmp_path / "pmf.json": ["pmf", "--out", tmp_path / "pmf.json"],
+    }
+    for out, command in commands.items():
+        assert run([*command, "--model", model_file, "--samples", 1000, "--seed", 3]) == 0
+        recorded = json.loads(out.read_text())["manifest"]["peak_rss_bytes"]
+        assert isinstance(recorded, int) and recorded == after[-1] > 0
+    with open(trace, newline="") as fh:
+        last = int(list(csv.DictReader(fh))[-1]["peak_rss_bytes"])
+    assert 0 < last <= json.loads(refs.read_text())["manifest"]["peak_rss_bytes"]
+    # a save that raises the peak runs again, until it records the peak after it
+    readings = iter([5 << 20, 7 << 20, 7 << 20, 7 << 20])
+    monkeypatch.setattr("rsr.cli._peak_rss_bytes", lambda: next(readings))
+    saves = len(after)
+    assert run(["pmf", "--out", tmp_path / "pmf.json", "--model", model_file, "--samples", 1000, "--seed", 3]) == 0
+    assert len(after) - saves == 2
+    assert json.loads((tmp_path / "pmf.json").read_text())["manifest"]["peak_rss_bytes"] == 7 << 20
+
+
 def test_determinism_modulo_timestamp(tmp_path, model_file):
     docs = []
     for name in ("a", "b"):
@@ -346,7 +381,9 @@ def test_determinism_modulo_timestamp(tmp_path, model_file):
              "--samples", 1000, "--eps-u", 1e-2, "--seed", 4]
         ) == 0
         doc = json.loads(refs.read_text())
+        # when and how much memory: the run's measurements, not its output
         doc["manifest"].pop("timestamp")
+        doc["manifest"].pop("peak_rss_bytes")
         docs.append(doc)
     assert docs[0] == docs[1]
 

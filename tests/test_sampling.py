@@ -219,3 +219,16 @@ def test_slices_across_draw_blocks_match_one_whole_batch_draw(monkeypatch, m):
         part = sample_batch(dist, count, seed=6, generation_index=2, start=start).states
         assert part.dtype == whole.dtype == np.min_scalar_type(m - 1)
         assert np.array_equal(part, whole[start : start + count])
+
+
+@pytest.mark.parametrize("n", [3, 115])
+def test_sample_rows_fill_across_draw_blocks(monkeypatch, n):
+    # blocks of five rows: dense, sparse and repeated rows span many runs and
+    # buffer fills, and still give the rows of one whole-batch draw
+    dist = ComponentDistribution.iid(n, [0.2, 0.3, 0.5])
+    full = sample_batch(dist, 400, seed=4, generation_index=1).states
+    monkeypatch.setattr(sampling, "_DRAW_BYTES", 8 * n * 5)
+    rng = np.random.default_rng(n)
+    dense, sparse, repeated = np.arange(400), np.arange(3, 400, 7), rng.integers(0, 400, size=300)
+    for indices in (dense, sparse, repeated, np.array([399, 0, 5, 6, 7, 200])):
+        assert np.array_equal(sample_rows(dist, 4, 1, indices), full[indices])

@@ -97,6 +97,8 @@ def test_k_out_of_n_is_the_sorted_order_statistic(dtype):
                 # the batch form agrees row by row, on no rows too
                 assert phi.rows(xs).tolist() == [phi(x) for x in xs]
                 assert phi.rows(xs[:0]).shape == (0,)
+                # and owns its K states: a view would keep the sorted K x N copy alive
+                assert phi.rows(xs).base is None
 
 
 def test_k_out_of_n_rejects_bad_k():

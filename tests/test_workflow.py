@@ -17,11 +17,10 @@ from rsr.classify import InconsistentReferenceSets, _chunk_rows, classify
 from rsr.encoding import encode_batch
 from rsr.model import ComponentDistribution, SystemModel
 from rsr.oracle import crude_monte_carlo, exact_probabilities
-from rsr.sampling import sample_batch
+from rsr.sampling import sample_batch, sample_rows
 from rsr.sysfn import k_out_of_n, pick_od_pair, random_geometric_graph, single_od_connectivity
 from rsr.workflow import (
     RunConfig,
-    _stage1,
     _stage2,
     assemble_pmf,
     multistate_pmf,
@@ -72,6 +71,10 @@ def test_stage1_trace_monotone_refs(series3):
     assert all(t.phi_evaluations >= 0 for t in res.trace)
     # one search per iteration, counted before the next record
     assert [t.searches for t in res.trace] == list(range(len(res.trace)))
+    # plain Python numbers, which the CLI writes to the trace as they are
+    for t in res.trace:
+        assert {type(v) for v in (t.reference_count, t.phi_evaluations, t.searches)} == {int}
+        assert {type(v) for v in (t.p_lower, t.p_upper, t.p_unclassified)} == {float}
 
 
 def test_stage1_r_max_termination(series3):
@@ -185,11 +188,14 @@ def test_noncoherent_phi_raises_naming_sample_and_refs(noncoherent):
     assert "lower reference (2, 2)" in message
     assert "upper reference (1, 0)" in message
 
-    # four searches per iteration find both refs at once
+    # four searches in the first round find both refs at once; pmf runs on
+    # the same batch, so the sample it names is that batch's row
     with pytest.raises(InconsistentReferenceSets, match=r"sample \d+ \(\d, \d\)") as exc:
         multistate_pmf(model, dist, small_config(parallel_searches=4))
     assert "lower reference (2, 2)" in str(exc.value)
     assert "upper reference (1, 0)" in str(exc.value)
+    index, vector = re.match(r"sample (\d+) (\(\d, \d\))", str(exc.value)).groups()
+    assert vector == str(tuple(int(v) for v in states[int(index)]))
 
 
 def test_stage2_rejects_sets_that_contradict_across_thresholds():
@@ -257,7 +263,7 @@ def test_stage2_settles_each_chunk_alike_at_any_chunk_size_and_worker_count(monk
     model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
     dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
     cfg = RunConfig(n_samples=200, eps_u=1e-2, r_max=6, parallel_searches=2, seed=7)
-    sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in _stage1(model, dist, cfg, range(3))]
+    sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in multistate_pmf(model, dist, cfg).stage1_results]
     # a planted fault: phi says S = 3 wherever component 0 is down, outside
     # the bracket 0 <= S <= 2 that the one reference puts on every sample
     faulty = SystemModel(3, 4, 4, lambda x: 3 * int(x[0] == 0))
@@ -422,88 +428,122 @@ def test_stage1_priors_cut_search_calls_not_references(rgg, monkeypatch):
     assert sized.search_phi_calls <= 0.9 * plain.search_phi_calls, (sized.search_phi_calls, plain.search_phi_calls)
 
 
+def whole_batch_brackets(model, dist, cfg, sets):
+    """Batch 0's states and the bracket lo <= S <= hi the sets put on each row, from classify on the whole batch."""
+    batch = sample_batch(dist, cfg.n_samples, cfg.seed, generation_index=0)
+    lo = np.zeros(cfg.n_samples, dtype=np.int64)
+    hi = np.full(cfg.n_samples, model.n_system_states - 1, dtype=np.int64)
+    for threshold, lower, upper in sets:
+        res = classify(batch, lower, upper, n_states=model.n_component_states)
+        hi[res.lower_indices] = np.minimum(hi[res.lower_indices], threshold)
+        lo[res.upper_indices] = np.maximum(lo[res.upper_indices], threshold + 1)
+    return batch.states, lo, hi
+
+
 def test_streamed_pmf_equals_whole_batch(monkeypatch):
+    # the rounds keep each open row's bracket across small chunks; the whole
+    # batch classified once against the final sets gives the same books
     model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
     dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
     monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 3 * 64)
     h = 2 * 64 + 13
     cfg = RunConfig(n_samples=h, eps_u=1e-2, r_max=100, parallel_searches=2, seed=4)
     report = multistate_pmf(model, dist, cfg)
-    for threshold, s1 in enumerate(report.stage1_results):
-        lower, upper, trace = whole_batch_stage1(model, dist, cfg, threshold)
-        assert (s1.lower.members, s1.upper.members) == (lower.members, upper.members)
-        assert [(t.p_lower, t.p_upper, t.p_unclassified) for t in s1.trace] == trace
     sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in report.stage1_results]
-    assert summary(report.stage2_reports) == whole_batch_stage2(model, dist, cfg, sets)
+    whole = whole_batch_stage2(model, dist, cfg, sets)
+    assert [r[:3] for r in summary(report.stage2_reports)] == [r[:3] for r in whole]
+    _, lo, hi = whole_batch_brackets(model, dist, cfg, sets)
+    assert [r.unclassified_resolved for r in report.stage2_reports] == [
+        int(np.count_nonzero((lo <= t) & (t < hi))) for t in range(3)
+    ]
+    assert report.resolution_phi_calls == np.count_nonzero(lo < hi) > 0
+    # every threshold ran to the last round, whose records the final sets give
+    rounds = max(s1.iterations for s1 in report.stage1_results)
+    for t, s1 in enumerate(report.stage1_results):
+        if s1.iterations == rounds:
+            n_low, n_up = np.count_nonzero(hi <= t), np.count_nonzero(lo > t)
+            assert (s1.trace[-1].p_lower, s1.trace[-1].p_upper, s1.trace[-1].p_unclassified) == (
+                n_low / h, n_up / h, (h - n_low - n_up) / h
+            )
 
 
 def test_stage2_encodes_each_chunk_once_for_all_thresholds(monkeypatch):
     model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
     dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
-    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 3 * 64)  # 64 rows a chunk
     cfg = RunConfig(n_samples=1000, eps_u=1e-2, r_max=100, parallel_searches=4, seed=3)
+    sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in multistate_pmf(model, dist, cfg).stage1_results]
+    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 3 * 64)  # 64 rows a chunk
     encoded = []
-    in_stage2 = False
 
     def counting_encode(states, n_states):
-        if in_stage2:
-            encoded.append(len(states))
+        encoded.append(len(states))
         return encode_batch(states, n_states)
 
-    def counted_stage2(*args):
-        nonlocal in_stage2
-        in_stage2 = True
-        try:
-            return _stage2(*args)
-        finally:
-            in_stage2 = False
-
     monkeypatch.setattr(classify_module, "encode_batch", counting_encode)
-    monkeypatch.setattr(workflow, "_stage2", counted_stage2)
-    report = multistate_pmf(model, dist, cfg)
-    assert len(report.stage2_reports) == 3
+    reports = _stage2(model, dist, cfg, sets)
+    assert len(reports) == 3
     # the stage call encodes each non-empty reference set once, in
     # threshold order, before its first chunk
-    set_rows = [len(s) for s1 in report.stage1_results for s in (s1.lower, s1.upper) if len(s)]
+    set_rows = [len(s) for _, low, up in sets for s in (low, up) if len(s)]
     assert encoded[: len(set_rows)] == set_rows
     sample_rows = encoded[len(set_rows) :]
     assert len(sample_rows) == -(-cfg.n_samples // 64)
     assert sum(sample_rows) == cfg.n_samples
 
 
-def test_pmf_stage1_samples_each_chunk_once_for_all_thresholds(monkeypatch):
-    model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
-    dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
-    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 3 * 64)  # 64 rows a chunk
-    cfg = RunConfig(n_samples=1000, eps_u=1e-2, r_max=100, parallel_searches=1, seed=3)
+def test_pmf_regenerates_only_the_open_rows_of_batch_zero(rgg, monkeypatch):
+    # pmf draws no whole batch: each round regenerates the rows still open,
+    # the walks their starts and the end the rows left open, all from batch 0.
+    # On a binary model a row is open exactly when its one threshold leaves
+    # it open, so the trace counts the open rows. At edge failure 0.3 the
+    # rounds stop on cost with rows left open
+    model, _ = rgg
+    dist = ComponentDistribution.iid(model.n_components, [0.3, 0.7])
+    cfg = RunConfig(n_samples=5000, eps_u=1e-4, parallel_searches=16, seed=1000)
     drawn = []
-    in_stage2 = False
 
-    def counting_sample_batch(dist, n, seed, generation, start):
-        if not in_stage2:
-            drawn.append((generation, n))
-        return sample_batch(dist, n, seed, generation, start=start)
+    def counting_rows(dist, seed, generation, indices):
+        drawn.append((seed, generation, len(indices)))
+        return sample_rows(dist, seed, generation, indices)
 
-    def uncounted_stage2(*args):
-        nonlocal in_stage2
-        in_stage2 = True
-        try:
-            return _stage2(*args)
-        finally:
-            in_stage2 = False
+    def refuse(*args, **kwargs):
+        raise AssertionError("pmf drew a whole batch")
 
-    monkeypatch.setattr(workflow, "sample_batch", counting_sample_batch)
-    monkeypatch.setattr(workflow, "_stage2", uncounted_stage2)
-    results = multistate_pmf(model, dist, cfg).stage1_results
-    iterations = [s1.iterations for s1 in results]
-    assert len(set(iterations)) > 1  # thresholds stop at different iterations
-    # generation 0 is not drawn: its sets are empty, so every row is open
-    assert all((s1.trace[0].p_lower, s1.trace[0].p_upper, s1.trace[0].p_unclassified) == (0, 0, 1) for s1 in results)
-    # every chunk of every later iteration is drawn once, whichever thresholds still run
-    n_chunks = -(-cfg.n_samples // 64)
-    assert len(drawn) == n_chunks * (max(iterations) - 1)
-    for generation in range(max(iterations)):
-        assert sum(n for g, n in drawn if g == generation) == (generation > 0) * cfg.n_samples
+    monkeypatch.setattr(workflow, "sample_rows", counting_rows)
+    monkeypatch.setattr(workflow, "sample_batch", refuse)
+    report = multistate_pmf(model, dist, cfg)
+    (s1,) = report.stage1_results
+    open_rows = [round(t.p_unclassified * cfg.n_samples) for t in s1.trace]
+    # coverage only grows, so a settled row stays settled
+    assert open_rows == sorted(open_rows, reverse=True) and open_rows[0] == cfg.n_samples
+    assert report.resolution_phi_calls == open_rows[-1] > 0
+    assert {(seed, generation) for seed, generation, _ in drawn} == {(cfg.seed, 0)}
+    assert sum(n for *_, n in drawn) == sum(open_rows[:-1]) + s1.trace[-1].searches + open_rows[-1]
+    assert max(n for *_, n in drawn) <= _chunk_rows(model.n_components)
+
+
+def test_pmf_stops_once_its_walks_cost_more_than_they_settle(rgg):
+    # each record after the first follows one round of walks, so the trace
+    # holds both sides of the cost test: the walks' phi calls of each round
+    # and the open rows its references settled, here the only open rows
+    model, _ = rgg
+    dist = ComponentDistribution.iid(model.n_components, [0.3, 0.7])
+    h = 5000
+    cfg = RunConfig(n_samples=h, eps_u=1e-4, parallel_searches=16, seed=1000)
+    before = model.evaluation_count
+    report = multistate_pmf(model, dist, cfg)
+    (s1,) = report.stage1_results
+    assert s1.terminated_by == "cost"
+    assert {type(v) for t in s1.trace for v in (t.p_lower, t.p_upper, t.p_unclassified)} == {float}
+    spent = np.diff([t.phi_evaluations for t in s1.trace])
+    settled = -np.diff([round(t.p_unclassified * h) for t in s1.trace])
+    window = workflow._COST_WINDOW
+    over = [r >= window and spent[r - window : r].sum() > settled[r - window : r].sum() for r in range(s1.iterations)]
+    # the rounds end at the first record where the test holds
+    assert over[-1] and not any(over[:-1])
+    assert s1.iterations > window
+    # one call a row left open: the stop weighs what the rounds save
+    assert s1.search_phi_calls + report.resolution_phi_calls == model.evaluation_count - before
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -512,8 +552,8 @@ def test_pass_allocates_one_kernel_scratch_per_worker(monkeypatch, workers):
     # batch of five chunks: every chunk and set reuses its worker's scratch
     model = SystemModel(12, 5, 5, k_out_of_n(3, 12))
     dist = ComponentDistribution.iid(12, [0.4, 0.3, 0.15, 0.1, 0.05])
-    cfg = RunConfig(n_samples=2000, eps_u=1e-3, parallel_searches=8, seed=3, n_workers=workers)
-    sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in _stage1(model, dist, cfg, range(4))]
+    cfg = RunConfig(n_samples=2000, eps_u=1e-3, parallel_searches=16, seed=3, n_workers=workers)
+    sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in multistate_pmf(model, dist, cfg).stage1_results]
     assert all(len(s) for _, low, up in sets for s in (low, up))
     monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 12 * 400)  # 400 rows a chunk
     allocated = []
@@ -544,31 +584,92 @@ def untimed(trace):
     return [dataclasses.replace(t, elapsed_seconds=0.0, peak_rss_bytes=None) for t in trace]
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_pmf_stage1_equals_one_threshold_runs(monkeypatch, workers):
-    # criterion 4's random coherent systems, those with M_S >= 3
+def test_pmf_equals_crude_monte_carlo_on_random_systems():
+    # criterion 4's random coherent systems with M_S >= 3, each at two seeds.
+    # Every estimate is phi's frequency on batch 0 whatever references the
+    # rounds find, so it equals the seed-matched crude Monte Carlo run exactly
     from conftest import random_distribution, random_monotone_model
 
-    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 300)  # 100 rows a chunk or fewer
     rng = np.random.default_rng(2026)
-    staggered = 0
-    for case in range(12):
+    stops = set()
+    checked = 0
+    for case in range(50):
         n, m, m_s = int(rng.integers(3, 11)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
         model = random_monotone_model(rng, n, m, m_s)
         dist = random_distribution(rng, n, m)
         if m_s < 3:
             continue
-        cfg = RunConfig(n_samples=2000, eps_u=1e-3, r_max=500, parallel_searches=2, seed=case, n_workers=workers)
-        report = multistate_pmf(model, dist, cfg)
-        for threshold, s1 in enumerate(report.stage1_results):
-            alone = stage1_find_references(model, dist, cfg, threshold)
-            assert (s1.lower.members, s1.upper.members) == (alone.lower.members, alone.upper.members)
-            assert (s1.iterations, s1.redundant_searches, s1.terminated_by) == (
-                alone.iterations, alone.redundant_searches, alone.terminated_by
+        for seed in (case, 1000 + case):
+            cfg = RunConfig(n_samples=2000, eps_u=1e-3, r_max=500, parallel_searches=2, seed=seed)
+            before = model.evaluation_count
+            report = multistate_pmf(model, dist, cfg)
+            search = sum(s1.search_phi_calls for s1 in report.stage1_results)
+            assert search + report.resolution_phi_calls == model.evaluation_count - before
+            for t in range(m_s - 1):
+                assert report.cumulative_lower[t] == crude_monte_carlo(model, dist, cfg.n_samples, seed, t)[0]
+            for t, s1 in enumerate(report.stage1_results):
+                assert all(model.evaluate(v) <= t for v in s1.lower.members)
+                assert all(model.evaluate(v) > t for v in s1.upper.members)
+                stops.add(s1.terminated_by)
+            checked += 1
+    assert checked >= 20
+    assert stops == {"eps_u", "cost"}
+
+
+def test_pmf_rounds_equal_at_any_chunk_size_and_worker_count(monkeypatch):
+    # criterion 6 for pmf: the references, rounds, traces, estimates and phi
+    # calls do not depend on the chunk size or the worker count. Each round
+    # moves the open rows' indices forward in place while workers read the
+    # indices of later chunks; threads switch often, so a worker reading an
+    # index already written over would change the rows it classifies
+    from conftest import random_distribution, random_monotone_model
+
+    rng = np.random.default_rng(7)
+    cases = [
+        (
+            SystemModel(12, 5, 5, k_out_of_n(3, 12)),
+            ComponentDistribution.iid(12, [0.4, 0.3, 0.15, 0.1, 0.05]),
+            RunConfig(n_samples=2000, eps_u=2e-4, parallel_searches=8, seed=3),
+        ),
+        (
+            random_monotone_model(rng, 8, 3, 3),
+            random_distribution(rng, 8, 3),
+            RunConfig(n_samples=2000, eps_u=1e-3, parallel_searches=2, seed=5),
+        ),
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs_of = [pmf_runs(monkeypatch, *case) for case in cases]
+    finally:
+        sys.setswitchinterval(interval)
+    for runs in runs_of:
+        assert all(run == runs[0] for run in runs)
+        # several rounds: the longest trace
+        assert max(len(trace) for *_, trace in runs[0][-1]) > 2
+
+
+def pmf_runs(monkeypatch, model, dist, cfg):
+    """pmf's outputs and phi calls at chunks of 7, 300 and H rows, on 1 and 3 workers."""
+    runs = []
+    for chunk, workers in itertools.product((7, 300, cfg.n_samples), (1, 3)):
+        monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * model.n_components * chunk)
+        before = model.evaluation_count
+        report = multistate_pmf(model, dist, dataclasses.replace(cfg, n_workers=workers))
+        runs.append(
+            (
+                report.pmf.tolist(),
+                report.cumulative_lower.tolist(),
+                summary(report.stage2_reports),
+                report.resolution_phi_calls,
+                model.evaluation_count - before,
+                [
+                    (s1.lower.members, s1.upper.members, s1.redundant_searches, s1.terminated_by, untimed(s1.trace))
+                    for s1 in report.stage1_results
+                ],
             )
-            assert untimed(s1.trace) == untimed(alone.trace)
-        staggered += len({s1.iterations for s1 in report.stage1_results}) > 1
-    assert staggered >= 2
+        )
+    return runs
 
 
 def test_pmf_counts_every_phi_call():
@@ -645,20 +746,22 @@ def test_stage1_streamed_iteration_memory_bounded_in_batch_size(rgg):
 @pytest.mark.parametrize(
     "settings",
     [
-        dict(eps_u=1.0),  # every threshold stops after its first classification
-        dict(eps_u=0.0, r_max=1),  # every threshold searches from a fully open first batch
+        dict(eps_u=1.0),  # every threshold stops at once: phi resolves every row
+        dict(eps_u=0.0, r_max=1),  # every threshold searches from a fully open batch, which is classified again
     ],
 )
 def test_pmf_stage1_memory_bounded_in_batch_size(settings):
-    # the Stage-1 core for all four thresholds of 3-out-of-12, M = 5; an
-    # int64 index array kept per running threshold would grow 32 bytes a sample
-    model = SystemModel(12, 5, 5, k_out_of_n(3, 12))
-    dist = ComponentDistribution.iid(12, [0.4, 0.3, 0.15, 0.1, 0.05])
+    # pmf on 10-out-of-40, M = 3. Between rounds it keeps each open row's
+    # index and narrow bracket, 6 bytes, and it regenerates rows a chunk at a
+    # time, so its peak grows 3.5-6 bytes a sample (measured). The batch's
+    # H x N uint8 states would grow it 40 bytes a sample
+    model = SystemModel(40, 3, 3, k_out_of_n(10, 40))
+    dist = ComponentDistribution.iid(40, [0.5, 0.3, 0.2])
     peaks = {
-        h: traced_peak(lambda: _stage1(model, dist, RunConfig(n_samples=h, seed=1, **settings), range(4)))
+        h: traced_peak(lambda: multistate_pmf(model, dist, RunConfig(n_samples=h, seed=1, **settings)))
         for h in (100_000, 400_000)
     }
-    assert peaks[400_000] - peaks[100_000] <= 16 * 300_000
+    assert peaks[400_000] - peaks[100_000] <= 12 * 300_000
 
 
 def test_warm_pmf_stays_under_a_minor_fault_ceiling():
@@ -719,7 +822,8 @@ def _sha256(ref_set):
 
 def test_known_references_frozen(rgg):
     # each set's members, in order, and the Stage-2 estimates of a small
-    # fixed binary run and a small fixed multi-state run, bit for bit
+    # fixed binary run and a small fixed multi-state run, bit for bit. The
+    # multi-state run's references are those of pmf's rounds on batch 0
     model, dist = rgg
     cfg = RunConfig(n_samples=2000, parallel_searches=8, seed=1)
     s1 = stage1_find_references(model, dist, cfg, 0)
@@ -740,14 +844,14 @@ def test_known_references_frozen(rgg):
     ]
     assert got == [
         (
-            "d4e14b3805f2a9429ce735ebca92c4040da29e8f47967374145edc7c0a1afbed",
-            "446fec4790737ebee9d34ecc5fb8fc4733c3e5f5a9dbe6441d8d7c6d9025bdcf",
+            "31bb57d1075066cb9e802ae868d9c50dc9cd9e2d0322efb5033502c9b2c04e70",
+            "d357d5a8a8108f104fc71fff90d2048598d8593342e164723f638db68cf8481a",
             0.0125,
             0.9875,
         ),
         (
-            "0ed6625e984217bd0f304b8c0b8ead59e99c52d2dfa3c3f68fe6245e91fafebb",
-            "c38dfa0135bf338db50f2049b1fca6b1c060cc033c448ac57abd740d966f10f2",
+            "e0a2e2a2103c34fde5ae493f60611bdd7d91c0961d2bba00fe4fd8a7dace502e",
+            "72c80b42f5791cae3e19e7a10a112d524e05eb431915dc9b2cb95f3459957e41",
             0.35,
             0.65,
         ),
