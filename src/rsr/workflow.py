@@ -17,14 +17,13 @@ set's members give its side's walks a prior rejection rate, which sizes
 the start of their gallops (``boundary._walk``): it moves the phi calls,
 never the references.
 
-Stage 2 (``_stage2``) classifies one batch against the sets of every
-requested threshold, bracketing each sample's system state S: a lower
-match at m' gives S <= m', an upper match S >= m'+1. One
-performance-function call settles each sample the bracket leaves open:
-each chunk's open rows go to the model's counted core
+Stage 2 (``stage2_evaluate``) classifies one batch against the lower and
+upper sets of one threshold m': a lower match gives S <= m', an upper
+match S >= m'+1, and a sample both match means phi is not coherent and
+raises. One performance-function call settles each sample neither
+matches: each chunk's open rows go to the model's counted core
 ``SystemModel._phi_rows`` in one call as the chunk arrives, the core the
-boundary walks call too. A crossed bracket, or phi outside one, means phi
-is not coherent and raises (``_phi_in_bracket``).
+boundary walks call too.
 
 ``multistate_pmf`` runs both stages on one batch, Stage 2's batch 0. Its
 Stage 1 works in rounds: each threshold still running searches from rows
@@ -33,10 +32,12 @@ its bracket leaves open, every threshold's picks walk in one
 Coverage only grows, so a settled row stays settled. A threshold stops on
 ``eps_u`` (now the open share of batch 0 itself) or ``r_max``, and all
 stop on cost, once the walks' phi calls over the last ``_COST_WINDOW``
-rounds exceed the open rows those rounds settled: each open row costs
-one phi call when the rounds end and Stage 2 resolves the rest, checked
-against its bracket. Stage 2's estimate does not depend on the
-references, so the PMF is phi's frequency on batch 0 whatever the stop.
+rounds exceed the open rows those rounds settled, since each open row
+costs one phi call once the rounds end. Every row still open is then
+resolved by phi and checked against its bracket, which references at
+other thresholds may have narrowed: phi outside it means phi is not
+coherent, and raises. The estimate does not depend on the references,
+so the PMF is phi's frequency on batch 0 whatever the stop.
 
 ``find-refs`` and ``evaluate`` stream their batch through the one
 classification route, ``classify.verdicts``, with ``_stream`` as its row
@@ -49,8 +50,8 @@ hit kernel's scratch of about 1 MiB that each worker keeps for the whole
 pass. Memory is about one chunk's temporaries and one scratch per
 worker. Stage 1 adds one byte per sample for the unclassified rows and
 regenerates the rows it searches from by index; its first iteration,
-whose sets are empty, draws nothing. Stage 2 adds only per-threshold
-counts, whatever the batch size. ``multistate_pmf`` keeps the open rows'
+whose sets are empty, draws nothing. Stage 2 adds only its counts,
+whatever the batch size. ``multistate_pmf`` keeps the open rows'
 indices and narrow brackets between rounds, a few bytes a row and never
 their states, and regenerates the open rows chunk by chunk with
 ``sampling.sample_rows`` as the source of ``verdicts``. The crude Monte
@@ -65,7 +66,7 @@ import itertools
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -338,79 +339,6 @@ def _stream(
     )
 
 
-def _stage2(
-    model: SystemModel,
-    dist: ComponentDistribution,
-    config: RunConfig,
-    sets: list[ThresholdSets],
-) -> list[Stage2Report]:
-    """Stage 2 on one shared batch; one report per (threshold, lower, upper), thresholds distinct.
-
-    ``InconsistentReferenceSets`` comes from the first chunk, in index
-    order whatever the worker count, that holds a crossed bracket or phi
-    outside its bracket; in that chunk a crossed bracket is named first.
-    """
-    for threshold, lower, upper in sets:
-        model.check_threshold(threshold)
-        for ref_set in (lower, upper):
-            if ref_set is not None and ref_set.threshold != threshold:
-                raise ValueError(f"reference set threshold {ref_set.threshold} != requested m'={threshold}")
-    h = config.n_samples
-    thresholds = np.array([t for t, _, _ in sets])
-    n_low = np.zeros(len(sets), dtype=np.int64)
-    unclassified = np.zeros(len(sets), dtype=np.int64)
-    for start, states, lo, hi, hits in _stream(model, dist, config, _STAGE2_GENERATION, sets):
-        unclassified += [len(states) - np.count_nonzero(low | up) for low, up in hits]
-        # the rows whose bracket leaves some threshold open
-        rows = np.flatnonzero(((lo[:, None] <= thresholds) & (thresholds < hi[:, None])).any(axis=1))
-        if rows.size:
-            # S = phi on an open row; on any other row S <= m' exactly where hi <= m'
-            hi[rows] = _phi_in_bracket(model, sets, states[rows], lo[rows], hi[rows], lambda k: start + int(rows[k]))
-        n_low += (hi[:, None] <= thresholds).sum(axis=0)
-        # dropped before the next chunk is drawn, so one chunk is alive at a time
-        del states, lo, hi, hits, rows
-
-    reports = []
-    for threshold, low, n_unclassified in zip(thresholds.tolist(), n_low.tolist(), unclassified.tolist()):
-        p_low, p_up = low / h, (h - low) / h
-        reports.append(
-            Stage2Report(
-                p_lower=p_low,
-                p_upper=p_up,
-                cov_lower=cov(p_low, h),
-                cov_upper=cov(p_up, h),
-                n_samples=h,
-                unclassified_resolved=n_unclassified,
-                threshold=threshold,
-                seed=config.seed,
-            )
-        )
-    return reports
-
-
-def _phi_in_bracket(
-    model: SystemModel,
-    sets: list[ThresholdSets],
-    states: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    sample: Callable[[int], int],
-) -> np.ndarray:
-    """phi on every row of ``states``, each checked against its bracket lo <= S <= hi.
-
-    The rows go to the model's counted core ``SystemModel._phi_rows`` in one
-    call: sampled rows lie in [0, M-1] by construction, so they are not
-    checked. The first row whose phi leaves its bracket raises
-    ``InconsistentReferenceSets``, named as sample ``sample(k)``.
-    """
-    phi = model._phi_rows(states)
-    bad = np.flatnonzero((phi < lo) | (phi > hi))
-    if bad.size:
-        k = int(bad[0])
-        raise InconsistentReferenceSets.on_bracket(sets, sample(k), states[k], int(lo[k]), int(hi[k]), int(phi[k]))
-    return phi
-
-
 def stage2_evaluate(
     model: SystemModel,
     dist: ComponentDistribution,
@@ -421,12 +349,45 @@ def stage2_evaluate(
 ) -> Stage2Report:
     """Estimate P(S <= m') and P(S >= m'+1) from one classified batch.
 
-    Unclassified samples are resolved by evaluating the performance
-    function directly, so the two probabilities partition the batch.
-    Raises ``InconsistentReferenceSets`` if a sample matches both sets.
+    Each chunk's unclassified rows go to the model's counted core
+    ``SystemModel._phi_rows`` in one call as the chunk arrives, so the two
+    probabilities partition the batch exactly. A sample both sets match
+    raises ``InconsistentReferenceSets``, from the first chunk in index
+    order that holds one, whatever the worker count.
     """
-    (report,) = _stage2(model, dist, config, [(threshold, lower, upper)])
-    return report
+    model.check_threshold(threshold)
+    for ref_set in (lower, upper):
+        if ref_set is not None and ref_set.threshold != threshold:
+            raise ValueError(f"reference set threshold {ref_set.threshold} != requested m'={threshold}")
+    n_low = unclassified = 0
+    sets = [(threshold, lower, upper)]
+    for _, states, lo, hi, ((low, up),) in _stream(model, dist, config, _STAGE2_GENERATION, sets):
+        n_low += int(np.count_nonzero(low))
+        open_ = ~(low | up)
+        if open_.any():
+            # S = phi on an open row; it lies in [0, M_S-1], the whole bracket
+            phi = model._phi_rows(states[open_])
+            unclassified += len(phi)
+            n_low += int(np.count_nonzero(phi <= threshold))
+        # dropped before the next chunk is drawn, so one chunk is alive at a time
+        del states, lo, hi, low, up, open_
+    return _stage2_report(config, threshold, n_low, unclassified)
+
+
+def _stage2_report(config: RunConfig, threshold: int, n_low: int, unclassified: int) -> Stage2Report:
+    """The estimates at m' of a batch in which ``n_low`` samples have S <= m' and phi resolved ``unclassified`` rows."""
+    h = config.n_samples
+    p_low, p_up = n_low / h, (h - n_low) / h
+    return Stage2Report(
+        p_lower=p_low,
+        p_upper=p_up,
+        cov_lower=cov(p_low, h),
+        cov_upper=cov(p_up, h),
+        n_samples=h,
+        unclassified_resolved=unclassified,
+        threshold=threshold,
+        seed=config.seed,
+    )
 
 
 @dataclass(frozen=True)
@@ -580,29 +541,23 @@ def multistate_pmf(
         spent.append(sum(calls))
         live = still_live
 
-    # every row still open costs one phi call, checked against its bracket
+    # every row still open costs one phi call, checked against its bracket:
+    # a bracket a reference narrowed that phi leaves means phi is not coherent
     chunk = _chunk_rows(model.n_components)
     for start in range(0, len(index), chunk):
         stop = min(start + chunk, len(index))
         states = sample_rows(dist, config.seed, _STAGE2_GENERATION, index[start:stop])
-        phi = _phi_in_bracket(model, sets, states, lo[start:stop], hi[start:stop], lambda k: int(index[start + k]))
+        phi = model._phi_rows(states)
+        bad = np.flatnonzero((phi < lo[start:stop]) | (phi > hi[start:stop]))
+        if bad.size:
+            k = int(bad[0])
+            raise InconsistentReferenceSets.on_bracket(
+                sets, int(index[start + k]), states[k], int(lo[start + k]), int(hi[start + k]), int(phi[k])
+            )
         known += np.bincount(phi, minlength=n_states)
     n_low = np.cumsum(known)[:-1].tolist()
     # the rows each threshold's bracket left open, which phi resolved
-    open_at_end = [h - below[k] - above[k] for k in thresholds]
-    reports = [
-        Stage2Report(
-            p_lower=low / h,
-            p_upper=(h - low) / h,
-            cov_lower=cov(low / h, h),
-            cov_upper=cov((h - low) / h, h),
-            n_samples=h,
-            unclassified_resolved=n_open_k,
-            threshold=t,
-            seed=config.seed,
-        )
-        for t, low, n_open_k in zip(thresholds, n_low, open_at_end)
-    ]
+    reports = [_stage2_report(config, t, n_low[t], h - below[t] - above[t]) for t in thresholds]
     cum = np.array([r.p_lower for r in reports])
     pmf, _ = assemble_pmf(cum)
     return PmfReport(

@@ -155,23 +155,26 @@ def test_early_exit_kernel_matches_full_hits(monkeypatch, n, m):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_crossing_sets_raise_on_the_first_crossed_sample(monkeypatch, workers):
-    # one upper reference lies under a lower one (u <= l), so the upper pass
-    # must test the rows the lower pass hit and the first row between them
-    # raises, whatever the number of workers
+    # one upper reference lies under a lower one (u <= l). At one threshold
+    # the upper pass must test the rows the lower pass hit; with the lower
+    # set at m' = 0 and the upper at m' = 1 they say S <= 0 and S >= 2. Either
+    # way the first row between them raises, whatever the number of workers
     rng = np.random.default_rng(8)
     n, m = 6, 3
     states = rng.integers(0, m, size=(500, n)).astype(np.uint8)
-    lower = ReferenceSet(Side.LOWER, 0, [(2, 2, 2, 1, 1, 0), (1, 0, 2, 2, 1, 1)])
-    upper = ReferenceSet(Side.UPPER, 0, [(2, 2, 2, 2, 2, 2), (1, 1, 1, 0, 0, 0)])
-    sets = [(0, lower, upper)]
-    both = dominance_hits(states, lower.as_array(), Side.LOWER) & dominance_hits(states, upper.as_array(), Side.UPPER)
+    lows = [(2, 2, 2, 1, 1, 0), (1, 0, 2, 2, 1, 1)]
+    ups = [(2, 2, 2, 2, 2, 2), (1, 1, 1, 0, 0, 0)]
+    both = dominance_hits(states, np.array(lows), Side.LOWER) & dominance_hits(states, np.array(ups), Side.UPPER)
     first = int(np.flatnonzero(both)[0])
     assert first > 0
-    message = str(InconsistentReferenceSets.on_bracket(sets, first, states[first], 1, 0))
     monkeypatch.setattr(importlib.import_module("rsr.classify"), "_BLOCK_BYTES", 64)
-    with pytest.raises(InconsistentReferenceSets, match=re.escape(message)):
-        for _ in verdicts(lambda start, stop: states[start:stop], len(states), 50, sets, (n, m, 2), workers):
-            pass
+    for t_low, t_up in ((0, 0), (0, 1)):
+        lower, upper = ReferenceSet(Side.LOWER, t_low, lows), ReferenceSet(Side.UPPER, t_up, ups)
+        sets = [(0, lower, upper)] if t_low == t_up else [(t_low, lower, None), (t_up, None, upper)]
+        message = str(InconsistentReferenceSets.on_bracket(sets, first, states[first], t_up + 1, t_low))
+        with pytest.raises(InconsistentReferenceSets, match=re.escape(message)):
+            for _ in verdicts(lambda start, stop: states[start:stop], len(states), 50, sets, (n, m, t_up + 2), workers):
+                pass
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -235,6 +238,30 @@ def test_set_kernel_check_runs_once_a_pass_before_the_first_chunk(monkeypatch):
         assert events[: len(sets)] == checks
         assert [e for e in events if e[0] == "check"] == checks
         assert events.count("rows") == 6 and "chunk" in events
+
+
+def test_verdicts_encode_each_chunk_once_for_all_sets(monkeypatch):
+    # each non-empty reference set is encoded once, in set order, before the
+    # first chunk is drawn; then each chunk is encoded once for every set
+    n, m = 4, 3
+    # S = max(min(x0, x1), min(x2, x3)), as above
+    sets = [
+        (0, ReferenceSet(Side.LOWER, 0, [(0, 2, 0, 2), (0, 2, 2, 0), (2, 0, 0, 2)]), ReferenceSet(Side.UPPER, 0)),
+        (1, ReferenceSet(Side.LOWER, 1, [(1, 2, 1, 2), (2, 1, 2, 1)]), ReferenceSet(Side.UPPER, 1, [(2, 2, 0, 0)])),
+    ]
+    states = np.random.default_rng(5).integers(0, m, size=(310, n))
+    encoded = []
+
+    def counting_encode(states, n_states):
+        encoded.append(len(states))
+        return encode_batch(states, n_states)
+
+    monkeypatch.setattr(importlib.import_module("rsr.classify"), "encode_batch", counting_encode)
+    for workers in (1, 3):
+        encoded.clear()
+        chunks = list(verdicts(lambda start, stop: states[start:stop], len(states), 50, sets, (n, m, 3), workers))
+        assert encoded[:3] == [3, 2, 1]
+        assert sorted(encoded[3:]) == [10] + [50] * 6 == sorted(len(c[1]) for c in chunks)
 
 
 @pytest.mark.parametrize("n_workers", [0, -1])

@@ -1,9 +1,10 @@
 """The benchmark's tracer wraps module attributes of rsr by name.
 
-``perfbench/spans.py`` replaces ``workflow.sample_batch`` and
-``classify.encode_batch`` (among others) for the length of one command.
-A refactor that renames one of them, or that moves the sampling or
-encoding call off the module attribute, silently empties those layers'
+``perfbench/spans.py`` replaces ``workflow.sample_batch``,
+``classify.encode_batch`` and ``stage2_evaluate`` (among others) for the
+length of one command. A refactor that renames one of them, moves the
+sampling or encoding call off the module attribute, or moves Stage 2's
+sets from their place in its arguments, silently empties those layers'
 metrics; this test runs a small traced ``rsr evaluate`` and fails instead.
 """
 
@@ -67,3 +68,7 @@ def test_traced_evaluate_records_sampling_and_encoding(tmp_path, monkeypatch):
     assert metrics["sampling.calls"] == 8
     assert metrics["sampling.rows"] == 2000
     assert metrics["encoding.calls"] == 8 + ref_sets
+    # the Stage-2 wrapper sees the one call and reads its sets as args[2:4]
+    stage2 = [span for span in tracer.spans if span["name"] == "workflow.stage2"]
+    n_refs = len(lower) + len(upper)
+    assert n_refs > 0 and [span["refs"] for span in stage2] == [n_refs]

@@ -14,14 +14,12 @@ from conftest import dominance_hits, raw_sample_searches
 from rsr import workflow
 from rsr.boundary import ReferenceSet, Side, boundary_search
 from rsr.classify import InconsistentReferenceSets, _chunk_rows, classify
-from rsr.encoding import encode_batch
 from rsr.model import ComponentDistribution, SystemModel
 from rsr.oracle import crude_monte_carlo, exact_probabilities
 from rsr.sampling import sample_batch, sample_rows
 from rsr.sysfn import k_out_of_n, pick_od_pair, random_geometric_graph, single_od_connectivity
 from rsr.workflow import (
     RunConfig,
-    _stage2,
     assemble_pmf,
     multistate_pmf,
     stage1_find_references,
@@ -198,31 +196,29 @@ def test_noncoherent_phi_raises_naming_sample_and_refs(noncoherent):
     assert vector == str(tuple(int(v) for v in states[int(index)]))
 
 
-def test_stage2_rejects_sets_that_contradict_across_thresholds():
-    model = SystemModel(2, 3, 3, lambda x: int(max(x)))
-    dist = ComponentDistribution.iid(2, [0.2, 0.3, 0.5])
-    cfg = small_config(n_samples=200)
-    everything_low = ReferenceSet(Side.LOWER, 0, [(2, 2)])
-    everything_high = ReferenceSet(Side.UPPER, 1, [(0, 0)])
-    # S <= 0 and S >= 2 on every sample: the brackets cross
-    with pytest.raises(InconsistentReferenceSets, match=r"sample 0 .*\(2, 2\) says S <= 0.*\(0, 0\) says S >= 2"):
-        _stage2(model, dist, cfg, [(0, everything_low, None), (1, None, everything_high)])
-    # S <= 1 everywhere, but m'=0 leaves samples open and phi gives 2 on some
-    with pytest.raises(InconsistentReferenceSets, match=r"\(2, 2\) says S <= 1, phi says S = 2"):
-        _stage2(model, dist, cfg, [(0, None, None), (1, ReferenceSet(Side.LOWER, 1, [(2, 2)]), None)])
-
-
-def test_stage2_names_the_lowest_index_sample_whose_phi_leaves_its_bracket():
-    # every sample is bracketed 0 <= S <= 1, and phi = max(x) leaves the
-    # bracket on every sample holding a 2, several of them in the one block
-    model = SystemModel(2, 3, 3, lambda x: int(max(x)))
+def test_stage2_names_the_lowest_index_sample_whose_phi_leaves_its_bracket(monkeypatch):
+    # pmf's own Stage 2 checks phi against each row's bracket, which a
+    # reference at another threshold may have narrowed. phi = max(x) but 2 at
+    # (1, 0): the lower reference (1, 1) at m' = 1 says S <= 1 there, while
+    # (0, 0) at m' = 0 leaves the row open, so it ends the rounds in the
+    # bracket 0 <= S <= 1 and phi leaves it on several rows of the one chunk
+    model = SystemModel(2, 3, 3, lambda x: 2 if (int(x[0]), int(x[1])) == (1, 0) else int(max(x)))
     dist = ComponentDistribution.iid(2, [0.45, 0.45, 0.1])
-    cfg = small_config(n_samples=200)
-    system = sample_batch(dist, cfg.n_samples, cfg.seed).states.max(axis=1)
-    bad = np.flatnonzero(system == 2)
+    cfg = small_config(n_samples=200, r_max=1, seed=1)
+    planted = np.array([(0, 0), (1, 1)])
+
+    def plant(model, starts, targets, priors):
+        # every walk ends on its threshold's planted lower reference
+        return planted[targets], np.ones(len(starts), dtype=bool), np.ones(len(starts), dtype=np.int64)
+
+    monkeypatch.setattr(workflow, "boundary_searches", plant)
+    states = sample_batch(dist, cfg.n_samples, cfg.seed).states
+    bad = np.flatnonzero((states[:, 0] == 1) & (states[:, 1] == 0))
     assert bad.size >= 2 and bad[0] > 0 and _chunk_rows(2) >= cfg.n_samples
-    with pytest.raises(InconsistentReferenceSets, match=rf"^sample {bad[0]} \(\d, \d\): .*phi says S = 2;"):
-        _stage2(model, dist, cfg, [(0, None, None), (1, ReferenceSet(Side.LOWER, 1, [(2, 2)]), None)])
+    with pytest.raises(
+        InconsistentReferenceSets, match=rf"^sample {bad[0]} \(1, 0\): lower reference \(1, 1\) says S <= 1, phi says S = 2;"
+    ):
+        multistate_pmf(model, dist, cfg)
 
 
 def test_stage2_resolves_open_rows_through_the_batch_form_a_block_at_a_time(monkeypatch):
@@ -264,10 +260,9 @@ def test_stage2_settles_each_chunk_alike_at_any_chunk_size_and_worker_count(monk
     dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
     cfg = RunConfig(n_samples=200, eps_u=1e-2, r_max=6, parallel_searches=2, seed=7)
     sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in multistate_pmf(model, dist, cfg).stage1_results]
-    # a planted fault: phi says S = 3 wherever component 0 is down, outside
-    # the bracket 0 <= S <= 2 that the one reference puts on every sample
-    faulty = SystemModel(3, 4, 4, lambda x: 3 * int(x[0] == 0))
-    faulty_sets = [(0, None, None), (1, None, None), (2, ReferenceSet(Side.LOWER, 2, [(3, 3, 3)]), None)]
+    # a planted fault: the upper reference (0, 0, 0) lies under the lower
+    # reference (0, 3, 3), so the two cross wherever component 0 is down
+    crossed = ReferenceSet(Side.LOWER, 1, [(0, 3, 3)]), ReferenceSet(Side.UPPER, 1, [(0, 0, 0)])
     first = int(np.flatnonzero(sample_batch(dist, cfg.n_samples, cfg.seed).states[:, 0] == 0)[0])
     assert first >= 7  # past the first chunk of 7 rows
     runs = []
@@ -275,38 +270,19 @@ def test_stage2_settles_each_chunk_alike_at_any_chunk_size_and_worker_count(monk
         monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 3 * chunk)
         run_cfg = dataclasses.replace(cfg, n_workers=workers)
         before = model.evaluation_count
-        reports = _stage2(model, dist, run_cfg, sets)
+        reports = [stage2_evaluate(model, dist, lower, upper, run_cfg, t) for t, lower, upper in sets]
+        calls = model.evaluation_count - before
         with pytest.raises(InconsistentReferenceSets) as exc:
-            _stage2(faulty, dist, run_cfg, faulty_sets)
-        runs.append((reports, model.evaluation_count - before, str(exc.value)))
+            stage2_evaluate(model, dist, *crossed, run_cfg, 1)
+        runs.append((reports, calls, str(exc.value)))
     assert all(run == runs[0] for run in runs)
     reports, calls, message = runs[0]
     assert calls > 0 and any(r.unclassified_resolved for r in reports)
     assert summary(reports) == whole_batch_stage2(model, dist, cfg, sets)
-    assert re.match(rf"sample {first} \(0, \d, \d\): .*phi says S = 3;", message)
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_stage2_names_a_phi_fault_in_an_earlier_chunk_before_a_crossed_bracket(monkeypatch, workers):
-    # phi = max(x), but 2 at (1, 0), where the lower reference (2, 0) at
-    # m' = 1 says S <= 1; that reference and the upper reference (2, 0) at
-    # m' = 1 cross on the sample (2, 0)
-    model = SystemModel(2, 3, 3, lambda x: 2 if (int(x[0]), int(x[1])) == (1, 0) else int(max(x)))
-    dist = ComponentDistribution.iid(2, [0.5, 0.4, 0.1])
-    cfg = RunConfig(n_samples=200, seed=0, n_workers=workers)
-    sets = [(0, None, None), (1, ReferenceSet(Side.LOWER, 1, [(2, 0)]), ReferenceSet(Side.UPPER, 1, [(2, 0)]))]
-    states = sample_batch(dist, cfg.n_samples, cfg.seed).states
-    fault = int(np.flatnonzero((states[:, 0] == 1) & (states[:, 1] == 0))[0])
-    crossed = int(np.flatnonzero((states[:, 0] == 2) & (states[:, 1] == 0))[0])
-    assert 0 < fault < crossed
-    # chunk 0 holds the fault and chunk 1 opens on the crossed bracket
-    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 2 * crossed)
-    with pytest.raises(InconsistentReferenceSets, match=rf"^sample {fault} \(1, 0\): .* S <= 1, phi says S = 2;"):
-        _stage2(model, dist, cfg, sets)
-    # within one chunk the crossed bracket is named first
-    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 2 * cfg.n_samples)
-    with pytest.raises(InconsistentReferenceSets, match=rf"^sample {crossed} \(2, 0\): .* S <= 1, .* S >= 2;"):
-        _stage2(model, dist, cfg, sets)
+    assert re.match(
+        rf"sample {first} \(0, \d, \d\): lower reference \(0, 3, 3\) says S <= 1, upper reference \(0, 0, 0\) says S >= 2;",
+        message,
+    )
 
 
 def test_boundary_search_disabled_inserts_raw_samples(series3, monkeypatch):
@@ -465,30 +441,6 @@ def test_streamed_pmf_equals_whole_batch(monkeypatch):
             assert (s1.trace[-1].p_lower, s1.trace[-1].p_upper, s1.trace[-1].p_unclassified) == (
                 n_low / h, n_up / h, (h - n_low - n_up) / h
             )
-
-
-def test_stage2_encodes_each_chunk_once_for_all_thresholds(monkeypatch):
-    model = SystemModel(3, 4, 4, k_out_of_n(2, 3))
-    dist = ComponentDistribution.iid(3, [0.1, 0.2, 0.3, 0.4])
-    cfg = RunConfig(n_samples=1000, eps_u=1e-2, r_max=100, parallel_searches=4, seed=3)
-    sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in multistate_pmf(model, dist, cfg).stage1_results]
-    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 3 * 64)  # 64 rows a chunk
-    encoded = []
-
-    def counting_encode(states, n_states):
-        encoded.append(len(states))
-        return encode_batch(states, n_states)
-
-    monkeypatch.setattr(classify_module, "encode_batch", counting_encode)
-    reports = _stage2(model, dist, cfg, sets)
-    assert len(reports) == 3
-    # the stage call encodes each non-empty reference set once, in
-    # threshold order, before its first chunk
-    set_rows = [len(s) for _, low, up in sets for s in (low, up) if len(s)]
-    assert encoded[: len(set_rows)] == set_rows
-    sample_rows = encoded[len(set_rows) :]
-    assert len(sample_rows) == -(-cfg.n_samples // 64)
-    assert sum(sample_rows) == cfg.n_samples
 
 
 def test_pmf_regenerates_only_the_open_rows_of_batch_zero(rgg, monkeypatch):
