@@ -285,6 +285,9 @@ def cmd_pmf(args: argparse.Namespace) -> int:
         # one per sample left open at some threshold; with the search
         # calls above, every phi call of the run
         "resolution_phi_calls": report.resolution_phi_calls,
+        # each round of walks: its phi calls over every threshold, and the
+        # open rows its references settled, the two sides of the cost test
+        "rounds": [{"search_phi_calls": c, "settled": n} for c, n in report.rounds],
         "manifest": manifest,
     }
     _save_with_peak(lambda: files.write_json(args.out, doc), manifest)

@@ -31,13 +31,14 @@ its bracket leaves open, every threshold's picks walk in one
 ``_search_round``, and only the rows still open are classified again.
 Coverage only grows, so a settled row stays settled. A threshold stops on
 ``eps_u`` (now the open share of batch 0 itself) or ``r_max``, and all
-stop on cost, once the walks' phi calls over the last ``_COST_WINDOW``
-rounds exceed the open rows those rounds settled, since each open row
-costs one phi call once the rounds end. Every row still open is then
-resolved by phi and checked against its bracket, which references at
-other thresholds may have narrowed: phi outside it means phi is not
-coherent, and raises. The estimate does not depend on the references,
-so the PMF is phi's frequency on batch 0 whatever the stop.
+stop on cost, once the walks' phi calls over the last rounds, at most
+``_COST_WINDOW``, from the first, exceed the open rows those rounds
+settled, since each open row costs one phi call once the rounds end.
+Every row still open is then resolved by phi and checked against its
+bracket, which references at other thresholds may have narrowed: phi
+outside it means phi is not coherent, and raises. The estimate does not
+depend on the references, so the PMF is phi's frequency on batch 0
+whatever the stop.
 
 ``find-refs`` and ``evaluate`` stream their batch through the one
 classification route, ``classify.verdicts``, with ``_stream`` as its row
@@ -95,8 +96,8 @@ __all__ = [
 # sets, it is seed-matched bit-for-bit with the crude Monte Carlo oracle.
 _STAGE2_GENERATION = 0
 
-# pmf's Stage 1 stops once its walks' phi calls over this many rounds
-# exceed the open rows those rounds settled
+# pmf's Stage 1 stops once its walks' phi calls over the last rounds, at
+# most this many, from the first, exceed the open rows those rounds settled
 _COST_WINDOW = 3
 
 
@@ -398,6 +399,9 @@ class PmfReport:
     references Stage 1 found. Each Stage-1 result holds that threshold's
     rounds on batch 0 and their search phi calls; with
     ``resolution_phi_calls`` they make up every phi call of the run.
+    ``rounds`` holds the two sides of the cost test of each round of
+    walks: their phi calls, summed over thresholds, and the open rows
+    their references settled.
     """
 
     pmf: np.ndarray  # length M_S, sums to 1
@@ -405,6 +409,7 @@ class PmfReport:
     stage2_reports: tuple[Stage2Report, ...]
     stage1_results: tuple[Stage1Result, ...]  # one per m'; each counts its search phi calls
     resolution_phi_calls: int  # one phi call per sample some threshold's bracket left open
+    rounds: tuple[tuple[int, int], ...]  # (search phi calls, settled rows) of each round of walks
 
 
 def assemble_pmf(cumulative: np.ndarray | list[float]) -> tuple[np.ndarray, float]:
@@ -450,7 +455,7 @@ def _reclassify(
     ):
         keep = c_lo < c_hi
         known += np.bincount(c_hi[~keep], minlength=len(known))
-        end = n_open + np.count_nonzero(keep)
+        end = n_open + int(np.count_nonzero(keep))
         index[n_open:end] = index[start : start + len(states)][keep]
         lo[n_open:end] = c_lo[keep]
         hi[n_open:end] = c_hi[keep]
@@ -474,10 +479,11 @@ def multistate_pmf(
     (``_search_round``), and the rows still open are classified again
     against the full sets. A threshold stops on ``eps_u`` (the share of
     batch 0 its bracket leaves open) or ``r_max``; all stop on cost, once
-    the walks' phi calls over the last ``_COST_WINDOW`` rounds exceed the
-    open rows those rounds settled. Both are exact counts on the batch:
-    each open row costs one phi call at the end. Then every row still
-    open is resolved by one phi call, checked against its bracket.
+    the walks' phi calls over the last rounds, at most ``_COST_WINDOW``,
+    from the first, exceed the open rows those rounds settled. Both are
+    exact counts on the batch: each open row costs one phi call at the
+    end, and ``rounds`` reports both counts of each round. Then every row
+    still open is resolved by one phi call, checked against its bracket.
 
     The estimate is phi's frequency on batch 0 whatever references are
     found, so it equals the crude Monte Carlo oracle's at the same seed,
@@ -518,7 +524,7 @@ def multistate_pmf(
         still_live = [
             k for k in live if _record(results[k], config, round_, t_start, phi_calls[k], searches[k], below[k], above[k])
         ]
-        if still_live and len(spent) >= _COST_WINDOW and sum(spent[-_COST_WINDOW:]) > sum(settled[-_COST_WINDOW:]):
+        if still_live and spent and sum(spent[-_COST_WINDOW:]) > sum(settled[-_COST_WINDOW:]):
             for k in still_live:
                 results[k].terminated_by = "cost"
             still_live = []
@@ -566,4 +572,5 @@ def multistate_pmf(
         stage2_reports=tuple(reports),
         stage1_results=tuple(results),
         resolution_phi_calls=len(index),
+        rounds=tuple(zip(spent, settled)),
     )

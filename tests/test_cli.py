@@ -293,6 +293,11 @@ def test_pmf_subcommand(tmp_path, monkeypatch):
     # search and resolution calls are every phi call of the run
     (phi,) = (m.evaluation_count for m in loaded)
     assert sum(s1["search_phi_calls"] for s1 in stage1) + doc["resolution_phi_calls"] == phi
+    # each round's two sides of the cost test: its walks' phi calls and
+    # the open rows it settled; every row not settled costs one phi call
+    rounds = doc["rounds"]
+    assert sum(r["search_phi_calls"] for r in rounds) == sum(s1["search_phi_calls"] for s1 in stage1)
+    assert doc["manifest"]["config"]["n_samples"] - sum(r["settled"] for r in rounds) == doc["resolution_phi_calls"]
 
 
 def test_refs_file_holds_the_indented_document_one_vector_a_line(tmp_path):

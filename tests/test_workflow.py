@@ -489,25 +489,46 @@ def test_pmf_stops_once_its_walks_cost_more_than_they_settle(rgg):
     assert {type(v) for t in s1.trace for v in (t.p_lower, t.p_upper, t.p_unclassified)} == {float}
     spent = np.diff([t.phi_evaluations for t in s1.trace])
     settled = -np.diff([round(t.p_unclassified * h) for t in s1.trace])
+    assert report.rounds == tuple(zip(spent.tolist(), settled.tolist()))
+    # from the first round on, the test weighs the last rounds, at most a window
     window = workflow._COST_WINDOW
-    over = [r >= window and spent[r - window : r].sum() > settled[r - window : r].sum() for r in range(s1.iterations)]
+    last = [slice(max(0, r - window), r) for r in range(s1.iterations)]
+    over = [r > 0 and spent[w].sum() > settled[w].sum() for r, w in enumerate(last)]
     # the rounds end at the first record where the test holds
     assert over[-1] and not any(over[:-1])
-    assert s1.iterations > window
+    # rounds that paid came before the stop
+    assert s1.iterations > 2
     # one call a row left open: the stop weighs what the rounds save
     assert s1.search_phi_calls + report.resolution_phi_calls == model.evaluation_count - before
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_pass_allocates_one_kernel_scratch_per_worker(monkeypatch, workers):
-    # the four thresholds of 3-out-of-12, M = 5, each set non-empty, on a
-    # batch of five chunks: every chunk and set reuses its worker's scratch
+def test_pmf_stops_after_a_first_round_that_costs_more_than_it_settles():
+    # the pmf benchmark's inputs: 3-out-of-12, M = 5. Its first round of walks
+    # costs more phi calls than the open rows it settles, so pmf stops there
+    # rather than wait for a full window of such rounds
     model = SystemModel(12, 5, 5, k_out_of_n(3, 12))
     dist = ComponentDistribution.iid(12, [0.4, 0.3, 0.15, 0.1, 0.05])
+    cfg = RunConfig(n_samples=5000, eps_u=2e-4, parallel_searches=32, seed=1000)
+    report = multistate_pmf(model, dist, cfg)
+    assert [len(s1.trace) for s1 in report.stage1_results] == [2] * 4
+    assert {s1.terminated_by for s1 in report.stage1_results} == {"cost"}
+    ((spent, settled),) = report.rounds
+    assert spent == sum(s1.search_phi_calls for s1 in report.stage1_results)
+    assert spent > settled == cfg.n_samples - report.resolution_phi_calls
+    assert spent + report.resolution_phi_calls == model.evaluation_count
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_pass_allocates_one_kernel_scratch_per_worker(monkeypatch, workers):
+    # the two thresholds of 3-out-of-6, M = 3, each set non-empty, on a
+    # batch of five chunks: every chunk and set reuses its worker's scratch.
+    # Here pmf's rounds pay until eps_u, so every set takes references
+    model = SystemModel(6, 3, 3, k_out_of_n(3, 6))
+    dist = ComponentDistribution.iid(6, [0.2, 0.3, 0.5])
     cfg = RunConfig(n_samples=2000, eps_u=1e-3, parallel_searches=16, seed=3, n_workers=workers)
     sets = [(s1.lower.threshold, s1.lower, s1.upper) for s1 in multistate_pmf(model, dist, cfg).stage1_results]
     assert all(len(s) for _, low, up in sets for s in (low, up))
-    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 12 * 400)  # 400 rows a chunk
+    monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * 6 * 400)  # 400 rows a chunk
     allocated = []
 
     def counting_scratch(size, n_words):
@@ -576,11 +597,12 @@ def test_pmf_rounds_equal_at_any_chunk_size_and_worker_count(monkeypatch):
     # index already written over would change the rows it classifies
     from conftest import random_distribution, random_monotone_model
 
+    # 3-out-of-6, M = 3, whose rounds pay until eps_u, so they are several
     rng = np.random.default_rng(7)
     cases = [
         (
-            SystemModel(12, 5, 5, k_out_of_n(3, 12)),
-            ComponentDistribution.iid(12, [0.4, 0.3, 0.15, 0.1, 0.05]),
+            SystemModel(6, 3, 3, k_out_of_n(3, 6)),
+            ComponentDistribution.iid(6, [0.2, 0.3, 0.5]),
             RunConfig(n_samples=2000, eps_u=2e-4, parallel_searches=8, seed=3),
         ),
         (
