@@ -15,7 +15,8 @@ one. ``word_hits`` is the kernel; a row leaves it once a block of
 references hits it. A ``verdicts`` call gives each worker thread one
 kernel scratch for all its chunks and sets, so a call does not allocate
 per kernel call. Both workflow stages run ``verdicts`` over the
-sampler's rows, and ``classify`` over slices of its batch at one
+sampler's rows, ``multistate_pmf`` also over the packed words it keeps
+of open rows, and ``classify`` over slices of its batch at one
 threshold. With a coherent phi and side-consistent reference sets no
 bracket is crossed; ``verdicts`` raises ``InconsistentReferenceSets`` on
 the first that is. A set's upper pass skips the rows its lower pass hit
@@ -38,7 +39,7 @@ import numpy as np
 
 # _BLOCK_BYTES bounds one worker's chunk x ref-block temporaries
 from .boundary import _BLOCK_BYTES, ReferenceSet, Side
-from .encoding import encode_batch
+from .encoding import decode_packed, encode_batch
 from .sampling import SampleBatch
 
 __all__ = [
@@ -138,6 +139,11 @@ def _scratch_size(n_refs: int, n_cols: int) -> int:
     return min(n_refs * n_cols, max(_BLOCK_BYTES // 16, n_cols))
 
 
+def _word_major(states: np.ndarray, n_states: int) -> np.ndarray:
+    """The thermometer words of K state rows, word-major: entry (w, k) is word w of row k, the layout ``word_hits`` takes."""
+    return np.ascontiguousarray(encode_batch(states, n_states).packed.T)
+
+
 def _kernel_scratch(size: int, n_words: int) -> tuple[np.ndarray, np.ndarray | None]:
     """``word_hits``'s OR accumulator of ``size`` entries, and its AND temporary when a row spans more than one word."""
     return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64) if n_words > 1 else None
@@ -223,6 +229,7 @@ def verdicts(
     shape: tuple[int, int, int],
     n_workers: int,
     index: np.ndarray | None = None,
+    packed: bool = False,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
     """Classify rows ``0..n_rows-1`` of ``rows(start, stop)``, ``chunk_rows`` at a time.
 
@@ -234,6 +241,12 @@ def verdicts(
     ``InconsistentReferenceSets``, so no row is hit by both sides of a set.
     The error names row k as sample ``index[k]``, or as sample k when
     ``index`` is None.
+
+    ``rows`` gives a chunk's states, which each chunk packs once. With
+    ``packed`` it gives the chunk's thermometer words instead, word-major
+    as ``_word_major`` lays them out, and the chunk is neither drawn nor
+    encoded again: it comes back as those words, and the error decodes
+    its row's states from them.
 
     Before the first chunk is drawn, each set is checked once for an upper
     reference under a lower one. The pass then allocates ``word_hits``'s
@@ -254,10 +267,10 @@ def verdicts(
         or not word_hits(np.ascontiguousarray(lower.T), upper).any()
         for (_, low, up), (_, lower, upper) in zip(sets, refs)
     ]
-    packed = [r for _, lower, upper in refs for r in (lower, upper) if r is not None]
+    rbars = [r for _, lower, upper in refs for r in (lower, upper) if r is not None]
     # the largest kernel block tests a full chunk against the largest set
-    size = max((_scratch_size(len(r), min(chunk_rows, n_rows)) for r in packed), default=0)
-    n_words = packed[0].shape[1] if packed else 1
+    size = max((_scratch_size(len(r), min(chunk_rows, n_rows)) for r in rbars), default=0)
+    n_words = rbars[0].shape[1] if rbars else 1
     # the scratches no kernel call is using; list pop and append are atomic,
     # so a thread never takes one another thread holds
     spare: list[tuple[np.ndarray, np.ndarray | None]] = []
@@ -269,17 +282,17 @@ def verdicts(
             return _kernel_scratch(size, n_words)
 
     def work(start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        states = rows(start, min(start + chunk_rows, n_rows))
-        # word-major: entry (w, k) is word w of row k, the layout word_hits takes;
+        chunk = rows(start, min(start + chunk_rows, n_rows))
         # T(x) meets the lower sets, NOT T(x) the upper
-        words = np.ascontiguousarray(encode_batch(states, m).packed.T)
-        lo = np.zeros(len(states), dtype=np.int64)
-        hi = np.full(len(states), n_system_states - 1, dtype=np.int64)
+        words = chunk if packed else _word_major(chunk, m)
+        n_chunk = words.shape[1]
+        lo = np.zeros(n_chunk, dtype=np.int64)
+        hi = np.full(n_chunk, n_system_states - 1, dtype=np.int64)
         hits = []
         kernel = scratch()
         for (t, lower, upper), apart in zip(refs, disjoint):
             low = word_hits(words, lower, kernel)
-            up = np.zeros(len(states), dtype=bool)
+            up = np.zeros(n_chunk, dtype=bool)
             if upper is not None and apart and low.any():
                 # NOT T(x) of the rows the lower pass left open, and only those
                 flipped = words[:, ~low]
@@ -296,8 +309,9 @@ def verdicts(
         if crossed.size:
             i = int(crossed[0])
             sample = start + i if index is None else int(index[start + i])
-            raise InconsistentReferenceSets.on_bracket(sets, sample, states[i], lo[i], hi[i])
-        return start, states, lo, hi, hits
+            x = decode_packed(words[:, i : i + 1].T, n, m)[0] if packed else chunk[i]
+            raise InconsistentReferenceSets.on_bracket(sets, sample, x, lo[i], hi[i])
+        return start, chunk, lo, hi, hits
 
     return ordered_map(work, range(0, n_rows, chunk_rows), n_workers)
 

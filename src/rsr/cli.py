@@ -86,7 +86,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         "--parallel",
         type=int,
         default=RunConfig.parallel_searches,
-        help="boundary searches per iteration",
+        help="boundary searches per iteration; for pmf, at most this many walks per threshold per round",
     )
     _add_batch_flags(parser)
 

@@ -9,7 +9,8 @@ lower reference's region is T(l) and an upper one's is NOT T(u).
 
 A batch flattens each matrix row-major into a length-N(M-1) row. The
 flattened rows are also bit-packed into zero-padded 64-bit words, the
-layout the classification kernel ANDs word by word. Encodings are derived
+layout the classification kernel ANDs word by word, and ``decode_packed``
+turns packed rows back into states. Encodings are derived
 data and never serialized; reference-set files persist raw vectors
 instead. The paper's one-hot N x M matrices are in ``oracle``, as ground
 truth for the tests.
@@ -24,13 +25,18 @@ import numpy as np
 
 from .model import check_states
 
-__all__ = ["EncodedBatch", "encode_batch"]
+__all__ = ["EncodedBatch", "decode_packed", "encode_batch"]
+
+
+def _n_words(width: int) -> int:
+    """The 64-bit words a packed row of ``width`` bits takes: ceil(width / 64), at least one."""
+    return max(1, -(-width // 64))
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """Pack K x W 0/1 rows into K x max(1, ceil(W / 64)) uint64 words, pad bits zero."""
+    """Pack K x W 0/1 rows into K x ``_n_words(W)`` uint64 words, pad bits zero."""
     k, width = bits.shape
-    out = np.zeros((k, max(1, -(-width // 64)) * 8), dtype=np.uint8)
+    out = np.zeros((k, _n_words(width) * 8), dtype=np.uint8)
     out[:, : -(-width // 8)] = np.packbits(bits, axis=1)
     return out.view(np.uint64)
 
@@ -77,3 +83,17 @@ def encode_batch(states: np.ndarray, n_states: int) -> EncodedBatch:
     for c in range(n_states - 1):
         np.greater(arr, c, out=cube[:, :, c])
     return EncodedBatch(cube.reshape(k, n * (n_states - 1)), n, n_states)
+
+
+def decode_packed(packed: np.ndarray, n_components: int, n_states: int) -> np.ndarray:
+    """The K x N states of K word-packed thermometer rows, as ``EncodedBatch.packed`` holds them.
+
+    A component's state is the count of its set bits, and at M = 2 the bit
+    itself. States come as the sampler makes them: uint8, uint16 for M > 256.
+    """
+    width = n_components * (n_states - 1)
+    bits = np.unpackbits(np.ascontiguousarray(packed).view(np.uint8), axis=1, count=width)
+    if n_states == 2:
+        return bits
+    dtype = np.min_scalar_type(n_states - 1)
+    return bits.reshape(len(bits), n_components, n_states - 1).sum(axis=2, dtype=dtype)

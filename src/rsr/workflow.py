@@ -29,6 +29,10 @@ boundary walks call too.
 Stage 1 works in rounds: each threshold still running searches from rows
 its bracket leaves open, every threshold's picks walk in one
 ``_search_round``, and only the rows still open are classified again.
+The batch sizes the rounds' walks: the first round's walks cost at most
+about a tenth of it, and a later round has twice the walks of a round
+that settled more open rows than its walks cost and half those of one
+that did not, never more than ``parallel_searches`` a threshold.
 Coverage only grows, so a settled row stays settled. A threshold stops on
 ``eps_u`` (now the open share of batch 0 itself) or ``r_max``, and all
 stop on cost, once the walks' phi calls over the last rounds, at most
@@ -53,9 +57,13 @@ worker. Stage 1 adds one byte per sample for the unclassified rows and
 regenerates the rows it searches from by index; its first iteration,
 whose sets are empty, draws nothing. Stage 2 adds only its counts,
 whatever the batch size. ``multistate_pmf`` keeps the open rows'
-indices and narrow brackets between rounds, a few bytes a row and never
-their states, and regenerates the open rows chunk by chunk with
-``sampling.sample_rows`` as the source of ``verdicts``. The crude Monte
+indices and narrow brackets between rounds, a few bytes a row, and the
+packed thermometer words, ceil(N(M-1)/64) words a row, of as many open
+rows as fit in ``_KEEP_BYTES`` a sample of the batch. Later passes
+classify the kept words as they are, and phi reads the states they decode
+to, with no draw and no encode; the open rows past the budget are
+regenerated chunk by chunk with ``sampling.sample_rows`` as the source of
+``verdicts``. The crude Monte
 Carlo oracle (``oracle.crude_monte_carlo``) stays whole-batch and calls
 phi one row at a time through ``SystemModel.evaluate`` on purpose, as an
 independent check of this path and of any batch form of phi.
@@ -76,7 +84,8 @@ import numpy as np
 from .boundary import ReferenceSet, Side, boundary_search, boundary_searches  # noqa: F401
 # classify is not called here; it stays importable as workflow.classify
 # because perfbench/spans.py wraps that name
-from .classify import InconsistentReferenceSets, ThresholdSets, _chunk_rows, classify, cov, verdicts  # noqa: F401
+from .classify import InconsistentReferenceSets, ThresholdSets, _chunk_rows, _word_major, classify, cov, verdicts  # noqa: F401
+from .encoding import _n_words, decode_packed
 from .model import ComponentDistribution, SystemModel
 from .sampling import sample_batch, sample_rows
 
@@ -99,6 +108,11 @@ _STAGE2_GENERATION = 0
 # pmf's Stage 1 stops once its walks' phi calls over the last rounds, at
 # most this many, from the first, exceed the open rows those rounds settled
 _COST_WINDOW = 3
+
+# pmf keeps the thermometer words of as many of batch 0's open rows as fit
+# in this many bytes a sample of the batch, about the size of its index
+# array, rather than regenerating them each round
+_KEEP_BYTES = 4
 
 
 def _peak_rss_bytes() -> int | None:
@@ -428,6 +442,28 @@ def assemble_pmf(cumulative: np.ndarray | list[float]) -> tuple[np.ndarray, floa
     return clipped / clipped.sum(), adjustment
 
 
+def _open_words(
+    dist: ComponentDistribution,
+    config: RunConfig,
+    index: np.ndarray,
+    words: np.ndarray,
+    n_kept: int,
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """The thermometer words, word-major, of the open rows ``start..stop-1``.
+
+    The first ``n_kept`` open rows have their words kept in ``words``; the
+    others are regenerated from their sample indices by ``sample_rows``
+    and packed.
+    """
+    cut = min(max(start, n_kept), stop)
+    if cut == stop:
+        return words[:, start:stop]
+    drawn = _word_major(sample_rows(dist, config.seed, _STAGE2_GENERATION, index[cut:stop]), dist.n_states)
+    return drawn if cut == start else np.concatenate([words[:, start:cut], drawn], axis=1)
+
+
 def _reclassify(
     model: SystemModel,
     dist: ComponentDistribution,
@@ -436,32 +472,39 @@ def _reclassify(
     index: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
+    words: np.ndarray,
+    n_kept: int,
     known: np.ndarray,
 ) -> int:
-    """Classify the rows ``index`` of batch 0 against every set, and keep those still open at the front, in place.
+    """Classify the open rows ``index`` of batch 0 against every set, and keep those still open at the front, in place.
 
-    ``sample_rows`` regenerates the rows chunk by chunk as ``verdicts``'s
-    source, and a crossed bracket raises naming its sample. A row whose
-    bracket closes, lo = hi = S, is counted in ``known[S]``; the others
-    move to the front of ``index``, with their brackets in ``lo`` and
-    ``hi``, and their count is returned. A chunk's rows go no further
-    forward than the chunk itself, so no worker reads an index written over.
+    ``verdicts`` classifies the kept words of the first ``n_kept`` rows as
+    they are, and ``sample_rows`` regenerates the others chunk by chunk
+    (``_open_words``); a crossed bracket raises naming its sample. A row
+    whose bracket closes, lo = hi = S, is counted in ``known[S]``; the
+    others move to the front of ``index``, with their brackets in ``lo``
+    and ``hi`` and, as far as ``words`` has room, their words, and their
+    count is returned. A chunk's rows go no further forward than the chunk
+    itself, so no worker reads an index or a word written over.
     """
+    n, m = model.n_components, model.n_component_states
     n_open = 0
-    for start, states, c_lo, c_hi, _ in verdicts(
-        lambda start, stop: sample_rows(dist, config.seed, _STAGE2_GENERATION, index[start:stop]),
-        len(index), _chunk_rows(model.n_components), sets,
-        (model.n_components, model.n_component_states, model.n_system_states), config.n_workers, index,
+    for start, chunk, c_lo, c_hi, _ in verdicts(
+        lambda start, stop: _open_words(dist, config, index, words, n_kept, start, stop),
+        len(index), _chunk_rows(n), sets, (n, m, model.n_system_states), config.n_workers, index, packed=True,
     ):
         keep = c_lo < c_hi
         known += np.bincount(c_hi[~keep], minlength=len(known))
         end = n_open + int(np.count_nonzero(keep))
-        index[n_open:end] = index[start : start + len(states)][keep]
+        index[n_open:end] = index[start : start + len(keep)][keep]
         lo[n_open:end] = c_lo[keep]
         hi[n_open:end] = c_hi[keep]
+        room = min(end, words.shape[1]) - n_open
+        if room > 0:
+            words[:, n_open : n_open + room] = chunk[:, keep][:, :room]
         n_open = end
         # dropped before the next chunk is drawn, so one chunk is alive at a time
-        del states, c_lo, c_hi, keep
+        del chunk, c_lo, c_hi, keep
     return n_open
 
 
@@ -473,12 +516,17 @@ def multistate_pmf(
     """Find references for every threshold on Stage 2's own batch, then resolve the rest by phi.
 
     Stage 1 runs in rounds on batch 0, the batch Stage 2 draws. Each
-    round, every threshold still running picks up to ``parallel_searches``
+    round, every threshold still running picks up to a round's width of
     rows its bracket leaves open, with ``default_rng([seed, round])``
     reset before each threshold; all picks walk in one lockstep
     (``_search_round``), and the rows still open are classified again
-    against the full sets. A threshold stops on ``eps_u`` (the share of
-    batch 0 its bracket leaves open) or ``r_max``; all stop on cost, once
+    against the full sets. A walk makes at most N(M-1) moves, so the
+    first round's width, min(``parallel_searches``, max(1, H // (10 *
+    thresholds * N(M-1)))), makes its walks cost about a tenth of the
+    batch at most. A later round doubles the width after a round that
+    settled more open rows than its walks cost and halves it otherwise,
+    between 1 and ``parallel_searches``. A threshold stops on ``eps_u``
+    (the share of batch 0 its bracket leaves open) or ``r_max``; all stop on cost, once
     the walks' phi calls over the last rounds, at most ``_COST_WINDOW``,
     from the first, exceed the open rows those rounds settled. Both are
     exact counts on the batch: each open row costs one phi call at the
@@ -487,10 +535,14 @@ def multistate_pmf(
 
     The estimate is phi's frequency on batch 0 whatever references are
     found, so it equals the crude Monte Carlo oracle's at the same seed,
-    and the chain P(S <= m') is monotone exactly. Between rounds only the
-    open rows' indices and narrow brackets are kept: the rows are
-    regenerated chunk by chunk by ``sample_rows``. A crossed bracket, or
-    phi outside one, raises ``InconsistentReferenceSets``.
+    and the chain P(S <= m') is monotone exactly. Between rounds the open
+    rows' indices and narrow brackets are kept, and the packed thermometer
+    words of as many open rows as fit in ``_KEEP_BYTES`` a sample, which
+    later rounds classify as they are and phi reads decoded. Only the open
+    rows past that budget are regenerated, chunk by chunk by
+    ``sample_rows``, so a row the budget holds is drawn again only to
+    start a walk. A crossed bracket, or phi outside one, raises
+    ``InconsistentReferenceSets``.
     """
     n_states = model.n_system_states
     thresholds = range(n_states - 1)
@@ -507,17 +559,24 @@ def multistate_pmf(
     index = np.arange(h, dtype=np.min_scalar_type(h - 1))
     lo = np.zeros(h, dtype=np.min_scalar_type(n_states - 1))
     hi = np.full(h, n_states - 1, dtype=lo.dtype)
+    # the thermometer words, word-major, of the first n_kept open rows: as
+    # many as fit in _KEEP_BYTES a sample. The others are regenerated
+    n_words = _n_words(model.n_components * (model.n_component_states - 1))
+    words = np.empty((n_words, min(h, _KEEP_BYTES * h // (8 * n_words))), dtype=np.uint64)
+    n_kept = 0
     # known[s]: the settled rows whose system state is s
     known = np.zeros(n_states, dtype=np.int64)
     spent: list[int] = []  # each round's walks' phi calls
     settled: list[int] = []  # the open rows each round's references settled
+    width = 0  # walks a threshold in a round, set before each round
     t_start = time.perf_counter()
     live = list(range(len(results)))
     for round_ in itertools.count():
         if round_:
-            n_open = _reclassify(model, dist, config, sets, index, lo, hi, known)
+            n_open = _reclassify(model, dist, config, sets, index, lo, hi, words, n_kept, known)
             settled.append(len(index) - n_open)
             index, lo, hi = index[:n_open], lo[:n_open], hi[:n_open]
+            n_kept = min(n_open, words.shape[1])
         # the rows whose bracket says S <= m', and S >= m'+1, at each m'
         below = np.cumsum(known + np.bincount(hi, minlength=n_states))[:-1].tolist()
         above = (h - np.cumsum(known + np.bincount(lo, minlength=n_states))[:-1]).tolist()
@@ -530,6 +589,16 @@ def multistate_pmf(
             still_live = []
         if not still_live:
             break
+        if not spent:
+            # a walk makes at most N(M-1) moves, a phi call each, and one call
+            # on its start, so the first round's walks cost at most a tenth of
+            # the batch and a call a walk
+            moves = model.n_components * (model.n_component_states - 1)
+            width = min(config.parallel_searches, max(1, h // (10 * len(still_live) * moves)))
+        elif settled[-1] > spent[-1]:
+            width = min(config.parallel_searches, 2 * width)
+        else:
+            width = max(1, width // 2)
         # every threshold picks from the same stream, reset to its start
         rng = np.random.default_rng([config.seed, round_])
         origin = rng.bit_generator.state
@@ -537,7 +606,7 @@ def multistate_pmf(
         for k in still_live:
             rng.bit_generator.state = origin
             open_k = index[(lo <= k) & (k < hi)]
-            n_pick = min(config.parallel_searches, len(open_k))
+            n_pick = min(width, len(open_k))
             picks.append((results[k], rng.choice(open_k, size=n_pick, replace=False)))
             searches[k] += n_pick
             del open_k
@@ -552,7 +621,9 @@ def multistate_pmf(
     chunk = _chunk_rows(model.n_components)
     for start in range(0, len(index), chunk):
         stop = min(start + chunk, len(index))
-        states = sample_rows(dist, config.seed, _STAGE2_GENERATION, index[start:stop])
+        states = decode_packed(
+            _open_words(dist, config, index, words, n_kept, start, stop).T, model.n_components, dist.n_states
+        )
         phi = model._phi_rows(states)
         bad = np.flatnonzero((phi < lo[start:stop]) | (phi > hi[start:stop]))
         if bad.size:

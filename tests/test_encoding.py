@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rsr.boundary import ReferenceSet, Side
 from rsr.classify import _pack_references
-from rsr.encoding import EncodedBatch, encode_batch
+from rsr.encoding import EncodedBatch, decode_packed, encode_batch
 from rsr.oracle import one_hot
 
 
@@ -77,6 +77,24 @@ def test_round_trip_and_row_sums(n, m, seed):
     rows = encode_batch(states, m).data.reshape(4, n, m - 1)
     assert np.array_equal(rows.sum(axis=2), states)
     assert np.all(np.diff(rows.astype(np.int8), axis=2) <= 0)
+
+
+# (N, M): one word, a row that ends on a word boundary, N = 33 at M = 3
+# whose 66 bits cross one (component 31's second bit is word 1's first),
+# and rows of several words at M = 2, 3 and 5
+@pytest.mark.parametrize(("n", "m"), [(5, 2), (64, 2), (33, 3), (294, 2), (40, 3), (12, 5), (17, 5)])
+def test_packed_words_decode_to_their_states(n, m):
+    # pmf keeps open rows as packed words and hands phi the states they decode to
+    rng = np.random.default_rng(n * m)
+    states = rng.integers(0, m, size=(50, n)).astype(np.uint8)
+    states[0], states[1] = 0, m - 1
+    packed = encode_batch(states, m).packed
+    assert packed.shape == (50, max(1, -(-n * (m - 1) // 64)))
+    decoded = decode_packed(packed, n, m)
+    assert decoded.dtype == np.uint8
+    assert np.array_equal(decoded, states)
+    # rows taken from a word-major copy, as pmf keeps them, decode alike
+    assert np.array_equal(decode_packed(np.ascontiguousarray(packed.T)[:, 7:20].T, n, m), states[7:20])
 
 
 @given(st.integers(1, 6), st.integers(2, 5), st.integers(0, 2**31))

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib
 import itertools
+import math
 import re
 import sys
 import tracemalloc
@@ -201,7 +202,9 @@ def test_stage2_names_the_lowest_index_sample_whose_phi_leaves_its_bracket(monke
     # reference at another threshold may have narrowed. phi = max(x) but 2 at
     # (1, 0): the lower reference (1, 1) at m' = 1 says S <= 1 there, while
     # (0, 0) at m' = 0 leaves the row open, so it ends the rounds in the
-    # bracket 0 <= S <= 1 and phi leaves it on several rows of the one chunk
+    # bracket 0 <= S <= 1 and phi leaves it on several rows of the one chunk.
+    # phi reads the open rows' states regenerated, or decoded from the words
+    # kept of them, alike
     model = SystemModel(2, 3, 3, lambda x: 2 if (int(x[0]), int(x[1])) == (1, 0) else int(max(x)))
     dist = ComponentDistribution.iid(2, [0.45, 0.45, 0.1])
     cfg = small_config(n_samples=200, r_max=1, seed=1)
@@ -215,10 +218,13 @@ def test_stage2_names_the_lowest_index_sample_whose_phi_leaves_its_bracket(monke
     states = sample_batch(dist, cfg.n_samples, cfg.seed).states
     bad = np.flatnonzero((states[:, 0] == 1) & (states[:, 1] == 0))
     assert bad.size >= 2 and bad[0] > 0 and _chunk_rows(2) >= cfg.n_samples
-    with pytest.raises(
-        InconsistentReferenceSets, match=rf"^sample {bad[0]} \(1, 0\): lower reference \(1, 1\) says S <= 1, phi says S = 2;"
-    ):
-        multistate_pmf(model, dist, cfg)
+    for keep in (0, math.inf):
+        monkeypatch.setattr(workflow, "_KEEP_BYTES", keep)
+        with pytest.raises(
+            InconsistentReferenceSets,
+            match=rf"^sample {bad[0]} \(1, 0\): lower reference \(1, 1\) says S <= 1, phi says S = 2;",
+        ):
+            multistate_pmf(model, dist, cfg)
 
 
 def test_stage2_resolves_open_rows_through_the_batch_form_a_block_at_a_time(monkeypatch):
@@ -444,10 +450,14 @@ def test_streamed_pmf_equals_whole_batch(monkeypatch):
 
 
 def test_pmf_regenerates_only_the_open_rows_of_batch_zero(rgg, monkeypatch):
-    # pmf draws no whole batch: each round regenerates the rows still open,
-    # the walks their starts and the end the rows left open, all from batch 0.
-    # On a binary model a row is open exactly when its one threshold leaves
-    # it open, so the trace counts the open rows. At edge failure 0.3 the
+    # pmf draws no whole batch, only rows of batch 0: the first pass draws
+    # every row, the walks their starts, and each later pass and the end
+    # the open rows whose words were not kept. A pass keeps the words of the
+    # first open rows it leaves, as many as fit in the budget: none at 0,
+    # so each round regenerates every open row, and all of them at no
+    # bound, so each row is drawn at most once, plus the walks' starts. On a
+    # binary model a row is open exactly when its one threshold leaves it
+    # open, so the trace counts the open rows. At edge failure 0.3 the
     # rounds stop on cost with rows left open
     model, _ = rgg
     dist = ComponentDistribution.iid(model.n_components, [0.3, 0.7])
@@ -455,7 +465,7 @@ def test_pmf_regenerates_only_the_open_rows_of_batch_zero(rgg, monkeypatch):
     drawn = []
 
     def counting_rows(dist, seed, generation, indices):
-        drawn.append((seed, generation, len(indices)))
+        drawn.append((seed, generation, np.array(indices)))
         return sample_rows(dist, seed, generation, indices)
 
     def refuse(*args, **kwargs):
@@ -463,15 +473,29 @@ def test_pmf_regenerates_only_the_open_rows_of_batch_zero(rgg, monkeypatch):
 
     monkeypatch.setattr(workflow, "sample_rows", counting_rows)
     monkeypatch.setattr(workflow, "sample_batch", refuse)
-    report = multistate_pmf(model, dist, cfg)
-    (s1,) = report.stage1_results
-    open_rows = [round(t.p_unclassified * cfg.n_samples) for t in s1.trace]
-    # coverage only grows, so a settled row stays settled
-    assert open_rows == sorted(open_rows, reverse=True) and open_rows[0] == cfg.n_samples
-    assert report.resolution_phi_calls == open_rows[-1] > 0
-    assert {(seed, generation) for seed, generation, _ in drawn} == {(cfg.seed, 0)}
-    assert sum(n for *_, n in drawn) == sum(open_rows[:-1]) + s1.trace[-1].searches + open_rows[-1]
-    assert max(n for *_, n in drawn) <= _chunk_rows(model.n_components)
+    for keep in (0, workflow._KEEP_BYTES, math.inf):
+        monkeypatch.setattr(workflow, "_KEEP_BYTES", keep)
+        drawn.clear()
+        report = multistate_pmf(model, dist, cfg)
+        (s1,) = report.stage1_results
+        open_rows = [round(t.p_unclassified * cfg.n_samples) for t in s1.trace]
+        # coverage only grows, so a settled row stays settled
+        assert open_rows == sorted(open_rows, reverse=True) and open_rows[0] == cfg.n_samples
+        assert report.resolution_phi_calls == open_rows[-1] > 0
+        assert {(seed, generation) for seed, generation, _ in drawn} == {(cfg.seed, 0)}
+        rows = np.concatenate([indices for *_, indices in drawn])
+        # the rows whose words the budget holds: a row is two words at N = 115, M = 2
+        kept = min(cfg.n_samples, keep * cfg.n_samples // 16)
+        assert rows.size == cfg.n_samples + sum(max(0, n - kept) for n in open_rows[1:]) + s1.trace[-1].searches
+        if keep == 0:
+            assert rows.size == sum(open_rows[:-1]) + s1.trace[-1].searches + open_rows[-1]
+        if keep == math.inf:
+            assert np.unique(rows).size == cfg.n_samples
+            assert rows.size == cfg.n_samples + s1.trace[-1].searches
+        else:
+            # some rows are regenerated
+            assert rows.size > cfg.n_samples + s1.trace[-1].searches
+        assert max(indices.size for *_, indices in drawn) <= _chunk_rows(model.n_components)
 
 
 def test_pmf_stops_once_its_walks_cost_more_than_they_settle(rgg):
@@ -503,19 +527,43 @@ def test_pmf_stops_once_its_walks_cost_more_than_they_settle(rgg):
 
 
 def test_pmf_stops_after_a_first_round_that_costs_more_than_it_settles():
-    # the pmf benchmark's inputs: 3-out-of-12, M = 5. Its first round of walks
-    # costs more phi calls than the open rows it settles, so pmf stops there
-    # rather than wait for a full window of such rounds
+    # the pmf benchmark's inputs: 3-out-of-12, M = 5. A walk makes at most
+    # N(M-1) = 48 moves, so the first round's walks, sized to cost about a
+    # tenth of the batch, are 5000 // (10 * 4 thresholds * 48) = 2 a
+    # threshold, under the cap of 32. That round costs more phi calls than
+    # the open rows it settles, so pmf stops there rather than wait for a
+    # full window of such rounds
     model = SystemModel(12, 5, 5, k_out_of_n(3, 12))
     dist = ComponentDistribution.iid(12, [0.4, 0.3, 0.15, 0.1, 0.05])
     cfg = RunConfig(n_samples=5000, eps_u=2e-4, parallel_searches=32, seed=1000)
     report = multistate_pmf(model, dist, cfg)
     assert [len(s1.trace) for s1 in report.stage1_results] == [2] * 4
+    assert [s1.trace[-1].searches for s1 in report.stage1_results] == [2] * 4
     assert {s1.terminated_by for s1 in report.stage1_results} == {"cost"}
     ((spent, settled),) = report.rounds
     assert spent == sum(s1.search_phi_calls for s1 in report.stage1_results)
     assert spent > settled == cfg.n_samples - report.resolution_phi_calls
     assert spent + report.resolution_phi_calls == model.evaluation_count
+    # the waste bound on criterion 4's random systems, at the same cap: the
+    # first round's walks cost at most a tenth of the batch
+    from conftest import random_distribution, random_monotone_model
+
+    rng = np.random.default_rng(2026)
+    h = 2000
+    firsts = set()
+    for case in range(50):
+        n, m, m_s = int(rng.integers(3, 11)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        model = random_monotone_model(rng, n, m, m_s)
+        dist = random_distribution(rng, n, m)
+        cfg = RunConfig(n_samples=h, eps_u=1e-3, r_max=500, parallel_searches=32, seed=case)
+        report = multistate_pmf(model, dist, cfg)
+        if report.rounds:
+            assert report.rounds[0][0] <= h / 10
+            width = min(32, max(1, h // (10 * (m_s - 1) * n * (m - 1))))
+            # a threshold walks from fewer rows only when fewer are open
+            assert max(s1.trace[1].searches for s1 in report.stage1_results) == width
+            firsts.add(width)
+    assert len(firsts) > 3
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -589,17 +637,25 @@ def test_pmf_equals_crude_monte_carlo_on_random_systems():
     assert stops == {"eps_u", "cost"}
 
 
-def test_pmf_rounds_equal_at_any_chunk_size_and_worker_count(monkeypatch):
+def test_pmf_rounds_equal_at_any_chunk_size_and_worker_count(monkeypatch, rgg):
     # criterion 6 for pmf: the references, rounds, traces, estimates and phi
-    # calls do not depend on the chunk size or the worker count. Each round
-    # moves the open rows' indices forward in place while workers read the
-    # indices of later chunks; threads switch often, so a worker reading an
-    # index already written over would change the rows it classifies
+    # calls do not depend on the chunk size, the worker count, or whether a
+    # pass classifies kept words or regenerated rows. Each round moves the
+    # open rows' indices, and any kept words, forward in place while workers
+    # read those of later chunks; threads switch often, so a worker reading
+    # one already written over would change the rows it classifies
     from conftest import random_distribution, random_monotone_model
 
-    # 3-out-of-6, M = 3, whose rounds pay until eps_u, so they are several
+    # 3-out-of-6, M = 3, whose rounds pay until eps_u, so they are several,
+    # and the binary rgg model at edge failure 0.3, whose rounds stop on cost
+    rgg_model, _ = rgg
     rng = np.random.default_rng(7)
     cases = [
+        (
+            rgg_model,
+            ComponentDistribution.iid(rgg_model.n_components, [0.3, 0.7]),
+            RunConfig(n_samples=2000, eps_u=1e-4, parallel_searches=16, seed=1000),
+        ),
         (
             SystemModel(6, 3, 3, k_out_of_n(3, 6)),
             ComponentDistribution.iid(6, [0.2, 0.3, 0.5]),
@@ -624,10 +680,11 @@ def test_pmf_rounds_equal_at_any_chunk_size_and_worker_count(monkeypatch):
 
 
 def pmf_runs(monkeypatch, model, dist, cfg):
-    """pmf's outputs and phi calls at chunks of 7, 300 and H rows, on 1 and 3 workers."""
+    """pmf's outputs and phi calls at chunks of 7, 300 and H rows, on 1 and 3 workers, with no words kept and with every pass's kept."""
     runs = []
-    for chunk, workers in itertools.product((7, 300, cfg.n_samples), (1, 3)):
+    for chunk, workers, keep in itertools.product((7, 300, cfg.n_samples), (1, 3), (0, math.inf)):
         monkeypatch.setattr(classify_module, "_CHUNK_BYTES", 8 * model.n_components * chunk)
+        monkeypatch.setattr(workflow, "_KEEP_BYTES", keep)
         before = model.evaluation_count
         report = multistate_pmf(model, dist, dataclasses.replace(cfg, n_workers=workers))
         runs.append(
@@ -636,6 +693,7 @@ def pmf_runs(monkeypatch, model, dist, cfg):
                 report.cumulative_lower.tolist(),
                 summary(report.stage2_reports),
                 report.resolution_phi_calls,
+                report.rounds,
                 model.evaluation_count - before,
                 [
                     (s1.lower.members, s1.upper.members, s1.redundant_searches, s1.terminated_by, untimed(s1.trace))
@@ -727,8 +785,11 @@ def test_stage1_streamed_iteration_memory_bounded_in_batch_size(rgg):
 def test_pmf_stage1_memory_bounded_in_batch_size(settings):
     # pmf on 10-out-of-40, M = 3. Between rounds it keeps each open row's
     # index and narrow bracket, 6 bytes, and it regenerates rows a chunk at a
-    # time, so its peak grows 3.5-6 bytes a sample (measured). The batch's
-    # H x N uint8 states would grow it 40 bytes a sample
+    # time, so its peak grows 3.5-6 bytes a sample (measured). It keeps the
+    # packed words, 16 bytes a row here, of as many open rows as fit in
+    # workflow._KEEP_BYTES = 4 bytes a sample, which brings the growth to
+    # 7.5-10 bytes a sample (measured). The batch's H x N uint8 states would
+    # grow it 40 bytes a sample
     model = SystemModel(40, 3, 3, k_out_of_n(10, 40))
     dist = ComponentDistribution.iid(40, [0.5, 0.3, 0.2])
     peaks = {
