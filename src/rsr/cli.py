@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--refs", type=Path, required=True)
     p.add_argument("--out-report", type=Path, required=True)
-    p.add_argument("--force", action="store_true", help="ignore model hash mismatch")
     _add_batch_flags(p)
 
     p = sub.add_parser("pmf", help="multi-state PMF: both stages on one batch for every threshold")
@@ -139,6 +138,11 @@ def _load_model(path: Path) -> tuple[SystemModel, ComponentDistribution, str]:
     if not path.exists():
         raise FileNotFoundError(f"model file not found: {path}")
     return files.load_model(path)
+
+
+def _hashes(digest: str, dist: ComponentDistribution) -> dict:
+    """The model's two hashes: the system its references hold for, and the distribution that priced the run."""
+    return {"system_hash": digest, "distribution_hash": files.distribution_hash(dist)}
 
 
 def _write_trace(path: Path, result: Stage1Result) -> None:
@@ -202,14 +206,14 @@ def cmd_find_refs(args: argparse.Namespace) -> int:
         "find-refs",
         config=config,
         model_path=str(args.model),
-        model_hash=digest,
+        **_hashes(digest, dist),
         m_prime=args.m_prime,
         terminated_by=result.terminated_by,
         redundant_searches=result.redundant_searches,
     )
     _save_with_peak(
         lambda: files.save_reference_sets(
-            args.out_refs, result.lower, result.upper, digest, manifest=manifest, seed=args.seed
+            args.out_refs, result.lower, result.upper, digest, manifest=manifest
         ),
         manifest,
     )
@@ -228,7 +232,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model, dist, digest = _load_model(args.model)
     if not args.refs.exists():
         raise FileNotFoundError(f"reference file not found: {args.refs}")
-    lower, upper = files.load_reference_sets(args.refs, digest, force=args.force)
+    lower, upper = files.load_reference_sets(args.refs, digest)
     try:
         model.check_threshold(lower.threshold)
     except ValueError as exc:
@@ -236,12 +240,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = RunConfig(n_samples=args.samples, seed=args.seed, n_workers=args.workers)
     report = stage2_evaluate(model, dist, lower, upper, config, lower.threshold)
     manifest = files.build_manifest(
-        "evaluate",
-        config=config,
-        model_path=str(args.model),
-        model_hash=digest,
-        refs_path=str(args.refs),
+        "evaluate", model_path=str(args.model), **_hashes(digest, dist), refs_path=str(args.refs)
     )
+    # the settings Stage 2 reads: it runs no search
+    manifest["config"] = {"n_samples": args.samples, "seed": args.seed, "n_workers": args.workers}
     doc = {"format": files.FORMAT, **asdict(report), "manifest": manifest}
     _save_with_peak(lambda: files.write_json(args.out_report, doc), manifest)
     print(
@@ -257,7 +259,7 @@ def cmd_pmf(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     report = multistate_pmf(model, dist, config)
     manifest = files.build_manifest(
-        "pmf", config=config, model_path=str(args.model), model_hash=digest
+        "pmf", config=config, model_path=str(args.model), **_hashes(digest, dist)
     )
     doc = {
         "format": files.FORMAT,
@@ -304,7 +306,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "mode": "exact",
             "cumulative": result.cumulative.tolist(),
             "state_count": result.state_count.tolist(),
-            "model_hash": digest,
+            **_hashes(digest, dist),
         }
         print("cumulative:", " ".join(f"{p:.6e}" for p in result.cumulative))
     else:
@@ -317,7 +319,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "cov": delta,
             "n_samples": args.samples,
             "seed": args.seed,
-            "model_hash": digest,
+            **_hashes(digest, dist),
         }
         print(f"P(S<={args.m_prime}) ~= {p_hat:.6e} (cov {delta})")
     if args.out:

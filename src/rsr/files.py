@@ -1,16 +1,21 @@
 """JSON persistence: models, graphs, reference sets, reports, run manifests.
 
 Every JSON artifact carries the schema tag ``"format": "rsr/1"`` and, for
-derived artifacts, a manifest with the producing command, configuration,
-and a content hash of the model, so reference sets can be re-priced under
-new component distributions only when they match the model they were
-searched on.
+derived artifacts, a manifest with the producing command and its
+configuration. A manifest names the model by two hashes: ``system_hash``
+covers N, M, M_S and the resolved system function, everything a
+reference depends on, and ``distribution_hash`` the component
+distribution that priced the run. A reference-set file records its
+``system_hash`` and loads only against a model with the same one, under
+any distribution: references are found once and priced again whenever
+the component probabilities change.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import json
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -35,7 +40,7 @@ from .workflow import RunConfig
 __all__ = [
     "FORMAT",
     "canonical_json",
-    "model_hash",
+    "distribution_hash",
     "load_model",
     "save_graph",
     "load_graph",
@@ -61,14 +66,22 @@ def _require_format(doc: dict, path: str | Path) -> None:
         raise ValueError(f"{path}: missing or unsupported format tag (expected {FORMAT!r})")
 
 
+def _sha256(obj: Any) -> str:
+    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+
+
 def _input_errors(load: Callable) -> Callable:
-    # a field of the wrong JSON type (int(None), "text".get) is an input error in the file
+    # a field of the wrong JSON type (int(None), "text".get) is an input error
+    # in the file; a call that does not fit the signature is the caller's
+    signature = inspect.signature(load)
+
     @functools.wraps(load)
-    def checked(path: str | Path, *args: Any, **kwargs: Any) -> Any:
+    def checked(*args: Any, **kwargs: Any) -> Any:
+        bound = signature.bind(*args, **kwargs)
         try:
-            return load(path, *args, **kwargs)
+            return load(*bound.args, **bound.kwargs)
         except (TypeError, AttributeError) as exc:
-            raise ValueError(f"{path}: malformed document: {exc}") from exc
+            raise ValueError(f"{bound.arguments['path']}: malformed document: {exc}") from exc
 
     return checked
 
@@ -131,19 +144,9 @@ def load_graph(path: str | Path) -> Graph:
 _GRAPH_FUNCTIONS = {"single_od_connectivity", "global_connectivity", "edge_disjoint_level"}
 
 
-def model_hash(doc: dict) -> str:
-    """Content hash over the model-defining fields only."""
-    defining = {
-        key: doc[key]
-        for key in (
-            "n_components",
-            "n_component_states",
-            "n_system_states",
-            "distribution",
-            "system_function",
-        )
-    }
-    return hashlib.sha256(canonical_json(defining).encode()).hexdigest()
+def distribution_hash(dist: ComponentDistribution) -> str:
+    """sha256 of the loaded distribution table: the probabilities a run was priced under."""
+    return _sha256(dist.probs.tolist())
 
 
 def _resolve_graph(spec: dict, base_dir: Path) -> Graph:
@@ -156,49 +159,57 @@ def _resolve_graph(spec: dict, base_dir: Path) -> Graph:
 
 def _build_performance(
     spec: dict, n_components: int, n_component_states: int, base_dir: Path
-) -> tuple[Callable, int]:
-    """Returns (performance function, n_system_states) from a tagged-union spec."""
+) -> tuple[Callable, int, dict]:
+    """Returns (performance function, n_system_states, resolved spec) from a tagged-union spec.
+
+    The resolved spec holds exactly what the function depends on: a graph
+    by its nodes and edges, whether inline or by file, and the OD pair
+    actually used.
+    """
     name = spec.get("name")
-    if name == "single_od_connectivity":
+    resolved: dict[str, Any] = {"name": name}
+    if name in _GRAPH_FUNCTIONS:
         graph = _resolve_graph(spec, base_dir)
+        if graph.n_edges != n_components:
+            raise ValueError(
+                f"graph has {graph.n_edges} edges but model declares "
+                f"{n_components} components"
+            )
+        resolved["graph"] = {"n_nodes": graph.n_nodes, "edges": graph.edges}
+    if name == "single_od_connectivity":
         if "origin" in spec or "destination" in spec:
             origin, destination = int(spec["origin"]), int(spec["destination"])
         else:
             origin, destination = pick_od_pair(graph)
+        resolved.update(origin=origin, destination=destination)
         fn = single_od_connectivity(graph, origin, destination)
         n_sys = 2
     elif name == "global_connectivity":
-        graph = _resolve_graph(spec, base_dir)
         fn = global_connectivity(graph)
         n_sys = 2
     elif name == "edge_disjoint_level":
-        graph = _resolve_graph(spec, base_dir)
-        max_level = int(spec["max_level"])
+        max_level = resolved["max_level"] = int(spec["max_level"])
         fn = edge_disjoint_level(graph, max_level)
         n_sys = max_level + 1
     elif name == "k_out_of_n":
-        fn = k_out_of_n(int(spec["k"]), n_components)
+        k = resolved["k"] = int(spec["k"])
+        fn = k_out_of_n(k, n_components)
         n_sys = n_component_states
     else:
         raise ValueError(f"unknown system_function name: {name!r}")
-    if name in _GRAPH_FUNCTIONS and graph.n_edges != n_components:
-        raise ValueError(
-            f"graph has {graph.n_edges} edges but model declares "
-            f"{n_components} components"
-        )
-    return fn, n_sys
+    return fn, n_sys, resolved
 
 
 @_input_errors
 def load_model(path: str | Path) -> tuple[SystemModel, ComponentDistribution, str]:
-    """Load a model definition file; returns (model, distribution, model hash)."""
+    """Load a model definition file; returns (model, distribution, system hash)."""
     path = Path(path)
     doc = json.loads(path.read_text())
     _require_format(doc, path)
     n = int(doc["n_components"])
     m = int(doc["n_component_states"])
     declared_sys = int(doc["n_system_states"])
-    fn, n_sys = _build_performance(doc["system_function"], n, m, path.parent)
+    fn, n_sys, resolved = _build_performance(doc["system_function"], n, m, path.parent)
     if n_sys != declared_sys:
         raise ValueError(
             f"{path}: n_system_states={declared_sys} but system function "
@@ -213,7 +224,10 @@ def load_model(path: str | Path) -> tuple[SystemModel, ComponentDistribution, st
         n_system_states=n_sys,
         performance=fn,
     )
-    return model, dist, model_hash(doc)
+    digest = _sha256(
+        {"n_components": n, "n_component_states": m, "n_system_states": n_sys, "system_function": resolved}
+    )
+    return model, dist, digest
 
 
 # -- reference sets -----------------------------------------------------
@@ -224,20 +238,6 @@ _SAVE_ROWS = 256
 # stands for a set's vectors in the document until they are written
 _VECTORS = "\x00vectors"
 _encode_row = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _set_doc(refs: ReferenceSet, model_digest: str, seed: int | None) -> dict:
-    """The set's document, with ``_VECTORS`` in place of its vectors."""
-    doc: dict[str, Any] = {
-        "format": FORMAT,
-        "side": refs.side,
-        "threshold": refs.threshold,
-        "vectors": _VECTORS,
-        "model_hash": model_digest,
-    }
-    if seed is not None:
-        doc["seed"] = seed
-    return doc
 
 
 def _write_rows(fh: TextIO, matrix: np.ndarray, indent: int) -> None:
@@ -252,23 +252,17 @@ def _write_rows(fh: TextIO, matrix: np.ndarray, indent: int) -> None:
     fh.write("\n" + " " * indent + "]")
 
 
-def reference_set_from_dict(doc: dict, origin: str | Path = "<dict>") -> ReferenceSet:
-    _require_format(doc, origin)
-    side = doc["side"]
-    if side not in (Side.LOWER, Side.UPPER):
-        raise ValueError(f"{origin}: invalid side {side!r}")
-    return ReferenceSet(side, int(doc["threshold"]), doc["vectors"])
-
-
 def save_reference_sets(
     path: str | Path,
     lower: ReferenceSet,
     upper: ReferenceSet,
-    model_digest: str,
+    system_digest: str,
     manifest: dict | None = None,
-    seed: int | None = None,
 ) -> None:
     """Write both sets as one document, laid out as ``write_json`` lays it out but one vector a line.
+
+    The document is ``{"format", "threshold", "system_hash", "manifest",
+    "lower", "upper"}``, each set a list of its vectors in insertion order.
 
     ``indent`` would send every vector entry through json's pure-Python
     encoder. Here the C encoder encodes each vector, a block of rows at a
@@ -280,13 +274,13 @@ def save_reference_sets(
     doc = {
         "format": FORMAT,
         "threshold": lower.threshold,
-        "model_hash": model_digest,
-        "lower": _set_doc(lower, model_digest, seed),
-        "upper": _set_doc(upper, model_digest, seed),
+        "system_hash": system_digest,
+        "lower": _VECTORS,
+        "upper": _VECTORS,
     }
     if manifest is not None:
         doc["manifest"] = manifest
-    # sorted keys put "lower" before "upper": each set's vectors follow its piece
+    # sorted keys put "lower" before "upper": each set's vectors follow its key
     pieces = json.dumps(doc, indent=2, sort_keys=True).split(json.dumps(_VECTORS))
     with open(path, "w") as fh:
         for refs, piece in zip((lower, upper), pieces):
@@ -298,30 +292,22 @@ def save_reference_sets(
 
 @_input_errors
 def load_reference_sets(
-    path: str | Path,
-    expected_model_hash: str | None = None,
-    force: bool = False,
+    path: str | Path, expected_system_hash: str
 ) -> tuple[ReferenceSet, ReferenceSet]:
+    """Load the sets of ``path``, refusing a file searched on another system than the one hashed."""
     path = Path(path)
     doc = json.loads(path.read_text())
     _require_format(doc, path)
-    if (
-        expected_model_hash is not None
-        and doc.get("model_hash") != expected_model_hash
-        and not force
-    ):
-        raise ValueError(
-            f"{path}: reference sets were searched on a different model "
-            f"(hash {doc.get('model_hash')!r} != {expected_model_hash!r}); "
-            "pass --force to override"
+    found = doc.get("system_hash")
+    if found != expected_system_hash:
+        searched = (
+            "record no system_hash"
+            if found is None
+            else f"were searched on system {found}, not on this model's {expected_system_hash}"
         )
-    lower = reference_set_from_dict(doc["lower"], path)
-    upper = reference_set_from_dict(doc["upper"], path)
-    if lower.side != Side.LOWER or upper.side != Side.UPPER:
-        raise ValueError(f"{path}: sides are swapped or invalid")
-    if not int(doc["threshold"]) == lower.threshold == upper.threshold:
-        raise ValueError(
-            f"{path}: thresholds disagree: file {doc['threshold']}, "
-            f"lower set {lower.threshold}, upper set {upper.threshold}"
-        )
-    return lower, upper
+        raise ValueError(f"{path}: the reference sets {searched}; run find-refs on this model again")
+    threshold = int(doc["threshold"])
+    try:
+        return ReferenceSet(Side.LOWER, threshold, doc["lower"]), ReferenceSet(Side.UPPER, threshold, doc["upper"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

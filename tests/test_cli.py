@@ -10,7 +10,7 @@ from rsr.cli import EXIT_INPUT, TRACE_COLUMNS, main
 from rsr.files import FORMAT, write_json
 
 
-def write_series_model(path, n=3, p_fail=0.1):
+def write_series_model(path, n=3, p_fail=0.1, k=None):
     write_json(
         path,
         {
@@ -19,8 +19,18 @@ def write_series_model(path, n=3, p_fail=0.1):
             "n_component_states": 2,
             "n_system_states": 2,
             "distribution": [[p_fail, 1.0 - p_fail]] * n,
-            "system_function": {"name": "k_out_of_n", "k": n},
+            "system_function": {"name": "k_out_of_n", "k": n if k is None else k},
         },
+    )
+    return path
+
+
+def write_refs(path, model, lower, upper, threshold=0):
+    """A hand-written refs file carrying ``model``'s system hash, so that evaluate reaches its sets."""
+    system_hash = files.load_model(model)[2]
+    write_json(
+        path,
+        {"format": FORMAT, "threshold": threshold, "system_hash": system_hash, "lower": lower, "upper": upper},
     )
     return path
 
@@ -83,10 +93,10 @@ def test_find_refs_then_evaluate(tmp_path, model_file):
     assert code == 0
     doc = json.loads(refs.read_text())
     assert doc["format"] == FORMAT
-    assert sorted(tuple(v) for v in doc["lower"]["vectors"]) == [
+    assert sorted(tuple(v) for v in doc["lower"]) == [
         (0, 1, 1), (1, 0, 1), (1, 1, 0),
     ]
-    assert doc["upper"]["vectors"] == [[1, 1, 1]]
+    assert doc["upper"] == [[1, 1, 1]]
 
     with open(trace) as fh:
         rows = list(csv.reader(fh))
@@ -110,38 +120,36 @@ def test_find_refs_then_evaluate(tmp_path, model_file):
     assert abs(rep["p_lower"] - (1 - 0.729)) < 0.03
 
 
-def test_evaluate_hash_guard_and_force(tmp_path, model_file):
+def test_evaluate_hash_guard_and_force(tmp_path, model_file, capsys):
+    # refs load on their system under any distribution, never on another
+    # system, and no flag overrides that
     refs = tmp_path / "refs.json"
     assert run(
         ["find-refs", "--model", model_file, "--out-refs", refs,
          "--samples", 1000, "--eps-u", 1e-2]
     ) == 0
-    other = write_series_model(tmp_path / "other.json", p_fail=0.3)
     report = tmp_path / "rep.json"
+    other = write_series_model(tmp_path / "other.json", k=2)
+    capsys.readouterr()
     code = run(["evaluate", "--model", other, "--refs", refs, "--out-report", report])
     assert code == 3
-    code = run(
-        ["evaluate", "--model", other, "--refs", refs, "--out-report", report,
-         "--samples", 1000, "--force"]
-    )
+    assert f"{refs}: the reference sets were searched on system" in capsys.readouterr().err
+    assert not report.exists()
+    with pytest.raises(SystemExit) as exc:
+        run(["evaluate", "--model", other, "--refs", refs, "--out-report", report, "--force"])
+    assert exc.value.code == 2
+    repriced = write_series_model(tmp_path / "repriced.json", p_fail=0.3)
+    code = run(["evaluate", "--model", repriced, "--refs", refs, "--out-report", report, "--samples", 1000])
     assert code == 0
 
 
 def test_evaluate_empty_refs_matches_mc_oracle(tmp_path, model_file):
     # seed-matched: evaluation under empty sets equals the crude MC estimate
-    refs = tmp_path / "refs.json"
-    doc = {
-        "format": FORMAT,
-        "threshold": 0,
-        "model_hash": "x",
-        "lower": {"format": FORMAT, "side": "lower", "threshold": 0, "vectors": []},
-        "upper": {"format": FORMAT, "side": "upper", "threshold": 0, "vectors": []},
-    }
-    write_json(refs, doc)
+    refs = write_refs(tmp_path / "refs.json", model_file, [], [])
     report = tmp_path / "rep.json"
     assert run(
         ["evaluate", "--model", model_file, "--refs", refs, "--out-report", report,
-         "--samples", 3000, "--seed", 9, "--force"]
+         "--samples", 3000, "--seed", 9]
     ) == 0
     mc_out = tmp_path / "mc.json"
     assert run(
@@ -158,46 +166,26 @@ def test_evaluate_empty_refs_matches_mc_oracle(tmp_path, model_file):
 def test_evaluate_rejects_non_integer_refs(tmp_path, capsys, vector):
     # an input error (exit 3): a float is not truncated, an oversized int does not overflow
     model = write_series_model(tmp_path / "model.json", n=2)
-    refs = tmp_path / "refs.json"
-    write_json(
-        refs,
-        {
-            "format": FORMAT,
-            "threshold": 0,
-            "model_hash": "x",
-            "lower": {"format": FORMAT, "side": "lower", "threshold": 0, "vectors": [vector]},
-            "upper": {"format": FORMAT, "side": "upper", "threshold": 0, "vectors": [[1, 1]]},
-        },
-    )
+    refs = write_refs(tmp_path / "refs.json", model, [vector], [[1, 1]])
     code = run(
         ["evaluate", "--model", model, "--refs", refs, "--out-report", tmp_path / "rep.json",
-         "--samples", 1000, "--force"]
+         "--samples", 1000]
     )
     assert code == 3
-    assert "component states must be integers" in capsys.readouterr().err
+    assert f"{refs}: component states must be integers" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_refs_holding_bools(tmp_path, capsys):
     # JSON true among ints is not taken as state 1
     model = write_series_model(tmp_path / "model.json", n=2)
-    refs = tmp_path / "refs.json"
-    write_json(
-        refs,
-        {
-            "format": FORMAT,
-            "threshold": 0,
-            "model_hash": "x",
-            "lower": {"format": FORMAT, "side": "lower", "threshold": 0, "vectors": [[0, True]]},
-            "upper": {"format": FORMAT, "side": "upper", "threshold": 0, "vectors": [[1, 1]]},
-        },
-    )
+    refs = write_refs(tmp_path / "refs.json", model, [[0, True]], [[1, 1]])
     assert "true" in refs.read_text()
     code = run(
         ["evaluate", "--model", model, "--refs", refs, "--out-report", tmp_path / "rep.json",
-         "--samples", 1000, "--force"]
+         "--samples", 1000]
     )
     assert code == 3
-    assert "component states must be integers, got a bool" in capsys.readouterr().err
+    assert f"{refs}: component states must be integers, got a bool" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_refs_of_wrong_length(tmp_path, capsys):
@@ -209,7 +197,7 @@ def test_evaluate_rejects_refs_of_wrong_length(tmp_path, capsys):
     ) == 0
     doc = json.loads(refs.read_text())
     for side in ("lower", "upper"):
-        doc[side]["vectors"] = [v[:113] for v in doc[side]["vectors"]]
+        doc[side] = [v[:113] for v in doc[side]]
     write_json(refs, doc)
     capsys.readouterr()
     code = run(
@@ -321,22 +309,15 @@ def test_refs_file_holds_the_indented_document_one_vector_a_line(tmp_path):
     assert run(["find-refs", "--model", model, "--out-refs", refs, "--samples", 2000, "--parallel", 8, "--seed", 3]) == 0
     text = refs.read_text()
     doc = json.loads(text)
-    lower, upper = files.load_reference_sets(refs)
+    lower, upper = files.load_reference_sets(refs, files.load_model(model)[2])
     assert len(lower) > 1 and len(upper) > 1
-    sets = {
-        s.side: {
-            "format": FORMAT,
-            "side": s.side,
-            "threshold": 0,
-            "vectors": [list(v) for v in s.members],
-            "model_hash": doc["model_hash"],
-            "seed": 3,
-        }
-        for s in (lower, upper)
-    }
-    old = tmp_path / "old.json"
-    write_json(old, {"format": FORMAT, "threshold": 0, "model_hash": doc["model_hash"], "manifest": doc["manifest"], **sets})
-    assert json.loads(old.read_text()) == doc
+    sets = {s.side: [list(v) for v in s.members] for s in (lower, upper)}
+    indented = tmp_path / "indented.json"
+    write_json(
+        indented,
+        {"format": FORMAT, "threshold": 0, "system_hash": doc["system_hash"], "manifest": doc["manifest"], **sets},
+    )
+    assert json.loads(indented.read_text()) == doc
     lines = re.findall(r"^ *(\[[0-9,]*\]),?$", text, flags=re.M)
     assert [json.loads(line) for line in lines] == [list(v) for v in lower.members + upper.members]
     assert text.endswith("}\n")
@@ -481,32 +462,11 @@ def test_model_with_string_system_function_is_input_error(tmp_path, model_file, 
     _assert_malformed_input(code, capsys, model_file)
 
 
-@pytest.mark.parametrize("field", ["threshold", "lower", "upper"])
-def test_refs_whose_thresholds_disagree_are_rejected_naming_the_file(tmp_path, model_file, capsys, field):
-    refs = tmp_path / "refs.json"
-    assert run(["find-refs", "--model", model_file, "--out-refs", refs, "--samples", 200, "--seed", 3]) == 0
-    doc = json.loads(refs.read_text())
-    if field == "threshold":
-        doc["threshold"] = 1
-    else:
-        doc[field]["threshold"] = 1
-    write_json(refs, doc)
-    capsys.readouterr()
-    code = run(
-        ["evaluate", "--model", model_file, "--refs", refs, "--out-report", tmp_path / "rep.json",
-         "--samples", 200]
-    )
-    err = capsys.readouterr().err
-    assert code == EXIT_INPUT
-    assert str(refs) in err and "thresholds disagree" in err
-    assert not (tmp_path / "rep.json").exists()
-
-
 def test_refs_whose_threshold_is_out_of_the_models_range_are_rejected_naming_the_file(tmp_path, model_file, capsys):
     refs = tmp_path / "refs.json"
     assert run(["find-refs", "--model", model_file, "--out-refs", refs, "--samples", 200, "--seed", 3]) == 0
     doc = json.loads(refs.read_text())
-    doc["threshold"] = doc["lower"]["threshold"] = doc["upper"]["threshold"] = 1
+    doc["threshold"] = 1
     write_json(refs, doc)
     capsys.readouterr()
     code = run(
@@ -532,3 +492,105 @@ def test_refs_with_string_lower_set_is_input_error(tmp_path, model_file, capsys)
     )
     _assert_malformed_input(code, capsys, refs)
     assert not (tmp_path / "rep.json").exists()
+
+
+def _k_out_of_8_refs(tmp_path):
+    model = write_series_model(tmp_path / "k4.json", n=8, p_fail=0.2, k=4)
+    refs = tmp_path / "refs.json"
+    assert run(["find-refs", "--model", model, "--out-refs", refs, "--samples", 20000, "--parallel", 8, "--seed", 1]) == 0
+    return refs
+
+
+def test_refs_of_another_system_are_refused_naming_the_file(tmp_path, capsys):
+    # 4-out-of-8 refs priced on 6-out-of-8 would read P(S = 0) near 0.01,
+    # where the exact value is 0.2031: the upper refs are wrong there, and
+    # Stage 2 calls phi only on the rows the refs leave open
+    refs = _k_out_of_8_refs(tmp_path)
+    six = write_series_model(tmp_path / "k6.json", n=8, p_fail=0.2, k=6)
+    capsys.readouterr()
+    report = tmp_path / "rep.json"
+    code = run(["evaluate", "--model", six, "--refs", refs, "--out-report", report, "--samples", 20000, "--seed", 2])
+    assert code == EXIT_INPUT
+    assert f"{refs}: the reference sets were searched on system" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_refs_repriced_under_a_new_distribution_equal_crude_monte_carlo(tmp_path):
+    # the refs hold for their system under any distribution, so priced at
+    # p = 0.3 they give the seed-matched crude Monte Carlo estimate exactly
+    refs = _k_out_of_8_refs(tmp_path)
+    repriced = write_series_model(tmp_path / "k4-p3.json", n=8, p_fail=0.3, k=4)
+    report, mc = tmp_path / "rep.json", tmp_path / "mc.json"
+    assert run(["evaluate", "--model", repriced, "--refs", refs, "--out-report", report, "--samples", 20000, "--seed", 4]) == 0
+    assert run(["oracle", "--model", repriced, "--mode", "mc", "--samples", 20000, "--seed", 4, "--out", mc]) == 0
+    rep = json.loads(report.read_text())
+    assert rep["unclassified_resolved"] < 20000
+    assert rep["p_lower"] == json.loads(mc.read_text())["p_lower"]
+    manifest = json.loads(refs.read_text())["manifest"]
+    assert rep["manifest"]["system_hash"] == manifest["system_hash"]
+    assert rep["manifest"]["distribution_hash"] != manifest["distribution_hash"]
+
+
+def test_refs_on_a_rewritten_graph_file_are_refused(tmp_path, capsys):
+    # the graph file keeps its name but lists its edges, the components, in
+    # reverse: the refs no longer hold, and the model file did not change
+    graph, model = tmp_path / "graph.json", tmp_path / "model.json"
+    assert run(["gen-graph", "--n-nodes", 14, "--radius", 0.45, "--out", graph, "--seed", 2]) == 0
+    n = files.load_graph(graph).n_edges
+    write_json(
+        model,
+        {
+            "format": FORMAT,
+            "n_components": n,
+            "n_component_states": 2,
+            "n_system_states": 2,
+            "distribution": [[0.2, 0.8]] * n,
+            "system_function": {"name": "single_od_connectivity", "graph_file": "graph.json"},
+        },
+    )
+    refs = tmp_path / "refs.json"
+    assert run(["find-refs", "--model", model, "--out-refs", refs, "--samples", 2000, "--parallel", 8, "--seed", 3]) == 0
+    doc = json.loads(graph.read_text())
+    doc["edges"] = doc["edges"][::-1]
+    write_json(graph, doc)
+    capsys.readouterr()
+    code = run(["evaluate", "--model", model, "--refs", refs, "--out-report", tmp_path / "rep.json", "--samples", 2000])
+    assert code == EXIT_INPUT
+    assert f"{refs}: the reference sets were searched on system" in capsys.readouterr().err
+
+
+def test_refs_of_the_older_layout_are_refused_naming_the_file(tmp_path, model_file, capsys):
+    # per-set documents and a hash of the model file: no system_hash to check
+    refs = tmp_path / "refs.json"
+    write_json(
+        refs,
+        {
+            "format": FORMAT,
+            "threshold": 0,
+            "model_hash": "0" * 64,
+            "lower": {"format": FORMAT, "side": "lower", "threshold": 0, "vectors": [[0, 1, 1]]},
+            "upper": {"format": FORMAT, "side": "upper", "threshold": 0, "vectors": [[1, 1, 1]]},
+        },
+    )
+    code = run(["evaluate", "--model", model_file, "--refs", refs, "--out-report", tmp_path / "rep.json"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert f"{refs}: the reference sets record no system_hash; run find-refs" in err
+
+
+def test_manifests_name_the_system_and_the_distribution(tmp_path, model_file):
+    # evaluate records only the settings Stage 2 reads; every output names
+    # the model's system hash and the distribution that priced it
+    _, dist, system_hash = files.load_model(model_file)
+    hashes = {"system_hash": system_hash, "distribution_hash": files.distribution_hash(dist)}
+    refs, report, pmf, mc = (tmp_path / f"{name}.json" for name in ("refs", "report", "pmf", "mc"))
+    assert run(["find-refs", "--model", model_file, "--out-refs", refs, "--samples", 1000, "--seed", 3]) == 0
+    assert run(["evaluate", "--model", model_file, "--refs", refs, "--out-report", report, "--samples", 1000, "--seed", 3]) == 0
+    assert run(["pmf", "--model", model_file, "--out", pmf, "--samples", 1000, "--seed", 3]) == 0
+    assert run(["oracle", "--model", model_file, "--mode", "mc", "--samples", 1000, "--out", mc]) == 0
+    manifests = [json.loads(path.read_text())["manifest"] for path in (refs, report, pmf)]
+    for doc in [*manifests, json.loads(mc.read_text())]:
+        assert {key: doc[key] for key in hashes} == hashes
+    assert json.loads(refs.read_text())["system_hash"] == system_hash
+    assert manifests[1]["config"] == {"n_samples": 1000, "seed": 3, "n_workers": 1}
+    assert set(manifests[0]["config"]) > {"eps_u", "r_max", "parallel_searches"}

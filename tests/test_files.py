@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,12 +13,11 @@ from rsr.files import (
     load_graph,
     load_model,
     load_reference_sets,
-    model_hash,
     save_graph,
     save_reference_sets,
     write_json,
 )
-from rsr.sysfn import Graph, random_geometric_graph
+from rsr.sysfn import Graph, pick_od_pair, random_geometric_graph
 from rsr.workflow import RunConfig
 
 
@@ -66,13 +66,61 @@ def test_load_model_k_out_of_n(model_file):
     assert len(digest) == 64
 
 
-def test_model_hash_ignores_presentation():
+def _system_hash(tmp_path, doc, name="m.json"):
+    path = tmp_path / name
+    write_json(path, doc)
+    return load_model(path)[2]
+
+
+def test_model_hash_ignores_presentation(tmp_path):
+    # the system hash covers N, M, M_S and the system function: not a
+    # manifest, and not the distribution the references are priced under
     doc = series_model_doc()
-    extra = dict(doc)
-    extra["manifest"] = {"timestamp": "2026-01-01"}
-    assert model_hash(doc) == model_hash(extra)
-    changed = series_model_doc(p_fail=0.2)
-    assert model_hash(doc) != model_hash(changed)
+    digest = _system_hash(tmp_path, doc)
+    assert _system_hash(tmp_path, dict(doc, manifest={"timestamp": "2026-01-01"})) == digest
+    assert _system_hash(tmp_path, series_model_doc(p_fail=0.2)) == digest
+    assert _system_hash(tmp_path, dict(doc, system_function={"name": "k_out_of_n", "k": 2})) != digest
+
+
+def graph_model_doc(system_function, n=3):
+    return {
+        "format": FORMAT,
+        "n_components": n,
+        "n_component_states": 2,
+        "n_system_states": 2,
+        "distribution": [[0.1, 0.9]] * n,
+        "system_function": system_function,
+    }
+
+
+def test_system_hash_covers_the_resolved_system_function(tmp_path):
+    # one system, however the file names it, gives one hash
+    graph = random_geometric_graph(12, 0.5, seed=1)
+    save_graph(tmp_path / "g.json", graph, manifest=build_manifest("gen-graph"))
+    n = graph.n_edges
+    by_file = {"name": "single_od_connectivity", "graph_file": "g.json"}
+    digest = _system_hash(tmp_path, graph_model_doc(by_file, n))
+    origin, destination = pick_od_pair(graph)
+    bare = {"format": FORMAT, "n_nodes": graph.n_nodes, "edges": [list(e) for e in graph.edges]}
+    same = [
+        {"name": "single_od_connectivity", "graph": bare},
+        {**by_file, "origin": origin, "destination": destination},
+        {"name": "single_od_connectivity", "graph": {**bare, "metadata": {"seed": 9}, "positions": [[0.5, 0.5]] * graph.n_nodes}},
+    ]
+    for spec in same:
+        assert _system_hash(tmp_path, graph_model_doc(spec, n)) == digest, spec
+    assert _system_hash(tmp_path, dict(graph_model_doc(by_file, n), distribution=[[0.4, 0.6]] * n)) == digest
+    # another OD pair, another order of the edges (the components), or
+    # another function of the same graph is another system
+    other_od = [d for d in range(graph.n_nodes) if d not in (origin, destination)][0]
+    reversed_edges = {"name": "single_od_connectivity", "graph": {**bare, "edges": bare["edges"][::-1]}}
+    other = [
+        {**by_file, "origin": origin, "destination": other_od},
+        reversed_edges,
+        {"name": "global_connectivity", "graph_file": "g.json"},
+    ]
+    digests = {_system_hash(tmp_path, graph_model_doc(spec, n)) for spec in other}
+    assert len(digests) == len(other) and digest not in digests
 
 
 def test_load_model_graph_inline(tmp_path):
@@ -155,7 +203,10 @@ def test_reference_sets_round_trip(tmp_path):
     lower = ReferenceSet(Side.LOWER, 0, [(0, 1, 1), (1, 1, 0)])
     upper = ReferenceSet(Side.UPPER, 0, [(1, 1, 1)])
     path = tmp_path / "refs.json"
-    save_reference_sets(path, lower, upper, "abc123", seed=7)
+    save_reference_sets(path, lower, upper, "abc123", manifest=build_manifest("find-refs"))
+    doc = json.loads(path.read_text())
+    assert sorted(doc) == ["format", "lower", "manifest", "system_hash", "threshold", "upper"]
+    assert doc["lower"] == [[0, 1, 1], [1, 1, 0]] and doc["system_hash"] == "abc123"
     got_lower, got_upper = load_reference_sets(path, "abc123")
     assert sorted(got_lower.members) == sorted(lower.members)
     assert got_upper.members == upper.members
@@ -172,7 +223,7 @@ def test_saving_reference_sets_is_memory_bounded(tmp_path):
     path = tmp_path / "refs.json"
     tracemalloc.start()
     try:
-        save_reference_sets(path, lower, upper, "h", seed=1)
+        save_reference_sets(path, lower, upper, "h")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -188,11 +239,36 @@ def test_reference_sets_hash_guard(tmp_path):
     upper = ReferenceSet(Side.UPPER, 0, [(1, 1)])
     path = tmp_path / "refs.json"
     save_reference_sets(path, lower, upper, "deadbeef")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: the reference sets were searched on system deadbeef")):
         load_reference_sets(path, "other-model")
-    # force overrides the mismatch, and None skips the check entirely
-    load_reference_sets(path, "other-model", force=True)
-    load_reference_sets(path, None)
+    # the hash is required, and nothing skips the check
+    for args, kwargs in (((), {}), ((None,), {}), (("other-model",), {"force": True})):
+        with pytest.raises((TypeError, ValueError)):
+            load_reference_sets(path, *args, **kwargs)
+    # a file without a system hash, as every older file is, is refused too
+    doc = json.loads(path.read_text())
+    del doc["system_hash"]
+    write_json(path, doc)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: the reference sets record no system_hash")):
+        load_reference_sets(path, "deadbeef")
+
+
+def test_a_bad_call_is_the_callers_error_not_the_files(model_file, tmp_path):
+    # a call that does not fit the signature raises TypeError, not a
+    # ValueError blaming the file; a field of the wrong type still does
+    with pytest.raises(TypeError):
+        load_model(model_file, 3)
+    with pytest.raises(TypeError):
+        load_model(model_file, force=True)
+    path = tmp_path / "refs.json"
+    save_reference_sets(path, ReferenceSet(Side.LOWER, 0, [(0, 0)]), ReferenceSet(Side.UPPER, 0, [(1, 1)]), "h")
+    with pytest.raises(TypeError):
+        load_reference_sets(path, "h", force=True)
+    doc = series_model_doc()
+    doc["n_components"] = None
+    write_json(model_file, doc)
+    with pytest.raises(ValueError, match=re.escape(f"{model_file}: malformed document")):
+        load_model(model_file)
 
 
 def test_reference_sets_threshold_guard(tmp_path):

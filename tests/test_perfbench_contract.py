@@ -43,7 +43,7 @@ def test_traced_evaluate_records_sampling_and_encoding(tmp_path, monkeypatch):
     refs, report = tmp_path / "refs.json", tmp_path / "report.json"
     assert cli.main(["find-refs", "--model", str(model), "--out-refs", str(refs), "--samples", "500"]) == 0
 
-    lower, upper = files.load_reference_sets(refs)
+    lower, upper = files.load_reference_sets(refs, files.load_model(model)[2])
     ref_sets = sum(len(s) > 0 for s in (lower, upper))
     monkeypatch.setattr(classify, "_CHUNK_BYTES", 8 * 3 * 256)  # 256 rows a chunk
 
