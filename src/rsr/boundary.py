@@ -234,15 +234,16 @@ def _walk(
     each rejection: once a component has reached its limit since the
     last rejection, L doubles on each accepted probe.
 
-    The gallop starts at the gap the walk expects, when it is given a
-    prior for its side and its components are binary (M = 2, so a move
-    is a whole component). The probe after the one that starts the
-    gallop then takes max(2L, 2**floor(log2((n - d + 1) / d))) moves,
-    Hwang's generalized binary splitting group for n moves left that
-    hold d = max(1, n * rate) rejections. ``rate`` is the walk's own
-    count, r rejections in a accepted moves, shrunk toward the prior:
-    (r + 4) / (a + 4 / prior), with the prior floored at 1e-3. Both
-    counts are kept as the walk goes, so the rule costs O(1) a restart.
+    The gallop starts at the gap the walk expects when its components
+    are binary (M = 2, so a move is a whole component) and it has a
+    rate: a prior for its side, or a rejection of its own. The probe
+    after the one that starts the gallop then takes max(2L,
+    2**floor(log2((n - d + 1) / d))) moves, Hwang's generalized binary
+    splitting group for n moves left that hold d = max(1, n * rate)
+    rejections. ``rate`` is the walk's own count, r rejections in a
+    accepted moves: r / a with no prior, and with one shrunk toward it,
+    (r + 4) / (a + 4 / prior), the prior floored at 1e-3. Both counts
+    are kept as the walk goes, so the rule costs O(1) a restart.
     ``priors`` holds the lower side's prior and the upper side's, or
     None; Stage 1 reads each from its reference set, as the share of
     member entries short of the walk's limit, which is the rate at which
@@ -253,7 +254,8 @@ def _walk(
     rejections fall one per component and bunch past the first, which a
     rate per move does not see: on k-out-of-n and on sums the expected
     gap measured more calls, and there the gallop starts at 2L. A walk
-    with no prior has no rate to shrink and starts at 2L too.
+    with no prior starts at 2L too until its first rejection gives it a
+    rate of its own.
 
     A walk that is not galloping and reaches a new component c probes
     all of c's moves up to ``level``, the state the last rejected
@@ -294,7 +296,8 @@ def _walk(
     So neither the budget nor the reference depends on the priors.
     """
     lower = (yield x) <= threshold
-    prior = (priors[0] if lower else priors[1]) if n_states == 2 else None
+    binary = n_states == 2
+    prior = (priors[0] if lower else priors[1]) if binary else None
     if prior is not None:
         prior = max(prior, _PRIOR_FLOOR)
     step, room = (1, n_states - 1 - x) if lower else (-1, x)
@@ -356,9 +359,13 @@ def _walk(
             starting = not gallop and (q == end or moves[q] != moves[q - 1])
             gallop = gallop or starting
             width = width * 2 if gallop else 1
-            if starting and prior is not None and q < end:
+            if starting and binary and q < end and (prior is not None or rejections):
                 # at M = 2, q - rejections of the moves before q were accepted
-                rate = (rejections + _PRIOR_REJECTIONS) / (q - rejections + _PRIOR_REJECTIONS / prior)
+                accepted = q - rejections
+                if prior is None:
+                    rate = rejections / accepted
+                else:
+                    rate = (rejections + _PRIOR_REJECTIONS) / (accepted + _PRIOR_REJECTIONS / prior)
                 width = max(width, _gap(end - q, rate))
         else:
             # bisect: moves[:lo] are accepted, moves[:hi] cross m', x is after moves[:q]

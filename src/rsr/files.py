@@ -202,28 +202,33 @@ def _build_performance(
 
 @_input_errors
 def load_model(path: str | Path) -> tuple[SystemModel, ComponentDistribution, str]:
-    """Load a model definition file; returns (model, distribution, system hash)."""
+    """Load a model definition file; returns (model, distribution, system hash).
+
+    Every error in the file's content names the file.
+    """
     path = Path(path)
     doc = json.loads(path.read_text())
     _require_format(doc, path)
-    n = int(doc["n_components"])
-    m = int(doc["n_component_states"])
-    declared_sys = int(doc["n_system_states"])
-    fn, n_sys, resolved = _build_performance(doc["system_function"], n, m, path.parent)
-    if n_sys != declared_sys:
-        raise ValueError(
-            f"{path}: n_system_states={declared_sys} but system function "
-            f"implies {n_sys}"
+    try:
+        n = int(doc["n_components"])
+        m = int(doc["n_component_states"])
+        declared_sys = int(doc["n_system_states"])
+        fn, n_sys, resolved = _build_performance(doc["system_function"], n, m, path.parent)
+        if n_sys != declared_sys:
+            raise ValueError(f"n_system_states={declared_sys} but system function implies {n_sys}")
+        dist = ComponentDistribution(doc["distribution"])
+        if dist.n_components != n or dist.n_states != m:
+            raise ValueError("distribution shape does not match N x M")
+        model = SystemModel(
+            n_components=n,
+            n_component_states=m,
+            n_system_states=n_sys,
+            performance=fn,
         )
-    dist = ComponentDistribution(doc["distribution"])
-    if dist.n_components != n or dist.n_states != m:
-        raise ValueError(f"{path}: distribution shape does not match N x M")
-    model = SystemModel(
-        n_components=n,
-        n_component_states=m,
-        n_system_states=n_sys,
-        performance=fn,
-    )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     digest = _sha256(
         {"n_components": n, "n_component_states": m, "n_system_states": n_sys, "system_function": resolved}
     )

@@ -143,10 +143,11 @@ class SystemModel:
         This is the counted core of both stages. ``x`` is not checked: the
         caller guarantees integer states in [0, M-1]. It is widened to
         int64 once, without a copy when it is int64 already. A performance
-        function's batch form ``rows`` (the built-in ``k_out_of_n`` has
-        one) is called once; any other performance function is called on
-        each row in order. A state outside [0, M_S-1] raises the error
-        ``evaluate`` raises, naming the first such state.
+        function's batch form ``rows`` (the built-in ``k_out_of_n`` and
+        ``single_od_connectivity`` have one) is called once; any other
+        performance function is called on each row in order. A state
+        outside [0, M_S-1] raises the error ``evaluate`` raises, naming the
+        first such state.
         """
         x = np.asarray(x, dtype=np.int64)
         self._evals.add(len(x))

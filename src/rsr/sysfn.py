@@ -25,6 +25,12 @@ __all__ = [
 
 _RGG_MAX_RETRIES = 100
 
+# below this many rows, ``single_od_connectivity``'s batch form runs the
+# per-row search on each row. On one core of a 2-vCPU VM one row's search
+# takes 5-15 us, the bit-sliced form 40-250 us a call on graphs of 115-294
+# edges; they break even at 8-12 rows
+_OD_BATCH_MIN_ROWS = 12
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -82,7 +88,11 @@ def _surviving_components(graph: Graph, x: np.ndarray) -> _UnionFind:
 
 
 def single_od_connectivity(graph: Graph, origin: int, destination: int) -> Callable:
-    """Binary connectivity between one origin-destination pair (M_S = 2)."""
+    """Binary connectivity between one origin-destination pair (M_S = 2).
+
+    phi searches one row depth-first; its batch form ``rows`` answers K
+    rows at once, bit-sliced over rows.
+    """
     if not (0 <= origin < graph.n_nodes and 0 <= destination < graph.n_nodes):
         raise ValueError("origin/destination out of range")
     if origin == destination:
@@ -108,6 +118,44 @@ def single_od_connectivity(graph: Graph, origin: int, destination: int) -> Calla
                     stack.append(v)
         return 0
 
+    # the arcs of every edge in both directions and a loop at every node,
+    # sorted by head: node v's arcs form one run, which starts at runs[v].
+    # Edge n_edges, always up, carries the loops
+    n, e = graph.n_nodes, graph.n_edges
+    ends = np.array(graph.edges, dtype=np.intp).reshape(e, 2)
+    loops = np.arange(n)
+    tails = np.concatenate((ends[:, 0], ends[:, 1], loops))
+    heads = np.concatenate((ends[:, 1], ends[:, 0], loops))
+    arc_edges = np.concatenate((np.arange(e), np.arange(e), np.full(n, e)))
+    arcs = np.argsort(heads, kind="stable")
+    tails, arc_edges, runs = tails[arcs], arc_edges[arcs], np.searchsorted(heads[arcs], loops)
+
+    def rows(x: np.ndarray) -> np.ndarray:
+        """The batch form: phi of each row of a K x N matrix, bit-sliced over rows.
+
+        Row i is bit i of a uint64 word, 64 rows a word: ``up`` holds each
+        arc's edge state in each row and ``reach[v]`` whether the origin
+        reaches node v. Each sweep ORs into every node the reach of its
+        neighbours over up edges, until a sweep adds nothing.
+        """
+        k = len(x)
+        if k < _OD_BATCH_MIN_ROWS:
+            return np.fromiter(map(phi, x), dtype=np.int64, count=k)
+        words = -(-k // 64)
+        bits = np.zeros((e + 1, 64 * words), dtype=bool)
+        bits[e] = True
+        bits[:e, :k] = (x >= 1).T
+        up = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)[arc_edges]
+        reach = np.zeros((n, words), dtype=np.uint64)
+        reach[origin] = ~np.uint64(0)
+        while True:
+            grown = np.bitwise_or.reduceat(reach[tails] & up, runs, axis=0)
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        return np.unpackbits(reach[destination].view(np.uint8), bitorder="little", count=k).astype(np.int64)
+
+    phi.rows = rows
     return phi
 
 

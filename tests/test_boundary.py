@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rsr.boundary import _BLOCK_BYTES, ReferenceSet, Side, boundary_search, boundary_searches
@@ -395,8 +395,8 @@ def test_lockstep_memory_is_the_distinct_vectors_in_narrow_keys():
     # state of each distinct vector it evaluated, kept under a key of N + 1
     # bytes (M = 2: a byte a state and one for the threshold) and about 150
     # bytes of Python objects, plus a few K x N int64 matrices of one
-    # round. On Python 3.11 with numpy 2.4 it reads 1.2 MiB against a bound
-    # of 1.7 MiB for 2,754 vectors; keys of int64 rows, 8 (N + 1) bytes,
+    # round. On Python 3.11 with numpy 2.4 it reads 1.1 MiB against a bound
+    # of 1.7 MiB for 2,702 vectors; keys of int64 rows, 8 (N + 1) bytes,
     # read 6.7 MiB
     g = random_geometric_graph(119, 0.12, seed=3)
     model = SystemModel(g.n_edges, 2, 2, single_od_connectivity(g, *pick_od_pair(g)))
@@ -415,7 +415,8 @@ def test_priors_size_only_the_calls_on_the_papers_graph():
     # the 32 walks of the memory test above, with no prior and with the
     # prior Stage 1 would read from their own references. Each walk ends at
     # its single-step reference either way; lockstep, the walks made 2,754
-    # calls before they took priors, and with the prior they make 2,685
+    # calls before they took priors, 2,702 with no prior since they size
+    # their gallops from their own rejections, and with the prior 2,685
     g = random_geometric_graph(119, 0.12, seed=3)
     model = SystemModel(g.n_edges, 2, 2, single_od_connectivity(g, *pick_od_pair(g)))
     starts = (np.random.default_rng(0).random((32, g.n_edges)) >= 0.05).astype(np.int64)
@@ -426,7 +427,7 @@ def test_priors_size_only_the_calls_on_the_papers_graph():
     priors = {(0, ref_set.side): _rejection_rate(ref_set, 2) for ref_set in sets if len(ref_set)}
     got, sized = _lockstep(model, starts, [0] * 32, priors)
     assert got == expected
-    assert plain.sum() <= 2754
+    assert plain.sum() <= 2702
     assert sized.sum() < plain.sum(), f"{sized.sum()} phi calls with the prior against {plain.sum()} without"
 
 
@@ -595,6 +596,34 @@ def test_walks_match_the_single_step_specification(seed, family, n, m):
         assert max(solo) <= n * (m - 1) + 1
         assert (calls <= solo).all()
         _assert_each_vector_paid_once(calls, thresholds, probes)
+
+
+@given(st.integers(0, 2**31), st.sampled_from(["two-terminal", "weighted sum"]), st.integers(6, 24))
+@settings(max_examples=100, deadline=None)
+def test_binary_walks_without_priors_gallop_from_their_own_rejections(seed, family, size):
+    # with no prior, a binary walk sizes each gallop after a rejection from
+    # its own count of rejections per accepted move; widths move only the calls
+    rng = np.random.default_rng(seed)
+    if family == "two-terminal":
+        g = random_geometric_graph(size, 0.45, seed)
+        origin, destination = rng.choice(g.n_nodes, size=2, replace=False)
+        model = SystemModel(g.n_edges, 2, 2, single_od_connectivity(g, int(origin), int(destination)))
+    else:
+        weights = rng.integers(1, 5, size=size).tolist()
+        model = SystemModel(size, 2, 2, _weighted(weights, int(rng.integers(1, sum(weights) + 1))))
+    n = model.n_components
+    starts = (rng.random((16, n)) < rng.random()).astype(np.int64)
+    expected = [single_step_walk(model, x0, 0) for x0 in starts]
+    # a binary walk rejects each move it could make and does not: a lower
+    # walk's components that stay at 0, an upper walk's that stay at 1
+    rejections = [
+        int(np.count_nonzero((x0 == ref) & (x0 == (0 if side == Side.LOWER else 1))))
+        for x0, (ref, side) in zip(starts, expected)
+    ]
+    assume(max(rejections) >= 3)
+    got, calls = _lockstep(model, starts, [0] * len(starts))
+    assert got == expected
+    assert (calls <= n + 1).all()
 
 
 def test_lower_walks_probe_each_component_to_the_last_settled_level():

@@ -462,6 +462,28 @@ def test_model_with_string_system_function_is_input_error(tmp_path, model_file, 
     _assert_malformed_input(code, capsys, model_file)
 
 
+def test_model_whose_graph_has_too_few_edges_is_input_error_naming_the_file(tmp_path, capsys):
+    model = write_series_model(tmp_path / "model.json", n=5)
+    doc = json.loads(model.read_text())
+    graph = {"format": FORMAT, "n_nodes": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+    doc["system_function"] = {"name": "single_od_connectivity", "graph": graph, "origin": 0, "destination": 2}
+    write_json(model, doc)
+    code = run(["oracle", "--model", model, "--mode", "exact"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert f"{model}: graph has 3 edges but model declares 5 components" in err
+
+
+def test_model_with_unknown_system_function_is_input_error_naming_the_file(tmp_path, model_file, capsys):
+    doc = json.loads(model_file.read_text())
+    doc["system_function"] = {"name": "bogus"}
+    write_json(model_file, doc)
+    code = run(["oracle", "--model", model_file, "--mode", "exact"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert f"{model_file}: unknown system_function name: 'bogus'" in err
+
+
 def test_refs_whose_threshold_is_out_of_the_models_range_are_rejected_naming_the_file(tmp_path, model_file, capsys):
     refs = tmp_path / "refs.json"
     assert run(["find-refs", "--model", model_file, "--out-refs", refs, "--samples", 200, "--seed", 3]) == 0

@@ -199,6 +199,15 @@ def test_load_model_validation_errors(tmp_path):
         load_model(p3)
 
 
+def test_load_model_names_the_file_for_a_missing_field(tmp_path):
+    doc = series_model_doc()
+    del doc["distribution"]
+    path = tmp_path / "model.json"
+    write_json(path, doc)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: missing field 'distribution'")):
+        load_model(path)
+
+
 def test_reference_sets_round_trip(tmp_path):
     lower = ReferenceSet(Side.LOWER, 0, [(0, 1, 1), (1, 1, 0)])
     upper = ReferenceSet(Side.UPPER, 0, [(1, 1, 1)])

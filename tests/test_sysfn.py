@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsr.model import SystemModel, check_coherency
 from rsr.oracle import bfs_connected
@@ -129,6 +131,30 @@ def test_single_od_agrees_with_bfs_oracle():
             x = rng.integers(0, m, size=g.n_edges)
             alive = [e for i, e in enumerate(g.edges) if x[i] >= 1]
             assert phi(x) == int(bfs_connected(g.n_nodes, alive, o, d))
+
+
+@given(st.integers(0, 2**31), st.integers(2, 40), st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_single_od_batch_form_equals_phi_on_each_row(seed, n_nodes, m):
+    # row counts on both sides of the per-row cut-off and of a 64-row word
+    rng = np.random.default_rng(seed)
+    g = random_geometric_graph(n_nodes, float(rng.uniform(0.3, 0.6)), seed)
+    origin, destination = (int(v) for v in rng.choice(g.n_nodes, size=2, replace=False))
+    phi = single_od_connectivity(g, origin, destination)
+    batch, sizes = phi.rows, []
+    phi.rows = lambda x: sizes.append(len(x)) or batch(x)
+    model = SystemModel(g.n_edges, m, 2, phi)
+    counts = (0, 1, 7, 8, 11, 12, 63, 64, 65, 1000)
+    for k in counts:
+        # an edge is up iff its state is >= 1, so states above 1 count as up
+        down = rng.random((k, g.n_edges)) < rng.uniform(0.0, 0.6)
+        x = np.where(down, 0, rng.integers(1, m, size=(k, g.n_edges)))
+        got = model._phi_rows(x)
+        assert got.dtype == np.int64 and got.shape == (k,)
+        assert got.tolist() == [model.evaluate(row) for row in x]
+    # the counted core calls the batch form once a matrix; evaluate, the
+    # per-row phi behind the crude Monte Carlo oracle, never does
+    assert sizes == list(counts)
 
 
 def test_rgg_deterministic():
