@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: gen-graph, find-refs, evaluate, pmf, oracle. All structured
-output is JSON; the per-iteration Stage-1 trace is CSV. Every subcommand
+output is JSON; the Stage-1 trace, a row a round, is CSV. Every subcommand
 is deterministic given its full flag set; the seed defaults to the
 ``RSR_SEED`` environment variable when set.
 
@@ -86,7 +86,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         "--parallel",
         type=int,
         default=RunConfig.parallel_searches,
-        help="boundary searches per iteration; for pmf, at most this many walks per threshold per round",
+        help="at most this many boundary walks per threshold per round",
     )
     _add_batch_flags(parser)
 
@@ -222,7 +222,7 @@ def cmd_find_refs(args: argparse.Namespace) -> int:
     final = result.trace[-1]
     print(
         f"found {len(result.lower)} lower + {len(result.upper)} upper references "
-        f"in {result.iterations} iterations (p_u={final.p_unclassified:.3e}, "
+        f"in {result.iterations} rounds (p_u={final.p_unclassified:.3e}, "
         f"terminated by {result.terminated_by})"
     )
     return EXIT_OK

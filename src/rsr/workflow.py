@@ -1,21 +1,34 @@
 """Two-stage workflow: reference discovery (Stage 1) and probability evaluation (Stage 2).
 
-Stage 1 (``stage1_find_references``) alternates sample classification
-with componentwise boundary searches seeded from unclassified samples,
-until the unclassified probability estimate falls below ``eps_u`` or the
-reference count reaches ``r_max``. Note that ``eps_u`` is checked on each
-iteration's fresh sample batch: it is a sample-estimate threshold, not a
-certified bound. Each iteration works in batches (``_search_round``): the
-searches of every pick walk in lockstep, one phi call a round for all of
-them (``boundary.boundary_searches``), and each reference set then takes
-the iteration's candidates in one ``ReferenceSet.insert_many``. Walks
-never read the sets, so the sets and outcomes are those of one search and
-one insert at a time. A vector that several walks of one threshold probe
-is evaluated once, so an iteration makes at most the phi calls of its
-searches made one at a time, and fewer when its walks probe alike. Each
-set's members give its side's walks a prior rejection rate, which sizes
-the start of their gallops (``boundary._walk``): it moves the phi calls,
-never the references.
+Stage 1 runs in rounds on batch 0, the batch Stage 2 draws (``_Rounds``):
+``stage1_find_references`` runs them for one threshold and
+``multistate_pmf`` for every threshold. Each round, every threshold still
+running walks from rows its bracket leaves open. The walks of every pick
+move in lockstep, one phi call a round for all of them
+(``boundary.boundary_searches``), and each reference set then takes the
+round's candidates in one ``ReferenceSet.insert_many``. Walks never read
+the sets, so the sets and outcomes are those of one search and one insert
+at a time. A vector that several walks of one threshold probe is
+evaluated once. Each set's members give its side's walks a prior
+rejection rate, which sizes the start of their gallops
+(``boundary._walk``): it moves the phi calls, never the references. Only
+the rows some threshold of the run still leaves open are classified
+again, and coverage only grows, so a settled row stays settled. The batch
+sizes the rounds' walks: the first round's walks cost at most about a
+tenth of it, and a later round has twice the walks of a round that
+settled more open rows than its walks cost and half those of one that
+did not, never more than ``parallel_searches`` a threshold. A threshold
+stops on ``eps_u``, the exact share of batch 0 its bracket leaves open,
+or on ``r_max`` references.
+
+``multistate_pmf`` alone also stops every threshold on cost, once the
+walks' phi calls over the last rounds, at most ``_COST_WINDOW``, from the
+first, exceed the open rows those rounds settled, since it resolves each
+row still open by one phi call once the rounds end. That call is checked
+against the row's bracket, which references at other thresholds may have
+narrowed: phi outside it means phi is not coherent, and raises. The
+estimate does not depend on the references, so the PMF is phi's
+frequency on batch 0 whatever the stop.
 
 Stage 2 (``stage2_evaluate``) classifies one batch against the lower and
 upper sets of one threshold m': a lower match gives S <= m', an upper
@@ -25,48 +38,26 @@ matches: each chunk's open rows go to the model's counted core
 ``SystemModel._phi_rows`` in one call as the chunk arrives, the core the
 boundary walks call too.
 
-``multistate_pmf`` runs both stages on one batch, Stage 2's batch 0. Its
-Stage 1 works in rounds: each threshold still running searches from rows
-its bracket leaves open, every threshold's picks walk in one
-``_search_round``, and only the rows still open are classified again.
-The batch sizes the rounds' walks: the first round's walks cost at most
-about a tenth of it, and a later round has twice the walks of a round
-that settled more open rows than its walks cost and half those of one
-that did not, never more than ``parallel_searches`` a threshold.
-Coverage only grows, so a settled row stays settled. A threshold stops on
-``eps_u`` (now the open share of batch 0 itself) or ``r_max``, and all
-stop on cost, once the walks' phi calls over the last rounds, at most
-``_COST_WINDOW``, from the first, exceed the open rows those rounds
-settled, since each open row costs one phi call once the rounds end.
-Every row still open is then resolved by phi and checked against its
-bracket, which references at other thresholds may have narrowed: phi
-outside it means phi is not coherent, and raises. The estimate does not
-depend on the references, so the PMF is phi's frequency on batch 0
-whatever the stop.
-
-``find-refs`` and ``evaluate`` stream their batch through the one
-classification route, ``classify.verdicts``, with ``_stream`` as its row
-source: each chunk is drawn from the counter-based sampler, so the whole
-batch is never held, and its states stay N bytes a row (M <= 256). The
-sampler fills a chunk from 1 MiB blocks of raw draws and ``verdicts``
-packs it once, in the thermometer layout, for both sides of every set,
-so a chunk's temporaries are about its states plus 1 MiB, next to the
-hit kernel's scratch of about 1 MiB that each worker keeps for the whole
-pass. Memory is about one chunk's temporaries and one scratch per
-worker. Stage 1 adds one byte per sample for the unclassified rows and
-regenerates the rows it searches from by index; its first iteration,
-whose sets are empty, draws nothing. Stage 2 adds only its counts,
-whatever the batch size. ``multistate_pmf`` keeps the open rows'
+``evaluate`` streams its batch through the one classification route,
+``classify.verdicts``, with ``_stream`` as its row source: each chunk is
+drawn from the counter-based sampler, so the whole batch is never held,
+and its states stay N bytes a row (M <= 256). The sampler fills a chunk
+from 1 MiB blocks of raw draws and ``verdicts`` packs it once, in the
+thermometer layout, for both sides of every set, so a chunk's temporaries
+are about its states plus 1 MiB, next to the hit kernel's scratch of
+about 1 MiB that each worker keeps for the whole pass. Memory is about
+one chunk's temporaries and one scratch per worker, and Stage 2 adds only
+its counts, whatever the batch size. Stage 1's rounds keep the open rows'
 indices and narrow brackets between rounds, a few bytes a row, and the
 packed thermometer words, ceil(N(M-1)/64) words a row, of as many open
 rows as fit in ``_KEEP_BYTES`` a sample of the batch. Later passes
 classify the kept words as they are, and phi reads the states they decode
-to, with no draw and no encode; the open rows past the budget are
-regenerated chunk by chunk with ``sampling.sample_rows`` as the source of
-``verdicts``. The crude Monte
-Carlo oracle (``oracle.crude_monte_carlo``) stays whole-batch and calls
-phi one row at a time through ``SystemModel.evaluate`` on purpose, as an
-independent check of this path and of any batch form of phi.
+to, with no draw and no encode; the first pass and the open rows past the
+budget are regenerated chunk by chunk with ``sampling.sample_rows`` as the
+source of ``verdicts``. The crude Monte Carlo oracle
+(``oracle.crude_monte_carlo``) stays whole-batch and calls phi one row at
+a time through ``SystemModel.evaluate`` on purpose, as an independent
+check of this path and of any batch form of phi.
 """
 
 from __future__ import annotations
@@ -101,17 +92,18 @@ __all__ = [
     "assemble_pmf",
 ]
 
-# Stage 2 always draws generation index 0 so that, with empty reference
-# sets, it is seed-matched bit-for-bit with the crude Monte Carlo oracle.
-_STAGE2_GENERATION = 0
+# Both stages draw generation index 0, batch 0, so that Stage 1's
+# references fit the batch Stage 2 classifies and, with empty reference
+# sets, Stage 2 is seed-matched bit-for-bit with the crude Monte Carlo oracle
+_GENERATION = 0
 
 # pmf's Stage 1 stops once its walks' phi calls over the last rounds, at
 # most this many, from the first, exceed the open rows those rounds settled
 _COST_WINDOW = 3
 
-# pmf keeps the thermometer words of as many of batch 0's open rows as fit
-# in this many bytes a sample of the batch, about the size of its index
-# array, rather than regenerating them each round
+# Stage 1's rounds keep the thermometer words of as many of batch 0's open
+# rows as fit in this many bytes a sample of the batch, about the size of
+# its index array, rather than regenerating them each round
 _KEEP_BYTES = 4
 
 
@@ -156,7 +148,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """Per-iteration measurements of one threshold's Stage-1 run; ``multistate_pmf``'s iterations are its rounds.
+    """One threshold's Stage-1 measurements on batch 0 at one round, taken before the round's walks.
 
     ``elapsed_seconds`` counts from the start of the Stage-1 call, and
     ``peak_rss_bytes`` is the process's peak so far: the thresholds of one
@@ -176,10 +168,12 @@ class TraceRecord:
 
 @dataclass
 class Stage1Result:
+    """One threshold's reference sets from Stage 1's rounds on batch 0, with a trace record a round and the stop."""
+
     lower: ReferenceSet
     upper: ReferenceSet
     trace: list[TraceRecord]
-    iterations: int
+    iterations: int  # the rounds' records, one more than the rounds of walks
     redundant_searches: int
     terminated_by: str  # 'eps_u', 'r_max', or 'cost' (multistate_pmf only)
 
@@ -209,61 +203,31 @@ def stage1_find_references(
     config: RunConfig,
     threshold: int,
 ) -> Stage1Result:
-    """Discover boundary reference sets for one threshold.
+    """Discover boundary reference sets for one threshold: ``multistate_pmf``'s rounds on batch 0, at it alone.
 
-    Each iteration streams a fresh batch (keyed by its iteration index)
-    through classification and, if not yet converged, runs boundary
-    searches from up to ``parallel_searches`` randomly selected
-    unclassified samples, regenerated by index, with
-    ``default_rng([seed, iteration])``. Redundant (dominated) search
-    results do not count toward ``r_max``. While the sets are empty no
-    reference hits a row, so that iteration (the first) streams nothing:
-    every row is open, and its trace record is (0, 0, 1).
+    The rounds (``_Rounds``) stop once the share of batch 0 the bracket
+    leaves open, counted exactly, is at most ``eps_u``, or at ``r_max``
+    references; redundant (dominated) search results do not count toward
+    ``r_max``. The first round's sets are empty, so its record is (0, 0, 1).
     """
     model.check_threshold(threshold)
-    result = Stage1Result(ReferenceSet(Side.LOWER, threshold), ReferenceSet(Side.UPPER, threshold), [], 0, 0, "r_max")
-    searches = phi_calls = 0
-    t_start = time.perf_counter()
-    h = config.n_samples
-    for iteration in itertools.count():
-        n_lower = n_upper = 0
-        # open_[row]: neither side hits the row. While both sets are empty the
-        # batch is not drawn, every row is open and ``open_`` stays None
-        open_ = None
-        if len(result.lower) or len(result.upper):
-            open_ = np.empty(h, dtype=bool)
-            sets = [(threshold, result.lower, result.upper)]
-            for start, states, lo, hi, ((low, up),) in _stream(model, dist, config, iteration, sets):
-                n_lower += int(np.count_nonzero(low))
-                n_upper += int(np.count_nonzero(up))
-                open_[start : start + len(states)] = ~(low | up)
-                # dropped before the next chunk is drawn, so one chunk is alive at a time
-                del states, lo, hi, low, up
-        # verdicts raises on a row both sides of a set hit, so the counts partition h
-        if not _record(result, config, iteration, t_start, phi_calls, searches, n_lower, n_upper):
-            return result
-        # choice over h picks what choice over arange(h) would, without the array
-        rng = np.random.default_rng([config.seed, iteration])
-        rows = h if open_ is None else np.flatnonzero(open_)
-        picks = rng.choice(rows, size=min(config.parallel_searches, h - n_lower - n_upper), replace=False)
-        # freed before the searches and the next iteration allocate their own
-        del open_, rows
-        (calls,) = _search_round(model, dist, config, iteration, [(result, picks)])
-        searches += len(picks)
-        phi_calls += calls
+    rounds = _Rounds(model, dist, config, range(threshold, threshold + 1))
+    for _ in rounds:
+        pass
+    return rounds.results[0]
 
 
 def _record(
     result: Stage1Result,
     config: RunConfig,
-    iteration: int,
+    round_: int,
     t_start: float,
     phi_calls: int,
     searches: int,
     n_lower: int,
     n_upper: int,
 ) -> bool:
-    """Append an iteration's trace record, and return whether the threshold searches on.
+    """Append a round's trace record, and return whether the threshold searches on.
 
     ``n_lower`` and ``n_upper`` count the rows the threshold's bracket
     settles below and above m'. It stops on ``eps_u`` once the open share
@@ -284,7 +248,7 @@ def _record(
             peak_rss_bytes=_peak_rss_bytes(),
         )
     )
-    result.iterations = iteration + 1
+    result.iterations = round_ + 1
     if n_open / h <= config.eps_u:
         result.terminated_by = "eps_u"
         return False
@@ -295,10 +259,9 @@ def _search_round(
     model: SystemModel,
     dist: ComponentDistribution,
     config: RunConfig,
-    generation: int,
     picks: list[tuple[Stage1Result, np.ndarray]],
 ) -> list[int]:
-    """Walk from every picked row of batch ``generation`` in lockstep, then give each set its candidates in one insert.
+    """Walk from every picked row of batch 0 in lockstep, then give each set its candidates in one insert.
 
     ``picks`` pairs each searching threshold's result with the indices of
     the rows it searches from. One ``sample_rows`` call regenerates every
@@ -314,7 +277,7 @@ def _search_round(
     owners = np.repeat(np.arange(len(picks)), sizes)
     targets = np.repeat([result.lower.threshold for result, _ in picks], sizes).tolist()
     # the counter-based stream regenerates the picked rows alone; a row two thresholds picked is drawn once
-    starts = sample_rows(dist, config.seed, generation, np.concatenate([rows for _, rows in picks]))
+    starts = sample_rows(dist, config.seed, _GENERATION, np.concatenate([rows for _, rows in picks]))
     priors = {
         (ref_set.threshold, ref_set.side): _rejection_rate(ref_set, model.n_component_states)
         for result, _ in picks
@@ -342,13 +305,12 @@ def _stream(
     model: SystemModel,
     dist: ComponentDistribution,
     config: RunConfig,
-    generation: int,
     sets: list[ThresholdSets],
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, list[int]]]:
-    """``classify.verdicts`` over one batch that the counter-based sampler draws chunk by chunk."""
+    """``classify.verdicts`` over batch 0, which the counter-based sampler draws chunk by chunk."""
     n = dist.n_components
     return verdicts(
-        lambda start, stop: sample_batch(dist, stop - start, config.seed, generation, start=start).states,
+        lambda start, stop: sample_batch(dist, stop - start, config.seed, _GENERATION, start=start).states,
         config.n_samples, _chunk_rows(n), sets,
         (n, model.n_component_states, model.n_system_states), config.n_workers,
     )
@@ -376,7 +338,7 @@ def stage2_evaluate(
             raise ValueError(f"reference set threshold {ref_set.threshold} != requested m'={threshold}")
     n_low = unclassified = 0
     sets = [(threshold, lower, upper)]
-    for _, states, lo, hi, ((low, up),) in _stream(model, dist, config, _STAGE2_GENERATION, sets):
+    for _, states, lo, hi, ((low, up),) in _stream(model, dist, config, sets):
         n_low += int(np.count_nonzero(low))
         open_ = ~(low | up)
         if open_.any():
@@ -442,70 +404,158 @@ def assemble_pmf(cumulative: np.ndarray | list[float]) -> tuple[np.ndarray, floa
     return clipped / clipped.sum(), adjustment
 
 
-def _open_words(
-    dist: ComponentDistribution,
-    config: RunConfig,
-    index: np.ndarray,
-    words: np.ndarray,
-    n_kept: int,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """The thermometer words, word-major, of the open rows ``start..stop-1``.
+class _Rounds:
+    """Stage 1 on batch 0, the batch Stage 2 draws, for the thresholds of a range; iterating runs its rounds.
 
-    The first ``n_kept`` open rows have their words kept in ``words``; the
-    others are regenerated from their sample indices by ``sample_rows``
-    and packed.
+    Each round, every threshold still running picks up to a round's width
+    of rows its bracket leaves open, with ``default_rng([seed, round])``
+    reset before each threshold; all picks walk in one lockstep
+    (``_search_round``), and the open rows are classified again against
+    the full sets. A walk makes at most N(M-1) moves, so the first round's
+    width, min(``parallel_searches``, max(1, H // (10 * thresholds *
+    N(M-1)))), makes its walks cost about a tenth of the batch at most. A
+    later round doubles the width after a round that settled more open
+    rows than its walks cost and halves it otherwise, between 1 and
+    ``parallel_searches``. A threshold stops on ``eps_u`` (the share of
+    batch 0 its bracket leaves open) or ``r_max``. Before each round of
+    walks the iteration yields the results of the thresholds still
+    running, so its caller may stop them; ``spent`` and ``settled`` hold
+    each round's walks' phi calls and the open rows its references
+    settled, both exact counts on the batch.
+
+    A row is open while some threshold t of the range leaves it open, lo <=
+    t < hi in its bracket lo <= S <= hi. Between rounds the open rows keep
+    their ascending sample indices ``index`` and narrow brackets ``lo`` and
+    ``hi``, a few bytes a row, which each pass compacts in place, and the
+    first ``n_kept`` of them their packed thermometer ``words``,
+    word-major: as many as fit in ``_KEEP_BYTES`` a sample. Later passes
+    classify those as they are, and ``sample_rows`` regenerates the others
+    chunk by chunk. ``known[s]`` counts the settled rows whose bracket
+    ends at hi = s: at each threshold t of the range S <= t exactly when
+    hi <= t, and over every threshold hi is S.
     """
-    cut = min(max(start, n_kept), stop)
-    if cut == stop:
-        return words[:, start:stop]
-    drawn = _word_major(sample_rows(dist, config.seed, _STAGE2_GENERATION, index[cut:stop]), dist.n_states)
-    return drawn if cut == start else np.concatenate([words[:, start:cut], drawn], axis=1)
 
+    def __init__(self, model: SystemModel, dist: ComponentDistribution, config: RunConfig, thresholds: range) -> None:
+        self.model, self.dist, self.config, self.thresholds = model, dist, config, thresholds
+        self.results = [
+            Stage1Result(ReferenceSet(Side.LOWER, t), ReferenceSet(Side.UPPER, t), [], 0, 0, "r_max") for t in thresholds
+        ]
+        self.sets = [(t, result.lower, result.upper) for t, result in zip(thresholds, self.results)]
+        h, n_states = config.n_samples, model.n_system_states
+        # while the sets are empty every row is open
+        self.index = np.arange(h, dtype=np.min_scalar_type(h - 1))
+        self.lo = np.zeros(h, dtype=np.min_scalar_type(n_states - 1))
+        self.hi = np.full(h, n_states - 1, dtype=self.lo.dtype)
+        n_words = _n_words(model.n_components * (model.n_component_states - 1))
+        self.words = np.empty((n_words, min(h, _KEEP_BYTES * h // (8 * n_words))), dtype=np.uint64)
+        self.n_kept = 0
+        self.known = np.zeros(n_states, dtype=np.int64)
+        self.spent: list[int] = []
+        self.settled: list[int] = []
+        # the rows whose bracket says S <= t, and S >= t+1, at each threshold t of the range, at the last record
+        self.below: list[int] = []
+        self.above: list[int] = []
 
-def _reclassify(
-    model: SystemModel,
-    dist: ComponentDistribution,
-    config: RunConfig,
-    sets: list[ThresholdSets],
-    index: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    words: np.ndarray,
-    n_kept: int,
-    known: np.ndarray,
-) -> int:
-    """Classify the open rows ``index`` of batch 0 against every set, and keep those still open at the front, in place.
+    def __iter__(self) -> Iterator[list[Stage1Result]]:
+        model, config, results = self.model, self.config, self.results
+        h = config.n_samples
+        # the open rows' counts by lo, row 0, and by hi, row 1
+        brackets = np.zeros((2, model.n_system_states), dtype=np.int64)
+        brackets[0, 0] = brackets[1, -1] = h
+        searches = [0] * len(results)
+        phi_calls = [0] * len(results)
+        width = 0  # walks a threshold in a round, set before each round
+        t_start = time.perf_counter()
+        live = list(range(len(results)))
+        for round_ in itertools.count():
+            if round_:
+                n_open, brackets = self._reclassify()
+                self.settled.append(len(self.index) - n_open)
+                self.index, self.lo, self.hi = self.index[:n_open], self.lo[:n_open], self.hi[:n_open]
+                self.n_kept = min(n_open, self.words.shape[1])
+            self.below = np.cumsum(self.known + brackets[1])[self.thresholds].tolist()
+            self.above = (h - np.cumsum(self.known + brackets[0])[self.thresholds]).tolist()
+            live = [
+                k
+                for k in live
+                if _record(results[k], config, round_, t_start, phi_calls[k], searches[k], self.below[k], self.above[k])
+            ]
+            if not live:
+                return
+            yield [results[k] for k in live]
+            if not self.spent:
+                # a walk makes at most N(M-1) moves, a phi call each, and one call
+                # on its start, so the first round's walks cost at most a tenth of
+                # the batch and a call a walk
+                moves = model.n_components * (model.n_component_states - 1)
+                width = min(config.parallel_searches, max(1, h // (10 * len(live) * moves)))
+            elif self.settled[-1] > self.spent[-1]:
+                width = min(config.parallel_searches, 2 * width)
+            else:
+                width = max(1, width // 2)
+            # every threshold picks from the same stream, reset to its start
+            rng = np.random.default_rng([config.seed, round_])
+            origin = rng.bit_generator.state
+            picks = []
+            for k in live:
+                t = self.thresholds[k]
+                rng.bit_generator.state = origin
+                open_k = self.index[(self.lo <= t) & (t < self.hi)]
+                n_pick = min(width, len(open_k))
+                picks.append((results[k], rng.choice(open_k, size=n_pick, replace=False)))
+                searches[k] += n_pick
+                del open_k
+            calls = _search_round(model, self.dist, config, picks)
+            for k, c in zip(live, calls):
+                phi_calls[k] += c
+            self.spent.append(sum(calls))
 
-    ``verdicts`` classifies the kept words of the first ``n_kept`` rows as
-    they are, and ``sample_rows`` regenerates the others chunk by chunk
-    (``_open_words``); a crossed bracket raises naming its sample. A row
-    whose bracket closes, lo = hi = S, is counted in ``known[S]``; the
-    others move to the front of ``index``, with their brackets in ``lo``
-    and ``hi`` and, as far as ``words`` has room, their words, and their
-    count is returned. A chunk's rows go no further forward than the chunk
-    itself, so no worker reads an index or a word written over.
-    """
-    n, m = model.n_components, model.n_component_states
-    n_open = 0
-    for start, chunk, c_lo, c_hi, _ in verdicts(
-        lambda start, stop: _open_words(dist, config, index, words, n_kept, start, stop),
-        len(index), _chunk_rows(n), sets, (n, m, model.n_system_states), config.n_workers, index, packed=True,
-    ):
-        keep = c_lo < c_hi
-        known += np.bincount(c_hi[~keep], minlength=len(known))
-        end = n_open + int(np.count_nonzero(keep))
-        index[n_open:end] = index[start : start + len(keep)][keep]
-        lo[n_open:end] = c_lo[keep]
-        hi[n_open:end] = c_hi[keep]
-        room = min(end, words.shape[1]) - n_open
-        if room > 0:
-            words[:, n_open : n_open + room] = chunk[:, keep][:, :room]
-        n_open = end
-        # dropped before the next chunk is drawn, so one chunk is alive at a time
-        del chunk, c_lo, c_hi, keep
-    return n_open
+    def open_words(self, start: int, stop: int) -> np.ndarray:
+        """The thermometer words, word-major, of the open rows ``start..stop-1``: kept, or regenerated and packed."""
+        cut = min(max(start, self.n_kept), stop)
+        if cut == stop:
+            return self.words[:, start:stop]
+        drawn = sample_rows(self.dist, self.config.seed, _GENERATION, self.index[cut:stop])
+        drawn = _word_major(drawn, self.dist.n_states)
+        return drawn if cut == start else np.concatenate([self.words[:, start:cut], drawn], axis=1)
+
+    def _reclassify(self) -> tuple[int, np.ndarray]:
+        """Classify the open rows against every set, and move those still open to the front, in place.
+
+        ``verdicts`` classifies the kept words as they are, and
+        ``open_words`` regenerates the others chunk by chunk; a crossed
+        bracket raises naming its sample. A settled row is counted in
+        ``known``; the others move to the front of ``index``, with their
+        brackets in ``lo`` and ``hi`` and, as far as ``words`` has room,
+        their words. Returns their count, and their counts by lo and by hi.
+        A chunk's rows go no further forward than the chunk itself, so no
+        worker reads an index or a word written over.
+        """
+        model, index, words = self.model, self.index, self.words
+        n, n_states = model.n_components, model.n_system_states
+        first, last = self.thresholds[0], self.thresholds[-1]
+        brackets = np.zeros((2, n_states), dtype=np.int64)
+        n_open = 0
+        for start, chunk, c_lo, c_hi, _ in verdicts(
+            self.open_words, len(index), _chunk_rows(n), self.sets,
+            (n, model.n_component_states, n_states), self.config.n_workers, index, packed=True,
+        ):
+            # some threshold t of the range has lo <= t < hi
+            keep = np.maximum(c_lo, first) < np.minimum(c_hi, last + 1)
+            self.known += np.bincount(c_hi[~keep], minlength=n_states)
+            c_lo, c_hi = c_lo[keep], c_hi[keep]
+            brackets += [np.bincount(c_lo, minlength=n_states), np.bincount(c_hi, minlength=n_states)]
+            end = n_open + len(c_lo)
+            index[n_open:end] = index[start : start + len(keep)][keep]
+            self.lo[n_open:end] = c_lo
+            self.hi[n_open:end] = c_hi
+            room = min(end, words.shape[1]) - n_open
+            if room > 0:
+                words[:, n_open : n_open + room] = chunk[:, keep][:, :room]
+            n_open = end
+            # dropped before the next chunk is drawn, so one chunk is alive at a time
+            del chunk, c_lo, c_hi, keep
+        return n_open, brackets
 
 
 def multistate_pmf(
@@ -515,133 +565,55 @@ def multistate_pmf(
 ) -> PmfReport:
     """Find references for every threshold on Stage 2's own batch, then resolve the rest by phi.
 
-    Stage 1 runs in rounds on batch 0, the batch Stage 2 draws. Each
-    round, every threshold still running picks up to a round's width of
-    rows its bracket leaves open, with ``default_rng([seed, round])``
-    reset before each threshold; all picks walk in one lockstep
-    (``_search_round``), and the rows still open are classified again
-    against the full sets. A walk makes at most N(M-1) moves, so the
-    first round's width, min(``parallel_searches``, max(1, H // (10 *
-    thresholds * N(M-1)))), makes its walks cost about a tenth of the
-    batch at most. A later round doubles the width after a round that
-    settled more open rows than its walks cost and halves it otherwise,
-    between 1 and ``parallel_searches``. A threshold stops on ``eps_u``
-    (the share of batch 0 its bracket leaves open) or ``r_max``; all stop on cost, once
-    the walks' phi calls over the last rounds, at most ``_COST_WINDOW``,
-    from the first, exceed the open rows those rounds settled. Both are
-    exact counts on the batch: each open row costs one phi call at the
-    end, and ``rounds`` reports both counts of each round. Then every row
-    still open is resolved by one phi call, checked against its bracket.
+    Stage 1 runs ``_Rounds`` for every threshold, on batch 0, the batch
+    Stage 2 draws. Besides their own stops on ``eps_u`` and ``r_max``, all
+    thresholds stop on cost, once the walks' phi calls over the last
+    rounds, at most ``_COST_WINDOW``, from the first, exceed the open rows
+    those rounds settled: each open row costs one phi call at the end, and
+    ``rounds`` reports both counts of each round. Then every row still
+    open is resolved by one phi call, on the states its kept words decode
+    to or regenerated, and checked against its bracket.
 
     The estimate is phi's frequency on batch 0 whatever references are
     found, so it equals the crude Monte Carlo oracle's at the same seed,
-    and the chain P(S <= m') is monotone exactly. Between rounds the open
-    rows' indices and narrow brackets are kept, and the packed thermometer
-    words of as many open rows as fit in ``_KEEP_BYTES`` a sample, which
-    later rounds classify as they are and phi reads decoded. Only the open
-    rows past that budget are regenerated, chunk by chunk by
-    ``sample_rows``, so a row the budget holds is drawn again only to
-    start a walk. A crossed bracket, or phi outside one, raises
-    ``InconsistentReferenceSets``.
+    and the chain P(S <= m') is monotone exactly. A crossed bracket, or
+    phi outside one, raises ``InconsistentReferenceSets``.
     """
     n_states = model.n_system_states
     thresholds = range(n_states - 1)
-    results = [
-        Stage1Result(ReferenceSet(Side.LOWER, t), ReferenceSet(Side.UPPER, t), [], 0, 0, "r_max") for t in thresholds
-    ]
-    sets = [(t, result.lower, result.upper) for t, result in zip(thresholds, results)]
-    searches = [0] * len(results)
-    phi_calls = [0] * len(results)
-    h = config.n_samples
-    # the open rows, whose bracket lo <= S <= hi leaves S unknown: ascending
-    # sample indices and narrow brackets, a few bytes a row, which each round
-    # compacts in place. While the sets are empty every row is open
-    index = np.arange(h, dtype=np.min_scalar_type(h - 1))
-    lo = np.zeros(h, dtype=np.min_scalar_type(n_states - 1))
-    hi = np.full(h, n_states - 1, dtype=lo.dtype)
-    # the thermometer words, word-major, of the first n_kept open rows: as
-    # many as fit in _KEEP_BYTES a sample. The others are regenerated
-    n_words = _n_words(model.n_components * (model.n_component_states - 1))
-    words = np.empty((n_words, min(h, _KEEP_BYTES * h // (8 * n_words))), dtype=np.uint64)
-    n_kept = 0
-    # known[s]: the settled rows whose system state is s
-    known = np.zeros(n_states, dtype=np.int64)
-    spent: list[int] = []  # each round's walks' phi calls
-    settled: list[int] = []  # the open rows each round's references settled
-    width = 0  # walks a threshold in a round, set before each round
-    t_start = time.perf_counter()
-    live = list(range(len(results)))
-    for round_ in itertools.count():
-        if round_:
-            n_open = _reclassify(model, dist, config, sets, index, lo, hi, words, n_kept, known)
-            settled.append(len(index) - n_open)
-            index, lo, hi = index[:n_open], lo[:n_open], hi[:n_open]
-            n_kept = min(n_open, words.shape[1])
-        # the rows whose bracket says S <= m', and S >= m'+1, at each m'
-        below = np.cumsum(known + np.bincount(hi, minlength=n_states))[:-1].tolist()
-        above = (h - np.cumsum(known + np.bincount(lo, minlength=n_states))[:-1]).tolist()
-        still_live = [
-            k for k in live if _record(results[k], config, round_, t_start, phi_calls[k], searches[k], below[k], above[k])
-        ]
-        if still_live and spent and sum(spent[-_COST_WINDOW:]) > sum(settled[-_COST_WINDOW:]):
-            for k in still_live:
-                results[k].terminated_by = "cost"
-            still_live = []
-        if not still_live:
+    rounds = _Rounds(model, dist, config, thresholds)
+    for live in rounds:
+        if rounds.spent and sum(rounds.spent[-_COST_WINDOW:]) > sum(rounds.settled[-_COST_WINDOW:]):
+            for result in live:
+                result.terminated_by = "cost"
             break
-        if not spent:
-            # a walk makes at most N(M-1) moves, a phi call each, and one call
-            # on its start, so the first round's walks cost at most a tenth of
-            # the batch and a call a walk
-            moves = model.n_components * (model.n_component_states - 1)
-            width = min(config.parallel_searches, max(1, h // (10 * len(still_live) * moves)))
-        elif settled[-1] > spent[-1]:
-            width = min(config.parallel_searches, 2 * width)
-        else:
-            width = max(1, width // 2)
-        # every threshold picks from the same stream, reset to its start
-        rng = np.random.default_rng([config.seed, round_])
-        origin = rng.bit_generator.state
-        picks = []
-        for k in still_live:
-            rng.bit_generator.state = origin
-            open_k = index[(lo <= k) & (k < hi)]
-            n_pick = min(width, len(open_k))
-            picks.append((results[k], rng.choice(open_k, size=n_pick, replace=False)))
-            searches[k] += n_pick
-            del open_k
-        calls = _search_round(model, dist, config, _STAGE2_GENERATION, picks)
-        for k, c in zip(still_live, calls):
-            phi_calls[k] += c
-        spent.append(sum(calls))
-        live = still_live
 
     # every row still open costs one phi call, checked against its bracket:
     # a bracket a reference narrowed that phi leaves means phi is not coherent
+    index, lo, hi, known = rounds.index, rounds.lo, rounds.hi, rounds.known
     chunk = _chunk_rows(model.n_components)
     for start in range(0, len(index), chunk):
         stop = min(start + chunk, len(index))
-        states = decode_packed(
-            _open_words(dist, config, index, words, n_kept, start, stop).T, model.n_components, dist.n_states
-        )
+        states = decode_packed(rounds.open_words(start, stop).T, model.n_components, dist.n_states)
         phi = model._phi_rows(states)
         bad = np.flatnonzero((phi < lo[start:stop]) | (phi > hi[start:stop]))
         if bad.size:
             k = int(bad[0])
             raise InconsistentReferenceSets.on_bracket(
-                sets, int(index[start + k]), states[k], int(lo[start + k]), int(hi[start + k]), int(phi[k])
+                rounds.sets, int(index[start + k]), states[k], int(lo[start + k]), int(hi[start + k]), int(phi[k])
             )
         known += np.bincount(phi, minlength=n_states)
     n_low = np.cumsum(known)[:-1].tolist()
+    h = config.n_samples
     # the rows each threshold's bracket left open, which phi resolved
-    reports = [_stage2_report(config, t, n_low[t], h - below[t] - above[t]) for t in thresholds]
+    reports = [_stage2_report(config, t, n_low[t], h - rounds.below[t] - rounds.above[t]) for t in thresholds]
     cum = np.array([r.p_lower for r in reports])
     pmf, _ = assemble_pmf(cum)
     return PmfReport(
         pmf=pmf,
         cumulative_lower=cum,
         stage2_reports=tuple(reports),
-        stage1_results=tuple(results),
+        stage1_results=tuple(rounds.results),
         resolution_phi_calls=len(index),
-        rounds=tuple(zip(spent, settled)),
+        rounds=tuple(zip(rounds.spent, rounds.settled)),
     )

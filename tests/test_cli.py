@@ -290,7 +290,8 @@ def test_pmf_subcommand(tmp_path, monkeypatch):
 
 def test_refs_file_holds_the_indented_document_one_vector_a_line(tmp_path):
     # the document is the one write_json writes for the same sets, vector
-    # order included; only its text differs, each vector on one line
+    # order included; only its text differs, each vector on one line. At
+    # edge failure 0.3 the rounds on batch 0 find several references a side
     graph, model = tmp_path / "g.json", tmp_path / "model.json"
     assert run(["gen-graph", "--n-nodes", 14, "--radius", 0.45, "--out", graph, "--seed", 2]) == 0
     n = files.load_graph(graph).n_edges
@@ -301,7 +302,7 @@ def test_refs_file_holds_the_indented_document_one_vector_a_line(tmp_path):
             "n_components": n,
             "n_component_states": 2,
             "n_system_states": 2,
-            "distribution": [[0.2, 0.8]] * n,
+            "distribution": [[0.3, 0.7]] * n,
             "system_function": {"name": "single_od_connectivity", "graph_file": "g.json"},
         },
     )

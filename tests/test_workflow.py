@@ -68,7 +68,7 @@ def test_stage1_trace_monotone_refs(series3):
     counts = [t.reference_count for t in res.trace]
     assert counts == sorted(counts)
     assert all(t.phi_evaluations >= 0 for t in res.trace)
-    # one search per iteration, counted before the next record
+    # one search a round, counted before the next record
     assert [t.searches for t in res.trace] == list(range(len(res.trace)))
     # plain Python numbers, which the CLI writes to the trace as they are
     for t in res.trace:
@@ -87,6 +87,30 @@ def test_stage1_threshold_validation(series3):
     model, dist = series3
     with pytest.raises(ValueError):
         stage1_find_references(model, dist, small_config(), threshold=1)
+
+
+def test_stage1_keeps_only_the_rows_its_threshold_leaves_open(monkeypatch):
+    # 3-out-of-6, M = 3, at m' = 1 alone, at the CLI's defaults: a lower
+    # reference at m' = 1 narrows a row's bracket to 0 <= S <= 1, which
+    # settles it at m' = 1 though the bracket is not closed. Each pass
+    # classifies only the rows the record before it leaves open; keeping
+    # every row with lo < hi, the run ended with no row open but 6,835
+    # settled rows (34% of the batch) kept and classified again
+    model = SystemModel(6, 3, 3, k_out_of_n(3, 6))
+    dist = ComponentDistribution.iid(6, [0.2, 0.3, 0.5])
+    cfg = RunConfig(n_samples=20_000, seed=3)
+    passes = []
+
+    def counting(rows, n_rows, *args, **kwargs):
+        passes.append(n_rows)
+        return verdicts(rows, n_rows, *args, **kwargs)
+
+    verdicts = workflow.verdicts
+    monkeypatch.setattr(workflow, "verdicts", counting)
+    s1 = stage1_find_references(model, dist, cfg, 1)
+    open_rows = [round(t.p_unclassified * cfg.n_samples) for t in s1.trace]
+    assert s1.terminated_by == "eps_u" and open_rows[-1] == 0
+    assert passes == open_rows[:-1] and len(passes) > 2
 
 
 def test_stage2_partitions_exactly(series3):
@@ -120,7 +144,7 @@ def test_stage2_rejects_mismatched_sets(series3):
 
 
 def test_stage2_uses_generation_zero(series3):
-    # stage 2 estimates do not depend on how many stage-1 iterations ran
+    # stage 2 estimates do not depend on how many stage-1 rounds ran
     model, dist = series3
     a = stage1_find_references(model, dist, small_config(), threshold=0)
     b = stage1_find_references(model, dist, small_config(r_max=2), threshold=0)
@@ -342,19 +366,36 @@ def rgg_refs(rgg):
     return s1.lower, s1.upper
 
 
-def whole_batch_stage1(model, dist, cfg, threshold):
-    """Stage 1 as one classify call on each whole batch: the reference for the streamed loop."""
+def whole_batch_stage1(model, dist, cfg, threshold, spent):
+    """Stage 1's rounds at one threshold by whole-batch classify and one walk at a time: the reference for the streamed rounds.
+
+    Each round classifies the whole of batch 0 in one ``classify`` call,
+    then walks and inserts from each pick one at a time. ``spent`` gives
+    each round's walks' phi calls, which set the next round's width; the
+    lockstep walks' shared probes and priors set them, never the
+    references. Returns the sets and (p_lower, p_upper, p_unclassified,
+    searches) a round.
+    """
     lower, upper = ReferenceSet(Side.LOWER, threshold), ReferenceSet(Side.UPPER, threshold)
-    trace = []
-    for iteration in itertools.count():
-        batch = sample_batch(dist, cfg.n_samples, cfg.seed, generation_index=iteration)
+    batch = sample_batch(dist, cfg.n_samples, cfg.seed, generation_index=0)
+    trace, n_open, searches = [], [], 0
+    for round_ in itertools.count():
         res = classify(batch, lower, upper, n_states=model.n_component_states)
-        trace.append((res.p_lower, res.p_upper, res.p_unclassified))
+        trace.append((res.p_lower, res.p_upper, res.p_unclassified, searches))
+        n_open.append(res.unclassified_indices.size)
         if res.p_unclassified <= cfg.eps_u or len(lower) + len(upper) >= cfg.r_max:
             return lower, upper, trace
-        rng = np.random.default_rng([cfg.seed, iteration])
-        n_pick = min(cfg.parallel_searches, res.unclassified_indices.size)
-        for idx in rng.choice(res.unclassified_indices, size=n_pick, replace=False):
+        if not round_:
+            moves = model.n_components * (model.n_component_states - 1)
+            width = min(cfg.parallel_searches, max(1, cfg.n_samples // (10 * moves)))
+        elif n_open[-2] - n_open[-1] > spent[round_ - 1]:
+            width = min(cfg.parallel_searches, 2 * width)
+        else:
+            width = max(1, width // 2)
+        rng = np.random.default_rng([cfg.seed, round_])
+        picks = rng.choice(res.unclassified_indices, size=min(width, n_open[-1]), replace=False)
+        searches += len(picks)
+        for idx in picks:
             vector, side = boundary_search(model, batch.states[idx], threshold)
             (lower if side == Side.LOWER else upper).insert(vector)
 
@@ -383,10 +424,11 @@ def test_streamed_stages_equal_whole_batch(rgg, workers):
     h = 2 * _chunk_rows(model.n_components) + 13
     cfg = RunConfig(n_samples=h, eps_u=1e-3, parallel_searches=16, seed=5, n_workers=workers)
     s1 = stage1_find_references(model, dist, cfg, 0)
-    lower, upper, trace = whole_batch_stage1(model, dist, cfg, 0)
+    spent = np.diff([t.phi_evaluations for t in s1.trace]).tolist()
+    lower, upper, trace = whole_batch_stage1(model, dist, cfg, 0, spent)
     assert (s1.lower.members, s1.upper.members) == (lower.members, upper.members)
-    assert [(t.p_lower, t.p_upper, t.p_unclassified) for t in s1.trace] == trace
-    assert s1.iterations == len(trace) > 1
+    assert [(t.p_lower, t.p_upper, t.p_unclassified, t.searches) for t in s1.trace] == trace
+    assert s1.iterations == len(trace) > 2
     report = stage2_evaluate(model, dist, s1.lower, s1.upper, cfg, 0)
     assert summary([report]) == whole_batch_stage2(model, dist, cfg, [(0, s1.lower, s1.upper)])
     assert 0 < report.unclassified_resolved < h
@@ -394,11 +436,11 @@ def test_streamed_stages_equal_whole_batch(rgg, workers):
 
 def test_stage1_priors_cut_search_calls_not_references(rgg, monkeypatch):
     # the benchmark's stage1-rgg run at its first input (H = 10k, eps_u = 1e-4,
-    # 32 searches an iteration, seed 1000). The priors Stage 1 reads from its
+    # at most 32 walks a round, seed 1000). The priors Stage 1 reads from its
     # sets size the walks' gallops: dropped, the same sets and trace come from
-    # 2,514 search phi calls, against 2,408 with them. Walks without a prior
-    # size their gallops from their own rejections (before they did, the
-    # counts were 2,950 and 2,548)
+    # 1,632 search phi calls, against 1,539 with them. The rounds on batch 0
+    # stop once it is covered (on fresh batches each iteration, the counts
+    # were 2,514 and 2,408)
     model, dist = rgg
     cfg = RunConfig(n_samples=10_000, eps_u=1e-4, parallel_searches=32, seed=1000)
     sized = stage1_find_references(model, dist, cfg, 0)
@@ -409,7 +451,7 @@ def test_stage1_priors_cut_search_calls_not_references(rgg, monkeypatch):
     assert [dataclasses.replace(t, phi_evaluations=0) for t in untimed(sized.trace)] == [
         dataclasses.replace(t, phi_evaluations=0) for t in untimed(plain.trace)
     ]
-    assert (sized.search_phi_calls, plain.search_phi_calls) == (2408, 2514)
+    assert (sized.search_phi_calls, plain.search_phi_calls) == (1539, 1632)
 
 
 def whole_batch_brackets(model, dist, cfg, sets):
@@ -591,12 +633,12 @@ def test_pass_allocates_one_kernel_scratch_per_worker(monkeypatch, workers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        chunks = list(workflow._stream(model, dist, cfg, 9, sets))
+        chunks = list(workflow._stream(model, dist, cfg, sets))
     finally:
         sys.setswitchinterval(interval)
     assert len(chunks) == 5
     assert 1 <= len(allocated) <= workers
-    states = sample_batch(dist, cfg.n_samples, cfg.seed, 9).states
+    states = sample_batch(dist, cfg.n_samples, cfg.seed, 0).states
     for j, (_, low, up) in enumerate(sets):
         for k, (ref_set, side) in enumerate(((low, Side.LOWER), (up, Side.UPPER))):
             expected = dominance_hits(states, ref_set.as_array(), side)
@@ -747,36 +789,6 @@ def test_stage2_memory_bounded_in_batch_size(rgg, rgg_refs):
     assert peaks[400_000] - peaks[100_000] <= 16 * 1024
 
 
-def test_stage1_iteration_memory_bounded_in_batch_size(rgg):
-    # eps_u = 1 stops after one iteration, whose samples are all unclassified.
-    # The peak is 2.7 MiB, one chunk's temporaries as in Stage 2 plus a bit
-    # per sample; the ceiling leaves 0.8 MiB of margin
-    model, dist = rgg
-    peaks = {
-        h: traced_peak(lambda: stage1_find_references(model, dist, RunConfig(n_samples=h, eps_u=1.0, seed=1), 0))
-        for h in (100_000, 400_000)
-    }
-    assert peaks[400_000] < 3.5 * MiB
-    assert peaks[400_000] - peaks[100_000] <= 24 * 300_000
-
-
-def test_stage1_streamed_iteration_memory_bounded_in_batch_size(rgg):
-    # The first iteration's sets are empty, so it draws nothing; one search
-    # then makes r_max = 1, and the run stops after streaming the second
-    # batch. The peak is 2.8 MiB at 400k, one chunk's temporaries as in
-    # Stage 2, with a kernel scratch sized to a one-reference set, plus a bit
-    # per sample
-    model, dist = rgg
-    peaks = {
-        h: traced_peak(
-            lambda: stage1_find_references(model, dist, RunConfig(n_samples=h, eps_u=0.0, r_max=1, seed=1), 0)
-        )
-        for h in (100_000, 400_000)
-    }
-    assert peaks[400_000] < 3.5 * MiB
-    assert peaks[400_000] - peaks[100_000] <= 24 * 300_000
-
-
 @pytest.mark.parametrize(
     "settings",
     [
@@ -785,20 +797,19 @@ def test_stage1_streamed_iteration_memory_bounded_in_batch_size(rgg):
     ],
 )
 def test_pmf_stage1_memory_bounded_in_batch_size(settings):
-    # pmf on 10-out-of-40, M = 3. Between rounds it keeps each open row's
-    # index and narrow bracket, 6 bytes, and it regenerates rows a chunk at a
-    # time, so its peak grows 3.5-6 bytes a sample (measured). It keeps the
-    # packed words, 16 bytes a row here, of as many open rows as fit in
-    # workflow._KEEP_BYTES = 4 bytes a sample, which brings the growth to
-    # 7.5-10 bytes a sample (measured). The batch's H x N uint8 states would
-    # grow it 40 bytes a sample
+    # pmf, and find-refs at m' = 1, on 10-out-of-40, M = 3: Stage 1's rounds
+    # alike. Between rounds they keep each open row's index and narrow
+    # bracket, 6 bytes, and regenerate rows a chunk at a time; they keep
+    # the packed words, 16 bytes a row here, of as many open rows as fit in
+    # workflow._KEEP_BYTES = 4 bytes a sample, so the peak grows 10 bytes a
+    # sample (measured). The brackets are counted a chunk at a time: cast
+    # to intp whole, they added a transient 8 bytes a sample. The batch's
+    # H x N uint8 states would grow the peak 40 bytes a sample
     model = SystemModel(40, 3, 3, k_out_of_n(10, 40))
     dist = ComponentDistribution.iid(40, [0.5, 0.3, 0.2])
-    peaks = {
-        h: traced_peak(lambda: multistate_pmf(model, dist, RunConfig(n_samples=h, seed=1, **settings)))
-        for h in (100_000, 400_000)
-    }
-    assert peaks[400_000] - peaks[100_000] <= 12 * 300_000
+    for run in (lambda cfg: multistate_pmf(model, dist, cfg), lambda cfg: stage1_find_references(model, dist, cfg, 1)):
+        peaks = {h: traced_peak(lambda: run(RunConfig(n_samples=h, seed=1, **settings))) for h in (100_000, 400_000)}
+        assert peaks[400_000] - peaks[100_000] <= 12 * 300_000
 
 
 def test_warm_pmf_stays_under_a_minor_fault_ceiling():
@@ -859,16 +870,17 @@ def _sha256(ref_set):
 
 def test_known_references_frozen(rgg):
     # each set's members, in order, and the Stage-2 estimates of a small
-    # fixed binary run and a small fixed multi-state run, bit for bit. The
-    # multi-state run's references are those of pmf's rounds on batch 0
+    # fixed binary run and a small fixed multi-state run, bit for bit. Both
+    # runs' references are those of Stage 1's rounds on batch 0; no row of
+    # the binary run's batch has S = 0, so its lower set stays empty
     model, dist = rgg
     cfg = RunConfig(n_samples=2000, parallel_searches=8, seed=1)
     s1 = stage1_find_references(model, dist, cfg, 0)
     report = stage2_evaluate(model, dist, s1.lower, s1.upper, cfg, 0)
-    assert (len(s1.lower), len(s1.upper)) == (1, 25)
+    assert (len(s1.lower), len(s1.upper)) == (0, 14)
     assert (_sha256(s1.lower), _sha256(s1.upper), report.p_lower, report.p_upper) == (
-        "e238cd6efda4637fb67d59af017a935ad886be91db12bf6c022ee388ba8d67dd",
-        "f151acfa8492655ef3074038da314a11dcbe9327fb6f95064b5dad2306a8356e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2e3235311a8c16e09a8044ddc1cd5d0c0f9f422b68c3b159e19d4530d09ebbf7",
         0.0,
         1.0,
     )
