@@ -789,6 +789,40 @@ def test_stage2_memory_bounded_in_batch_size(rgg, rgg_refs):
     assert peaks[400_000] - peaks[100_000] <= 16 * 1024
 
 
+def test_stage1_iteration_memory_bounded_in_batch_size(rgg):
+    # eps_u = 1 stops after the first record, whose rows are all open; the
+    # sets are empty, so the pass draws nothing. The peak is 0.97 MiB at 100k
+    # and 3.82 MiB at 400k: the open rows' index and narrow brackets and the
+    # kept words within workflow._KEEP_BYTES, 10 bytes a sample between them
+    # (measured). What does not grow with H stays under 3.5 MiB, the ceiling
+    # of the fresh-batch loop, which kept one byte a sample
+    model, dist = rgg
+    peaks = {
+        h: traced_peak(lambda: stage1_find_references(model, dist, RunConfig(n_samples=h, eps_u=1.0, seed=1), 0))
+        for h in (100_000, 400_000)
+    }
+    assert peaks[400_000] - 12 * 400_000 < 3.5 * MiB
+    assert peaks[400_000] - peaks[100_000] <= 12 * 300_000
+
+
+def test_stage1_streamed_iteration_memory_bounded_in_batch_size(rgg):
+    # The first record's sets are empty, so its pass draws nothing; one
+    # search then makes r_max = 1, and the run stops after streaming the open
+    # rows of batch 0 through a one-reference set. The peak is 4.49 MiB at
+    # 100k and 7.35 MiB at 400k: one chunk's temporaries as in Stage 2, with a
+    # kernel scratch sized to a one-reference set, plus the 10 bytes a sample
+    # the rounds keep (measured)
+    model, dist = rgg
+    peaks = {
+        h: traced_peak(
+            lambda: stage1_find_references(model, dist, RunConfig(n_samples=h, eps_u=0.0, r_max=1, seed=1), 0)
+        )
+        for h in (100_000, 400_000)
+    }
+    assert peaks[400_000] - 12 * 400_000 < 3.5 * MiB
+    assert peaks[400_000] - peaks[100_000] <= 12 * 300_000
+
+
 @pytest.mark.parametrize(
     "settings",
     [
