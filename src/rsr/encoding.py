@@ -7,7 +7,9 @@ exactly when T(x) AND NOT T(l) is zero, and x >= u exactly when
 NOT T(x) AND T(u) is zero: one encoding of a sample serves both sides, a
 lower reference's region is T(l) and an upper one's is NOT T(u).
 
-A batch flattens each matrix row-major into a length-N(M-1) row. The
+A batch flattens each matrix row-major into a length-N(M-1) row. At M = 2
+that row is the state vector itself, so ``encode_batch`` hands uint8
+states back as the flattened rows without a copy. The
 flattened rows are also bit-packed into zero-padded 64-bit words, the
 layout the classification kernel ANDs word by word, and ``decode_packed``
 turns packed rows back into states. Encodings are derived
@@ -51,7 +53,7 @@ class EncodedBatch:
     never matters to a bitwise comparison of the two.
     """
 
-    data: np.ndarray  # K x (N*(M-1)) uint8
+    data: np.ndarray  # K x (N*(M-1)) uint8; at M = 2 it may be the encoded states themselves
     n_components: int
     n_states: int
 
@@ -74,11 +76,18 @@ class EncodedBatch:
 
 
 def encode_batch(states: np.ndarray, n_states: int) -> EncodedBatch:
-    """Encode a K x N state matrix straight to flattened form, one cut at a time."""
+    """Encode a K x N state matrix straight to flattened form, one cut at a time.
+
+    At M = 2 the states are their own thermometer bits: uint8 states are
+    handed back as ``data`` with no copy, so ``data`` may share memory with
+    ``states``, and other integer states are cast to uint8 once.
+    """
     arr = check_states(states, n_states)
     if arr.ndim != 2:
         raise ValueError("states must be a K x N matrix")
     k, n = arr.shape
+    if n_states == 2:
+        return EncodedBatch(arr.astype(np.uint8, copy=False), n, n_states)
     cube = np.empty((k, n, n_states - 1), dtype=np.uint8)
     for c in range(n_states - 1):
         np.greater(arr, c, out=cube[:, :, c])

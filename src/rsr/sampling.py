@@ -10,7 +10,11 @@ uint16 for M > 256). There is no global RNG state.
 ``sample_batch`` fills its state matrix a block of rows at a time: it draws
 at most ``_DRAW_BYTES`` of raw output, turns it into states in place and
 draws the next block from the same generator, so a slice of any size
-needs its states plus one cache-sized block of draws.
+needs its states plus one cache-sized block of draws. Callers that need a
+gap-free run of rows draw it with ``sample_batch``, which needs no plan and
+no gather copy; ``sample_rows`` is for scattered rows. At M = 2 a block
+becomes states in one integer compare of the raw draws, written straight
+into the state matrix.
 """
 
 from __future__ import annotations
@@ -73,18 +77,29 @@ def _cuts(dist: ComponentDistribution) -> np.ndarray:
 
 
 def _states(cuts: np.ndarray, raw: np.ndarray, out: np.ndarray) -> None:
-    """Inverse CDF of K x N raw draws into ``out``, a K x N unsigned integer matrix; ``raw`` is overwritten.
+    """Inverse CDF of K x N raw draws into ``out``, a K x N unsigned integer matrix; ``raw`` may be overwritten.
 
     The state is #{k < M-1 : cum[k] <= u} with u = (raw >> 11) * 2**-53;
     leaving out cum[M-1] caps it at M-1. With j = raw >> 11 an integer,
     u >= c holds exactly when j >= ceil(c * 2**53), and scaling by a power
     of two is exact, so the comparison runs on integers with no float copy
     of the draws and gives the float comparison's states bit for bit.
+
+    At M = 2 the state is the one compare j >= cut, which is raw >= cut << 11
+    for every cut below 2**53, written straight into a bool view of ``out``:
+    no shift pass and no cast. A cut of 2**53 (P(state 0) = 1) wraps to 0
+    there, and no j reaches it, so its columns are set to 0.
     """
-    raw >>= np.uint64(11)
     if len(cuts) == 1:  # M = 1
         out.fill(0)
         return
+    if len(cuts) == 2:
+        np.greater_equal(raw, cuts[0] << np.uint64(11), out=out.view(np.bool_))
+        never = cuts[0] >= 1 << 53
+        if never.any():
+            out[:, never] = 0
+        return
+    raw >>= np.uint64(11)
     # the first cut's compare writes the counts: no bool temporary, no add pass
     np.greater_equal(raw, cuts[0], out=out, casting="unsafe")
     for cut in cuts[1:-1]:

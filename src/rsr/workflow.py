@@ -53,8 +53,11 @@ packed thermometer words, ceil(N(M-1)/64) words a row, of as many open
 rows as fit in ``_KEEP_BYTES`` a sample of the batch. Later passes
 classify the kept words as they are, and phi reads the states they decode
 to, with no draw and no encode; the first pass and the open rows past the
-budget are regenerated chunk by chunk with ``sampling.sample_rows`` as the
-source of ``verdicts``. The crude Monte Carlo oracle
+budget are regenerated chunk by chunk as the source of ``verdicts``. A
+chunk of rows with no gap, every chunk of the first pass, is drawn by
+``sampling.sample_batch``'s block loop as ``_stream`` draws it, so the
+first pass peaks as Stage 2 does; scattered rows by
+``sampling.sample_rows``. The crude Monte Carlo oracle
 (``oracle.crude_monte_carlo``) stays whole-batch and calls phi one row at
 a time through ``SystemModel.evaluate`` on purpose, as an independent
 check of this path and of any batch form of phi.
@@ -429,7 +432,7 @@ class _Rounds:
     ``hi``, a few bytes a row, which each pass compacts in place, and the
     first ``n_kept`` of them their packed thermometer ``words``,
     word-major: as many as fit in ``_KEEP_BYTES`` a sample. Later passes
-    classify those as they are, and ``sample_rows`` regenerates the others
+    classify those as they are, and ``open_words`` regenerates the others
     chunk by chunk. ``known[s]`` counts the settled rows whose bracket
     ends at hi = s: at each threshold t of the range S <= t exactly when
     hi <= t, and over every threshold hi is S.
@@ -511,11 +514,21 @@ class _Rounds:
             self.spent.append(sum(calls))
 
     def open_words(self, start: int, stop: int) -> np.ndarray:
-        """The thermometer words, word-major, of the open rows ``start..stop-1``: kept, or regenerated and packed."""
+        """The thermometer words, word-major, of the open rows ``start..stop-1``: kept, or regenerated and packed.
+
+        Regenerated rows whose indices run with no gap, every chunk of the
+        first pass, are drawn by ``sample_batch``'s block loop as Stage 2's
+        stream draws them; scattered ones by ``sample_rows``.
+        """
         cut = min(max(start, self.n_kept), stop)
         if cut == stop:
             return self.words[:, start:stop]
-        drawn = sample_rows(self.dist, self.config.seed, _GENERATION, self.index[cut:stop])
+        rows = self.index[cut:stop]
+        first = int(rows[0])
+        if int(rows[-1]) - first == len(rows) - 1:
+            drawn = sample_batch(self.dist, len(rows), self.config.seed, _GENERATION, start=first).states
+        else:
+            drawn = sample_rows(self.dist, self.config.seed, _GENERATION, rows)
         drawn = _word_major(drawn, self.dist.n_states)
         return drawn if cut == start else np.concatenate([self.words[:, start:cut], drawn], axis=1)
 

@@ -169,3 +169,25 @@ def test_int8_states_encode_without_widening():
         tracemalloc.stop()
     assert peak <= 2 * batch.data.nbytes
     assert np.array_equal(batch.data, encode_batch(states.astype(np.int64), 2).data)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 115])
+def test_binary_encoding_is_the_states_themselves(n):
+    # at M = 2 the one-hot matrix's state-1 column is the thermometer bit,
+    # [x_n > 0], so uint8 states are handed back as the encoding with no
+    # cube copy, and any integer states pack to the words of that cube
+    states = np.random.default_rng(n).integers(0, 2, size=(70, n), dtype=np.uint8)
+    batch = encode_batch(states, 2)
+    assert np.shares_memory(batch.data, states) and batch.data.dtype == np.uint8
+    one_hot_column = np.array([[row[1] for row in one_hot(x, 2, "sample")] for x in states.tolist()])
+    assert np.array_equal(batch.data, one_hot_column)
+    cube = (states > 0).astype(np.uint8)
+    bits = np.unpackbits(batch.packed.view(np.uint8), axis=1)
+    assert np.array_equal(bits[:, :n], cube) and not bits[:, n:].any()
+    complement = np.unpackbits(batch.packed_complement.view(np.uint8), axis=1)
+    assert np.array_equal(complement[:, :n], 1 - cube) and not complement[:, n:].any()
+    assert np.array_equal(decode_packed(batch.packed, n, 2), states)
+    for dtype in (np.int8, np.int64, np.uint16):
+        wide = encode_batch(states.astype(dtype), 2)
+        assert wide.data.dtype == np.uint8 and not np.shares_memory(wide.data, states)
+        assert np.array_equal(wide.packed, batch.packed)

@@ -232,3 +232,39 @@ def test_sample_rows_fill_across_draw_blocks(monkeypatch, n):
     dense, sparse, repeated = np.arange(400), np.arange(3, 400, 7), rng.integers(0, 400, size=300)
     for indices in (dense, sparse, repeated, np.array([399, 0, 5, 6, 7, 200])):
         assert np.array_equal(sample_rows(dist, 4, 1, indices), full[indices])
+
+
+def test_binary_states_are_one_exact_compare():
+    # at M = 2 a state is the one compare raw >= cut << 11, and the columns
+    # whose cut is 2**53 (P(state 0) = 1) are forced to 0. P(state 0) of 0
+    # and 1, one 2**-53 from either end, a few in between, random ones and
+    # ones taken from the draws themselves, so some draws land exactly on a
+    # cut; 2 * 8192 + 5 rows at N = 16 cross two draw blocks
+    n, h = 16, 2 * 8192 + 5
+    u = uniform_field(11, 3, 0, h, n)
+    rng = np.random.default_rng(11)
+    p0 = np.r_[[0.0, 2.0**-53, 0.05, 0.5, 1.0 - 2.0**-53, 1.0], rng.random(6), u[rng.integers(0, h, 4), np.arange(12, n)]]
+    dist = ComponentDistribution(np.column_stack([p0, 1.0 - p0]))
+    cum = np.cumsum(dist.probs, axis=1)
+    expected = np.empty((h, n), dtype=np.int64)
+    for comp in range(n):
+        expected[:, comp] = np.searchsorted(cum[comp], u[:, comp], side="right")
+    np.minimum(expected, 1, out=expected)
+    assert (expected[:, 12:] == 0).any() and (expected[:, 12:] == 1).any()
+    states = sample_batch(dist, h, seed=11, generation_index=3).states
+    assert states.dtype == np.uint8
+    assert np.array_equal(states, expected)
+    assert not states[:, 5].any() and states[:, 0].all()
+    part = sample_batch(dist, 8192 + 3, seed=11, generation_index=3, start=8191).states
+    assert np.array_equal(part, expected[8191 : 2 * 8192 + 2])
+    indices = np.r_[rng.integers(0, h, 200), np.arange(100, 700)]
+    assert np.array_equal(sample_rows(dist, 11, 3, indices), expected[indices])
+    # raw draws on each shifted cut, one below it and at both ends: u is
+    # (raw >> 11) * 2**-53, the float route the compare stands for
+    shifted = sampling._cuts(dist)[0] << np.uint64(11)
+    raw = np.stack([shifted, shifted - np.uint64(1), np.zeros(n, np.uint64), np.full(n, 2**64 - 1, np.uint64)])
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    edge = np.minimum([np.searchsorted(cum[comp], u[:, comp], side="right") for comp in range(n)], 1).T
+    out = np.empty(raw.shape, dtype=np.uint8)
+    sampling._states(sampling._cuts(dist), raw, out)
+    assert np.array_equal(out, edge)

@@ -494,32 +494,37 @@ def test_streamed_pmf_equals_whole_batch(monkeypatch):
 
 
 def test_pmf_regenerates_only_the_open_rows_of_batch_zero(rgg, monkeypatch):
-    # pmf draws no whole batch, only rows of batch 0: the first pass draws
-    # every row, the walks their starts, and each later pass and the end
-    # the open rows whose words were not kept. A pass keeps the words of the
-    # first open rows it leaves, as many as fit in the budget: none at 0,
-    # so each round regenerates every open row, and all of them at no
-    # bound, so each row is drawn at most once, plus the walks' starts. On a
-    # binary model a row is open exactly when its one threshold leaves it
-    # open, so the trace counts the open rows. At edge failure 0.3 the
-    # rounds stop on cost with rows left open
+    # pmf draws no whole batch, only rows of batch 0 a chunk at a time: the
+    # first pass draws every row, a gap-free run the block sampler draws, the
+    # walks their starts, and each later pass and the end the open rows whose
+    # words were not kept. A pass keeps the words of the first open rows it
+    # leaves, as many as fit in the budget: none at 0, so each round
+    # regenerates every open row, and all of them at no bound, so each row
+    # is drawn at most once, plus the walks' starts. On a binary model a row
+    # is open exactly when its one threshold leaves it open, so the trace
+    # counts the open rows. At edge failure 0.3 the rounds stop on cost with
+    # rows left open
     model, _ = rgg
     dist = ComponentDistribution.iid(model.n_components, [0.3, 0.7])
     cfg = RunConfig(n_samples=5000, eps_u=1e-4, parallel_searches=16, seed=1000)
     drawn = []
+    contiguous = []
 
     def counting_rows(dist, seed, generation, indices):
         drawn.append((seed, generation, np.array(indices)))
         return sample_rows(dist, seed, generation, indices)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("pmf drew a whole batch")
+    def counting_batch(dist, n_samples, seed, generation_index=0, start=0):
+        drawn.append((seed, generation_index, np.arange(start, start + n_samples)))
+        contiguous.append(drawn[-1][2])
+        return sample_batch(dist, n_samples, seed, generation_index, start=start)
 
     monkeypatch.setattr(workflow, "sample_rows", counting_rows)
-    monkeypatch.setattr(workflow, "sample_batch", refuse)
+    monkeypatch.setattr(workflow, "sample_batch", counting_batch)
     for keep in (0, workflow._KEEP_BYTES, math.inf):
         monkeypatch.setattr(workflow, "_KEEP_BYTES", keep)
         drawn.clear()
+        contiguous.clear()
         report = multistate_pmf(model, dist, cfg)
         (s1,) = report.stage1_results
         open_rows = [round(t.p_unclassified * cfg.n_samples) for t in s1.trace]
@@ -527,6 +532,8 @@ def test_pmf_regenerates_only_the_open_rows_of_batch_zero(rgg, monkeypatch):
         assert open_rows == sorted(open_rows, reverse=True) and open_rows[0] == cfg.n_samples
         assert report.resolution_phi_calls == open_rows[-1] > 0
         assert {(seed, generation) for seed, generation, _ in drawn} == {(cfg.seed, 0)}
+        # the first pass's rows come in order from the block sampler
+        assert np.array_equal(np.concatenate(contiguous)[: cfg.n_samples], np.arange(cfg.n_samples))
         rows = np.concatenate([indices for *_, indices in drawn])
         # the rows whose words the budget holds: a row is two words at N = 115, M = 2
         kept = min(cfg.n_samples, keep * cfg.n_samples // 16)
@@ -772,20 +779,21 @@ MiB = 1 << 20
 
 def test_stage2_memory_bounded_in_batch_size(rgg, rgg_refs):
     # the whole 400k x 115 batch would be 44 MiB of uint8 states alone. The
-    # peak is 3.28 MiB at 100k and at 400k rows: one chunk's 1 MiB of states,
-    # one 1 MiB block of raw draws and the hit kernel's 1 MiB of scratch,
-    # which lives for the whole pass, plus the chunk's packed words and its
-    # open rows. The ceiling leaves 0.2 MiB of margin, less than the 1 MiB
-    # that holding the previous chunk's states, a second block of draws or
-    # the one-hot cube of a chunk at M = 2 would add. Each chunk's open rows
-    # are resolved as it arrives, so the peak does not grow with H
+    # peak is 3.07 MiB at 100k and at 400k rows: one chunk's 1 MiB of states,
+    # which at M = 2 are their own thermometer bits, one 1 MiB block of raw
+    # draws and the hit kernel's 1 MiB of scratch, which lives for the whole
+    # pass, plus the chunk's packed words and its open rows. The ceiling
+    # leaves 0.23 MiB of margin, less than the 1 MiB that holding the
+    # previous chunk's states, a second block of draws or a thermometer cube
+    # copy of a chunk would add. Each chunk's open rows are resolved as it
+    # arrives, so the peak does not grow with H
     model, dist = rgg
     lower, upper = rgg_refs
     peaks = {
         h: traced_peak(lambda: stage2_evaluate(model, dist, lower, upper, RunConfig(n_samples=h, seed=1), 0))
         for h in (100_000, 400_000)
     }
-    assert peaks[400_000] < 3.5 * MiB
+    assert peaks[400_000] < 3.3 * MiB
     assert peaks[400_000] - peaks[100_000] <= 16 * 1024
 
 
@@ -808,10 +816,11 @@ def test_stage1_iteration_memory_bounded_in_batch_size(rgg):
 def test_stage1_streamed_iteration_memory_bounded_in_batch_size(rgg):
     # The first record's sets are empty, so its pass draws nothing; one
     # search then makes r_max = 1, and the run stops after streaming the open
-    # rows of batch 0 through a one-reference set. The peak is 4.49 MiB at
-    # 100k and 7.35 MiB at 400k: one chunk's temporaries as in Stage 2, with a
+    # rows of batch 0 through a one-reference set. The peak is 3.19 MiB at
+    # 100k and 6.05 MiB at 400k: one chunk's temporaries as in Stage 2, with a
     # kernel scratch sized to a one-reference set, plus the 10 bytes a sample
-    # the rounds keep (measured)
+    # the rounds keep (measured). Less 12 bytes a sample that leaves 1.47 MiB
+    # at 400k, under a ceiling with 0.23 MiB of margin
     model, dist = rgg
     peaks = {
         h: traced_peak(
@@ -819,8 +828,25 @@ def test_stage1_streamed_iteration_memory_bounded_in_batch_size(rgg):
         )
         for h in (100_000, 400_000)
     }
-    assert peaks[400_000] - 12 * 400_000 < 3.5 * MiB
+    assert peaks[400_000] - 12 * 400_000 < 1.7 * MiB
     assert peaks[400_000] - peaks[100_000] <= 12 * 300_000
+
+
+def test_stage1_first_pass_peaks_as_stage2_does(rgg, rgg_refs):
+    # Stage 1's first pass classifies every row of batch 0, a gap-free run a
+    # chunk at a time, which the block sampler draws as Stage 2's stream
+    # does. So past the 10 bytes a sample the rounds keep, its peak is at
+    # most Stage 2's: 2.23 against 3.07 MiB at 100k (measured). Drawn by
+    # sample_rows' scattered-row plan, whose unique, run plan and gather
+    # copy of each chunk cost about 1.3 MiB, it read 3.53 MiB
+    model, dist = rgg
+    lower, upper = rgg_refs
+    h = 100_000
+    stage1 = traced_peak(
+        lambda: stage1_find_references(model, dist, RunConfig(n_samples=h, eps_u=0.0, r_max=1, seed=1), 0)
+    )
+    stage2 = traced_peak(lambda: stage2_evaluate(model, dist, lower, upper, RunConfig(n_samples=h, seed=1), 0))
+    assert stage1 - 10 * h <= stage2 + 0.25 * MiB
 
 
 @pytest.mark.parametrize(
