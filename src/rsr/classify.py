@@ -131,10 +131,10 @@ def _levels_apart(lower: np.ndarray, upper: np.ndarray, n_states: int) -> bool:
 
 
 def _scratch_size(n_refs: int, n_cols: int) -> int:
-    """Entries enough for every ``word_hits`` block of ``n_refs`` references on at most ``n_cols`` columns.
+    """Entries of ``word_hits``' OR accumulator and AND temporary, 8 bytes each, for ``n_refs`` references on ``n_cols`` columns.
 
-    A block on k columns takes min(n_refs, max(1, B // 16k)) * k entries,
-    B being ``_BLOCK_BYTES``: at most B / 16 while 16k <= B, else k.
+    A block on k <= ``n_cols`` columns takes size // k references: about
+    B / 16 entries while 16k <= B, B being ``_BLOCK_BYTES``, else one.
     """
     return min(n_refs * n_cols, max(_BLOCK_BYTES // 16, n_cols))
 
@@ -168,8 +168,7 @@ def word_hits(
     if rbar_words is None or n_chunk == 0:
         return hit
     n_refs = rbar_words.shape[0]
-    # entries of the OR accumulator and of the AND temporary, 8 bytes each
-    size = min(n_refs, max(1, _BLOCK_BYTES // (16 * n_chunk))) * n_chunk
+    size = _scratch_size(n_refs, n_chunk)
     acc, tmp = _kernel_scratch(size, n_words) if scratch is None else scratch
     words, rows = sample_words, None  # rows[c]: the row of column c of a gathered copy
     open_ = np.ones(n_chunk, dtype=bool)  # columns of words no block has hit

@@ -13,9 +13,7 @@ the component probabilities change.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import inspect
 import json
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -61,29 +59,13 @@ def write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _require_format(doc: dict, path: str | Path) -> None:
-    if doc.get("format") != FORMAT:
+def _require_format(doc: Any, path: str | Path) -> None:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"{path}: missing or unsupported format tag (expected {FORMAT!r})")
 
 
 def _sha256(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
-
-
-def _input_errors(load: Callable) -> Callable:
-    # a field of the wrong JSON type (int(None), "text".get) is an input error
-    # in the file; a call that does not fit the signature is the caller's
-    signature = inspect.signature(load)
-
-    @functools.wraps(load)
-    def checked(*args: Any, **kwargs: Any) -> Any:
-        bound = signature.bind(*args, **kwargs)
-        try:
-            return load(*bound.args, **bound.kwargs)
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"{bound.arguments['path']}: malformed document: {exc}") from exc
-
-    return checked
 
 
 def build_manifest(command: str, config: RunConfig | None = None, **extra: Any) -> dict:
@@ -200,7 +182,6 @@ def _build_performance(
     return fn, n_sys, resolved
 
 
-@_input_errors
 def load_model(path: str | Path) -> tuple[SystemModel, ComponentDistribution, str]:
     """Load a model definition file; returns (model, distribution, system hash).
 
@@ -229,6 +210,8 @@ def load_model(path: str | Path) -> tuple[SystemModel, ComponentDistribution, st
         raise ValueError(f"{path}: missing field {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type: int(None), "text".get
+        raise ValueError(f"{path}: malformed document: {exc}") from exc
     digest = _sha256(
         {"n_components": n, "n_component_states": m, "n_system_states": n_sys, "system_function": resolved}
     )
@@ -295,7 +278,6 @@ def save_reference_sets(
         fh.write(pieces[-1] + "\n")
 
 
-@_input_errors
 def load_reference_sets(
     path: str | Path, expected_system_hash: str
 ) -> tuple[ReferenceSet, ReferenceSet]:
@@ -311,8 +293,10 @@ def load_reference_sets(
             else f"were searched on system {found}, not on this model's {expected_system_hash}"
         )
         raise ValueError(f"{path}: the reference sets {searched}; run find-refs on this model again")
-    threshold = int(doc["threshold"])
     try:
+        threshold = int(doc["threshold"])
         return ReferenceSet(Side.LOWER, threshold, doc["lower"]), ReferenceSet(Side.UPPER, threshold, doc["upper"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed document: {exc}") from exc

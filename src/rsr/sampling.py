@@ -10,11 +10,13 @@ uint16 for M > 256). There is no global RNG state.
 ``sample_batch`` fills its state matrix a block of rows at a time: it draws
 at most ``_DRAW_BYTES`` of raw output, turns it into states in place and
 draws the next block from the same generator, so a slice of any size
-needs its states plus one cache-sized block of draws. Callers that need a
-gap-free run of rows draw it with ``sample_batch``, which needs no plan and
-no gather copy; ``sample_rows`` is for scattered rows. At M = 2 a block
-becomes states in one integer compare of the raw draws, written straight
-into the state matrix.
+needs its states plus one cache-sized block of draws. ``sample_rows``
+walks the stream once through any set of rows, copying each run's rows
+into one block-sized buffer that is turned into states as it fills; it
+holds the states plus about two blocks. A caller with a gap-free slice
+draws it with ``sample_batch``, which needs no plan, buffer or gather
+copy. At M = 2 a block becomes states in one integer compare of the raw
+draws, written straight into the state matrix.
 """
 
 from __future__ import annotations
@@ -41,11 +43,9 @@ _ADVANCE_DRAWS = 400
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """H component-state vectors plus the keys that regenerate them."""
+    """H component-state vectors."""
 
     states: np.ndarray  # H x N uint8 matrix, uint16 for M > 256
-    seed: int
-    generation_index: int
 
     @property
     def n_samples(self) -> int:
@@ -151,7 +151,7 @@ def sample_batch(
     for r0 in range(0, n_samples, block):
         r1 = min(r0 + block, n_samples)
         _states(cuts, bg.random_raw((r1 - r0) * n).reshape(r1 - r0, n), states[r0:r1])
-    return SampleBatch(states=states, seed=seed, generation_index=generation_index)
+    return SampleBatch(states=states)
 
 
 def sample_rows(
@@ -168,11 +168,12 @@ def sample_rows(
     between its rows with it; the generator reaches it by drawing the gap
     before it in the same call, or, past ``_ADVANCE_DRAWS``, by advancing
     its counter to the run's block of four draws. A dense set of rows
-    costs a few calls a block, a scattered one a call a row. A long run
-    with no gap is turned into states as it is drawn; the rows of the
-    others gather in a buffer of at most one block, turned into states
-    whenever it fills, so the call holds the states plus about two
-    blocks. A repeated row is drawn once and copied.
+    costs a few calls a block, a scattered one a call a row. Every run's
+    rows, sliced out of its draws when it has no gap and gathered
+    otherwise, wait in one buffer of at most one block, turned into states
+    whenever the next run would overflow it, so the call holds the states
+    plus about two blocks: the buffer and one run's draws. A repeated row
+    is drawn once and copied.
     """
     n = dist.n_components
     rows, inverse = np.unique(np.asarray(indices, dtype=np.int64).reshape(-1), return_inverse=True)
@@ -199,25 +200,21 @@ def sample_rows(
     lead[jump] = first[jump] * n % 4
     offset = rows - np.repeat(first, ends - starts)  # a row's place in its run
     span = (last + 1 - first) * n
-    dense = (ends - starts) * n == span  # runs with no gap
-    # a gapless run of more draws than a call's overhead costs (about
-    # _ADVANCE_DRAWS) becomes states as it is drawn; shorter ones wait in the buffer
-    direct = dense & (span > _ADVANCE_DRAWS)
-    buffer = np.empty((min(block, int((ends - starts)[~direct].sum())), n), dtype=np.uint64)
+    dense = (ends - starts) * n == span  # runs with no gap: a slice copy, no gather
+    # a run is at most one block and at most every row: once the rows before it
+    # are states, it fits
+    buffer = np.empty((min(block, len(rows)), n), dtype=np.uint64)
     done = 0  # rows before ``done`` are states; rows done..a wait in the buffer
     bg = _philox(seed, generation_index)
-    plan = zip(*(v.tolist() for v in (starts, ends, advance, lead, span, dense, direct)))
-    for a, b, skip, lead_k, span_k, dense_k, direct_k in plan:
-        if a > done and (direct_k or b - done > len(buffer)):
+    plan = zip(*(v.tolist() for v in (starts, ends, advance, lead, span, dense)))
+    for a, b, skip, lead_k, span_k, dense_k in plan:
+        if b - done > len(buffer):
             _states(cuts, buffer[: a - done], states[done:a])
             done = a
         if skip:
             bg.advance(skip)
         raw = bg.random_raw(lead_k + span_k)[lead_k:].reshape(-1, n)
-        if direct_k:
-            _states(cuts, raw, states[a:b])
-            done = b
-        elif dense_k:
+        if dense_k:
             buffer[a - done : b - done] = raw
         else:
             np.take(raw, offset[a:b], axis=0, out=buffer[a - done : b - done], mode="clip")

@@ -78,7 +78,7 @@ def test_criterion_01_encoding_fidelity(capsys):
 def test_criterion_02_classification_counting(capsys):
     with criterion(capsys, 2, "partition counts (3,4,3) over H=10 give (0.3,0.4,0.3) exactly"):
         states = np.array([[0, 0]] * 3 + [[4, 4]] * 4 + [[2, 2]] * 3)
-        batch = SampleBatch(states=states, seed=0, generation_index=0)
+        batch = SampleBatch(states=states)
         lower = ReferenceSet(Side.LOWER, 0, [(1, 2)])
         upper = ReferenceSet(Side.UPPER, 0, [(1, 4), (4, 0)])
         res = classify(batch, lower, upper, n_states=5)
@@ -223,7 +223,7 @@ def test_criterion_09_throughput_and_linear_scaling(capsys):
         h, n = 1_000_000, 262
         rng = np.random.default_rng(42)
         states = rng.integers(0, 2, size=(h, n), dtype=np.int8)
-        batch = SampleBatch(states=states, seed=0, generation_index=0)
+        batch = SampleBatch(states=states)
 
         lower = ReferenceSet(Side.LOWER, 0)
         while len(lower) < 49:

@@ -267,7 +267,7 @@ def test_verdicts_encode_each_chunk_once_for_all_sets(monkeypatch):
 @pytest.mark.parametrize("n_workers", [0, -1])
 def test_classify_rejects_workers_below_one(n_workers):
     # unchecked, a worker count below 1 silently runs one thread
-    batch = SampleBatch(states=np.zeros((5, 2), dtype=np.int64), seed=0, generation_index=0)
+    batch = SampleBatch(states=np.zeros((5, 2), dtype=np.int64))
     lower = ReferenceSet(Side.LOWER, 0, [(1, 1)])
     with pytest.raises(ValueError, match=re.escape(f"n_workers must be >= 1, got {n_workers}")):
         classify(batch, lower, None, n_workers=n_workers, n_states=2)
@@ -327,7 +327,7 @@ def test_classification_counts_example():
         + [[4, 4]] * 4  # above an upper reference
         + [[2, 2]] * 3  # unclassified
     )
-    batch = SampleBatch(states=states, seed=0, generation_index=0)
+    batch = SampleBatch(states=states)
     lower = ReferenceSet(Side.LOWER, 0, [(1, 2)])
     upper = ReferenceSet(Side.UPPER, 0, [(1, 4), (4, 0)])
     res = classify(batch, lower, upper, n_states=5)
@@ -364,7 +364,7 @@ def test_threshold_mismatch_rejected():
 
 def test_reference_width_must_match_samples():
     # 115 x 2 and 113 x 2 bits both pack into 29 bytes, so nothing else catches it
-    batch = SampleBatch(states=np.ones((4, 115), dtype=np.int64), seed=0, generation_index=0)
+    batch = SampleBatch(states=np.ones((4, 115), dtype=np.int64))
     lower = ReferenceSet(Side.LOWER, 0, [(1,) * 113])
     with pytest.raises(ValueError, match="113 components, samples have 115"):
         classify(batch, lower, None, n_states=2)
@@ -374,7 +374,7 @@ def test_lower_precedence_and_strict_mode():
     # deliberately inconsistent sets so one sample matches both sides:
     # no side takes precedence, the overlap always raises
     states = np.array([[1, 1]])
-    batch = SampleBatch(states=states, seed=0, generation_index=0)
+    batch = SampleBatch(states=states)
     lower = ReferenceSet(Side.LOWER, 0, [(1, 1)])
     upper = ReferenceSet(Side.UPPER, 0, [(1, 1)])
     with pytest.raises(InconsistentReferenceSets) as exc:
@@ -441,7 +441,7 @@ def test_classify_memory_per_sample_bounded():
     assert len(lower) == 49
     peaks = {}
     for h in (100_000, 400_000):
-        batch = SampleBatch(states=states[:h], seed=0, generation_index=0)
+        batch = SampleBatch(states=states[:h])
         tracemalloc.start()
         try:
             res = classify(batch, lower, None, n_states=2)
@@ -456,7 +456,7 @@ def test_classify_memory_per_sample_bounded():
 @pytest.mark.parametrize("m_prime", [-1, 0, 3])
 def test_classify_verdicts_do_not_depend_on_threshold(m_prime, monkeypatch):
     # the sets' m' only labels them; the index sets come from dominance alone
-    batch = SampleBatch(states=np.array([[0, 0], [1, 1], [0, 1]]), seed=0, generation_index=0)
+    batch = SampleBatch(states=np.array([[0, 0], [1, 1], [0, 1]]))
     res = classify(batch, ReferenceSet(Side.LOWER, m_prime, [(0, 0)]), None, n_states=2)
     assert res.lower_indices.tolist() == [0]
     assert res.upper_indices.tolist() == []
@@ -483,7 +483,7 @@ def test_classify_verdicts_do_not_depend_on_threshold(m_prime, monkeypatch):
     assert base.lower_indices.size and base.upper_indices.size and base.unclassified_indices.size
 
     # an overlap is reported with the sets' own m'
-    one = SampleBatch(states=np.array([[0, 0], [1, 1]]), seed=0, generation_index=0)
+    one = SampleBatch(states=np.array([[0, 0], [1, 1]]))
     with pytest.raises(InconsistentReferenceSets) as exc:
         classify(
             one,
@@ -498,7 +498,7 @@ def test_classify_verdicts_do_not_depend_on_threshold(m_prime, monkeypatch):
 
 
 def test_classify_empty_batch():
-    batch = SampleBatch(states=np.zeros((0, 3), dtype=np.int64), seed=0, generation_index=0)
+    batch = SampleBatch(states=np.zeros((0, 3), dtype=np.int64))
     res = classify(batch, ReferenceSet(Side.LOWER, 0, [(1, 1, 1)]), None, n_states=2)
     assert (res.lower_indices.size, res.upper_indices.size, res.unclassified_indices.size) == (0, 0, 0)
 
@@ -545,7 +545,7 @@ def test_level_counts_spare_the_kernel_check_on_k_out_of_n(monkeypatch, n, m, k,
 
     monkeypatch.setattr(module, "word_hits", spy)
     states = np.random.default_rng(3).integers(0, m, size=(300, n))
-    result = classify(SampleBatch(states, 1, 0), lower, upper, n_states=m)
+    result = classify(SampleBatch(states), lower, upper, n_states=m)
     assert samples and not any(np.array_equal(words, lower_rows) for words in samples)
     system = np.sort(states, axis=1)[:, n - k]
     assert np.array_equal(result.lower_indices, np.flatnonzero(system <= threshold))

@@ -234,6 +234,35 @@ def test_sample_rows_fill_across_draw_blocks(monkeypatch, n):
         assert np.array_equal(sample_rows(dist, 4, 1, indices), full[indices])
 
 
+def test_sample_rows_holds_its_states_plus_two_draw_blocks():
+    # N = 115: a gap-free run of five draw blocks goes through the one
+    # buffer as scattered rows do, so with or without it the call holds
+    # the distinct rows' states, their gather into the output and two
+    # blocks (the buffer and one run's draws). Slack: the index bookkeeping
+    # (np.unique's rows and inverse, each row's run and place in it, and
+    # the run plan as Python lists) measured 104 bytes an index on the
+    # mixed input; 128 are allowed
+    n = 115
+    dist = ComponentDistribution.iid(n, [0.05, 0.95])
+    block = sampling._DRAW_BYTES // (8 * n)
+    rng = np.random.default_rng(0)
+    run = np.arange(3 * block + 1, 8 * block + 1)
+    scattered = rng.choice(10**6, 2 * block, replace=False) + 10 * block
+    mixed = rng.permutation(np.r_[scattered[:block], run, scattered[:300], run[::97]])
+    for indices in (mixed, scattered):
+        tracemalloc.start()
+        try:
+            states = sample_rows(dist, 1, 0, indices)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        distinct = len(np.unique(indices)) * n
+        assert peak <= states.nbytes + distinct + 2 * sampling._DRAW_BYTES + 128 * len(indices)
+    where = np.flatnonzero(np.isin(mixed, run))
+    expected = sample_batch(dist, len(run), seed=1, start=int(run[0])).states
+    assert np.array_equal(sample_rows(dist, 1, 0, mixed)[where], expected[mixed[where] - run[0]])
+
+
 def test_binary_states_are_one_exact_compare():
     # at M = 2 a state is the one compare raw >= cut << 11, and the columns
     # whose cut is 2**53 (P(state 0) = 1) are forced to 0. P(state 0) of 0
